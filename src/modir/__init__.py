@@ -38,8 +38,6 @@ from .index import (
     SearchParams,
     approximate_candidates,
     build_index,
-    compress,
-    decompress,
     exact_rerank,
     fit_codec,
     load_index,
@@ -76,9 +74,7 @@ __all__ = [
     "brute_force_search",
     "build_inbatch_negatives",
     "build_index",
-    "compress",
     "cosine",
-    "decompress",
     "encode",
     "estimate_energy_emissions",
     "exact_rerank",

@@ -5,18 +5,6 @@ from dataclasses import asdict, dataclass, fields
 
 from .errors import InvalidConfigError
 
-# Settings used for the full-scale reference training run; recorded for
-# provenance only, the desk-scale trainer uses plain SGD from RunConfig.
-FULL_SCALE_REFERENCE = {
-    "optimizer": "adamw",
-    "peak_learning_rate": 3e-6,
-    "warmup_fraction": 0.1,
-    "schedule": "linear",
-    "batch_size": 128,
-    "steps": 50_000,
-}
-
-
 @dataclass
 class RunConfig:
     # sequence / embedding geometry

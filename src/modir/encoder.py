@@ -316,17 +316,24 @@ class Batch:
         return len(self.triples)
 
 
+def _batch_sequences(batch: Batch) -> list[PreparedSequence]:
+    """Query, positive, hard negative of each triple, in batch order."""
+    return [s for t in batch.triples for s in (t.query, t.positive, t.hard_negative)]
+
+
+def _inbatch_positions(n: int, i: int) -> list[int]:
+    """Where triple i's in-batch negatives sit in ``_batch_sequences``: every
+    other triple's positive then hard negative, in batch order."""
+    return [3 * j + k for j in range(n) if j != i for k in (1, 2)]
+
+
 def build_inbatch_negatives(batch: Batch, i: int) -> list[PreparedSequence]:
     """The 2(N-1) passages of all other triples: positive then hard negative, in batch order."""
     n = len(batch)
     if not 0 <= i < n:
         raise InvalidConfigError(f"triple index {i} out of range for batch of {n}")
-    out = []
-    for j, triple in enumerate(batch.triples):
-        if j != i:
-            out.append(triple.positive)
-            out.append(triple.hard_negative)
-    return out
+    seqs = _batch_sequences(batch)
+    return [seqs[p] for p in _inbatch_positions(n, i)]
 
 
 def _check_finite_scores(*scores):
@@ -382,9 +389,7 @@ def total_loss_and_grads(batch: Batch, params: ModularEncoderParams):
     Scores are MaxSim over the encoded sequences; in-batch negatives reuse the
     other triples' encodings, so gradient flows into them as well.
     """
-    seqs = []
-    for t in batch.triples:
-        seqs.extend((t.query, t.positive, t.hard_negative))
+    seqs = _batch_sequences(batch)
     langs = sorted({s.language for s in seqs})
     for lang in langs:
         params.adapter_stack(lang)  # fail early on unknown languages
@@ -405,10 +410,7 @@ def total_loss_and_grads(batch: Batch, params: ModularEncoderParams):
     inv_n = 1.0 / n
     for i in range(n):
         qi = 3 * i
-        passage_idx = [qi + 1, qi + 2]  # positive, hard negative
-        for j in range(n):
-            if j != i:
-                passage_idx.extend((3 * j + 1, 3 * j + 2))
+        passage_idx = [qi + 1, qi + 2] + _inbatch_positions(n, i)  # positive, hard negative, in-batch
         scores = np.empty(len(passage_idx))
         pair_caches = []
         for col, pi in enumerate(passage_idx):

@@ -74,10 +74,8 @@ def brute_force_search(query, corpus: dict, k: int):
     """Exact MaxSim against every passage; descending score, ties to lower id.
 
     The oracle counterpart of the compressed two-stage search: insertion order
-    of the corpus dict never matters because passages are sorted by id first.
-    Ties break in this sorted order, so when comparing against an index (which
-    orders by its own sorted build keys), use ids whose sort order matches,
-    e.g. zero-padded numerics.
+    of the corpus dict never matters because passages are sorted by id first,
+    and ties break in this sorted order.
     """
     if k < 1:
         raise InvalidConfigError(f"k must be >= 1, got {k}")

@@ -24,8 +24,10 @@ LEB128):
                     id): varint centroid-id gap, varint length. Memberships
                     are not duplicated on disk: every embedding id belongs to
                     exactly the list named by its centroid-id field in
-                    codes.bin, so the loader reconstructs each list (ascending
-                    ids) from the codes and validates it against the directory.
+                    codes.bin, so the loader derives the lists (ascending ids)
+                    from the codes and rejects a directory whose lengths
+                    disagree with them, including one that leaves out a
+                    nonempty list.
     passages.bin    u32 passage count, varint embeddings-per-passage, u8 id
                     mode (0 = ids are decimal positions, 1 = explicit), then
                     per passage varint byte length + UTF-8 id when explicit
@@ -35,7 +37,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -212,34 +214,15 @@ def fit_codec(residual_sample, dim: int | None = None) -> ResidualCodec:
     if dim is not None and r.shape[1] != dim:
         raise DimensionMismatchError(f"residual dim {r.shape[1]} != expected {dim}")
     cuts = np.percentile(r, [25.0, 50.0, 75.0], axis=0)
-    codes = (r >= cuts[0]).astype(np.uint8) + (r >= cuts[1]) + (r >= cuts[2])
-    d = r.shape[1]
+    codec = ResidualCodec(cuts=cuts, reps=np.empty((4, r.shape[1])))
+    codes = codec.encode(r)
     fallback = np.stack([cuts[0], 0.5 * (cuts[0] + cuts[1]), 0.5 * (cuts[1] + cuts[2]), cuts[2]])
-    reps = np.empty((4, d))
     for bucket in range(4):
         mask = codes == bucket
         counts = mask.sum(axis=0)
         sums = np.where(mask, r, 0.0).sum(axis=0)
-        reps[bucket] = np.where(counts > 0, sums / np.maximum(counts, 1), fallback[bucket])
-    return ResidualCodec(cuts=cuts, reps=reps)
-
-
-def compress(embedding, centroids, codec: ResidualCodec):
-    """(nearest centroid id, 2-bit residual codes) for one embedding vector."""
-    v = np.asarray(embedding, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatchError("compress expects a single vector")
-    cid = int(nearest_centroid_ids(v[None, :], centroids)[0])
-    residual = v - np.asarray(centroids, dtype=np.float64)[cid]
-    return cid, codec.encode(residual)[0]
-
-
-def decompress(centroid_id: int, residual_code, centroids, codec: ResidualCodec) -> np.ndarray:
-    """Centroid plus the representative of each dimension's bucket."""
-    cents = np.asarray(centroids, dtype=np.float64)
-    if not 0 <= centroid_id < cents.shape[0]:
-        raise InvalidConfigError(f"centroid id {centroid_id} out of range [0, {cents.shape[0]})")
-    return cents[centroid_id] + codec.decode(residual_code)[0]
+        codec.reps[bucket] = np.where(counts > 0, sums / np.maximum(counts, 1), fallback[bucket])
+    return codec
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +281,18 @@ def _encode_uvarint(values) -> bytes:
     return bytes(out)
 
 
-def _decode_uvarint(buf: bytes, offset: int, count: int):
+def _decode_uvarint(buf: bytes, offset: int, count: int, path):
+    """``count`` varints from ``buf[offset:]``; FormatError naming ``path`` when
+    the buffer ends inside a value or a value overflows int64."""
+    if count > len(buf) - offset:  # every varint takes at least one byte
+        raise FormatError(f"{path}: truncated or overlong varint")
     values = np.empty(count, dtype=np.int64)
     for i in range(count):
         shift = 0
         acc = 0
         while True:
+            if offset >= len(buf) or shift > 56:
+                raise FormatError(f"{path}: truncated or overlong varint")
             byte = buf[offset]
             offset += 1
             acc |= (byte & 0x7F) << shift
@@ -337,30 +326,37 @@ class SearchParams:
 
 @dataclass
 class CompressedIndex:
-    """Immutable compressed corpus: centroid table, per-embedding codes,
-    inverted lists, and the passage map.
+    """Compressed corpus: centroid table, codec, per-embedding codes and the
+    passage map. These stored facts are the constructor's only arguments.
 
-    Searches are read-only and safe to run concurrently; the only mutation
-    after construction is an internal memo of decompressed centroid members,
-    whose entries are deterministic and idempotent.
+    The inverted file is derived from ``centroid_ids`` once, in CSR
+    (compressed sparse row) form: the members of centroid c's list are
+    ``list_members[list_offsets[c] : list_offsets[c + 1]]``, ascending
+    embedding ids, and ``member_passages`` holds each member's internal
+    passage in the same order. The first stage reads unit-norm decompressed
+    rows from one CSR-ordered float64 table; a list's rows are filled the
+    first time a query probes it. Filled rows depend only on the stored
+    facts, so a refill by a concurrent search writes the same bytes.
     """
 
     centroids: np.ndarray  # (C, dim) float32
     codec: ResidualCodec  # float32 cuts / reps
     centroid_ids: np.ndarray  # (n,) int64, per embedding
     residual_codes: np.ndarray  # (n, dim) uint8 in 0..3
-    inverted_lists: list  # per centroid: ascending int64 embedding ids
     passage_ids: list  # external ids (strings), internal order
     passage_offsets: np.ndarray  # (P+1,) int64
     seed: int = 0
-    _emb_passage: np.ndarray = field(default=None, repr=False)
-    _norm_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        counts = np.diff(self.passage_offsets)
-        if self._emb_passage is None:
-            self._emb_passage = np.repeat(np.arange(len(self.passage_ids), dtype=np.int64), counts)
         self._by_external = {pid: i for i, pid in enumerate(self.passage_ids)}
+        self._centroids64 = self.centroids.astype(np.float64)
+        sizes = np.bincount(self.centroid_ids, minlength=self.centroid_count)
+        self.list_offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.list_members = np.argsort(self.centroid_ids, kind="stable")
+        emb_passage = np.repeat(np.arange(self.passage_count, dtype=np.int64), np.diff(self.passage_offsets))
+        self.member_passages = emb_passage[self.list_members]
+        self._unit_rows = np.empty((self.embedding_count, self.dim))  # pages are touched as lists fill
+        self._filled = np.zeros(self.centroid_count, dtype=bool)
 
     @property
     def dim(self) -> int:
@@ -389,10 +385,9 @@ class CompressedIndex:
         return self._by_external[key]
 
     def decompress_embeddings(self, emb_ids: np.ndarray) -> np.ndarray:
-        cents = self.centroids.astype(np.float64)
-        reps = self.codec.reps.astype(np.float64)
-        codes = self.residual_codes[emb_ids]
-        return cents[self.centroid_ids[emb_ids]] + reps[codes, np.arange(self.dim)[None, :]]
+        """Centroid plus the codec's representative per dimension: the one
+        decompression path of the index."""
+        return self._centroids64[self.centroid_ids[emb_ids]] + self.codec.decode(self.residual_codes[emb_ids])
 
     def decompress_passage(self, internal: int) -> np.ndarray:
         lo, hi = self.passage_offsets[internal], self.passage_offsets[internal + 1]
@@ -402,15 +397,14 @@ class CompressedIndex:
         """External id -> decompressed term matrix, for oracle comparisons."""
         return {pid: self.decompress_passage(i) for i, pid in enumerate(self.passage_ids)}
 
-    def _centroid_members(self, cid: int):
-        """(embedding ids, unit-norm decompressed rows, passage indices), cached."""
-        hit = self._norm_cache.get(cid)
-        if hit is None:
-            ids = self.inverted_lists[cid]
-            rows = scoring.normalize_rows(self.decompress_embeddings(ids)) if len(ids) else np.empty((0, self.dim))
-            hit = (ids, rows, self._emb_passage[ids])
-            self._norm_cache[cid] = hit
-        return hit
+    def _probe_list(self, cid: int):
+        """(unit-norm decompressed rows, internal passages) of centroid cid's list."""
+        lo, hi = self.list_offsets[cid], self.list_offsets[cid + 1]
+        if not self._filled[cid]:
+            rows = self.decompress_embeddings(self.list_members[lo:hi])
+            self._unit_rows[lo:hi] = scoring.normalize_rows(rows)
+            self._filled[cid] = True
+        return self._unit_rows[lo:hi], self.member_passages[lo:hi]
 
 
 def build_index(
@@ -422,14 +416,19 @@ def build_index(
 ) -> CompressedIndex:
     """Compress a corpus of per-passage term matrices into an inverted-file index.
 
-    Passages are ingested in sorted-id order so a rebuild from the same corpus
-    and seed is byte-identical. Centroids and the codec are fitted on a seeded
-    sample of at most ``sample_passages`` passages, stored as float32, and all
-    assignments/codes are computed against the stored float32 values.
+    Passages are ingested in the order of their ``str`` ids, the ids the index
+    stores and the order in which the brute-force oracle breaks ties, so a
+    rebuild from the same corpus and seed is byte-identical. Centroids and the
+    codec are fitted on a seeded sample of at most ``sample_passages``
+    passages, stored as float32, and all assignments/codes are computed
+    against the stored float32 values.
     """
     if not corpus:
         raise EmptyInputError("cannot index an empty corpus")
-    keys = sorted(corpus)
+    keys = sorted(corpus, key=str)
+    ids = [str(k) for k in keys]
+    if len(set(ids)) != len(ids):
+        raise InvalidConfigError("two passage ids have the same string form")
     matrices = []
     dim = None
     for key in keys:
@@ -463,15 +462,12 @@ def build_index(
     codec64 = fit_codec(sample_residuals, dim)
     codec = ResidualCodec(cuts=codec64.cuts.astype(np.float32), reps=codec64.reps.astype(np.float32))
     residual_codes = codec.encode(all_emb - centroids.astype(np.float64)[assignments])
-
-    inverted = [np.nonzero(assignments == c)[0].astype(np.int64) for c in range(centroids.shape[0])]
     return CompressedIndex(
         centroids=centroids,
         codec=codec,
         centroid_ids=assignments,
         residual_codes=residual_codes,
-        inverted_lists=inverted,
-        passage_ids=[str(k) for k in keys],
+        passage_ids=ids,
         passage_offsets=offsets,
         seed=seed,
     )
@@ -502,7 +498,7 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
         raise InvalidConfigError(f"n_probe {params.n_probe} exceeds centroid count {index.centroid_count}")
     qn = scoring.normalize_rows(q)
     n_terms = q.shape[0]
-    d2 = _squared_distances(q, index.centroids.astype(np.float64))
+    d2 = _squared_distances(q, index._centroids64)
     cent_ids = np.arange(index.centroid_count)
     probes_by_centroid: dict[int, list[int]] = {}
     for i in range(n_terms):
@@ -514,9 +510,7 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     term_scores = np.full((n_terms, p_count), -np.inf)
     flat_scores = term_scores.reshape(-1)
     for cid, term_rows in probes_by_centroid.items():
-        ids, rows, passages = index._centroid_members(cid)
-        if len(ids) == 0:
-            continue
+        rows, passages = index._probe_list(cid)
         sims = qn[term_rows] @ rows.T
         flat_idx = (np.asarray(term_rows)[:, None] * p_count + passages[None, :]).reshape(-1)
         np.maximum.at(flat_scores, flat_idx, sims.reshape(-1))
@@ -578,14 +572,10 @@ def save_index(index: CompressedIndex, directory):
     )
     (directory / "codes.bin").write_bytes(pack_codes(index.centroid_ids, index.residual_codes, id_bits))
 
-    lists = bytearray()
-    nonempty = [(cid, len(ids)) for cid, ids in enumerate(index.inverted_lists) if len(ids)]
-    lists += struct.pack("<I", len(nonempty))
-    prev = 0
-    for cid, length in nonempty:
-        lists += _encode_uvarint([cid - prev, length])
-        prev = cid
-    (directory / "invlists.bin").write_bytes(bytes(lists))
+    sizes = np.diff(index.list_offsets)
+    nonempty = np.flatnonzero(sizes)
+    heads = np.column_stack((np.diff(nonempty, prepend=0), sizes[nonempty])).ravel()
+    (directory / "invlists.bin").write_bytes(struct.pack("<I", nonempty.size) + _encode_uvarint(heads))
 
     passages = bytearray()
     passages += struct.pack("<I", index.passage_count)
@@ -600,76 +590,97 @@ def save_index(index: CompressedIndex, directory):
     (directory / "passages.bin").write_bytes(bytes(passages))
 
 
+def _read_sized(path: Path, size: int) -> bytes:
+    raw = path.read_bytes()
+    if len(raw) != size:
+        raise FormatError(f"{path} holds {len(raw)} bytes, expected {size}")
+    return raw
+
+
 def load_index(directory) -> CompressedIndex:
+    """Read an index directory. Every section's size is checked against
+    meta.json before it is reshaped or unpacked, and the inverted-list
+    directory against the centroid ids in codes.bin; any disagreement raises
+    FormatError naming the file."""
     directory = Path(directory)
+    meta_path = directory / "meta.json"
     try:
-        meta = json.loads((directory / "meta.json").read_text())
+        meta = json.loads(meta_path.read_text())
     except FileNotFoundError:
         raise FormatError(f"{directory} does not contain an index (missing meta.json)") from None
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported index format version {meta.get('format_version')}")
-    dim = meta["dim"]
-    c_count = meta["centroid_count"]
-    n = meta["embedding_count"]
-    p_count = meta["passage_count"]
-    id_bits = meta["id_bits"]
+    except ValueError as exc:
+        raise FormatError(f"{meta_path} is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict) or meta.get("format_version") != FORMAT_VERSION:
+        version = meta.get("format_version") if isinstance(meta, dict) else None
+        raise FormatError(f"unsupported index format version {version}")
+    keys = ("dim", "centroid_count", "embedding_count", "passage_count", "id_bits", "seed")
+    if not all(type(meta.get(k)) is int and meta[k] >= 0 for k in keys):
+        raise FormatError(f"{meta_path} needs nonnegative integers {', '.join(keys)}")
+    dim, c_count, n, p_count, id_bits = (meta[k] for k in keys[:5])
+    if dim < 1 or c_count < 1 or id_bits != id_bit_width(c_count):
+        raise FormatError(f"{meta_path} has dim {dim}, centroid_count {c_count}, id_bits {id_bits}")
 
-    centroids = np.frombuffer((directory / "centroids.f32").read_bytes(), dtype="<f4").reshape(c_count, dim)
-    codec_raw = np.frombuffer((directory / "codec.f32").read_bytes(), dtype="<f4")
-    if codec_raw.size != 7 * dim:
-        raise FormatError("codec.f32 has the wrong size")
+    centroids = np.frombuffer(_read_sized(directory / "centroids.f32", 4 * c_count * dim), dtype="<f4")
+    codec_raw = np.frombuffer(_read_sized(directory / "codec.f32", 4 * 7 * dim), dtype="<f4")
     codec = ResidualCodec(
         cuts=codec_raw[: 3 * dim].reshape(3, dim).copy(),
         reps=codec_raw[3 * dim :].reshape(4, dim).copy(),
     )
-    centroid_ids, residual_codes = unpack_codes((directory / "codes.bin").read_bytes(), n, dim, id_bits)
+    codes_path = directory / "codes.bin"
+    blob = _read_sized(codes_path, -(-n * bits_per_embedding(dim, c_count) // 8))
+    centroid_ids, residual_codes = unpack_codes(blob, n, dim, id_bits)
+    if n and centroid_ids.max() >= c_count:
+        raise FormatError(f"{codes_path} names a centroid id >= centroid_count {c_count}")
 
-    buf = (directory / "invlists.bin").read_bytes()
-    (n_lists,) = np.frombuffer(buf[:4], dtype="<u4")
-    offset = 4
-    inverted = [np.empty(0, dtype=np.int64) for _ in range(c_count)]
-    by_centroid = np.argsort(centroid_ids, kind="stable")  # groups lists, ids ascending
-    grouped = centroid_ids[by_centroid]
-    starts = np.searchsorted(grouped, np.arange(c_count), side="left")
-    ends = np.searchsorted(grouped, np.arange(c_count), side="right")
-    prev = 0
-    for _ in range(int(n_lists)):
-        head, offset = _decode_uvarint(buf, offset, 2)
-        cid = prev + int(head[0])
-        prev = cid
-        members = by_centroid[starts[cid] : ends[cid]]
-        if members.shape[0] != int(head[1]):
-            raise FormatError(
-                f"inverted list {cid} length {head[1]} disagrees with the codes section"
-            )
-        inverted[cid] = members.astype(np.int64)
+    lists_path = directory / "invlists.bin"
+    buf = lists_path.read_bytes()
+    if len(buf) < 4:
+        raise FormatError(f"{lists_path} is truncated")
+    (n_lists,) = struct.unpack_from("<I", buf)
+    heads, end = _decode_uvarint(buf, 4, 2 * n_lists, lists_path)
+    gaps, lengths = heads[0::2], heads[1::2]
+    cids = np.cumsum(gaps)
+    if end != len(buf) or np.any(gaps[1:] < 1) or np.any(gaps >= c_count) or np.any(cids >= c_count):
+        raise FormatError(f"{lists_path} is not an ascending list of centroid ids below {c_count}")
+    stored = np.zeros(c_count, dtype=np.int64)
+    stored[cids] = lengths
+    if np.any(lengths < 1) or not np.array_equal(stored, np.bincount(centroid_ids, minlength=c_count)):
+        raise FormatError(f"{lists_path} disagrees with the centroid ids in {codes_path.name}")
 
-    buf = (directory / "passages.bin").read_bytes()
-    (stored_p,) = np.frombuffer(buf[:4], dtype="<u4")
-    if int(stored_p) != p_count:
-        raise FormatError("passage count mismatch between meta.json and passages.bin")
-    offset = 4
-    counts, offset = _decode_uvarint(buf, offset, p_count)
+    passages_path = directory / "passages.bin"
+    buf = passages_path.read_bytes()
+    if len(buf) < 4 or struct.unpack_from("<I", buf)[0] != p_count:
+        raise FormatError(f"{passages_path} disagrees with meta.json on the passage count")
+    counts, offset = _decode_uvarint(buf, 4, p_count, passages_path)
+    if counts.sum() != n:
+        raise FormatError(f"{passages_path} lists {counts.sum()} embeddings, meta.json {n}")
+    if offset >= len(buf) or buf[offset] > 1:
+        raise FormatError(f"{passages_path} has a missing or unknown id mode")
     explicit = buf[offset]
     offset += 1
     if explicit:
         ids = []
         for _ in range(p_count):
-            length_arr, offset = _decode_uvarint(buf, offset, 1)
-            length = int(length_arr[0])
-            ids.append(buf[offset : offset + length].decode("utf-8"))
+            (length,), offset = _decode_uvarint(buf, offset, 1, passages_path)
+            raw = buf[offset : offset + length]
             offset += length
+            if len(raw) != length:
+                raise FormatError(f"{passages_path}: passage id cut short")
+            try:
+                ids.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise FormatError(f"{passages_path}: passage id is not UTF-8") from None
     else:
         ids = [str(i) for i in range(p_count)]
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    if offset != len(buf):
+        raise FormatError(f"{passages_path} has {len(buf) - offset} bytes after the passage ids")
 
     return CompressedIndex(
-        centroids=centroids.copy(),
+        centroids=centroids.reshape(c_count, dim).copy(),
         codec=codec,
         centroid_ids=centroid_ids,
         residual_codes=residual_codes,
-        inverted_lists=inverted,
         passage_ids=ids,
-        passage_offsets=offsets,
+        passage_offsets=np.concatenate(([0], np.cumsum(counts))),
         seed=meta["seed"],
     )

@@ -6,6 +6,7 @@ import pytest
 from modir.cli import main
 from modir.data import write_embedding_block
 from modir.encoder import load_checkpoint
+from modir.index import build_index, save_index
 from tests.conftest import build_language_files, build_triples
 
 
@@ -243,6 +244,21 @@ class TestSearchCmd:
         err = read_stderr(capsys)
         assert err.startswith("error[dim-mismatch]")
         assert "5" in err and "8" in err
+
+    def test_truncated_index_is_format_error(self, tmp_path, small_config, capsys):
+        config_path, _ = small_config
+        rng = np.random.default_rng(0)
+        idx_dir = tmp_path / "idx"
+        save_index(build_index({f"p{i}": rng.normal(size=(4, 8)) for i in range(10)}, seed=0), idx_dir)
+        codes = idx_dir / "codes.bin"
+        codes.write_bytes(codes.read_bytes()[:-1])
+        queries = tmp_path / "queries.emb"
+        write_embedding_block({"q": rng.normal(size=(2, 8)).astype(np.float32)}, queries)
+        code = run_cli("search", "--index", idx_dir, "--queries", queries,
+                       "--out", tmp_path / "t.run", "--config", config_path)
+        assert code == 2
+        err = read_stderr(capsys)
+        assert err.startswith("error[format]") and "codes.bin" in err
 
     def test_search_determinism(self, indexed, tmp_path):
         runs = [tmp_path / "r1.run", tmp_path / "r2.run"]

@@ -1,23 +1,23 @@
+import struct
+
 import numpy as np
 import pytest
 
 from modir.errors import (
     DimensionMismatchError,
     EmptyInputError,
+    FormatError,
     InvalidConfigError,
     UnknownPassageError,
 )
 from modir.evaluation import brute_force_search
 from modir.index import (
     DuplicateCentroidWarning,
-    ResidualCodec,
     SearchParams,
     approximate_candidates,
     bits_per_embedding,
     build_index,
     centroid_count_for,
-    compress,
-    decompress,
     exact_rerank,
     fit_codec,
     id_bit_width,
@@ -152,43 +152,29 @@ class TestCodec:
 
 
 class TestCompress:
-    def zero_codec(self, dim):
-        # cuts strictly above zero so a zero residual lands in bucket 0
-        cuts = np.tile(np.array([[0.25], [0.5], [0.75]]), (1, dim))
-        return ResidualCodec(cuts=cuts, reps=np.zeros((4, dim)))
+    """Compression and decompression through build_index and the index's
+    single decompression path."""
 
     def test_embedding_equal_to_centroid(self):
+        # as many centroids as distinct rows: every row is its own centroid,
+        # every residual is 0, and the fitted codec represents 0 exactly
         rng = np.random.default_rng(8)
-        centroids = rng.normal(size=(8, 4))
-        codec = self.zero_codec(4)
-        cid, code = compress(centroids[5], centroids, codec)
-        assert cid == 5
-        np.testing.assert_array_equal(code, np.zeros(4, dtype=np.uint8))
-        np.testing.assert_allclose(decompress(cid, code, centroids, codec), centroids[5], atol=0)
+        corpus = {f"p{i}": rng.normal(size=(2, 4)).astype(np.float32) for i in range(4)}
+        idx = build_index(corpus, seed=0, centroid_count=8)
+        np.testing.assert_array_equal(idx.codec.reps, np.zeros((4, 4)))
+        for key, mat in corpus.items():
+            np.testing.assert_array_equal(idx.decompress_passage(idx.internal_passage(key)), mat)
 
     def test_round_trip_bounded_by_bucket_radius(self):
         rng = np.random.default_rng(9)
-        vectors = rng.normal(size=(300, 6))
-        centroids = select_centroids([vectors], total_estimate=64, seed=1)
-        residuals = vectors - centroids[nearest_centroid_ids(vectors, centroids)]
-        codec = fit_codec(residuals)
+        corpus = {f"{i:03d}": rng.normal(size=(3, 6)) for i in range(100)}
+        idx = build_index(corpus, seed=1)  # 100 passages: the codec sample is the whole corpus
+        vectors = np.vstack([corpus[k] for k in sorted(corpus)])
+        residuals = vectors - idx.centroids.astype(np.float64)[nearest_centroid_ids(vectors, idx.centroids)]
         # per-dimension worst case over the fitted sample itself
-        recon_err = np.abs(residuals - codec.decode(codec.encode(residuals)))
-        radius = recon_err.max(axis=0)
-        for vec in vectors[:50]:
-            cid, code = compress(vec, centroids, codec)
-            back = decompress(cid, code, centroids, codec)
-            assert np.all(np.abs(back - vec) <= radius + 1e-12)
-
-    def test_decompress_rejects_bad_id(self):
-        codec = self.zero_codec(2)
-        with pytest.raises(InvalidConfigError):
-            decompress(3, np.zeros(2, dtype=np.uint8), np.zeros((2, 2)), codec)
-
-    def test_compress_rejects_dim_mismatch(self):
-        codec = self.zero_codec(2)
-        with pytest.raises(DimensionMismatchError):
-            compress(np.zeros(3), np.zeros((2, 2)), codec)
+        radius = np.abs(residuals - idx.codec.decode(idx.codec.encode(residuals))).max(axis=0)
+        back = np.vstack([idx.decompress_passage(i) for i in range(idx.passage_count)])
+        assert np.all(np.abs(back - vectors) <= radius + 1e-12)
 
 
 class TestBitPacking:
@@ -214,27 +200,30 @@ class TestBuildIndex:
     def test_single_vector_corpus(self):
         idx = build_index({"p": [[1.0, 2.0, 3.0]]}, seed=0)
         assert idx.centroid_count == 1
-        assert [len(l) for l in idx.inverted_lists] == [1]
+        np.testing.assert_array_equal(idx.list_offsets, [0, 1])
         assert idx.bits_per_embedding == 2 * 3 + 0
 
     def test_inverted_lists_partition_embeddings(self):
         rng = np.random.default_rng(10)
         corpus = clustered_corpus(rng, 100, 8)
         idx = build_index(corpus, seed=1)
-        total = sum(len(l) for l in idx.inverted_lists)
-        assert total == idx.embedding_count
-        seen = np.sort(np.concatenate([l for l in idx.inverted_lists if len(l)]))
-        np.testing.assert_array_equal(seen, np.arange(idx.embedding_count))
+        assert idx.list_offsets.shape == (idx.centroid_count + 1,)
+        assert idx.list_offsets[-1] == idx.embedding_count
+        np.testing.assert_array_equal(np.sort(idx.list_members), np.arange(idx.embedding_count))
 
     def test_list_membership_matches_nearest_centroid(self):
         rng = np.random.default_rng(11)
         corpus = clustered_corpus(rng, 40, 6)
         idx = build_index(corpus, seed=2)
-        flat = np.vstack([np.asarray(corpus[k], dtype=np.float64) for k in sorted(corpus)])
+        flat = np.vstack([np.asarray(corpus[k], dtype=np.float64) for k in sorted(corpus, key=str)])
         expected = nearest_centroid_ids(flat, idx.centroids)
         np.testing.assert_array_equal(idx.centroid_ids, expected)
-        for cid, members in enumerate(idx.inverted_lists):
+        emb_passage = np.repeat(np.arange(idx.passage_count), np.diff(idx.passage_offsets))
+        np.testing.assert_array_equal(idx.member_passages, emb_passage[idx.list_members])
+        for cid in range(idx.centroid_count):
+            members = idx.list_members[idx.list_offsets[cid] : idx.list_offsets[cid + 1]]
             assert np.all(expected[members] == cid)
+            assert np.all(np.diff(members) > 0)
 
     def test_deterministic_rebuild_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -244,6 +233,24 @@ class TestBuildIndex:
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
+    @pytest.mark.filterwarnings("ignore::modir.index.DuplicateCentroidWarning")
+    def test_numeric_ids_rank_ties_in_string_order_like_the_oracle(self):
+        mat = np.array([[1.0, 0.0], [0.0, 1.0]])
+        idx = build_index({2: mat, 10: mat.copy(), 3: mat.copy()}, seed=0)
+        assert idx.passage_ids == ["10", "2", "3"]
+        query = np.array([[1.0, 0.5]])
+        got = search(query, idx, SearchParams(n_probe=idx.centroid_count, candidate_k=3, final_k=3))
+        assert got == brute_force_search(query, idx.decompressed_corpus(), 3)
+        assert [pid for pid, _ in got] == ["10", "2", "3"]
+
+    def test_mixed_int_and_str_ids(self):
+        idx = build_index({1: [[1.0, 0.0]], "a": [[0.0, 1.0]]}, seed=0)
+        assert idx.passage_ids == ["1", "a"]
+
+    def test_ids_equal_as_strings_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            build_index({1: [[1.0, 0.0]], "1": [[0.0, 1.0]]}, seed=0)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyInputError):
             build_index({}, seed=0)
@@ -251,6 +258,10 @@ class TestBuildIndex:
     def test_empty_passage_rejected(self):
         with pytest.raises(InvalidConfigError):
             build_index({"p": np.empty((0, 4))}, seed=0)
+
+    def test_passage_dim_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            build_index({"a": np.ones((2, 4)), "b": np.ones((2, 3))}, seed=0)
 
 
 def small_index(seed=13, n_passages=60, dim=6):
@@ -298,6 +309,11 @@ class TestApproximate:
                 exact = dict(exact_rerank(query, [pid for pid, _ in approx], idx))
                 for pid, a in approx:
                     assert a <= exact[pid] + 1e-6
+
+    def test_first_query_fills_only_probed_lists(self):
+        _, idx, query = small_index()
+        approximate_candidates(query, idx, SearchParams(n_probe=1))
+        assert 1 <= idx._filled.sum() <= query.shape[0] < idx.centroid_count
 
     def test_candidate_k_truncates_with_id_tiebreak(self):
         _, idx, query = small_index()
@@ -388,8 +404,9 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.residual_codes, idx.residual_codes)
         np.testing.assert_array_equal(loaded.passage_offsets, idx.passage_offsets)
         assert loaded.passage_ids == idx.passage_ids
-        for a, b in zip(loaded.inverted_lists, idx.inverted_lists):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(loaded.list_offsets, idx.list_offsets)
+        np.testing.assert_array_equal(loaded.list_members, idx.list_members)
+        np.testing.assert_array_equal(loaded.member_passages, idx.member_passages)
 
     def test_code_section_size_is_exact(self, tmp_path):
         _, idx, _ = small_index()
@@ -414,3 +431,60 @@ class TestSerialization:
         query = np.array([[1.0, 1.0]])
         params = SearchParams(n_probe=1, candidate_k=5, final_k=5)
         assert search(query, loaded, params) == search(query, idx, params)
+
+
+def _cut_last_byte(directory, name):
+    path = directory / name
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def _first_list_gap_127(directory):
+    path = directory / "invlists.bin"
+    buf = bytearray(path.read_bytes())
+    buf[4] = 127  # first varint: the first nonempty list's centroid id
+    path.write_bytes(bytes(buf))
+
+
+def _leave_out_last_list(directory):
+    path = directory / "invlists.bin"
+    buf = path.read_bytes()
+    (n_lists,) = struct.unpack_from("<I", buf)
+    assert buf[-1] < 0x80 and buf[-2] < 0x80  # the last list's gap and length are one byte each
+    path.write_bytes(struct.pack("<I", n_lists - 1) + buf[4:-2])
+
+
+class TestLoadCorrupt:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: _cut_last_byte(d, "centroids.f32"),
+            lambda d: _cut_last_byte(d, "codec.f32"),
+            lambda d: _cut_last_byte(d, "invlists.bin"),
+            _first_list_gap_127,
+            lambda d: _cut_last_byte(d, "codes.bin"),
+            lambda d: _cut_last_byte(d, "passages.bin"),
+            _leave_out_last_list,
+        ],
+        ids=[
+            "centroids-cut", "codec-cut", "invlists-cut", "invlists-first-gap-127",
+            "codes-cut", "passages-cut", "invlists-list-left-out",
+        ],
+    )
+    def test_format_error_names_the_file(self, tmp_path, corrupt):
+        _, idx, _ = small_index()
+        # the gap of 127 names no centroid, and passages.bin ends in an explicit id
+        assert idx.centroid_count < 127 and idx.passage_ids != [str(i) for i in range(idx.passage_count)]
+        save_index(idx, tmp_path)
+        corrupt(tmp_path)
+        with pytest.raises(FormatError, match=r"\.(f32|bin)"):
+            load_index(tmp_path)
+
+    def test_centroid_id_beyond_count_rejected(self, tmp_path):
+        idx = build_index(clustered_corpus(np.random.default_rng(14), 20, 4), seed=0, centroid_count=5)
+        save_index(idx, tmp_path)
+        path = tmp_path / "codes.bin"
+        buf = bytearray(path.read_bytes())
+        buf[0] |= 0xE0  # the first embedding's 3-bit centroid id becomes 7
+        path.write_bytes(bytes(buf))
+        with pytest.raises(FormatError, match="codes.bin"):
+            load_index(tmp_path)
