@@ -99,32 +99,55 @@ def write_embedding_block(records: dict, path):
             fh.write(np.ascontiguousarray(mat, dtype="<f4").tobytes())
 
 
+class ByteReader:
+    """Consecutive fields of a binary file held in memory. A read past the
+    end raises FormatError naming the file, so a truncated file never reaches
+    ``struct`` or ``np.frombuffer``."""
+
+    def __init__(self, data: bytes, path, offset: int = 0):
+        self.view = memoryview(data)
+        self.path = path
+        self.offset = offset
+
+    def take(self, size: int) -> memoryview:
+        left = len(self.view) - self.offset
+        if size > left:
+            raise FormatError(f"{self.path} is truncated: {size} bytes wanted at offset {self.offset}, {left} left")
+        self.offset += size
+        return self.view[self.offset - size : self.offset]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, size: int) -> str:
+        try:
+            return str(self.take(size), "utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.path}: a name at offset {self.offset - size} is not UTF-8") from None
+
+
 def read_embedding_block(path) -> list[CorpusRecord]:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _MAGIC:
         raise FormatError(f"{path} is not an embedding block (bad magic)")
-    version, dim, count = struct.unpack_from("<III", data, 4)
+    reader = ByteReader(data, path, 4)
+    version, dim, count = reader.unpack("<III")
     if version != 1:
         raise FormatError(f"unsupported embedding block version {version}")
-    off = 16
     records = []
     seen = set()
     for _ in range(count):
-        (id_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        rid = data[off : off + id_len].decode("utf-8")
-        off += id_len
-        (rows,) = struct.unpack_from("<I", data, off)
-        off += 4
-        mat = np.frombuffer(data, dtype="<f4", count=rows * dim, offset=off).reshape(rows, dim)
-        off += rows * dim * 4
+        (id_len,) = reader.unpack("<H")
+        rid = reader.text(id_len)
+        (rows,) = reader.unpack("<I")
+        mat = np.frombuffer(reader.take(4 * rows * dim), dtype="<f4").reshape(rows, dim)
         if rid in seen:
             raise FormatError(f"duplicate record id {rid!r} in embedding block")
         seen.add(rid)
         records.append(CorpusRecord(id=rid, embeddings=mat.astype(np.float64)))
-    if off != len(data):
-        raise FormatError(f"{path} has {len(data) - off} trailing bytes")
+    if reader.offset != len(data):
+        raise FormatError(f"{path} has {len(data) - reader.offset} trailing bytes")
     return records
 
 

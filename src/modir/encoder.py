@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import ByteReader
 from .errors import (
     FormatError,
     InvalidConfigError,
@@ -572,36 +573,38 @@ def save_checkpoint(params: ModularEncoderParams, path):
 
 
 def load_checkpoint(path) -> ModularEncoderParams:
+    """Read a checkpoint. The header is read through a bounds-checked reader,
+    and the parameter bytes are checked once against the shapes it names
+    before any block is read; a mismatch raises FormatError naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(_MAGIC)] != _MAGIC:
         raise FormatError(f"{path} is not an encoder checkpoint")
-    off = len(_MAGIC)
-    vocab, d, d_out, n_layers, bottleneck, stage_idx = struct.unpack_from("<IIIIIB", data, off)
-    off += struct.calcsize("<IIIIIB")
+    reader = ByteReader(data, path, len(_MAGIC))
+    vocab, d, d_out, n_layers, bottleneck, stage_idx = reader.unpack("<IIIIIB")
     if stage_idx >= len(STAGES):
         raise FormatError(f"bad stage byte {stage_idx}")
-    (n_langs,) = struct.unpack_from("<I", data, off)
-    off += 4
+    (n_langs,) = reader.unpack("<I")
     langs = []
     post_hoc = set()
     for _ in range(n_langs):
-        (name_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + name_len].decode("utf-8")
-        off += name_len
-        (flag,) = struct.unpack_from("<B", data, off)
-        off += 1
+        (name_len,) = reader.unpack("<H")
+        name = reader.text(name_len)
+        (flag,) = reader.unpack("<B")
         langs.append(name)
         if flag:
             post_hoc.add(name)
+    if min(vocab, d, d_out, n_layers, bottleneck, n_langs) < 1 or len(set(langs)) != n_langs:
+        raise FormatError(f"{path} names a zero encoder dimension, no language or a language twice")
+    layer_floats = 2 * d * d + d
+    adapter_floats = 2 * d * bottleneck + bottleneck + d
+    floats = vocab * d + n_layers * layer_floats + d * d_out + n_langs * n_layers * adapter_floats
+    left = len(data) - reader.offset
+    if 8 * floats != left:
+        raise FormatError(f"{path} holds {left} parameter bytes, its header names {8 * floats}")
 
     def read(shape):
-        nonlocal off
-        count = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += count * 8
-        return arr.astype(np.float64)
+        return np.frombuffer(reader.take(8 * int(np.prod(shape))), dtype="<f8").reshape(shape).astype(np.float64)
 
     embedding = read((vocab, d))
     shared = [SharedLayer(read((d, d)), read((d, d)), read(d)) for _ in range(n_layers)]
@@ -610,8 +613,6 @@ def load_checkpoint(path) -> ModularEncoderParams:
         lang: [AdapterBlock(read((d, bottleneck)), read(bottleneck), read((bottleneck, d)), read(d)) for _ in range(n_layers)]
         for lang in langs
     }
-    if off != len(data):
-        raise FormatError(f"{path} has {len(data) - off} trailing bytes")
     return ModularEncoderParams(
         embedding=embedding,
         shared_layers=shared,

@@ -82,8 +82,7 @@ def brute_force_search(query, corpus: dict, k: int):
     q = np.asarray(query, dtype=np.float64)
     ids = sorted(corpus)
     scores = np.array([scoring.maxsim_score(q, corpus[pid]) for pid in ids])
-    order = np.lexsort((np.arange(len(ids)), -scores))[:k]
-    return [(ids[i], float(scores[i])) for i in order]
+    return [(ids[i], float(scores[i])) for i in scoring.rank(scores, k)]
 
 
 # ---------------------------------------------------------------------------

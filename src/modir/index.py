@@ -2,13 +2,13 @@
 
 Every term embedding is stored as the id of its nearest centroid (Euclidean,
 ties to the lowest id) plus a 2-bit-per-dimension quantized residual, so one
-vector costs 2*dim + ceil(log2 |C|) bits. Per-centroid inverted lists drive
-candidate generation: for each query term the n_probe nearest centroids are
-probed, fetched embeddings are decompressed and scored by cosine, per-passage
-maxima are summed across query terms (an unfetched passage/term pair adds 0,
-making the stage a lower bound of decompressed MaxSim for nonnegative maxima),
-and the top candidate_k passages are re-ranked with exact MaxSim over their
-full decompressed embedding sets.
+vector costs 2*dim + ceil(log2 |C|) bits. Both search stages read one lazily
+filled table of unit-norm decompressed rows, in inverted-list order. For each
+query term the n_probe nearest centroids' lists are filled and scored by
+cosine, and per-passage maxima are summed across query terms (an unfetched
+passage/term pair adds 0: a lower bound of decompressed MaxSim for nonnegative
+maxima). Re-ranking fills the lists holding its candidates' rows and scores the
+top candidate_k passages with the oracle's exact MaxSim kernel.
 
 On-disk layout (directory; all integers little-endian; varint = unsigned
 LEB128):
@@ -333,10 +333,11 @@ class CompressedIndex:
     (compressed sparse row) form: the members of centroid c's list are
     ``list_members[list_offsets[c] : list_offsets[c + 1]]``, ascending
     embedding ids, and ``member_passages`` holds each member's internal
-    passage in the same order. The first stage reads unit-norm decompressed
-    rows from one CSR-ordered float64 table; a list's rows are filled the
-    first time a query probes it. Filled rows depend only on the stored
-    facts, so a refill by a concurrent search writes the same bytes.
+    passage in the same order. Both search stages read unit-norm rows from
+    one CSR-ordered float64 table: a list is filled (``fill_lists``) the first
+    time a query probes it or re-ranks a passage with a row in it. Filled rows
+    depend only on the stored facts, so a concurrent refill writes the same
+    bytes.
     """
 
     centroids: np.ndarray  # (C, dim) float32
@@ -355,6 +356,8 @@ class CompressedIndex:
         self.list_members = np.argsort(self.centroid_ids, kind="stable")
         emb_passage = np.repeat(np.arange(self.passage_count, dtype=np.int64), np.diff(self.passage_offsets))
         self.member_passages = emb_passage[self.list_members]
+        self._csr_position = np.empty_like(self.list_members)  # inverse of list_members
+        self._csr_position[self.list_members] = np.arange(self.embedding_count)
         self._unit_rows = np.empty((self.embedding_count, self.dim))  # pages are touched as lists fill
         self._filled = np.zeros(self.centroid_count, dtype=bool)
 
@@ -397,14 +400,21 @@ class CompressedIndex:
         """External id -> decompressed term matrix, for oracle comparisons."""
         return {pid: self.decompress_passage(i) for i, pid in enumerate(self.passage_ids)}
 
-    def _probe_list(self, cid: int):
-        """(unit-norm decompressed rows, internal passages) of centroid cid's list."""
-        lo, hi = self.list_offsets[cid], self.list_offsets[cid + 1]
-        if not self._filled[cid]:
-            rows = self.decompress_embeddings(self.list_members[lo:hi])
-            self._unit_rows[lo:hi] = scoring.normalize_rows(rows)
+    def fill_lists(self, cids: np.ndarray):
+        """Fill the unit-row table for each not yet filled list in ``cids`` (distinct ids)."""
+        for cid in cids[~self._filled[cids]]:
+            lo, hi = self.list_offsets[cid], self.list_offsets[cid + 1]
+            self._unit_rows[lo:hi] = scoring.normalize_rows(self.decompress_embeddings(self.list_members[lo:hi]))
             self._filled[cid] = True
-        return self._unit_rows[lo:hi], self.member_passages[lo:hi]
+
+    def unit_passages(self, internals):
+        """Yield each passage's unit-norm rows in stored order, one passage at a
+        time, gathered from the table after filling the lists that hold them."""
+        spans = [slice(self.passage_offsets[i], self.passage_offsets[i + 1]) for i in internals]
+        if spans:
+            self.fill_lists(np.unique(np.concatenate([self.centroid_ids[s] for s in spans])))
+        for s in spans:
+            yield self._unit_rows[self._csr_position[s]]
 
 
 def build_index(
@@ -498,21 +508,19 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
         raise InvalidConfigError(f"n_probe {params.n_probe} exceeds centroid count {index.centroid_count}")
     qn = scoring.normalize_rows(q)
     n_terms = q.shape[0]
-    d2 = _squared_distances(q, index._centroids64)
-    cent_ids = np.arange(index.centroid_count)
-    probes_by_centroid: dict[int, list[int]] = {}
-    for i in range(n_terms):
-        order = np.lexsort((cent_ids, d2[i]))[: params.n_probe]
-        for cid in order:
-            probes_by_centroid.setdefault(int(cid), []).append(i)
+    # each term's n_probe nearest centroids, grouped by centroid with terms ascending
+    probes = scoring.rank(-_squared_distances(q, index._centroids64), params.n_probe).ravel()
+    by_list = np.argsort(probes, kind="stable")
+    cids, starts = np.unique(probes[by_list], return_index=True)
+    index.fill_lists(cids)
 
     p_count = index.passage_count
     term_scores = np.full((n_terms, p_count), -np.inf)
     flat_scores = term_scores.reshape(-1)
-    for cid, term_rows in probes_by_centroid.items():
-        rows, passages = index._probe_list(cid)
-        sims = qn[term_rows] @ rows.T
-        flat_idx = (np.asarray(term_rows)[:, None] * p_count + passages[None, :]).reshape(-1)
+    for cid, term_rows in zip(cids, np.split(by_list // params.n_probe, starts[1:])):
+        lo, hi = index.list_offsets[cid], index.list_offsets[cid + 1]
+        sims = qn[term_rows] @ index._unit_rows[lo:hi].T
+        flat_idx = (term_rows[:, None] * p_count + index.member_passages[None, lo:hi]).reshape(-1)
         np.maximum.at(flat_scores, flat_idx, sims.reshape(-1))
 
     fetched = term_scores > -np.inf
@@ -521,18 +529,16 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     if passages.size == 0:
         return []
     approx = np.where(fetched[:, passages], term_scores[:, passages], 0.0).sum(axis=0)
-    order = np.lexsort((passages, -approx))[: params.candidate_k]
-    return [(index.passage_ids[passages[i]], float(approx[i])) for i in order]
+    return [(index.passage_ids[passages[i]], float(approx[i])) for i in scoring.rank(approx, params.candidate_k)]
 
 
 def exact_rerank(query, candidates, index: CompressedIndex):
-    """Exact MaxSim over each candidate's full decompressed embedding set,
-    sorted descending with ties toward the lower passage id."""
-    q = _check_query(query, index)
-    internal = np.array([index.internal_passage(pid) for pid in candidates], dtype=np.int64)
-    scores = np.array([scoring.maxsim_score(q, index.decompress_passage(i)) for i in internal])
-    order = np.lexsort((internal, -scores))
-    return [(index.passage_ids[internal[i]], float(scores[i])) for i in order]
+    """Exact MaxSim over each candidate's full set of unit-norm rows, sorted
+    descending with ties toward the lower passage id."""
+    q_unit = scoring.normalize_rows(_check_query(query, index))
+    internal = np.sort(np.array([index.internal_passage(pid) for pid in candidates], dtype=np.int64))
+    scores = np.array([scoring.maxsim_unit(q_unit, rows) for rows in index.unit_passages(internal)])
+    return [(index.passage_ids[internal[i]], float(scores[i])) for i in scoring.rank(scores)]
 
 
 def search(query, index: CompressedIndex, params: SearchParams):
@@ -600,8 +606,8 @@ def _read_sized(path: Path, size: int) -> bytes:
 def load_index(directory) -> CompressedIndex:
     """Read an index directory. Every section's size is checked against
     meta.json before it is reshaped or unpacked, and the inverted-list
-    directory against the centroid ids in codes.bin; any disagreement raises
-    FormatError naming the file."""
+    directory against the centroid ids in codes.bin; any disagreement, or a
+    passage id named twice, raises FormatError naming the file."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     try:
@@ -670,6 +676,8 @@ def load_index(directory) -> CompressedIndex:
                 ids.append(raw.decode("utf-8"))
             except UnicodeDecodeError:
                 raise FormatError(f"{passages_path}: passage id is not UTF-8") from None
+        if len(set(ids)) != p_count:
+            raise FormatError(f"{passages_path} names a passage id twice")
     else:
         ids = [str(i) for i in range(p_count)]
     if offset != len(buf):

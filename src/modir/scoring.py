@@ -111,10 +111,19 @@ def maxsim_score(hq, hp) -> float:
     hq = np.asarray(hq, dtype=np.float64)
     hp = np.asarray(hp, dtype=np.float64)
     _check_pair(hq, hp)
-    if hq.shape[0] == 0:
-        return 0.0
-    sim = normalize_rows(hq) @ normalize_rows(hp).T
-    return float(np.sum(np.max(sim, axis=1)))
+    return maxsim_unit(normalize_rows(hq), normalize_rows(hp))
+
+
+def maxsim_unit(q_unit: np.ndarray, p_unit: np.ndarray) -> float:
+    """MaxSim of rows already unit-norm. One passage per call: BLAS bits can
+    change with the matrix shape, and every caller must match the oracle's."""
+    return float(np.sum(np.max(q_unit @ p_unit.T, axis=1)))
+
+
+def rank(scores, k: int | None = None) -> np.ndarray:
+    """Indices of the k best (all when k is None) along the last axis, best
+    first; ties keep input order, so ids listed ascending tie to the lower."""
+    return np.argsort(-np.asarray(scores), axis=-1, kind="stable")[..., :k]
 
 
 def pool_rows(matrix: np.ndarray, pooling: str) -> np.ndarray:

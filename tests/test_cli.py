@@ -161,6 +161,15 @@ class TestIndexCmd:
         assert run_cli("index", "--corpus", block, "--out", out, "--config", config_path) == 0
         assert (out / "codes.bin").exists()
 
+    def test_truncated_embedding_block_is_format_error(self, tmp_path, small_config, capsys):
+        config_path, _ = small_config
+        block = tmp_path / "corpus.emb"
+        write_embedding_block({f"p{i}": np.ones((4, 8), dtype=np.float32) for i in range(3)}, block)
+        block.write_bytes(block.read_bytes()[:-5])
+        assert run_cli("index", "--corpus", block, "--out", tmp_path / "idx", "--config", config_path) == 2
+        err = read_stderr(capsys)
+        assert err.startswith("error[format]") and "corpus.emb" in err and "\n" not in err
+
     def test_text_corpus_without_checkpoint_fails(self, pipeline, capsys):
         code = run_cli("index", "--corpus", pipeline["corpus_a"], "--out", pipeline["tmp"] / "idx2",
                        "--config", pipeline["config"])

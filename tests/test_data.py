@@ -102,6 +102,19 @@ class TestEmbeddingBlock:
             read_embedding_block(path)
 
 
+def _small_block(path):
+    write_embedding_block({"p1": np.ones((3, 4), dtype=np.float32), "p2": np.zeros((2, 4), dtype=np.float32)}, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [lambda raw: raw[:-5], lambda raw: raw[:20]], ids=["cut-by-5", "cut-to-20"])
+def test_truncated_embedding_block_is_format_error(tmp_path, cut):
+    path = tmp_path / "corpus.emb"
+    path.write_bytes(cut(_small_block(path)))
+    with pytest.raises(FormatError, match="truncated"):
+        read_embedding_block(path)
+
+
 class TestTriples:
     def test_parse(self, tmp_path):
         path = tmp_path / "triples.tsv"

@@ -566,6 +566,14 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("cut", [lambda raw: raw[:-9], lambda raw: raw[:12]], ids=["cut-by-9", "cut-to-12"])
+    def test_truncated_checkpoint_is_format_error(self, tmp_path, cut):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_params(seed=25), path)
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(FormatError, match="model.ckpt"):
+            load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint at all")

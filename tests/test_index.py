@@ -12,6 +12,7 @@ from modir.errors import (
 )
 from modir.evaluation import brute_force_search
 from modir.index import (
+    CompressedIndex,
     DuplicateCentroidWarning,
     SearchParams,
     approximate_candidates,
@@ -361,6 +362,18 @@ class TestRerank:
         with pytest.raises(UnknownPassageError):
             exact_rerank(query, ["no-such-passage"], idx)
 
+    def test_no_candidates(self):
+        _, idx, query = small_index()
+        assert exact_rerank(query, [], idx) == []
+
+    def test_every_score_equals_maxsim_of_the_decompressed_passage(self):
+        _, idx, query = small_index()
+        candidates = ["41", "3", "17", "0", "59", "26"]  # out of id order on purpose
+        ranked = exact_rerank(query, candidates, idx)
+        assert sorted(pid for pid, _ in ranked) == sorted(candidates)
+        for pid, score in ranked:
+            assert score == maxsim_score(query, idx.decompress_passage(idx.internal_passage(pid)))
+
 
 class TestSearch:
     def test_single_passage_corpus(self):
@@ -383,6 +396,18 @@ class TestSearch:
         _, idx, query = small_index(n_passages=7)
         out = search(query, idx, SearchParams(n_probe=idx.centroid_count, candidate_k=100, final_k=100))
         assert len(out) == 7
+
+    def test_repeated_query_decompresses_nothing(self, monkeypatch):
+        _, idx, query = small_index()
+        params = SearchParams(n_probe=2, candidate_k=20, final_k=10)
+        first = search(query, idx, params)
+        calls = []
+        original = CompressedIndex.decompress_embeddings
+        monkeypatch.setattr(
+            CompressedIndex, "decompress_embeddings", lambda self, ids: calls.append(len(ids)) or original(self, ids)
+        )
+        assert search(query, idx, params) == first
+        assert calls == []
 
 
 class TestSerialization:
@@ -477,6 +502,16 @@ class TestLoadCorrupt:
         save_index(idx, tmp_path)
         corrupt(tmp_path)
         with pytest.raises(FormatError, match=r"\.(f32|bin)"):
+            load_index(tmp_path)
+
+    def test_repeated_passage_id_rejected(self, tmp_path):
+        rng = np.random.default_rng(15)
+        save_index(build_index({f"p{i}": rng.normal(size=(3, 4)) for i in range(5)}, seed=0), tmp_path)
+        path = tmp_path / "passages.bin"
+        buf = path.read_bytes()
+        assert buf.count(b"p1") == 1
+        path.write_bytes(buf.replace(b"p1", b"p0"))
+        with pytest.raises(FormatError, match="passages.bin"):
             load_index(tmp_path)
 
     def test_centroid_id_beyond_count_rejected(self, tmp_path):

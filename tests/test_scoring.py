@@ -16,6 +16,7 @@ from modir.scoring import (
     pooled_score,
     prepare_passage,
     prepare_query,
+    rank,
     score,
 )
 
@@ -141,6 +142,9 @@ class TestMaxsim:
         with pytest.raises(DimensionMismatchError):
             maxsim_score([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
 
+    def test_empty_query_scores_zero(self):
+        assert maxsim_score(np.empty((0, 2)), [[1.0, 0.0]]) == 0.0
+
     # -- properties ---------------------------------------------------------
 
     def test_self_score_equals_row_count(self):
@@ -232,3 +236,16 @@ class TestPooled:
             SimilarityConfig(mode="nope")
         with pytest.raises(InvalidConfigError):
             SimilarityConfig(mode="pooled", pooling="median")
+
+
+class TestRank:
+    def test_ties_keep_input_order(self):
+        assert rank([0.5, 2.0, 0.5, 2.0, 1.0]).tolist() == [1, 3, 4, 0, 2]
+
+    def test_k_truncates_and_none_returns_everything(self):
+        scores = [3.0, 1.0, 2.0]
+        assert rank(scores, 2).tolist() == [0, 2]
+        assert rank(scores, None).tolist() == [0, 2, 1]
+
+    def test_ranks_each_row_of_a_matrix(self):
+        assert rank([[1.0, 1.0, 2.0], [0.0, 3.0, 3.0]], 2).tolist() == [[2, 0], [1, 2]]
