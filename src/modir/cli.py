@@ -197,7 +197,7 @@ def cmd_search(args) -> int:
     final_k = args.k if args.k is not None else cfg.final_k
     candidate_k = args.candidate_k if args.candidate_k is not None else max(cfg.candidate_k, final_k)
     n_probe = args.nprobe if args.nprobe is not None else min(cfg.n_probe, idx.centroid_count)
-    oracle_corpus = idx.decompressed_corpus() if args.exact else None
+    oracle_corpus = idx.unit_corpus() if args.exact else None
 
     run = {}
     latencies = []

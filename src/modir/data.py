@@ -48,34 +48,47 @@ class CorpusRecord:
     embeddings: np.ndarray | None = None
 
 
+def text_lines(path):
+    """(line number from 1, line) for each nonblank line of a UTF-8 text
+    file. A line holding bytes that are not UTF-8 is a ParseError naming it."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")  # undecodable bytes came back as lone surrogates
+            except UnicodeEncodeError:
+                raise ParseError(f"{path} is not UTF-8 text", line=lineno) from None
+            if line.strip():
+                yield lineno, line
+
+
 def read_jsonl_records(path) -> list[CorpusRecord]:
     records = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    for lineno, line in text_lines(path):
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON: {exc.msg}", line=lineno) from None
+        if "id" not in raw:
+            raise ParseError("record is missing 'id'", line=lineno)
+        rid = str(raw["id"])
+        if rid in seen:
+            raise ParseError(f"duplicate record id {rid!r}", line=lineno)
+        seen.add(rid)
+        has_text = "text" in raw
+        has_emb = "embeddings" in raw
+        if has_text == has_emb:
+            raise ParseError("record needs exactly one of 'text' or 'embeddings'", line=lineno)
+        if has_text:
+            records.append(CorpusRecord(id=rid, language=str(raw.get("language", "")), text=str(raw["text"])))
+        else:
             try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", line=lineno) from None
-            if "id" not in raw:
-                raise ParseError("record is missing 'id'", line=lineno)
-            rid = str(raw["id"])
-            if rid in seen:
-                raise ParseError(f"duplicate record id {rid!r}", line=lineno)
-            seen.add(rid)
-            has_text = "text" in raw
-            has_emb = "embeddings" in raw
-            if has_text == has_emb:
-                raise ParseError("record needs exactly one of 'text' or 'embeddings'", line=lineno)
-            if has_text:
-                records.append(CorpusRecord(id=rid, language=str(raw.get("language", "")), text=str(raw["text"])))
-            else:
                 emb = np.asarray(raw["embeddings"], dtype=np.float64)
-                if emb.ndim != 2 or emb.shape[0] == 0:
-                    raise ParseError("'embeddings' must be a nonempty list of rows", line=lineno)
-                records.append(CorpusRecord(id=rid, language=str(raw.get("language", "")), embeddings=emb))
+            except (TypeError, ValueError):  # rows of unequal length, or not numbers
+                emb = None
+            if emb is None or emb.ndim != 2 or emb.shape[0] == 0:
+                raise ParseError("'embeddings' must be a nonempty list of equal-length rows of numbers", line=lineno)
+            records.append(CorpusRecord(id=rid, language=str(raw.get("language", "")), embeddings=emb))
     return records
 
 
@@ -163,12 +176,9 @@ def read_records(path) -> list[CorpusRecord]:
 def read_triples(path) -> list[tuple[str, str, str]]:
     """Whitespace-separated ``qid positive_pid negative_pid`` lines."""
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"expected 'qid pos_pid neg_pid', got {line.strip()!r}", line=lineno)
-            triples.append((parts[0], parts[1], parts[2]))
+    for lineno, line in text_lines(path):
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"expected 'qid pos_pid neg_pid', got {line.strip()!r}", line=lineno)
+        triples.append((parts[0], parts[1], parts[2]))
     return triples

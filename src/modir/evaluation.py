@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scoring
+from .data import text_lines
 from .errors import InvalidConfigError, ParseError
 
 log = logging.getLogger(__name__)
@@ -70,18 +71,31 @@ def recall_at_k(run: dict, qrels: dict, k: int) -> float:
     return total / len(qids)
 
 
+class UnitCorpus(dict):
+    """Passage id -> term matrix whose rows are already ``normalize_rows``
+    output. ``brute_force_search`` scores it with ``maxsim_unit`` and does not
+    normalize the passages again, which gives the same bits as scoring the
+    raw matrices: normalization works row by row."""
+
+
 def brute_force_search(query, corpus: dict, k: int):
     """Exact MaxSim against every passage; descending score, ties to lower id.
 
     The oracle counterpart of the compressed two-stage search: insertion order
     of the corpus dict never matters because passages are sorted by id first,
-    and ties break in this sorted order.
+    and ties break in this sorted order. A ``UnitCorpus`` skips the per-query
+    normalization of every passage.
     """
     if k < 1:
         raise InvalidConfigError(f"k must be >= 1, got {k}")
     q = np.asarray(query, dtype=np.float64)
     ids = sorted(corpus)
-    scores = np.array([scoring.maxsim_score(q, corpus[pid]) for pid in ids])
+    if isinstance(corpus, UnitCorpus) and ids:
+        scoring.check_pair(q, corpus[ids[0]])
+        q_unit = scoring.normalize_rows(q)
+        scores = np.array([scoring.maxsim_unit(q_unit, corpus[pid]) for pid in ids])
+    else:
+        scores = np.array([scoring.maxsim_score(q, corpus[pid]) for pid in ids])
     return [(ids[i], float(scores[i])) for i in scoring.rank(scores, k)]
 
 
@@ -91,39 +105,33 @@ def brute_force_search(query, corpus: dict, k: int):
 
 def read_qrels(path) -> dict:
     qrels: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(f"expected 'qid 0 pid grade', got {line.strip()!r}", line=lineno)
-            qid, _, pid, grade = parts
-            try:
-                grade = int(grade)
-            except ValueError:
-                raise ParseError(f"relevance grade {grade!r} is not an integer", line=lineno) from None
-            if grade < 0:
-                raise ParseError(f"relevance grade must be >= 0, got {grade}", line=lineno)
-            qrels.setdefault(qid, {})[pid] = grade
+    for lineno, line in text_lines(path):
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(f"expected 'qid 0 pid grade', got {line.strip()!r}", line=lineno)
+        qid, _, pid, grade = parts
+        try:
+            grade = int(grade)
+        except ValueError:
+            raise ParseError(f"relevance grade {grade!r} is not an integer", line=lineno) from None
+        if grade < 0:
+            raise ParseError(f"relevance grade must be >= 0, got {grade}", line=lineno)
+        qrels.setdefault(qid, {})[pid] = grade
     return qrels
 
 
 def read_run(path) -> dict:
     run: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ParseError(f"expected 'qid Q0 pid rank score tag', got {line.strip()!r}", line=lineno)
-            qid, _, pid, _rank, score, _tag = parts
-            try:
-                score = float(score)
-            except ValueError:
-                raise ParseError(f"score {score!r} is not a number", line=lineno) from None
-            run.setdefault(qid, []).append((pid, score))
+    for lineno, line in text_lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            raise ParseError(f"expected 'qid Q0 pid rank score tag', got {line.strip()!r}", line=lineno)
+        qid, _, pid, _rank, score, _tag = parts
+        try:
+            score = float(score)
+        except ValueError:
+            raise ParseError(f"score {score!r} is not a number", line=lineno) from None
+        run.setdefault(qid, []).append((pid, score))
     for qid, ranking in run.items():
         pids = [pid for pid, _ in ranking]
         if len(pids) != len(set(pids)):

@@ -5,7 +5,8 @@ ties to the lowest id) plus a 2-bit-per-dimension quantized residual, so one
 vector costs 2*dim + ceil(log2 |C|) bits. Both search stages read one lazily
 filled table of unit-norm decompressed rows, in inverted-list order. For each
 query term the n_probe nearest centroids' lists are filled and scored by
-cosine, and per-passage maxima are summed across query terms (an unfetched
+cosine. Per-term maxima go into a compact table with one row per passage that
+the probed lists hold, and each row is summed across query terms (an unfetched
 passage/term pair adds 0: a lower bound of decompressed MaxSim for nonnegative
 maxima). Re-ranking fills the lists holding its candidates' rows and scores the
 top candidate_k passages with the oracle's exact MaxSim kernel.
@@ -50,8 +51,10 @@ from .errors import (
     InvalidConfigError,
     UnknownPassageError,
 )
+from .evaluation import UnitCorpus
 
 FORMAT_VERSION = 1
+_UNIT_BLOCK = 16384  # rows per block in unit_corpus; bounds its temporaries to a few MB
 
 
 class DuplicateCentroidWarning(UserWarning):
@@ -400,6 +403,21 @@ class CompressedIndex:
         """External id -> decompressed term matrix, for oracle comparisons."""
         return {pid: self.decompress_passage(i) for i, pid in enumerate(self.passage_ids)}
 
+    def unit_corpus(self) -> UnitCorpus:
+        """External id -> unit-norm decompressed term matrix, for the oracle.
+
+        Rows are decompressed and normalized in blocks, in stored order, then
+        split at the passage offsets; a row's bits do not depend on the block
+        it is computed in, so each passage equals ``normalize_rows`` of its
+        ``decompress_passage``.
+        """
+        n = self.embedding_count
+        rows = np.empty((n, self.dim))
+        for lo in range(0, n, _UNIT_BLOCK):
+            hi = min(lo + _UNIT_BLOCK, n)
+            rows[lo:hi] = scoring.normalize_rows(self.decompress_embeddings(np.arange(lo, hi)))
+        return UnitCorpus(zip(self.passage_ids, np.split(rows, self.passage_offsets[1:-1])))
+
     def fill_lists(self, cids: np.ndarray):
         """Fill the unit-row table for each not yet filled list in ``cids`` (distinct ids)."""
         for cid in cids[~self._filled[cids]]:
@@ -500,6 +518,11 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     """First-stage scores: per term, max cosine over embeddings fetched from the
     probed centroids, summed across terms; unfetched passage/term pairs add 0.
 
+    Only passages with a row in a probed list get a row of the per-term maxima
+    table, which is passage-major (hit passages x query terms). Each passage's
+    sum runs along its contiguous row, the same pairwise order as a column of
+    a term-major table, so the scores do not depend on the table's layout.
+
     Returns at most candidate_k (external passage id, approximate score) pairs,
     best first, score ties broken toward the lower passage id.
     """
@@ -514,21 +537,22 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     cids, starts = np.unique(probes[by_list], return_index=True)
     index.fill_lists(cids)
 
-    p_count = index.passage_count
-    term_scores = np.full((n_terms, p_count), -np.inf)
-    flat_scores = term_scores.reshape(-1)
-    for cid, term_rows in zip(cids, np.split(by_list // params.n_probe, starts[1:])):
-        lo, hi = index.list_offsets[cid], index.list_offsets[cid + 1]
-        sims = qn[term_rows] @ index._unit_rows[lo:hi].T
-        flat_idx = (term_rows[:, None] * p_count + index.member_passages[None, lo:hi]).reshape(-1)
-        np.maximum.at(flat_scores, flat_idx, sims.reshape(-1))
-
-    fetched = term_scores > -np.inf
-    hit = fetched.any(axis=0)
-    passages = np.nonzero(hit)[0]
+    spans = [slice(index.list_offsets[cid], index.list_offsets[cid + 1]) for cid in cids]
+    hit = np.zeros(index.passage_count, dtype=bool)
+    for s in spans:
+        hit[index.member_passages[s]] = True
+    passages = np.flatnonzero(hit)
     if passages.size == 0:
         return []
-    approx = np.where(fetched[:, passages], term_scores[:, passages], 0.0).sum(axis=0)
+    row_of = np.empty(index.passage_count, dtype=np.int64)  # passage -> its row in best
+    row_of[passages] = np.arange(passages.size)
+    best = np.full((passages.size, n_terms), -np.inf)
+    flat_best = best.reshape(-1)
+    for s, term_rows in zip(spans, np.split(by_list // params.n_probe, starts[1:])):
+        sims = qn[term_rows] @ index._unit_rows[s].T
+        flat_idx = (row_of[index.member_passages[s]][None, :] * n_terms + term_rows[:, None]).reshape(-1)
+        np.maximum.at(flat_best, flat_idx, sims.reshape(-1))
+    approx = np.where(best > -np.inf, best, 0.0).sum(axis=1)
     return [(index.passage_ids[passages[i]], float(approx[i])) for i in scoring.rank(approx, params.candidate_k)]
 
 

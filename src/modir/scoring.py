@@ -94,7 +94,8 @@ def cosine(u, v) -> float:
     return float((u / nu) @ (v / nv))
 
 
-def _check_pair(hq: np.ndarray, hp: np.ndarray):
+def check_pair(hq: np.ndarray, hp: np.ndarray):
+    """Both 2-d with equal widths, and the passage has rows; typed errors otherwise."""
     if hq.ndim != 2 or hp.ndim != 2:
         raise DimensionMismatchError(f"expected 2-d matrices, got shapes {hq.shape} and {hp.shape}")
     if hq.shape[1] != hp.shape[1]:
@@ -110,20 +111,36 @@ def maxsim_score(hq, hp) -> float:
     """
     hq = np.asarray(hq, dtype=np.float64)
     hp = np.asarray(hp, dtype=np.float64)
-    _check_pair(hq, hp)
+    check_pair(hq, hp)
     return maxsim_unit(normalize_rows(hq), normalize_rows(hp))
 
 
 def maxsim_unit(q_unit: np.ndarray, p_unit: np.ndarray) -> float:
     """MaxSim of rows already unit-norm. One passage per call: BLAS bits can
     change with the matrix shape, and every caller must match the oracle's."""
-    return float(np.sum(np.max(q_unit @ p_unit.T, axis=1)))
+    return float((q_unit @ p_unit.T).max(axis=1).sum())
 
 
 def rank(scores, k: int | None = None) -> np.ndarray:
     """Indices of the k best (all when k is None) along the last axis, best
-    first; ties keep input order, so ids listed ascending tie to the lower."""
-    return np.argsort(-np.asarray(scores), axis=-1, kind="stable")[..., :k]
+    first; ties keep input order, so ids listed ascending tie to the lower.
+
+    The result is always the first k of a stable descending argsort. When
+    k < n, ``np.partition`` finds the k-th best value, and only the entries
+    at or above it are sorted: every other entry ranks after all of them.
+    A cut that leaves fewer than k entries (NaN scores) or, in a matrix,
+    unequal counts per row falls back to sorting everything.
+    """
+    neg = -np.asarray(scores)
+    if k is not None and 0 < k < neg.shape[-1]:
+        keep = neg <= np.partition(neg, k - 1, axis=-1)[..., k - 1 : k]
+        counts = keep.sum(axis=-1)
+        width = counts.max(initial=0)
+        if width >= k and np.all(counts == width):
+            survivors = np.nonzero(keep)[-1].reshape(*neg.shape[:-1], width)  # ascending per row
+            order = np.argsort(np.take_along_axis(neg, survivors, axis=-1), axis=-1, kind="stable")
+            return np.take_along_axis(survivors, order[..., :k], axis=-1)
+    return np.argsort(neg, axis=-1, kind="stable")[..., :k]
 
 
 def pool_rows(matrix: np.ndarray, pooling: str) -> np.ndarray:
@@ -141,7 +158,7 @@ def pooled_score(hq, hp, pooling: str = "mean") -> float:
     """Cosine of the pooled sequence representations."""
     hq = np.asarray(hq, dtype=np.float64)
     hp = np.asarray(hp, dtype=np.float64)
-    _check_pair(hq, hp)
+    check_pair(hq, hp)
     if hq.shape[0] == 0:
         raise EmptyInputError("query embedding matrix has no rows")
     return cosine(pool_rows(hq, pooling), pool_rows(hp, pooling))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from modir import evaluation, index as index_mod
 from modir.cli import main
 from modir.data import write_embedding_block
 from modir.encoder import load_checkpoint
@@ -170,6 +171,14 @@ class TestIndexCmd:
         err = read_stderr(capsys)
         assert err.startswith("error[format]") and "corpus.emb" in err and "\n" not in err
 
+    def test_ragged_embedding_rows_are_a_parse_error(self, tmp_path, small_config, capsys):
+        config_path, _ = small_config
+        corpus = tmp_path / "ragged.jsonl"
+        corpus.write_text('{"id": "a", "embeddings": [[1, 2], [3, 4]]}\n{"id": "b", "embeddings": [[1, 2], [3]]}\n')
+        assert run_cli("index", "--corpus", corpus, "--out", tmp_path / "idx", "--config", config_path) == 2
+        err = read_stderr(capsys)
+        assert err.startswith("error[parse]: line 2:") and "\n" not in err
+
     def test_text_corpus_without_checkpoint_fails(self, pipeline, capsys):
         code = run_cli("index", "--corpus", pipeline["corpus_a"], "--out", pipeline["tmp"] / "idx2",
                        "--config", pipeline["config"])
@@ -244,6 +253,21 @@ class TestSearchCmd:
                        "--config", indexed["config"], "--timing") == 0
         assert "latency_ms" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["search", "exact"])
+    def test_one_timed_unit_per_query(self, indexed, monkeypatch, exact):
+        # the benchmark times each query as one call of this function
+        owner, name = (evaluation, "brute_force_search") if exact else (index_mod, "search")
+        original = getattr(owner, name)
+        calls = []
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or original(*a, **k))
+        run_path = indexed["tmp"] / "unit.run"
+        assert run_cli("search", "--index", indexed["index"], "--queries", indexed["queries_a"],
+                       "--checkpoint", indexed["ck_ft"], "--out", run_path, "--config", indexed["config"],
+                       *(["--exact"] if exact else [])) == 0
+        n_queries = 8
+        assert len(calls) == n_queries
+        assert len({line.split()[0] for line in run_path.read_text().splitlines()}) == n_queries
+
     def test_dim_mismatch_names_both_dims(self, indexed, tmp_path, capsys):
         wrong = tmp_path / "wrong.emb"
         write_embedding_block({"q": np.ones((2, 5), dtype=np.float32)}, wrong)
@@ -300,6 +324,16 @@ class TestEvalCmd:
         err = read_stderr(capsys)
         assert err.startswith("error[unknown-metric]")
         assert "mrr@K" in err and "recall@K" in err
+
+    @pytest.mark.parametrize("bad", ["run", "qrels"])
+    def test_non_utf8_byte_is_a_parse_error(self, tmp_path, capsys, bad):
+        files = {"run": tmp_path / "x.run", "qrels": tmp_path / "x.qrels"}
+        files["run"].write_bytes(b"q Q0 p 1 1.0 t\n" + (b"q Q0 p\xff 2 0.5 t\n" if bad == "run" else b""))
+        files["qrels"].write_bytes(b"q 0 p 1\n" + (b"q 0 p\xff 1\n" if bad == "qrels" else b""))
+        code = run_cli("eval", "--run", files["run"], "--qrels", files["qrels"])
+        assert code == 2
+        err = read_stderr(capsys)
+        assert err.startswith("error[parse]: line 2:") and files[bad].name in err and "\n" not in err
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = run_cli("eval", "--run", tmp_path / "none.run", "--qrels", tmp_path / "none.qrels")

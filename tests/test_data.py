@@ -126,3 +126,14 @@ class TestTriples:
         path.write_text("q1 p1 p2\nq2 p3\n")
         with pytest.raises(ParseError, match="line 2"):
             read_triples(path)
+
+
+@pytest.mark.parametrize("reader,good,bad", [
+    (read_jsonl_records, b'{"id": "a", "text": "x"}\n', b'{"id": "b", "text": "\xe9"}\n'),
+    (read_triples, b"q1 p1 p2\n", b"q2 p\xe9 p4\n"),
+], ids=["jsonl", "triples"])
+def test_non_utf8_line_is_a_parse_error_naming_it(tmp_path, reader, good, bad):
+    path = tmp_path / "input.txt"
+    path.write_bytes(good + b"\n" + bad)
+    with pytest.raises(ParseError, match="line 3: .*input.txt is not UTF-8"):
+        reader(path)

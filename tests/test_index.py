@@ -30,7 +30,7 @@ from modir.index import (
     select_centroids,
     unpack_codes,
 )
-from modir.scoring import maxsim_score
+from modir.scoring import maxsim_score, normalize_rows
 
 
 def clustered_corpus(rng, n_passages, dim, max_terms=8, spread=0.15):
@@ -324,6 +324,41 @@ class TestApproximate:
         scores = [s for _, s in full]
         assert scores == sorted(scores, reverse=True)
 
+    @pytest.mark.parametrize("full_probe", [False, True], ids=["n_probe-1", "full-probe"])
+    def test_equals_a_plain_reference_loop(self, full_probe):
+        rng = np.random.default_rng(5)
+        axes = np.eye(3)
+        corpus = {f"f{i}": axes[i % 3] + 0.05 * rng.normal(size=(3, 3)) for i in range(12)}
+        corpus["two-lists"] = np.vstack([axes[0], axes[1]]) + 0.05 * rng.normal(size=(2, 3))
+        corpus["opposite"] = -axes[0] + 0.05 * rng.normal(size=(2, 3))
+        idx = build_index(corpus, seed=0, centroid_count=4)
+        query = np.vstack([axes[0], axes[1], axes[0] + axes[1]]) + 0.05 * rng.normal(size=(3, 3))
+        n_probe = idx.centroid_count if full_probe else 1
+
+        cents = idx.centroids.astype(np.float64)
+        probed = [set(np.argsort(((cents - t) ** 2).sum(axis=1), kind="stable")[:n_probe]) for t in query]
+        best = {}  # passage -> per-term best cosine over fetched rows, None when nothing was fetched
+        for i, pid in enumerate(idx.passage_ids):
+            rows = normalize_rows(idx.decompress_passage(i))
+            cids = idx.centroid_ids[idx.passage_offsets[i] : idx.passage_offsets[i + 1]]
+            per_term = []
+            for t, term in enumerate(normalize_rows(query)):
+                sims = [float(term @ row) for row, cid in zip(rows, cids) if cid in probed[t]]
+                per_term.append(max(sims) if sims else None)
+            if any(s is not None for s in per_term):
+                best[pid] = per_term
+        reference = sorted(((sum(s for s in b if s is not None), pid) for pid, b in best.items()),
+                           key=lambda e: (-e[0], idx.internal_passage(e[1])))
+
+        got = approximate_candidates(query, idx, SearchParams(n_probe=n_probe, candidate_k=1000, final_k=1))
+        assert [pid for pid, _ in got] == [pid for _, pid in reference]
+        for (_, score), (expect, _) in zip(got, reference):
+            assert score == pytest.approx(expect, abs=1e-12)
+        if full_probe:  # the cases the table must get right are really exercised
+            two = idx.internal_passage("two-lists")
+            assert len(set(idx.centroid_ids[idx.passage_offsets[two] : idx.passage_offsets[two + 1]])) == 2
+            assert min(best["opposite"]) < 0.0
+
     def test_query_dim_mismatch(self):
         _, idx, _ = small_index()
         with pytest.raises(DimensionMismatchError):
@@ -391,6 +426,17 @@ class TestSearch:
             got = search(query, idx, params)
             oracle = brute_force_search(query, idx.decompressed_corpus(), idx.passage_count)
             assert got == oracle
+
+    def test_unit_corpus_oracle_equals_the_decompressed_oracle(self, monkeypatch):
+        monkeypatch.setattr("modir.index._UNIT_BLOCK", 7)  # blocks that cut passages apart
+        _, idx, query = small_index()
+        unit, raw = idx.unit_corpus(), idx.decompressed_corpus()
+        assert list(unit) == list(raw)
+        for pid in raw:
+            assert np.array_equal(unit[pid], normalize_rows(raw[pid]))
+        assert brute_force_search(query, unit, idx.passage_count) == brute_force_search(query, raw, idx.passage_count)
+        with pytest.raises(DimensionMismatchError):
+            brute_force_search(np.zeros((2, idx.dim + 1)), unit, 3)
 
     def test_final_k_larger_than_corpus_returns_all_without_padding(self):
         _, idx, query = small_index(n_passages=7)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modir.errors import DimensionMismatchError, EmptyInputError, InvalidConfigError
 from modir.scoring import (
@@ -249,3 +252,23 @@ class TestRank:
 
     def test_ranks_each_row_of_a_matrix(self):
         assert rank([[1.0, 1.0, 2.0], [0.0, 3.0, 3.0]], 2).tolist() == [[2, 0], [1, 2]]
+
+    def test_unequal_survivors_per_row_still_rank_each_row(self):
+        # k=1 leaves two tied entries in row 0 and one in row 1
+        assert rank([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0]], 1).tolist() == [[0], [1]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scores=arrays(
+            np.float64,
+            st.one_of(st.tuples(st.integers(1, 12)), st.tuples(st.integers(1, 4), st.integers(1, 12))),
+            elements=st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, np.nan]),
+        ),
+        data=st.data(),
+    )
+    def test_equals_the_head_of_a_stable_descending_argsort(self, scores, data):
+        # small integers tie heavily; NaN can leave fewer than k entries at or above the cut
+        k = data.draw(st.integers(1, scores.shape[-1] + 1))
+        expect = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+        got = rank(scores, k)
+        assert got.shape == expect.shape and np.array_equal(got, expect)
