@@ -32,8 +32,10 @@ Checkpoint layout (all integers little-endian, floats little-endian f64)::
       per language, per layer    w_down d x b, b_down b, w_up b x d, b_up d
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from .errors import (
     StageError,
     UnknownLanguageError,
 )
-from .scoring import MASK_ID, PreparedSequence
+from .scoring import MASK_ID, PreparedSequence, normalize_rows
 
 STAGES = ("pretrain", "finetune", "zeroshot", "extend")
 
@@ -318,14 +320,8 @@ class Batch:
 
 
 def _batch_sequences(batch: Batch) -> list[PreparedSequence]:
-    """Query, positive, hard negative of each triple, in batch order."""
-    return [s for t in batch.triples for s in (t.query, t.positive, t.hard_negative)]
-
-
-def _inbatch_positions(n: int, i: int) -> list[int]:
-    """Where triple i's in-batch negatives sit in ``_batch_sequences``: every
-    other triple's positive then hard negative, in batch order."""
-    return [3 * j + k for j in range(n) if j != i for k in (1, 2)]
+    """Every query in batch order, then each triple's positive and hard negative."""
+    return [t.query for t in batch.triples] + [s for t in batch.triples for s in (t.positive, t.hard_negative)]
 
 
 def build_inbatch_negatives(batch: Batch, i: int) -> list[PreparedSequence]:
@@ -333,8 +329,7 @@ def build_inbatch_negatives(batch: Batch, i: int) -> list[PreparedSequence]:
     n = len(batch)
     if not 0 <= i < n:
         raise InvalidConfigError(f"triple index {i} out of range for batch of {n}")
-    seqs = _batch_sequences(batch)
-    return [seqs[p] for p in _inbatch_positions(n, i)]
+    return [s for j, t in enumerate(batch.triples) if j != i for s in (t.positive, t.hard_negative)]
 
 
 def _check_finite_scores(*scores):
@@ -358,37 +353,22 @@ def inbatch_loss(s_pos: float, s_neg: float, s_ib) -> float:
     return float(peak + np.log(np.exp(scores - peak).sum()) - s_pos)
 
 
-def _maxsim_pair(q_emb, p_emb):
-    """Forward MaxSim with everything the backward pass needs."""
-    qn = np.linalg.norm(q_emb, axis=1)
-    pn = np.linalg.norm(p_emb, axis=1)
-    qh = q_emb / np.where(qn == 0.0, 1.0, qn)[:, None]
-    ph = p_emb / np.where(pn == 0.0, 1.0, pn)[:, None]
-    sim = qh @ ph.T
-    j_star = np.argmax(sim, axis=1)
-    cos = sim[np.arange(sim.shape[0]), j_star]
-    return float(cos.sum()), (qh, ph, qn, pn, j_star, cos)
-
-
-def _maxsim_backward(pair_cache, weight, d_q, d_p):
-    """Accumulate weight * d(maxsim)/d(embeddings) into d_q and d_p."""
-    qh, ph, qn, pn, j_star, cos = pair_cache
-    sel_ph = ph[j_star]
-    sel_pn = pn[j_star]
-    live = (qn != 0.0) & (sel_pn != 0.0)  # zero-norm rows score 0 with zero gradient
-    if not live.any():
-        return
-    coef_q = np.where(live, weight / np.where(qn == 0.0, 1.0, qn), 0.0)
-    d_q += coef_q[:, None] * (sel_ph - cos[:, None] * qh)
-    coef_p = np.where(live, weight / np.where(sel_pn == 0.0, 1.0, sel_pn), 0.0)
-    np.add.at(d_p, j_star, coef_p[:, None] * (qh - cos[:, None] * sel_ph))
-
-
 def total_loss_and_grads(batch: Batch, params: ModularEncoderParams):
     """Mean per-triple pairwise + in-batch loss and gradients for every block.
 
-    Scores are MaxSim over the encoded sequences; in-batch negatives reuse the
-    other triples' encodings, so gradient flows into them as well.
+    Scores are MaxSim over the encoded sequences, taken for the whole batch at
+    once. The 3n encodings are stacked and normalized in one call. One matmul
+    scores every query row against the 2n passages (pos_0, neg_0, pos_1, ...),
+    padded to the longest with -inf cells; the first maximum per passage and
+    query row wins. Each query's cosines are summed along a contiguous row,
+    the order of ``scoring.maxsim_unit``, so a score equals ``maxsim_score``
+    of the two encodings whenever the matmul gives the same cosine bits. The
+    sums form an (n x 2n) score matrix: columns 2i and 2i+1 are query i's
+    positive and hard negative, the rest its in-batch negatives, so gradient
+    flows into the other triples' encodings as well. The backward pass
+    carries the score gradients to the chosen rows through a one-hot weight
+    matrix and two matmuls, then through the row normalization once;
+    zero-norm rows score 0 and get zero gradient.
     """
     seqs = _batch_sequences(batch)
     langs = sorted({s.language for s in seqs})
@@ -396,47 +376,51 @@ def total_loss_and_grads(batch: Batch, params: ModularEncoderParams):
         params.adapter_stack(lang)  # fail early on unknown languages
 
     ids_list = [_token_array(s, params.vocab_size) for s in seqs]
-    states = []
-    caches = []
-    embs = []
-    for ids, s in zip(ids_list, seqs):
-        state, cache = _forward(ids, s.language, params)
-        states.append(state)
-        caches.append(cache)
-        embs.append(state @ params.w_out)
+    forwards = [_forward(ids, s.language, params) for ids, s in zip(ids_list, seqs)]
+    states = np.concatenate([state for state, _ in forwards])
+    embs = np.concatenate([state @ params.w_out for state, _ in forwards])
+    units = normalize_rows(embs)
 
     n = len(batch)
-    d_embs = [np.zeros_like(e) for e in embs]
+    lens = np.array([len(ids) for ids in ids_list])
+    starts = np.concatenate(([0], np.cumsum(lens)))
+    width = lens[n:].max()
+    real = np.arange(width) < lens[n:, None]  # (2n, width) cells holding a passage row
+    rows = np.where(real, starts[n:-1, None] + np.arange(width), 0)  # padding reads row 0
+    q, p_flat = units[: starts[n]], units[rows.ravel()]
+    sim = np.where(real[..., None], (p_flat @ q.T).reshape(2 * n, width, -1), -np.inf)
+    best = sim.argmax(axis=1)  # (2n, query rows)
+    cos = sim.max(axis=1)
+    scores = np.stack([cos[:, lo:hi].sum(axis=1) for lo, hi in zip(starts[:n], starts[1 : n + 1])])
+
+    cols = np.arange(n)
+    pos, neg = scores[cols, 2 * cols], scores[cols, 2 * cols + 1]
     total = 0.0
-    inv_n = 1.0 / n
     for i in range(n):
-        qi = 3 * i
-        passage_idx = [qi + 1, qi + 2] + _inbatch_positions(n, i)  # positive, hard negative, in-batch
-        scores = np.empty(len(passage_idx))
-        pair_caches = []
-        for col, pi in enumerate(passage_idx):
-            scores[col], cache = _maxsim_pair(embs[qi], embs[pi])
-            pair_caches.append(cache)
-        _check_finite_scores(scores)
-        total += pairwise_loss(scores[0], scores[1]) + inbatch_loss(scores[0], scores[1], scores[2:])
-        # d(pair)/ds = (sigma(s_neg - s_pos)) on neg, negated on pos;
-        # d(ib)/ds_j = softmax_j - 1{j = pos}.
-        sig = 1.0 / (1.0 + np.exp(scores[0] - scores[1]))
-        shifted = np.exp(scores - scores.max())
-        soft = shifted / shifted.sum()
-        d_scores = soft.copy()
-        d_scores[0] -= 1.0
-        d_scores[0] -= sig
-        d_scores[1] += sig
-        d_scores *= inv_n
-        for col, pi in enumerate(passage_idx):
-            if d_scores[col] != 0.0:
-                _maxsim_backward(pair_caches[col], d_scores[col], d_embs[qi], d_embs[pi])
+        total += pairwise_loss(pos[i], neg[i]) + inbatch_loss(pos[i], neg[i], np.delete(scores[i], [2 * i, 2 * i + 1]))
+    # d(pair)/ds = (sigma(s_neg - s_pos)) on neg, negated on pos;
+    # d(ib)/ds_j = softmax_j - 1{j = pos}.
+    inv_n = 1.0 / n
+    sig = 1.0 / (1.0 + np.exp(pos - neg))
+    d_scores = np.exp(scores - scores.max(axis=1, keepdims=True))
+    d_scores /= d_scores.sum(axis=1, keepdims=True)
+    d_scores[cols, 2 * cols] -= 1.0 + sig
+    d_scores[cols, 2 * cols + 1] += sig
+    d_scores *= inv_n
+
+    onehot = np.zeros((2 * n * width, starts[n]))
+    onehot[np.arange(2 * n)[:, None] * width + best, np.arange(starts[n])] = np.repeat(d_scores, lens[:n], axis=0).T
+    d_units = np.concatenate((onehot.T @ p_flat, (onehot @ q)[real.ravel()]))
+    # through u = e / |e|: de = (du - u (u . du)) / |e|, zero where |e| = 0
+    norms = np.linalg.norm(embs, axis=1, keepdims=True)
+    d_tangent = d_units - units * (units * d_units).sum(axis=1, keepdims=True)
+    d_embs = np.divide(d_tangent, norms, out=np.zeros_like(units), where=norms > 0.0)
 
     grads = Gradients(params, langs)
-    for ids, s, cache, state, d_emb in zip(ids_list, seqs, caches, states, d_embs):
-        grads.w_out += state.T @ d_emb
-        _backward_state(ids, cache, d_emb @ params.w_out.T, s.language, params, grads)
+    grads.w_out += states.T @ d_embs
+    d_states = d_embs @ params.w_out.T
+    for k, (ids, s, (_, cache)) in enumerate(zip(ids_list, seqs, forwards)):
+        _backward_state(ids, cache, d_states[starts[k] : starts[k + 1]], s.language, params, grads)
     return total * inv_n, grads
 
 
@@ -548,34 +532,44 @@ def _param_blocks(params: ModularEncoderParams):
 
 
 def save_checkpoint(params: ModularEncoderParams, path):
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIIIB",
-                params.vocab_size,
-                params.d,
-                params.d_out,
-                params.n_layers,
-                params.bottleneck,
-                STAGES.index(params.stage),
+    """Write the checkpoint to a temporary file beside ``path``, then rename it
+    over ``path``: a failed write leaves any earlier checkpoint as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(
+                struct.pack(
+                    "<IIIIIB",
+                    params.vocab_size,
+                    params.d,
+                    params.d_out,
+                    params.n_layers,
+                    params.bottleneck,
+                    STAGES.index(params.stage),
+                )
             )
-        )
-        langs = params.languages()
-        fh.write(struct.pack("<I", len(langs)))
-        for lang in langs:
-            raw = lang.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", 1 if lang in params.post_hoc else 0))
-        for block in _param_blocks(params):
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+            langs = params.languages()
+            fh.write(struct.pack("<I", len(langs)))
+            for lang in langs:
+                raw = lang.encode("utf-8")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<B", 1 if lang in params.post_hoc else 0))
+            for block in _param_blocks(params):
+                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> ModularEncoderParams:
     """Read a checkpoint. The header is read through a bounds-checked reader,
     and the parameter bytes are checked once against the shapes it names
-    before any block is read; a mismatch raises FormatError naming the file."""
+    before any block is read; a mismatch, or a parameter that is NaN or
+    infinite, raises FormatError naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(_MAGIC)] != _MAGIC:
@@ -602,6 +596,8 @@ def load_checkpoint(path) -> ModularEncoderParams:
     left = len(data) - reader.offset
     if 8 * floats != left:
         raise FormatError(f"{path} holds {left} parameter bytes, its header names {8 * floats}")
+    if not np.isfinite(np.frombuffer(data, dtype="<f8", offset=reader.offset)).all():
+        raise FormatError(f"{path} holds a non-finite parameter")
 
     def read(shape):
         return np.frombuffer(reader.take(8 * int(np.prod(shape))), dtype="<f8").reshape(shape).astype(np.float64)

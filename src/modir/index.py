@@ -630,8 +630,9 @@ def _read_sized(path: Path, size: int) -> bytes:
 def load_index(directory) -> CompressedIndex:
     """Read an index directory. Every section's size is checked against
     meta.json before it is reshaped or unpacked, and the inverted-list
-    directory against the centroid ids in codes.bin; any disagreement, or a
-    passage id named twice, raises FormatError naming the file."""
+    directory against the centroid ids in codes.bin; any disagreement, a
+    non-finite centroid or codec float, or a passage id named twice, raises
+    FormatError naming the file."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     try:
@@ -652,6 +653,9 @@ def load_index(directory) -> CompressedIndex:
 
     centroids = np.frombuffer(_read_sized(directory / "centroids.f32", 4 * c_count * dim), dtype="<f4")
     codec_raw = np.frombuffer(_read_sized(directory / "codec.f32", 4 * 7 * dim), dtype="<f4")
+    for name, values in (("centroids.f32", centroids), ("codec.f32", codec_raw)):
+        if not np.isfinite(values).all():
+            raise FormatError(f"{directory / name} holds a non-finite float")
     codec = ResidualCodec(
         cuts=codec_raw[: 3 * dim].reshape(3, dim).copy(),
         reps=codec_raw[3 * dim :].reshape(4, dim).copy(),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from modir import encoder
 from modir.encoder import (
     Batch,
     TrainingTriple,
@@ -92,6 +93,20 @@ def central_difference(loss_fn, block, direction, h=1e-6):
     minus = loss_fn()
     block += h * direction
     return (plus - minus) / (2.0 * h)
+
+
+def assert_loss_directional_derivatives(batch, params, langs, rng):
+    """Analytic contrastive gradients against central differences along one
+    random unit direction per block."""
+    _, grads = total_loss_and_grads(batch, params)
+    analytic = dict(grad_blocks(grads, langs))
+    for label, block in named_blocks(params, langs):
+        direction = rng.normal(size=block.shape)
+        direction /= np.linalg.norm(direction)
+        numeric = central_difference(lambda: total_loss(batch, params), block, direction)
+        a = float(np.sum(analytic[label] * direction))
+        denom = max(abs(a), abs(numeric), 1e-8)
+        assert abs(a - numeric) / denom <= 1e-4, f"{label}: analytic {a} vs numeric {numeric}"
 
 
 def param_bytes(params):
@@ -306,6 +321,16 @@ class TestTotalLoss:
         expected /= len(batch)
         assert total_loss(batch, params) == pytest.approx(expected, abs=1e-10)
 
+    def test_zero_projection_scores_zero_with_zero_gradients(self):
+        # every embedding row has zero norm: all MaxSim scores are 0
+        params = tiny_params(seed=4)
+        params.w_out[...] = 0.0
+        n = 3
+        loss, grads = total_loss_and_grads(random_batch(np.random.default_rng(12), n), params)
+        assert loss == pytest.approx(math.log(2.0) + math.log(2.0 * n), abs=1e-12)
+        for label, block in grad_blocks(grads, ["aa"]):
+            assert not block.any(), label
+
 
 class TestGradients:
     @pytest.mark.parametrize("seed", range(6))
@@ -313,16 +338,19 @@ class TestGradients:
         rng = np.random.default_rng(seed)
         params = tiny_params(seed=seed + 50)
         batch = random_batch(rng, 2, lang=LANGS[seed % 2])
-        langs = [LANGS[seed % 2]]
-        _, grads = total_loss_and_grads(batch, params)
-        analytic = dict(grad_blocks(grads, langs))
-        for label, block in named_blocks(params, langs):
-            direction = rng.normal(size=block.shape)
-            direction /= np.linalg.norm(direction)
-            numeric = central_difference(lambda: total_loss(batch, params), block, direction)
-            a = float(np.sum(analytic[label] * direction))
-            denom = max(abs(a), abs(numeric), 1e-8)
-            assert abs(a - numeric) / denom <= 1e-4, f"{label}: analytic {a} vs numeric {numeric}"
+        assert_loss_directional_derivatives(batch, params, [LANGS[seed % 2]], rng)
+
+    def test_tied_maxima_pass_the_directional_check(self):
+        # one repeated token id encodes to identical rows, so each query row's
+        # maximum over that passage is an exact tie
+        rng = np.random.default_rng(41)
+        params = tiny_params(seed=41)
+        tied = PreparedSequence((7,) * 5, kind="passage", language="aa")
+        rows = encode(tied, params)
+        assert all(np.array_equal(rows[0], row) for row in rows[1:])
+        first = TrainingTriple(random_sequence(rng, "aa", "query"), tied, random_sequence(rng, "aa"))
+        batch = Batch((first,) + random_batch(rng, 1).triples)
+        assert_loss_directional_derivatives(batch, params, ["aa"], rng)
 
     def test_total_loss_sampled_entries(self):
         rng = np.random.default_rng(123)
@@ -573,6 +601,31 @@ class TestCheckpoint:
         path.write_bytes(cut(path.read_bytes()))
         with pytest.raises(FormatError, match="model.ckpt"):
             load_checkpoint(path)
+
+    def test_non_finite_parameter_is_format_error(self, tmp_path):
+        params = tiny_params(seed=26)
+        params.w_out[1, 2] = np.inf
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        with pytest.raises(FormatError, match="model.ckpt"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_params(seed=27), path)
+        before = path.read_bytes()
+        real_blocks = encoder._param_blocks
+
+        def first_block_then_fail(params):
+            blocks = real_blocks(params)
+            yield next(blocks)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(encoder, "_param_blocks", first_block_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tiny_params(seed=28), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

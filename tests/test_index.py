@@ -524,6 +524,11 @@ def _leave_out_last_list(directory):
     path.write_bytes(struct.pack("<I", n_lists - 1) + buf[4:-2])
 
 
+def _nan_first_float(directory, name):
+    path = directory / name
+    path.write_bytes(np.array([np.nan], dtype="<f4").tobytes() + path.read_bytes()[4:])
+
+
 class TestLoadCorrupt:
     @pytest.mark.parametrize(
         "corrupt",
@@ -535,10 +540,12 @@ class TestLoadCorrupt:
             lambda d: _cut_last_byte(d, "codes.bin"),
             lambda d: _cut_last_byte(d, "passages.bin"),
             _leave_out_last_list,
+            lambda d: _nan_first_float(d, "centroids.f32"),
+            lambda d: _nan_first_float(d, "codec.f32"),
         ],
         ids=[
             "centroids-cut", "codec-cut", "invlists-cut", "invlists-first-gap-127",
-            "codes-cut", "passages-cut", "invlists-list-left-out",
+            "codes-cut", "passages-cut", "invlists-list-left-out", "centroids-nan", "codec-nan",
         ],
     )
     def test_format_error_names_the_file(self, tmp_path, corrupt):
