@@ -6,6 +6,7 @@ qrels ``qid 0 pid grade`` and run ``qid Q0 pid rank score tag``.
 """
 
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,30 +72,59 @@ def recall_at_k(run: dict, qrels: dict, k: int) -> float:
     return total / len(qids)
 
 
-class UnitCorpus(dict):
+class UnitCorpus(Mapping):
     """Passage id -> term matrix whose rows are already ``normalize_rows``
-    output. ``brute_force_search`` scores it with ``maxsim_unit`` and does not
-    normalize the passages again, which gives the same bits as scoring the
-    raw matrices: normalization works row by row."""
+    output, held as one row table in strictly ascending id order (an index's
+    passage order): passage ``ids[i]`` is ``passages[i]``, the view
+    ``rows[offsets[i]:offsets[i + 1]]``.
+
+    ``brute_force_search`` scores each passage with ``maxsim_unit`` and
+    neither normalizes nor sorts per query, which gives the same bits as
+    scoring the raw matrices: normalization works row by row.
+    """
+
+    def __init__(self, ids, rows: np.ndarray, offsets):
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise InvalidConfigError("UnitCorpus ids must be strictly ascending")
+        self.ids = list(ids)
+        self.rows = rows
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        bounds = self.offsets.tolist()
+        self.passages = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+        self._position = {pid: i for i, pid in enumerate(self.ids)}
+
+    def __getitem__(self, pid):
+        return self.passages[self._position[pid]]
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self):
+        return len(self.ids)
 
 
-def brute_force_search(query, corpus: dict, k: int):
-    """Exact MaxSim against every passage; descending score, ties to lower id.
+def brute_force_search(query, corpus: Mapping, k: int):
+    """Exact MaxSim against every passage, one passage at a time; descending
+    score, ties to lower id.
 
     The oracle counterpart of the compressed two-stage search: insertion order
-    of the corpus dict never matters because passages are sorted by id first,
-    and ties break in this sorted order. A ``UnitCorpus`` skips the per-query
-    normalization of every passage.
+    of the corpus never matters because passages are sorted by id first, and
+    ties break in this sorted order. A plain mapping is scored with
+    ``maxsim_score``. A ``UnitCorpus`` is already normalized and sorted and
+    is scored with ``maxsim_unit``. The oracle does not use re-ranking's
+    blocked selection (``scoring.maxsim_top_k``), so comparing search with
+    it checks that selection as well.
     """
     if k < 1:
         raise InvalidConfigError(f"k must be >= 1, got {k}")
     q = np.asarray(query, dtype=np.float64)
-    ids = sorted(corpus)
-    if isinstance(corpus, UnitCorpus) and ids:
-        scoring.check_pair(q, corpus[ids[0]])
+    if isinstance(corpus, UnitCorpus) and corpus.ids:
+        scoring.check_pair(q, corpus.passages[0])
         q_unit = scoring.normalize_rows(q)
-        scores = np.array([scoring.maxsim_unit(q_unit, corpus[pid]) for pid in ids])
+        ids = corpus.ids
+        scores = np.array([scoring.maxsim_unit(q_unit, rows) for rows in corpus.passages])
     else:
+        ids = sorted(corpus)
         scores = np.array([scoring.maxsim_score(q, corpus[pid]) for pid in ids])
     return [(ids[i], float(scores[i])) for i in scoring.rank(scores, k)]
 

@@ -8,8 +8,10 @@ query term the n_probe nearest centroids' lists are filled and scored by
 cosine. Per-term maxima go into a compact table with one row per passage that
 the probed lists hold, and each row is summed across query terms (an unfetched
 passage/term pair adds 0: a lower bound of decompressed MaxSim for nonnegative
-maxima). Re-ranking fills the lists holding its candidates' rows and scores the
-top candidate_k passages with the oracle's exact MaxSim kernel.
+maxima). Re-ranking fills the lists holding the top candidate_k passages' rows,
+scores those passages in blocks of rows (one matmul per block), and scores the
+few whose blocked score is within rounding distance of the final_k-th best
+again with the oracle's exact MaxSim kernel, which gives the scores it reports.
 
 On-disk layout (directory; all integers little-endian; varint = unsigned
 LEB128):
@@ -36,6 +38,8 @@ LEB128):
 
 import json
 import math
+import os
+import shutil
 import struct
 import warnings
 from dataclasses import dataclass
@@ -54,6 +58,7 @@ from .errors import (
 from .evaluation import UnitCorpus
 
 FORMAT_VERSION = 1
+INDEX_FILES = ("meta.json", "centroids.f32", "codec.f32", "codes.bin", "invlists.bin", "passages.bin")
 _UNIT_BLOCK = 16384  # rows per block in unit_corpus; bounds its temporaries to a few MB
 
 
@@ -416,7 +421,7 @@ class CompressedIndex:
         for lo in range(0, n, _UNIT_BLOCK):
             hi = min(lo + _UNIT_BLOCK, n)
             rows[lo:hi] = scoring.normalize_rows(self.decompress_embeddings(np.arange(lo, hi)))
-        return UnitCorpus(zip(self.passage_ids, np.split(rows, self.passage_offsets[1:-1])))
+        return UnitCorpus(self.passage_ids, rows, self.passage_offsets)
 
     def fill_lists(self, cids: np.ndarray):
         """Fill the unit-row table for each not yet filled list in ``cids`` (distinct ids)."""
@@ -425,14 +430,16 @@ class CompressedIndex:
             self._unit_rows[lo:hi] = scoring.normalize_rows(self.decompress_embeddings(self.list_members[lo:hi]))
             self._filled[cid] = True
 
-    def unit_passages(self, internals):
-        """Yield each passage's unit-norm rows in stored order, one passage at a
-        time, gathered from the table after filling the lists that hold them."""
-        spans = [slice(self.passage_offsets[i], self.passage_offsets[i + 1]) for i in internals]
-        if spans:
-            self.fill_lists(np.unique(np.concatenate([self.centroid_ids[s] for s in spans])))
-        for s in spans:
-            yield self._unit_rows[self._csr_position[s]]
+    def unit_row_positions(self, internals: np.ndarray):
+        """Fill the lists that hold these passages' rows. Return the rows'
+        positions in the unit-row table, passage after passage in stored row
+        order, and each passage's offsets into those positions."""
+        lo = self.passage_offsets[internals]
+        counts = self.passage_offsets[internals + 1] - lo
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        emb_ids = np.repeat(lo - offsets[:-1], counts) + np.arange(offsets[-1])
+        self.fill_lists(np.unique(self.centroid_ids[emb_ids]))
+        return self._csr_position[emb_ids], offsets
 
 
 def build_index(
@@ -556,20 +563,29 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     return [(index.passage_ids[passages[i]], float(approx[i])) for i in scoring.rank(approx, params.candidate_k)]
 
 
-def exact_rerank(query, candidates, index: CompressedIndex):
-    """Exact MaxSim over each candidate's full set of unit-norm rows, sorted
-    descending with ties toward the lower passage id."""
+def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None):
+    """Exact MaxSim of each candidate over its full set of unit-norm rows:
+    the k best (all when k is None), descending with ties toward the lower
+    passage id.
+
+    The candidates' rows are read from the unit-row table by position, in
+    blocks of whole passages (``scoring.maxsim_top_k``). With k set, only the
+    passages whose blocked score is within rounding distance of the k-th best
+    are scored again with ``maxsim_unit``, so the result is the first k of
+    the k=None ranking, bit for bit.
+    """
     q_unit = scoring.normalize_rows(_check_query(query, index))
     internal = np.sort(np.array([index.internal_passage(pid) for pid in candidates], dtype=np.int64))
-    scores = np.array([scoring.maxsim_unit(q_unit, rows) for rows in index.unit_passages(internal)])
-    return [(index.passage_ids[internal[i]], float(scores[i])) for i in scoring.rank(scores)]
+    positions, offsets = index.unit_row_positions(internal)
+    order, scores = scoring.maxsim_top_k(q_unit, index._unit_rows, offsets, k, rows=positions)
+    return [(index.passage_ids[internal[i]], float(s)) for i, s in zip(order, scores)]
 
 
 def search(query, index: CompressedIndex, params: SearchParams):
-    """Approximate candidate generation followed by exact re-ranking."""
+    """Approximate candidate generation followed by exact re-ranking of the
+    final_k best."""
     candidates = approximate_candidates(query, index, params)
-    reranked = exact_rerank(query, [pid for pid, _ in candidates], index)
-    return reranked[: params.final_k]
+    return exact_rerank(query, [pid for pid, _ in candidates], index, k=params.final_k)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +593,33 @@ def search(query, index: CompressedIndex, params: SearchParams):
 
 
 def save_index(index: CompressedIndex, directory):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    """Write the index files into a temporary directory beside ``directory``,
+    then rename it into place. An existing ``directory`` is renamed aside
+    first and removed once the new one is in place; it must be empty or hold
+    only index files, or nothing is written. A failed write leaves any
+    earlier index where it was and no temporary directory behind."""
+    directory = Path(os.path.abspath(directory))
+    if directory.exists() and not (directory.is_dir() and {p.name for p in directory.iterdir()} <= set(INDEX_FILES)):
+        raise InvalidConfigError(f"{directory} exists and is not an index directory; not replacing it")
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    tmp, aside = (directory.with_name(f".{directory.name}.{os.getpid()}.{tag}") for tag in ("tmp", "old"))
+    for stale in (tmp, aside):
+        shutil.rmtree(stale, ignore_errors=True)
+    try:
+        tmp.mkdir()
+        _write_index_files(index, tmp)
+        if directory.exists():
+            directory.rename(aside)
+        tmp.rename(directory)
+    except BaseException:
+        if aside.exists() and not directory.exists():
+            aside.rename(directory)
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(aside, ignore_errors=True)
+
+
+def _write_index_files(index: CompressedIndex, directory: Path):
     id_bits = id_bit_width(index.centroid_count)
     meta = {
         "format_version": FORMAT_VERSION,
@@ -631,8 +672,9 @@ def load_index(directory) -> CompressedIndex:
     """Read an index directory. Every section's size is checked against
     meta.json before it is reshaped or unpacked, and the inverted-list
     directory against the centroid ids in codes.bin; any disagreement, a
-    non-finite centroid or codec float, or a passage id named twice, raises
-    FormatError naming the file."""
+    non-finite centroid or codec float, a passage without embeddings, or
+    passage ids that are not strictly ascending, raises FormatError naming
+    the file."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     try:
@@ -688,6 +730,8 @@ def load_index(directory) -> CompressedIndex:
     counts, offset = _decode_uvarint(buf, 4, p_count, passages_path)
     if counts.sum() != n:
         raise FormatError(f"{passages_path} lists {counts.sum()} embeddings, meta.json {n}")
+    if np.any(counts < 1):
+        raise FormatError(f"{passages_path} lists a passage with no embeddings")
     if offset >= len(buf) or buf[offset] > 1:
         raise FormatError(f"{passages_path} has a missing or unknown id mode")
     explicit = buf[offset]
@@ -704,10 +748,10 @@ def load_index(directory) -> CompressedIndex:
                 ids.append(raw.decode("utf-8"))
             except UnicodeDecodeError:
                 raise FormatError(f"{passages_path}: passage id is not UTF-8") from None
-        if len(set(ids)) != p_count:
-            raise FormatError(f"{passages_path} names a passage id twice")
     else:
         ids = [str(i) for i in range(p_count)]
+    if any(a >= b for a, b in zip(ids, ids[1:])):  # build_index writes them ascending
+        raise FormatError(f"{passages_path} names a passage id twice or out of ascending order")
     if offset != len(buf):
         raise FormatError(f"{passages_path} has {len(buf) - offset} bytes after the passage ids")
 

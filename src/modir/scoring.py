@@ -22,6 +22,8 @@ NUM_SPECIAL = 4
 
 POOLING_MODES = ("mean", "max", "cls")
 
+_MAXSIM_BLOCK = 1024  # rows per blocked MaxSim matmul in maxsim_top_k: about 1 MB of rows
+
 
 @dataclass(frozen=True)
 class PreparedSequence:
@@ -116,9 +118,85 @@ def maxsim_score(hq, hp) -> float:
 
 
 def maxsim_unit(q_unit: np.ndarray, p_unit: np.ndarray) -> float:
-    """MaxSim of rows already unit-norm. One passage per call: BLAS bits can
-    change with the matrix shape, and every caller must match the oracle's."""
+    """MaxSim of rows already unit-norm, one passage per call. This is the
+    score every ranking reports: BLAS bits can change with the matrix shape,
+    so ``maxsim_top_k`` scores blocks of passages only to choose which
+    passages go through this kernel."""
     return float((q_unit @ p_unit.T).max(axis=1).sum())
+
+
+def maxsim_rounding_gap(n_terms: int, dim: int) -> float:
+    """Bound on how far two evaluations of one MaxSim over unit rows (say a
+    blocked matmul and ``maxsim_unit``) can differ.
+
+    With u = 2**-53 and g(m) = m u / (1 - m u), a dot product of two rows of
+    width ``dim``, summed in any order with or without fused multiply-adds,
+    is within g(dim) |q| |p| of the real value (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.1). A maximum adds no
+    rounding and moves by at most the largest error of its arguments. The
+    sum of ``n_terms`` maxima, each at most 1 + g(dim) in magnitude, adds at
+    most g(n_terms - 1) n_terms (1 + g(dim)). So each evaluation is within
+    about n_terms (dim + n_terms) u of the real MaxSim, and two evaluations
+    are within 2 n_terms (dim + n_terms) u of each other. The bound returned
+    is twice that: rows from ``normalize_rows`` have norms of
+    1 +- (dim / 2 + 2) u rather than 1, and g(m) exceeds m u, both by far
+    less than the factor 2 allows.
+    """
+    return 2.0 * 2.0 * n_terms * (dim + n_terms) * 2.0**-53
+
+
+def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, offsets, k: int | None = None, rows=None):
+    """The k best passages by ``maxsim_unit`` (all when k is None), best
+    first with ties to the lower passage index, and their scores.
+
+    Passage i's unit rows are ``table[offsets[i]:offsets[i + 1]]``, or
+    ``table[rows[offsets[i]:offsets[i + 1]]]`` when ``rows`` is given; every
+    passage has at least one row. The result is bit-identical to ranking
+    ``maxsim_unit`` of every passage, for any k.
+
+    When k is below the passage count, whole passages are first scored in
+    blocks of about ``_MAXSIM_BLOCK`` rows: one ``q_unit @ block.T``, then
+    per-term maxima by ``np.maximum.reduceat`` at the passage starts, then a
+    sum per passage. Let gap be ``maxsim_rounding_gap``, the most a blocked
+    score can differ from the passage's ``maxsim_unit`` score, and t the k-th
+    best blocked score. At least k passages score t or more blocked, so at
+    least k score t - gap or more exactly, and the k-th best exact score is
+    at least t - gap. Every passage that scores that much exactly therefore
+    has a blocked score of at least t - 2 gap. Only those passages are scored
+    again with ``maxsim_unit`` and ranked by ``rank``: they hold the exact
+    top k and every exact tie at the cut, in ascending passage order. A
+    non-finite blocked score sends every passage to ``maxsim_unit``.
+    """
+    n = len(offsets) - 1
+
+    def passage(i):
+        span = slice(offsets[i], offsets[i + 1])
+        return table[span] if rows is None else table[rows[span]]
+
+    survivors = np.arange(n)
+    if k is not None and k < n:
+        blocked = _blocked_maxsim(q_unit, table, offsets, rows)
+        if np.isfinite(blocked).all():
+            cut = np.partition(blocked, n - k)[n - k]
+            survivors = np.flatnonzero(blocked >= cut - 2.0 * maxsim_rounding_gap(*q_unit.shape))
+    exact = np.array([maxsim_unit(q_unit, passage(i)) for i in survivors], dtype=np.float64)
+    order = rank(exact, k)
+    return survivors[order], exact[order]
+
+
+def _blocked_maxsim(q_unit: np.ndarray, table: np.ndarray, offsets, rows) -> np.ndarray:
+    """Approximate MaxSim per passage, whole passages in blocks of at most
+    ``_MAXSIM_BLOCK`` rows (a longer passage is a block of its own)."""
+    n = len(offsets) - 1
+    out = np.empty(n)
+    first = 0
+    while first < n:
+        last = max(first + 1, int(np.searchsorted(offsets, offsets[first] + _MAXSIM_BLOCK, side="right")) - 1)
+        lo, hi = offsets[first], offsets[last]
+        sims = q_unit @ (table[lo:hi] if rows is None else table[rows[lo:hi]]).T  # terms x rows
+        out[first:last] = np.maximum.reduceat(sims, offsets[first:last] - lo, axis=1).sum(axis=0)
+        first = last
+    return out
 
 
 def rank(scores, k: int | None = None) -> np.ndarray:

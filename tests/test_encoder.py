@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modir import encoder
 from modir.encoder import (
@@ -593,6 +597,19 @@ class TestCheckpoint:
         save_checkpoint(params, first)
         save_checkpoint(load_checkpoint(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_truncation_is_format_error(self, data):
+        params = tiny_params(seed=26)
+        add_language(params, "cc", init_seed=5)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_checkpoint(params, path)
+            raw = path.read_bytes()
+            path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize("cut", [lambda raw: raw[:-9], lambda raw: raw[:12]], ids=["cut-by-9", "cut-to-12"])
     def test_truncated_checkpoint_is_format_error(self, tmp_path, cut):

@@ -1,7 +1,12 @@
 import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from modir.errors import (
     DimensionMismatchError,
@@ -10,7 +15,8 @@ from modir.errors import (
     InvalidConfigError,
     UnknownPassageError,
 )
-from modir.evaluation import brute_force_search
+from modir import scoring
+from modir.evaluation import UnitCorpus, brute_force_search
 from modir.index import (
     CompressedIndex,
     DuplicateCentroidWarning,
@@ -30,7 +36,7 @@ from modir.index import (
     select_centroids,
     unpack_codes,
 )
-from modir.scoring import maxsim_score, normalize_rows
+from modir.scoring import maxsim_score, maxsim_unit, normalize_rows, rank
 
 
 def clustered_corpus(rng, n_passages, dim, max_terms=8, spread=0.15):
@@ -438,6 +444,10 @@ class TestSearch:
         with pytest.raises(DimensionMismatchError):
             brute_force_search(np.zeros((2, idx.dim + 1)), unit, 3)
 
+    def test_unit_corpus_ids_must_ascend(self):
+        with pytest.raises(InvalidConfigError, match="ascending"):
+            UnitCorpus(["b", "a"], np.eye(2), np.array([0, 1, 2]))
+
     def test_final_k_larger_than_corpus_returns_all_without_padding(self):
         _, idx, query = small_index(n_passages=7)
         out = search(query, idx, SearchParams(n_probe=idx.centroid_count, candidate_k=100, final_k=100))
@@ -454,6 +464,171 @@ class TestSearch:
         )
         assert search(query, idx, params) == first
         assert calls == []
+
+
+def assert_same_ranking(got, expect):
+    """The same ids in the same order, and scores equal bit for bit (NaN too)."""
+    assert [pid for pid, _ in got] == [pid for pid, _ in expect]
+    assert np.array([s for _, s in got]).tobytes() == np.array([s for _, s in expect]).tobytes()
+
+
+def per_passage_oracle(query, unit, k):
+    """``maxsim_unit`` of every passage, in id order, ranked, first k."""
+    q_unit = normalize_rows(query)
+    ids = sorted(unit)
+    scores = np.array([maxsim_unit(q_unit, unit[pid]) for pid in ids])
+    return [(ids[i], float(scores[i])) for i in rank(scores)[:k]]
+
+
+def table_top_k(query, unit, k):
+    """``maxsim_top_k`` over a UnitCorpus's contiguous row table (no gather)."""
+    order, scores = scoring.maxsim_top_k(normalize_rows(query), unit.rows, unit.offsets, k)
+    return [(unit.ids[i], float(s)) for i, s in zip(order, scores)]
+
+
+def corpus_with_copies(rng, n_passages=20, n_distinct=8, dim=5):
+    """Passages drawn from a few distinct matrices, so many tie exactly."""
+    distinct = [rng.normal(size=(int(rng.integers(1, 7)), dim)) for _ in range(n_distinct)]
+    return {f"p{i:02d}": distinct[int(rng.integers(n_distinct))].copy() for i in range(n_passages)}
+
+
+class TestBlockedTopK:
+    """Re-rank (rows gathered from the unit-row table) and ``maxsim_top_k``
+    over a contiguous table score passages in row blocks and re-score only
+    the near-top with ``maxsim_unit``; every ranking must equal the first k
+    of the per-passage ranking, bit for bit, and so must the oracle's."""
+
+    @pytest.mark.parametrize("k", [1, 4, 60, 75], ids=["k1", "k4", "k-all", "k-over-all"])
+    @pytest.mark.parametrize("block", [3, 7, 1024], ids=["passages-longer-than-a-block", "straddling", "default"])
+    def test_equals_the_head_of_the_per_passage_ranking(self, monkeypatch, block, k):
+        monkeypatch.setattr("modir.scoring._MAXSIM_BLOCK", block)
+        _, idx, query = small_index()
+        starts, ends = idx.passage_offsets[:-1], idx.passage_offsets[1:]
+        assert (ends - starts).max() > 3 and np.any(starts // 7 != (ends - 1) // 7)
+        ids = list(idx.passage_ids)
+        assert_same_ranking(exact_rerank(query, ids, idx, k=k), exact_rerank(query, ids, idx)[:k])
+        params = SearchParams(n_probe=2, candidate_k=30, final_k=min(k, 30))
+        candidates = [pid for pid, _ in approximate_candidates(query, idx, params)]
+        assert_same_ranking(search(query, idx, params), exact_rerank(query, candidates, idx)[: params.final_k])
+        unit = idx.unit_corpus()
+        assert_same_ranking(brute_force_search(query, unit, k), per_passage_oracle(query, unit, k))
+        assert_same_ranking(table_top_k(query, unit, k), per_passage_oracle(query, unit, k))
+
+    @pytest.mark.filterwarnings("ignore::modir.index.DuplicateCentroidWarning")
+    def test_duplicated_passages_tie_exactly_at_different_block_positions(self, monkeypatch):
+        monkeypatch.setattr("modir.scoring._MAXSIM_BLOCK", 5)
+        rng = np.random.default_rng(21)
+        copy = rng.normal(size=(3, 4))
+        corpus = {f"x{i:02d}": rng.normal(size=(int(rng.integers(1, 6)), 4)) for i in range(20)}
+        corpus.update({"a": copy, "x05a": copy.copy(), "x13a": copy.copy()})  # early, middle and late rows
+        idx = build_index(corpus, seed=0)
+        unit = idx.unit_corpus()
+        query = copy + 0.01 * rng.normal(size=copy.shape)
+        ids = list(idx.passage_ids)
+        for k in (1, 2, 3, 4):
+            assert_same_ranking(exact_rerank(query, ids, idx, k=k), exact_rerank(query, ids, idx)[:k])
+            assert_same_ranking(brute_force_search(query, unit, k), per_passage_oracle(query, unit, k))
+            assert_same_ranking(table_top_k(query, unit, k), per_passage_oracle(query, unit, k))
+        top = exact_rerank(query, ids, idx, k=3)
+        assert [pid for pid, _ in top] == ["a", "x05a", "x13a"] and top[0][1] == top[1][1] == top[2][1]
+
+    def test_copies_whose_blocked_scores_differ_still_tie(self):
+        # Two copies of one passage tie exactly, but "p00" is blocked alone (the
+        # 1,024-row "p01" does not fit beside it) and "p02" in a wider block.
+        # With OpenBLAS 0.3.31 the wider matmul rounds "p02" up by 1-2 ulps, so
+        # without the margin below the k-th blocked score k=1 keeps only "p02".
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(5, 128))
+        corpus = {"p00": a, "p01": rng.normal(size=(1024, 128)), "p02": a.copy()}
+        corpus.update({f"p{i:02d}": rng.normal(size=(6, 128)) for i in range(3, 13)})
+        query = rng.normal(size=(32, 128)) + 3 * a[0]
+        idx = build_index(corpus, seed=0, centroid_count=16)
+        unit = idx.unit_corpus()
+        expect = per_passage_oracle(query, unit, 1)
+        assert expect[0][0] == "p00"
+        assert_same_ranking(brute_force_search(query, unit, 1), expect)
+        assert_same_ranking(table_top_k(query, unit, 1), expect)
+        assert_same_ranking(exact_rerank(query, idx.passage_ids, idx, k=1), expect)
+
+    def test_blocked_scores_off_by_most_of_the_gap_still_rank_exactly(self, monkeypatch):
+        # The same failure on any BLAS: the blocked scores of two exact copies
+        # are pushed apart by 0.9 of maxsim_rounding_gap, within what the
+        # margin allows for.
+        blocked = scoring._blocked_maxsim
+
+        def skewed(q_unit, table, offsets, rows):
+            out = blocked(q_unit, table, offsets, rows)
+            shift = 0.45 * scoring.maxsim_rounding_gap(*q_unit.shape)
+            out[0] -= shift
+            out[1] += shift
+            return out
+
+        monkeypatch.setattr(scoring, "_blocked_maxsim", skewed)
+        rng = np.random.default_rng(6)
+        copy = normalize_rows(rng.normal(size=(2, 3)))
+        unit = UnitCorpus(["a", "b", "c"], np.vstack([copy, copy, normalize_rows(rng.normal(size=(2, 3)))]),
+                          np.array([0, 2, 4, 6]))
+        query = copy + 0.01 * rng.normal(size=copy.shape)
+        expect = per_passage_oracle(query, unit, 1)
+        assert expect[0][0] == "a"
+        assert_same_ranking(table_top_k(query, unit, 1), expect)
+
+    def test_all_zero_rows(self):
+        rng = np.random.default_rng(4)
+        rows = normalize_rows(rng.normal(size=(12, 3)))
+        rows[3:6] = 0.0  # passage "b" is all zeros
+        rows[8] = 0.0  # and "d" has one zero row
+        unit = UnitCorpus(["a", "b", "c", "d"], rows, np.array([0, 3, 6, 8, 12]))
+        query = rng.normal(size=(3, 3))
+        query[1] = 0.0
+        for k in (1, 2, 4, 5):
+            assert_same_ranking(brute_force_search(query, unit, k), per_passage_oracle(query, unit, k))
+            assert_same_ranking(table_top_k(query, unit, k), per_passage_oracle(query, unit, k))
+        assert dict(brute_force_search(query, unit, 4))["b"] == 0.0
+        _, idx, query = small_index()
+        query[0] = 0.0
+        ids = list(idx.passage_ids)
+        assert_same_ranking(exact_rerank(query, ids, idx, k=5), exact_rerank(query, ids, idx)[:5])
+
+    def test_only_the_near_top_is_scored_again(self, monkeypatch):
+        _, idx, query = small_index()
+        calls = []
+        monkeypatch.setattr(scoring, "maxsim_unit", lambda q, p: calls.append(len(p)) or maxsim_unit(q, p))
+        exact_rerank(query, list(idx.passage_ids), idx, k=3)
+        table_top_k(query, idx.unit_corpus(), 3)
+        assert len(calls) == 6  # three each: the scores are distinct
+
+    def test_a_nan_query_row_sends_every_passage_to_the_exact_path(self, monkeypatch):
+        _, idx, query = small_index()
+        query[1] = np.nan
+        ids = list(idx.passage_ids)
+        expect = exact_rerank(query, ids, idx)[:3]
+        calls = []
+        monkeypatch.setattr(scoring, "maxsim_unit", lambda q, p: calls.append(len(p)) or maxsim_unit(q, p))
+        got = exact_rerank(query, ids, idx, k=3)
+        assert len(calls) == idx.passage_count and all(np.isnan(s) for _, s in got)
+        assert_same_ranking(got, expect)
+        unit = idx.unit_corpus()
+        assert_same_ranking(brute_force_search(query, unit, 3), per_passage_oracle(query, unit, 3))
+        assert_same_ranking(table_top_k(query, unit, 3), per_passage_oracle(query, unit, 3))
+
+    @pytest.mark.filterwarnings("ignore::modir.index.DuplicateCentroidWarning")
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**16), k=st.integers(1, 22), block=st.integers(1, 12))
+    def test_random_corpora_with_copies(self, seed, k, block):
+        rng = np.random.default_rng(seed)
+        idx = build_index(corpus_with_copies(rng), seed=seed)
+        query = rng.normal(size=(int(rng.integers(1, 5)), idx.dim))
+        query[rng.random(query.shape[0]) < 0.2] = 0.0
+        ids = list(idx.passage_ids)
+        unit = idx.unit_corpus()
+        params = SearchParams(n_probe=int(rng.integers(1, idx.centroid_count + 1)), candidate_k=22, final_k=k)
+        candidates = [pid for pid, _ in approximate_candidates(query, idx, params)]
+        with mock.patch("modir.scoring._MAXSIM_BLOCK", block):
+            assert_same_ranking(exact_rerank(query, ids, idx, k=k), exact_rerank(query, ids, idx)[:k])
+            assert_same_ranking(search(query, idx, params), exact_rerank(query, candidates, idx)[:k])
+            assert_same_ranking(brute_force_search(query, unit, k), per_passage_oracle(query, unit, k))
+            assert_same_ranking(table_top_k(query, unit, k), per_passage_oracle(query, unit, k))
 
 
 class TestSerialization:
@@ -502,6 +677,63 @@ class TestSerialization:
         query = np.array([[1.0, 1.0]])
         params = SearchParams(n_probe=1, candidate_k=5, final_k=5)
         assert search(query, loaded, params) == search(query, idx, params)
+
+
+    def test_failed_save_keeps_the_earlier_index(self, tmp_path, monkeypatch):
+        _, idx, query = small_index()
+        save_index(idx, tmp_path / "idx")
+        before = {f.name: f.read_bytes() for f in (tmp_path / "idx").iterdir()}
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("modir.index.pack_codes", fail)
+        other = build_index({"only": np.eye(idx.dim)}, seed=0)
+        for target in ("idx", "fresh"):
+            with pytest.raises(OSError, match="disk full"):
+                save_index(other, tmp_path / target)
+        assert [p.name for p in tmp_path.iterdir()] == ["idx"]  # no temporary directory, no "fresh"
+        assert {f.name: f.read_bytes() for f in (tmp_path / "idx").iterdir()} == before
+        params = SearchParams(n_probe=3, candidate_k=50, final_k=20)
+        assert search(query, load_index(tmp_path / "idx"), params) == search(query, idx, params)
+
+    def test_save_replaces_an_earlier_index(self, tmp_path):
+        _, idx, _ = small_index()
+        save_index(idx, tmp_path / "idx")
+        save_index(build_index({"only": np.eye(idx.dim)}, seed=0), tmp_path / "idx")
+        assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+        assert load_index(tmp_path / "idx").passage_ids == ["only"]
+
+    def test_save_refuses_a_directory_holding_other_files(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("keep me")
+        with pytest.raises(InvalidConfigError, match="not an index directory"):
+            save_index(small_index()[1], tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
+
+@pytest.fixture(scope="module")
+def saved_index_files(tmp_path_factory):
+    """File name -> bytes of a small saved index with explicit passage ids."""
+    directory = tmp_path_factory.mktemp("saved") / "idx"
+    _, idx, _ = small_index()
+    assert idx.passage_ids != [str(i) for i in range(idx.passage_count)]
+    save_index(idx, directory)
+    return {f.name: f.read_bytes() for f in directory.iterdir()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(["centroids.f32", "codec.f32", "codes.bin", "invlists.bin", "passages.bin"]),
+    data=st.data(),
+)
+def test_every_truncation_of_an_index_file_is_a_format_error(saved_index_files, name, data):
+    # meta.json is left out: without its final newline it is still valid JSON
+    cut = data.draw(st.integers(0, len(saved_index_files[name]) - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        for file_name, raw in saved_index_files.items():
+            (Path(tmp) / file_name).write_bytes(raw[:cut] if file_name == name else raw)
+        with pytest.raises(FormatError):
+            load_index(tmp)
 
 
 def _cut_last_byte(directory, name):
@@ -564,6 +796,39 @@ class TestLoadCorrupt:
         buf = path.read_bytes()
         assert buf.count(b"p1") == 1
         path.write_bytes(buf.replace(b"p1", b"p0"))
+        with pytest.raises(FormatError, match="passages.bin"):
+            load_index(tmp_path)
+
+    def test_passage_ids_out_of_order_rejected(self, tmp_path):
+        rng = np.random.default_rng(15)
+        save_index(build_index({f"p{i}": rng.normal(size=(3, 4)) for i in range(5)}, seed=0), tmp_path)
+        path = tmp_path / "passages.bin"
+        buf = path.read_bytes()
+        path.write_bytes(buf.replace(b"p1", b"p9"))  # p0, p9, p2, ...: unique, not ascending
+        with pytest.raises(FormatError, match="passages.bin"):
+            load_index(tmp_path)
+
+    def test_implicit_ids_beyond_ten_passages_rejected(self, tmp_path):
+        # decimal positions 0..10 are not in string order, so build_index never writes them implicitly
+        rng = np.random.default_rng(17)
+        idx = build_index({i: rng.normal(size=(2, 3)) for i in range(11)}, seed=0)
+        assert idx.passage_ids[:3] == ["0", "1", "10"]
+        save_index(idx, tmp_path)
+        path = tmp_path / "passages.bin"
+        buf = path.read_bytes()
+        mode = 4 + 11  # u32 count, then eleven one-byte counts
+        assert buf[mode] == 1
+        path.write_bytes(buf[:mode] + b"\x00")
+        with pytest.raises(FormatError, match="passages.bin"):
+            load_index(tmp_path)
+
+    def test_passage_without_embeddings_rejected(self, tmp_path):
+        rng = np.random.default_rng(16)
+        save_index(build_index({i: rng.normal(size=(3, 4)) for i in range(5)}, seed=0), tmp_path)
+        path = tmp_path / "passages.bin"
+        buf = path.read_bytes()
+        assert buf[4:10] == bytes([3, 3, 3, 3, 3, 0])  # one-byte counts, then the implicit-id mode
+        path.write_bytes(buf[:4] + bytes([0, 6]) + buf[6:])  # the same embedding total
         with pytest.raises(FormatError, match="passages.bin"):
             load_index(tmp_path)
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from modir.scoring import (
     SimilarityConfig,
     cosine,
     maxsim_score,
+    maxsim_top_k,
+    maxsim_unit,
+    normalize_rows,
     pool_rows,
     pooled_score,
     prepare_passage,
@@ -272,3 +276,38 @@ class TestRank:
         expect = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
         got = rank(scores, k)
         assert got.shape == expect.shape and np.array_equal(got, expect)
+
+
+class TestMaxsimTopK:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_head_of_the_per_passage_ranking(self, data):
+        # Passages are drawn from a few distinct matrices, so exact ties are
+        # common; values include zeros, and a query row may be NaN.
+        dim = data.draw(st.integers(1, 6))
+        value = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-2.0, 2.0))
+        matrix = arrays(np.float64, st.tuples(st.integers(1, 5), st.just(dim)), elements=value)
+        distinct = data.draw(st.lists(matrix, min_size=1, max_size=5))
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=20))
+        passages = [normalize_rows(distinct[i]) for i in picks]
+        query_shape = st.tuples(st.integers(1, 4), st.just(dim))
+        query = data.draw(arrays(np.float64, query_shape, elements=value | st.just(np.nan)))
+        k = data.draw(st.integers(1, len(passages) + 2))
+        block = data.draw(st.integers(1, 8))
+        q_unit = normalize_rows(query)
+        offsets = np.concatenate(([0], np.cumsum([p.shape[0] for p in passages])))
+        table = np.vstack(passages)
+        if data.draw(st.booleans()):  # rows gathered from a shuffled table by position
+            rows = np.random.default_rng(len(picks)).permutation(table.shape[0])
+            shuffled = np.empty_like(table)
+            shuffled[rows] = table
+            table = shuffled
+            passages = [table[rows[offsets[i] : offsets[i + 1]]] for i in range(len(passages))]
+        else:
+            rows = None
+        scores = np.array([maxsim_unit(q_unit, p) for p in passages])
+        expect = rank(scores)[:k]
+        with mock.patch("modir.scoring._MAXSIM_BLOCK", block):
+            order, got = maxsim_top_k(q_unit, table, offsets, k, rows=rows)
+        assert np.array_equal(order, expect)
+        assert got.tobytes() == scores[expect].tobytes()
