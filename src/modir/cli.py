@@ -180,6 +180,8 @@ def cmd_index(args) -> int:
         f"embeddings={idx.embedding_count} centroids={idx.centroid_count} "
         f"bits_per_embedding={idx.bits_per_embedding}"
     )
+    sizes = np.bincount(idx.centroid_ids, minlength=idx.centroid_count)
+    print(f"list_size max={sizes.max()} mean={sizes.mean():.2f} empty_centroids={int((sizes == 0).sum())}")
     print(f"index={args.out}")
     return 0
 

@@ -59,7 +59,7 @@ from .evaluation import UnitCorpus
 
 FORMAT_VERSION = 1
 INDEX_FILES = ("meta.json", "centroids.f32", "codec.f32", "codes.bin", "invlists.bin", "passages.bin")
-_UNIT_BLOCK = 16384  # rows per block in unit_corpus; bounds its temporaries to a few MB
+_UNIT_BLOCK = 16384  # rows per block in unit_corpus and the build's encoding; bounds temporaries to a few MB
 
 
 class DuplicateCentroidWarning(UserWarning):
@@ -84,19 +84,29 @@ def _stack_sample(sample) -> np.ndarray:
     return np.vstack(mats)
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, xx: np.ndarray, inverse: np.ndarray):
+    """k-means++ seeding. ``xx`` holds the points' squared norms and
+    ``inverse`` each point's distinct-row id (``np.unique(..., axis=0)``).
+
+    Each pick costs one matvec (norm expansion) instead of a pass over a
+    difference matrix. Copies of a chosen point get exactly 0, as a direct
+    ``((p - c) ** 2).sum()`` gives them: the expansion can leave a few ulps
+    there, and once every distinct point is chosen the ``total == 0`` branch
+    must be taken, not a draw over rounding noise.
+    """
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(n))
+    d2 = np.full(n, np.inf)
+    col = np.empty((n, 1))
+    idx = int(rng.integers(n))
+    for j in range(k):
+        if j:
+            total = d2.sum()
+            idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
         centers[j] = points[idx]
-        np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1), out=d2)
+        _squared_distances(points, centers[j : j + 1], xx, xx[idx : idx + 1], out=col)
+        col[inverse == inverse[idx]] = 0.0
+        np.minimum(d2, col[:, 0], out=d2)
     return centers
 
 
@@ -115,6 +125,16 @@ def select_centroids(
     the power of two at or above sqrt(total_estimate) unless overridden. When
     there are fewer distinct sample vectors than centroids, the sample is
     cycled and duplicate centroids are kept with a warning.
+
+    The result is bit-identical to seeding with direct squared differences
+    and taking each Lloyd mean as ``points[assign == j].mean(axis=0)``, on
+    all but measure-zero inputs: k-means++ draws from distances by norm
+    expansion, which move only in the last bits (and are exactly 0 for
+    copies of a chosen point, as the direct form gives), and the means are
+    one ``np.add.at`` sum, which adds each cluster's rows in the same order
+    as that ``mean`` (``np.add.reduceat`` does not). A one-column sample is
+    the exception: numpy sums a contiguous column pairwise, so its clusters
+    are summed one at a time. Empty clusters keep their previous centroid.
     """
     points = _stack_sample(sample)
     k = centroid_count if centroid_count is not None else centroid_count_for(total_estimate)
@@ -122,23 +142,31 @@ def select_centroids(
         raise InvalidConfigError(f"centroid count must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
     n = points.shape[0]
-    distinct = np.unique(points, axis=0).shape[0]
-    if distinct < k:
+    distinct, inverse = np.unique(points, axis=0, return_inverse=True)
+    if distinct.shape[0] < k:
         warnings.warn(
-            f"requested {k} centroids from {distinct} distinct vectors; duplicates kept",
+            f"requested {k} centroids from {distinct.shape[0]} distinct vectors; duplicates kept",
             DuplicateCentroidWarning,
             stacklevel=2,
         )
     if k >= n:
         reps = -(-k // n)  # ceil
         return np.tile(points, (reps, 1))[:k]
-    centroids = _kmeans_pp_init(points, k, rng)
+    xx = (points * points).sum(axis=1)
+    centroids = _kmeans_pp_init(points, k, rng, xx, inverse.reshape(-1))
+    d2 = np.empty((n, k))
+    sums = np.empty_like(centroids)
+    columns = np.arange(points.shape[1])
     for _ in range(max_iter):
-        d2 = _squared_distances(points, centroids)
-        assign = np.argmin(d2, axis=1)
-        new = centroids.copy()  # empty clusters keep their previous centroid
-        for j in np.unique(assign):
-            new[j] = points[assign == j].mean(axis=0)
+        assign = np.argmin(_squared_distances(points, centroids, xx, out=d2), axis=1)
+        sums[:] = 0.0
+        if points.shape[1] == 1:  # a one-column mean is a contiguous reduction, which sums pairwise
+            for j in np.unique(assign):
+                sums[j] = points[assign == j].sum(axis=0)
+        else:  # flat indices take ufunc.at's 1-d fast path; each sum still adds its rows in order
+            np.add.at(sums.reshape(-1), (assign[:, None] * points.shape[1] + columns).reshape(-1), points.reshape(-1))
+        counts = np.bincount(assign, minlength=k)[:, None]
+        new = np.where(counts > 0, sums / np.maximum(counts, 1), centroids)
         shift = float(np.max(np.linalg.norm(new - centroids, axis=1)))
         centroids = new
         if shift <= tol:
@@ -146,9 +174,23 @@ def select_centroids(
     return centroids
 
 
-def _squared_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(len(x), len(c)) squared Euclidean distances, clipped at zero."""
-    d2 = (x * x).sum(axis=1)[:, None] - 2.0 * (x @ c.T) + (c * c).sum(axis=1)[None, :]
+def _squared_distances(x: np.ndarray, c: np.ndarray, xx=None, cc=None, out=None) -> np.ndarray:
+    """(len(x), len(c)) squared Euclidean distances ``|x|^2 - 2 x.c + |c|^2``,
+    clipped at zero, written into ``out`` when given.
+
+    ``xx`` and ``cc`` are the rows' squared norms, ``(x * x).sum(axis=1)``,
+    for callers that reuse them. The product goes into ``out`` and every
+    later step runs in place, with the same bits as the expression above:
+    scaling by -2 is exact and ``a - b`` equals ``a + (-b)``. The product's
+    bits depend on its shape under BLAS, so a caller that needs stable
+    assignments keeps its row blocks the same size.
+    """
+    xx = (x * x).sum(axis=1) if xx is None else xx
+    cc = (c * c).sum(axis=1) if cc is None else cc
+    d2 = np.matmul(x, c.T, out=out)
+    d2 *= -2.0
+    d2 += xx[:, None]
+    d2 += cc
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -157,6 +199,10 @@ def nearest_centroid_ids(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarr
 
     Duplicate centroid rows are collapsed before the distance computation and
     mapped back to the lowest original id, so ties are exact, not float-luck.
+    Distances are taken in row blocks of exactly ``4_000_000 // distinct
+    centroids`` vectors, into one reused buffer: the matmul's last bits depend
+    on the block's shape, so that block size is part of which centroid a
+    near-tied vector gets, and of the index bytes.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     cents = np.asarray(centroids, dtype=np.float64)
@@ -166,11 +212,13 @@ def nearest_centroid_ids(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarr
     order = np.argsort(first, kind="stable")
     uniq = uniq[order]  # unique rows, ordered by first appearance (= lowest id)
     lowest = first[order]
+    cc = (uniq * uniq).sum(axis=1)
     out = np.empty(vectors.shape[0], dtype=np.int64)
     chunk = max(1, int(4_000_000 // max(1, uniq.shape[0])))
+    buf = np.empty((min(chunk, vectors.shape[0]), uniq.shape[0]))
     for start in range(0, vectors.shape[0], chunk):
         block = vectors[start : start + chunk]
-        d2 = _squared_distances(block, uniq)
+        d2 = _squared_distances(block, uniq, cc=cc, out=buf[: block.shape[0]])
         # argmin takes the first minimum; rows are in lowest-original-id order
         out[start : start + chunk] = lowest[np.argmin(d2, axis=1)]
     return out
@@ -359,6 +407,7 @@ class CompressedIndex:
     def __post_init__(self):
         self._by_external = {pid: i for i, pid in enumerate(self.passage_ids)}
         self._centroids64 = self.centroids.astype(np.float64)
+        self._centroid_sq = (self._centroids64 * self._centroids64).sum(axis=1)  # for the query probe
         sizes = np.bincount(self.centroid_ids, minlength=self.centroid_count)
         self.list_offsets = np.concatenate(([0], np.cumsum(sizes)))
         self.list_members = np.argsort(self.centroid_ids, kind="stable")
@@ -438,7 +487,10 @@ class CompressedIndex:
         counts = self.passage_offsets[internals + 1] - lo
         offsets = np.concatenate(([0], np.cumsum(counts)))
         emb_ids = np.repeat(lo - offsets[:-1], counts) + np.arange(offsets[-1])
-        self.fill_lists(np.unique(self.centroid_ids[emb_ids]))
+        cids = self.centroid_ids[emb_ids]
+        unfilled = cids[~self._filled[cids]]
+        if unfilled.size:  # once warm, every list is filled: skip the sort
+            self.fill_lists(np.unique(unfilled))
         return self._csr_position[emb_ids], offsets
 
 
@@ -457,6 +509,15 @@ def build_index(
     codec are fitted on a seeded sample of at most ``sample_passages``
     passages, stored as float32, and all assignments/codes are computed
     against the stored float32 values.
+
+    The corpus is stacked into one float64 table and checked for non-finite
+    values once, after the shape checks; the error names the first passage,
+    in id order, that holds one. Residuals are formed and encoded
+    ``_UNIT_BLOCK`` rows at a time, so no second corpus-sized float64 table
+    exists; encoding is element-wise, so the codes do not depend on the
+    block. Together with the fixed assignment blocks of
+    ``nearest_centroid_ids``, the index files are byte-identical to those of
+    a build that encodes the whole corpus at once.
     """
     if not corpus:
         raise EmptyInputError("cannot index an empty corpus")
@@ -474,13 +535,16 @@ def build_index(
             dim = mat.shape[1]
         elif mat.shape[1] != dim:
             raise DimensionMismatchError(f"passage {key!r} dim {mat.shape[1]} != {dim}")
-        if not np.all(np.isfinite(mat)):
-            raise InvalidConfigError(f"passage {key!r} contains non-finite values")
         matrices.append(mat)
 
     counts = np.array([m.shape[0] for m in matrices], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     all_emb = np.vstack(matrices)
+    del matrices
+    finite = np.isfinite(all_emb).all(axis=1)
+    if not finite.all():
+        first = keys[int(np.searchsorted(offsets, np.argmin(finite), side="right")) - 1]
+        raise InvalidConfigError(f"passage {first!r} contains non-finite values")
     total = int(offsets[-1])
 
     sample_rng = np.random.default_rng((seed, 0))
@@ -493,10 +557,13 @@ def build_index(
     ).astype(np.float32)
 
     assignments = nearest_centroid_ids(all_emb, centroids)
-    sample_residuals = all_emb[sample_rows] - centroids.astype(np.float64)[assignments[sample_rows]]
-    codec64 = fit_codec(sample_residuals, dim)
+    cents64 = centroids.astype(np.float64)
+    codec64 = fit_codec(all_emb[sample_rows] - cents64[assignments[sample_rows]], dim)
     codec = ResidualCodec(cuts=codec64.cuts.astype(np.float32), reps=codec64.reps.astype(np.float32))
-    residual_codes = codec.encode(all_emb - centroids.astype(np.float64)[assignments])
+    residual_codes = np.empty((total, dim), dtype=np.uint8)
+    for lo in range(0, total, _UNIT_BLOCK):  # element-wise, so chunking keeps every bit
+        hi = min(lo + _UNIT_BLOCK, total)
+        residual_codes[lo:hi] = codec.encode(all_emb[lo:hi] - cents64[assignments[lo:hi]])
     return CompressedIndex(
         centroids=centroids,
         codec=codec,
@@ -539,7 +606,7 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     qn = scoring.normalize_rows(q)
     n_terms = q.shape[0]
     # each term's n_probe nearest centroids, grouped by centroid with terms ascending
-    probes = scoring.rank(-_squared_distances(q, index._centroids64), params.n_probe).ravel()
+    probes = scoring.rank(-_squared_distances(q, index._centroids64, cc=index._centroid_sq), params.n_probe).ravel()
     by_list = np.argsort(probes, kind="stable")
     cids, starts = np.unique(probes[by_list], return_index=True)
     index.fill_lists(cids)

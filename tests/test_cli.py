@@ -162,6 +162,19 @@ class TestIndexCmd:
         assert run_cli("index", "--corpus", block, "--out", out, "--config", config_path) == 0
         assert (out / "codes.bin").exists()
 
+    def test_list_size_line(self, tmp_path, small_config, capsys):
+        config_path, _ = small_config
+        a, b = np.zeros((1, 4), dtype=np.float32), np.full((1, 4), 10.0, dtype=np.float32)
+        block = tmp_path / "corpus.emb"
+        write_embedding_block({"p0": np.vstack([a, a]), "p1": np.vstack([a, b]), "p2": np.vstack([b, b])}, block)
+        with pytest.warns(index_mod.DuplicateCentroidWarning):  # 4 centroids, 2 distinct rows
+            assert run_cli("index", "--corpus", block, "--out", tmp_path / "idx", "--config", config_path) == 0
+        sizes = np.bincount(index_mod.load_index(tmp_path / "idx").centroid_ids, minlength=4)
+        lines = capsys.readouterr().out.splitlines()
+        expect = f"list_size max={sizes.max()} mean={sizes.mean():.2f} empty_centroids={int((sizes == 0).sum())}"
+        assert lines[1] == expect
+        assert sizes.sum() == 6 and sizes.max() == 3 and (sizes == 0).sum() == 2
+
     def test_truncated_embedding_block_is_format_error(self, tmp_path, small_config, capsys):
         config_path, _ = small_config
         block = tmp_path / "corpus.emb"

@@ -270,6 +270,16 @@ class TestBuildIndex:
         with pytest.raises(DimensionMismatchError):
             build_index({"a": np.ones((2, 4)), "b": np.ones((2, 3))}, seed=0)
 
+    def test_non_finite_values_name_the_first_bad_passage(self):
+        corpus = {key: np.ones((3, 4)) for key in ("a", "b", "c", "d", "e")}
+        corpus["b"][2, 1] = np.nan
+        corpus["d"][0, 3] = np.inf
+        with pytest.raises(InvalidConfigError, match=r"^passage 'b' contains non-finite values$"):
+            build_index(corpus, seed=0)
+        corpus["b"][2, 1] = 0.0
+        with pytest.raises(InvalidConfigError, match=r"^passage 'd' contains non-finite values$"):
+            build_index(corpus, seed=0)
+
 
 def small_index(seed=13, n_passages=60, dim=6):
     rng = np.random.default_rng(seed)
@@ -464,6 +474,24 @@ class TestSearch:
         )
         assert search(query, idx, params) == first
         assert calls == []
+
+    def test_rerank_fills_only_unfilled_lists_and_skips_the_call_when_warm(self, monkeypatch):
+        _, idx, _ = small_index()
+        internals = np.arange(idx.passage_count)
+        idx.fill_lists(np.array([0]))
+        calls = []
+        original = CompressedIndex.fill_lists
+        monkeypatch.setattr(
+            CompressedIndex, "fill_lists", lambda self, cids: calls.append(cids) or original(self, cids)
+        )
+        first = idx.unit_row_positions(internals)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.setdiff1d(idx.centroid_ids, [0]))
+        assert idx._filled.all()
+        again = idx.unit_row_positions(internals)
+        assert len(calls) == 1
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
 
 
 def assert_same_ranking(got, expect):

@@ -1,0 +1,256 @@
+"""The index build's in-place hot paths against plain reference versions.
+
+The references below are the straightforward forms the build used before
+its distance, k-means++, Lloyd and residual-encoding steps were rewritten to
+run in place: k-means++ seeding by direct squared differences, Lloyd means
+by one boolean mask per cluster, the distance expression in one line, and
+assignment with a fresh distance matrix per row block. The build must give
+the same bits (``np.array_equal``), so index bytes do not depend on which
+form built them.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modir import index
+from modir.index import ResidualCodec, build_index, fit_codec, nearest_centroid_ids, select_centroids
+
+
+def ref_kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[j] = points[idx]
+        np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1), out=d2)
+    return centers
+
+
+def ref_select_centroids(points, k, seed, max_iter=25, tol=1e-6):
+    rng = np.random.default_rng(seed)
+    n = points.shape[0]
+    if k >= n:
+        reps = -(-k // n)  # ceil
+        return np.tile(points, (reps, 1))[:k]
+    centroids = ref_kmeans_pp_init(points, k, rng)
+    for _ in range(max_iter):
+        d2 = ref_squared_distances(points, centroids)
+        assign = np.argmin(d2, axis=1)
+        new = centroids.copy()  # empty clusters keep their previous centroid
+        for j in np.unique(assign):
+            new[j] = points[assign == j].mean(axis=0)
+        shift = float(np.max(np.linalg.norm(new - centroids, axis=1)))
+        centroids = new
+        if shift <= tol:
+            break
+    return centroids
+
+
+def ref_squared_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    d2 = (x * x).sum(axis=1)[:, None] - 2.0 * (x @ c.T) + (c * c).sum(axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def ref_nearest_centroid_ids(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    vectors = np.asarray(vectors, dtype=np.float64)
+    cents = np.asarray(centroids, dtype=np.float64)
+    uniq, first = np.unique(cents, axis=0, return_index=True)
+    order = np.argsort(first, kind="stable")
+    uniq = uniq[order]
+    lowest = first[order]
+    out = np.empty(vectors.shape[0], dtype=np.int64)
+    chunk = max(1, int(4_000_000 // max(1, uniq.shape[0])))
+    for start in range(0, vectors.shape[0], chunk):
+        block = vectors[start : start + chunk]
+        d2 = ref_squared_distances(block, uniq)
+        out[start : start + chunk] = lowest[np.argmin(d2, axis=1)]
+    return out
+
+
+def ref_build_arrays(corpus, seed, sample_passages=256):
+    """build_index's arrays, from the references and one whole-corpus encode."""
+    keys = sorted(corpus, key=str)
+    matrices = [np.asarray(corpus[key], dtype=np.float64) for key in keys]
+    offsets = np.concatenate(([0], np.cumsum([m.shape[0] for m in matrices])))
+    all_emb = np.vstack(matrices)
+    sample_rng = np.random.default_rng((seed, 0))
+    n_sample = min(len(keys), sample_passages)
+    sample_idx = np.sort(sample_rng.choice(len(keys), size=n_sample, replace=False))
+    sample_rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in sample_idx])
+    k = index.centroid_count_for(int(offsets[-1]))
+    centroids = ref_select_centroids(all_emb[sample_rows], k, (seed, 1)).astype(np.float32)
+    assignments = ref_nearest_centroid_ids(all_emb, centroids)
+    sample_residuals = all_emb[sample_rows] - centroids.astype(np.float64)[assignments[sample_rows]]
+    codec64 = fit_codec(sample_residuals, all_emb.shape[1])
+    codec = ResidualCodec(cuts=codec64.cuts.astype(np.float32), reps=codec64.reps.astype(np.float32))
+    residual_codes = codec.encode(all_emb - centroids.astype(np.float64)[assignments])
+    return centroids, codec, assignments, residual_codes
+
+
+def duplicated_points(rng, distinct, n, dim):
+    """n rows drawn from ``distinct`` normal rows, every one of them used."""
+    pool = rng.standard_normal((distinct, dim))
+    picks = np.concatenate([np.arange(distinct), rng.integers(distinct, size=n - distinct)])
+    return pool[rng.permutation(picks)]
+
+
+def select_quietly(points, k, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", index.DuplicateCentroidWarning)
+        return select_centroids([points], points.shape[0], seed, centroid_count=k)
+
+
+def assert_same_arrays(built, ref):
+    centroids, codec, assignments, residual_codes = ref
+    assert np.array_equal(built.centroids, centroids)
+    assert np.array_equal(built.codec.cuts, codec.cuts) and np.array_equal(built.codec.reps, codec.reps)
+    assert np.array_equal(built.centroid_ids, assignments)
+    assert np.array_equal(built.residual_codes, residual_codes)
+
+
+class TestSquaredDistances:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.integers(1, 12), dim=st.integers(1, 9),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_every_form_equals_the_reference(self, seed, n, k, dim, scale):
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal((n, dim))
+        c = scale * rng.standard_normal((k, dim))
+        m = min(n, k // 2)
+        c[:m] = x[:m]  # some pairs at distance 0
+        expect = ref_squared_distances(x, c)
+        xx, cc = (x * x).sum(axis=1), (c * c).sum(axis=1)
+        out = np.full((n, k), np.nan)
+        assert np.array_equal(index._squared_distances(x, c), expect)
+        assert np.array_equal(index._squared_distances(x, c, xx, cc), expect)
+        assert index._squared_distances(x, c, xx, cc, out=out) is out
+        assert np.array_equal(out, expect)
+
+
+class TestSelectCentroidsReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_duplicated_points_fewer_distinct_than_k(self, seed):
+        # once every distinct row is a center, the reference's distances are all
+        # exactly 0 and it draws uniformly; rounding noise there changes the draws
+        rng = np.random.default_rng((seed, 99))
+        distinct = int(rng.integers(2, 9))
+        k = int(rng.integers(distinct + 1, 3 * distinct))
+        points = duplicated_points(rng, distinct, k + int(rng.integers(1, 30)), int(rng.integers(2, 10)))
+        got = select_quietly(points, k, seed)
+        expect = ref_select_centroids(points, k, seed)
+        assert np.array_equal(got, expect)
+        sizes = np.bincount(ref_nearest_centroid_ids(points, expect), minlength=k)
+        assert (sizes == 0).any()  # duplicate centers leave clusters empty
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_separated_clusters(self, seed):
+        rng = np.random.default_rng((seed, 7))
+        centers = 5.0 * rng.standard_normal((6, 8))
+        points = centers[rng.integers(6, size=300)] + 0.3 * rng.standard_normal((300, 8))
+        k = int(rng.integers(2, 24))
+        assert np.array_equal(select_quietly(points, k, seed), ref_select_centroids(points, k, seed))
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("extra", [0, 1, 9])
+    def test_k_at_or_above_n_tiles_the_points(self, n, extra):
+        points = np.random.default_rng(n).standard_normal((n, 3))
+        got = select_quietly(points, n + extra, 5)
+        assert np.array_equal(got, ref_select_centroids(points, n + extra, 5))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_centroid(self, seed):
+        points = np.random.default_rng(seed).standard_normal((50, 4))
+        got = select_quietly(points, 1, seed)
+        assert np.array_equal(got, ref_select_centroids(points, 1, seed))
+
+    def test_signed_zeros(self):
+        # a cluster of -0.0 coordinates: add.at and mean both start from +0.0
+        points = np.array([[-0.0, 1.0], [-0.0, 1.0], [-0.0, 1.5], [4.0, -0.0], [4.5, -0.0], [9.0, 9.0]])
+        for seed in range(10):
+            got = select_quietly(points, 3, seed)
+            expect = ref_select_centroids(points, 3, seed)
+            assert np.array_equal(got, expect) and np.array_equal(np.signbit(got), np.signbit(expect))
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), distinct=st.integers(1, 10), extra=st.integers(0, 30),
+           k=st.integers(1, 40), dim=st.integers(1, 6))
+    def test_random_duplicated_samples(self, seed, distinct, extra, k, dim):
+        points = duplicated_points(np.random.default_rng(seed), distinct, distinct + extra, dim)
+        assert np.array_equal(select_quietly(points, k, seed), ref_select_centroids(points, k, seed))
+
+
+class TestNearestCentroidReference:
+    def test_exactly_tied_and_duplicate_centroids(self):
+        rng = np.random.default_rng(3)
+        points = rng.standard_normal((30, 4))
+        e = np.array([0.5, 0.0, 0.0, 0.0])
+        centroids = np.vstack([points[:5] + e, points[:5] - e, points[:5] + e, points[5:8]])  # equidistant pairs
+        got = nearest_centroid_ids(points, centroids)
+        assert np.array_equal(got, ref_nearest_centroid_ids(points, centroids))
+        assert not np.isin(got, np.arange(10, 15)).any()  # duplicates map to the lowest id
+
+    def test_row_blocks_with_a_partial_last_block(self, monkeypatch):
+        # 4,000 distinct centroids: blocks of 1,000 rows, the last one of 500
+        rng = np.random.default_rng(4)
+        centroids = rng.standard_normal((4000, 6)).astype(np.float32)
+        vectors = np.vstack([rng.standard_normal((2000, 6)), centroids[:500]])
+        blocks = []
+        original = index._squared_distances
+        spy = lambda x, c, *a, **k: blocks.append(x.shape) or original(x, c, *a, **k)  # noqa: E731
+        monkeypatch.setattr(index, "_squared_distances", spy)
+        got = nearest_centroid_ids(vectors, centroids)
+        assert blocks == [(1000, 6), (1000, 6), (500, 6)]  # the product's bits depend on its shape
+        assert np.array_equal(got, ref_nearest_centroid_ids(vectors, centroids))
+        assert np.array_equal(got[2000:], np.arange(500))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), k=st.integers(1, 20), distinct=st.integers(1, 20))
+    def test_random_centroids_with_copies(self, seed, n, k, distinct):
+        rng = np.random.default_rng(seed)
+        pool = rng.standard_normal((distinct, 3)).astype(np.float32)
+        centroids = pool[rng.integers(distinct, size=k)]
+        vectors = np.vstack([rng.standard_normal((n, 3)), centroids.astype(np.float64)])
+        assert np.array_equal(nearest_centroid_ids(vectors, centroids), ref_nearest_centroid_ids(vectors, centroids))
+
+
+def clustered(rng, n_passages, dim, max_terms=9):
+    return {
+        f"p{i:03d}": rng.normal(size=dim) + 0.2 * rng.normal(size=(int(rng.integers(1, max_terms + 1)), dim))
+        for i in range(n_passages)
+    }
+
+
+class TestBuildReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_build_arrays_equal_the_reference(self, seed):
+        corpus = clustered(np.random.default_rng(seed), 80, 7)
+        assert_same_arrays(build_index(corpus, seed=seed), ref_build_arrays(corpus, seed))
+
+    @pytest.mark.parametrize("block", [1, 5, 16, 37])
+    def test_residual_codes_across_encode_chunk_edges(self, monkeypatch, block):
+        corpus = clustered(np.random.default_rng(block), 30, 5)
+        whole = build_index(corpus, seed=3)
+        monkeypatch.setattr(index, "_UNIT_BLOCK", block)
+        chunked = build_index(corpus, seed=3)
+        assert chunked.embedding_count > 2 * block
+        assert np.array_equal(chunked.residual_codes, whole.residual_codes)
+        assert_same_arrays(chunked, ref_build_arrays(corpus, 3))
+
+    def test_duplicate_rows_in_the_corpus(self):
+        rng = np.random.default_rng(8)
+        pool = rng.standard_normal((5, 4))
+        corpus = {f"p{i}": pool[rng.integers(5, size=int(rng.integers(1, 6)))] for i in range(20)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", index.DuplicateCentroidWarning)
+            built = build_index(corpus, seed=2)
+            assert_same_arrays(built, ref_build_arrays(corpus, 2))
