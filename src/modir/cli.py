@@ -64,6 +64,14 @@ def _encode_corpus(records, params, cfg: RunConfig, kind: str) -> dict:
     return out
 
 
+def _term_table(records, params, cfg: RunConfig) -> data.TermTable:
+    """The passages as one TermTable: an embedding block's own float32 table,
+    or the records' float64 embeddings and encodings stacked in id order."""
+    if isinstance(records, data.BlockRecords):
+        return records.table
+    return data.TermTable.stack(_encode_corpus(records, params, cfg, "passage"))
+
+
 def _write_report(path, losses):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,loss\n")
@@ -173,8 +181,10 @@ def cmd_index(args) -> int:
     if not records:
         raise InvalidConfigError("corpus is empty")
     params = encoder.load_checkpoint(args.checkpoint) if args.checkpoint else None
-    corpus = _encode_corpus(records, params, cfg, "passage")
-    idx = index_mod.build_index(corpus, seed=cfg.seed)
+    table = _term_table(records, params, cfg)
+    del records  # JSONL matrices have been stacked into the table
+    idx = index_mod.build_index(table, seed=cfg.seed)
+    del table  # the index holds its own codes; saving it does not need the corpus
     index_mod.save_index(idx, args.out)
     print(
         f"embeddings={idx.embedding_count} centroids={idx.centroid_count} "

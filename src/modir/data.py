@@ -1,5 +1,6 @@
-"""Corpus/query ingestion: hash tokenizer, JSONL records, and the binary
-embedding block format.
+"""Corpus/query ingestion: hash tokenizer, JSONL records, the binary
+embedding block format, and ``TermTable``, the one ragged table a corpus
+travels in from the reader to the index.
 
 A JSONL record is ``{"id": ..., "language": ..., "text": ...}`` or
 ``{"id": ..., "embeddings": [[...], ...]}`` (exactly one of text/embeddings).
@@ -16,18 +17,22 @@ without any model dependency (all integers little-endian)::
 """
 
 import json
+import os
 import re
 import struct
 import zlib
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfigError, ParseError
+from .errors import DimensionMismatchError, FormatError, InvalidConfigError, ParseError
 from .scoring import NUM_SPECIAL
 
 _MAGIC = b"MVEB"
 _WORD = re.compile(r"[0-9a-z]+")
+_READ_BUFFER = 1 << 20  # bytes; an embedding block is read in large sequential pieces
 
 
 def tokenize(text: str, vocab: int) -> list[int]:
@@ -121,13 +126,19 @@ class ByteReader:
         self.view = memoryview(data)
         self.path = path
         self.offset = offset
+        self.size = len(self.view)
 
-    def take(self, size: int) -> memoryview:
-        left = len(self.view) - self.offset
+    def _advance(self, size: int) -> int:
+        """Move past ``size`` bytes and return where they start."""
+        left = self.size - self.offset
         if size > left:
             raise FormatError(f"{self.path} is truncated: {size} bytes wanted at offset {self.offset}, {left} left")
         self.offset += size
-        return self.view[self.offset - size : self.offset]
+        return self.offset - size
+
+    def take(self, size: int) -> memoryview:
+        start = self._advance(size)
+        return self.view[start : self.offset]
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -139,32 +150,168 @@ class ByteReader:
             raise FormatError(f"{self.path}: a name at offset {self.offset - size} is not UTF-8") from None
 
 
-def read_embedding_block(path) -> list[CorpusRecord]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _MAGIC:
-        raise FormatError(f"{path} is not an embedding block (bad magic)")
-    reader = ByteReader(data, path, 4)
-    version, dim, count = reader.unpack("<III")
-    if version != 1:
-        raise FormatError(f"unsupported embedding block version {version}")
-    records = []
-    seen = set()
-    for _ in range(count):
-        (id_len,) = reader.unpack("<H")
-        rid = reader.text(id_len)
-        (rows,) = reader.unpack("<I")
-        mat = np.frombuffer(reader.take(4 * rows * dim), dtype="<f4").reshape(rows, dim)
-        if rid in seen:
-            raise FormatError(f"duplicate record id {rid!r} in embedding block")
-        seen.add(rid)
-        records.append(CorpusRecord(id=rid, embeddings=mat.astype(np.float64)))
-    if reader.offset != len(data):
-        raise FormatError(f"{path} has {len(data) - reader.offset} trailing bytes")
-    return records
+class FileReader(ByteReader):
+    """A ByteReader over an open binary file: fields are read on demand, and
+    every size is checked against the file's size before it is read, or
+    skipped with ``skip``, which reads nothing."""
+
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.path = path
+        self.offset = fh.tell()
+        self.size = os.fstat(fh.fileno()).st_size
+
+    def take(self, size: int) -> bytes:
+        self._advance(size)
+        raw = self.fh.read(size)
+        if len(raw) != size:  # the file shrank since it was opened
+            raise FormatError(f"{self.path} is truncated at offset {self.offset - size + len(raw)}")
+        return raw
+
+    def skip(self, size: int):
+        self._advance(size)
+        self.fh.seek(self.offset)
 
 
-def read_records(path) -> list[CorpusRecord]:
+class TermTable(Mapping):
+    """Passage id -> term matrix, held as one ragged row table: the ids are
+    strings in strictly ascending order, and passage ``ids[i]`` is the view
+    ``rows[offsets[i]:offsets[i + 1]]``. ColBERTv2 and PLAID hold a corpus
+    the same way, as one flat embedding tensor plus per-passage lengths.
+
+    The rows keep the dtype they were made with: an embedding block's are
+    its float32 values, stacked matrices are float64.
+    """
+
+    def __init__(self, ids, rows: np.ndarray, offsets):
+        name = type(self).__name__
+        self.ids = list(ids)
+        if not all(isinstance(pid, str) for pid in self.ids):
+            raise InvalidConfigError(f"{name} ids must be strings")
+        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+            raise InvalidConfigError(f"{name} ids must be strictly ascending")
+        self.rows = rows
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        if (
+            rows.ndim != 2
+            or self.offsets.shape != (len(self.ids) + 1,)
+            or self.offsets[0] != 0
+            or self.offsets[-1] != rows.shape[0]
+            or np.any(np.diff(self.offsets) < 0)
+        ):
+            raise InvalidConfigError(f"{name} offsets must rise from 0 to the row count, one per passage and one more")
+
+    @classmethod
+    def stack(cls, corpus: Mapping) -> "TermTable":
+        """Stack ``{id: (rows, dim) matrix}`` into one float64 table, in the
+        order of the ``str`` ids. Two keys with the same ``str`` form, a
+        matrix that is not 2-d or has no rows, and a dimension that differs
+        from the first passage's are InvalidConfigError or
+        DimensionMismatchError naming the key."""
+        keys = sorted(corpus, key=str)
+        ids = [str(k) for k in keys]
+        if len(set(ids)) != len(ids):
+            raise InvalidConfigError("two passage ids have the same string form")
+        matrices = []
+        for key in keys:
+            mat = np.asarray(corpus[key], dtype=np.float64)
+            if mat.ndim != 2 or mat.shape[0] == 0:
+                raise InvalidConfigError(f"passage {key!r} must be a nonempty 2-d matrix")
+            if matrices and mat.shape[1] != matrices[0].shape[1]:
+                raise DimensionMismatchError(f"passage {key!r} dim {mat.shape[1]} != {matrices[0].shape[1]}")
+            matrices.append(mat)
+        offsets = np.concatenate(([0], np.cumsum([m.shape[0] for m in matrices], dtype=np.int64)))
+        return cls(ids, np.vstack(matrices) if matrices else np.empty((0, 0)), offsets)
+
+    @cached_property
+    def passages(self) -> list:
+        """Every passage's rows, as views, in id order."""
+        bounds = self.offsets.tolist()
+        return [self.rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def _position(self) -> dict:
+        return {pid: i for i, pid in enumerate(self.ids)}
+
+    def __getitem__(self, pid):
+        return self.passages[self._position[pid]]
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self):
+        return len(self.ids)
+
+
+class BlockRecords(Sequence):
+    """An embedding block's records in file order, each made when it is
+    read. Their embeddings are views of ``table``, which holds the same rows
+    in id order."""
+
+    def __init__(self, table: TermTable, positions: list):
+        self.table = table
+        self._positions = positions  # each record's passage index in the table, in file order
+
+    def __len__(self):
+        return len(self._positions)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        p = self._positions[i]
+        return CorpusRecord(id=self.table.ids[p], embeddings=self.table.passages[p])
+
+
+def read_embedding_block(path) -> BlockRecords:
+    """The records of a binary embedding block, in file order, over one
+    float32 ``TermTable`` of their rows in id order.
+
+    The file is read in two passes. The first walks the record headers and
+    seeks past the rows, checking every size against the file's size: a
+    truncated block, a row count that runs past the end, trailing bytes and
+    a repeated id are FormatError before the table is allocated. The second
+    reads each record's rows straight into the table, at its id's place, so
+    a block whose ids are not ascending is put in id order without a copy.
+    """
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        if fh.read(4) != _MAGIC:
+            raise FormatError(f"{path} is not an embedding block (bad magic)")
+        reader = FileReader(fh, path)
+        version, dim, count = reader.unpack("<III")
+        if version != 1:
+            raise FormatError(f"unsupported embedding block version {version}")
+        ids, counts, starts = [], [], []
+        seen = set()
+        for _ in range(count):
+            (id_len,) = reader.unpack("<H")
+            rid = reader.text(id_len)
+            (rows,) = reader.unpack("<I")
+            if rid in seen:
+                raise FormatError(f"duplicate record id {rid!r} in embedding block")
+            seen.add(rid)
+            ids.append(rid)
+            counts.append(rows)
+            starts.append(reader.offset)
+            reader.skip(4 * rows * dim)
+        if reader.offset != reader.size:
+            raise FormatError(f"{path} has {reader.size - reader.offset} trailing bytes")
+
+        order = sorted(range(count), key=ids.__getitem__)
+        offsets = np.concatenate(([0], np.cumsum([counts[i] for i in order], dtype=np.int64)))
+        positions = [0] * count
+        for p, i in enumerate(order):
+            positions[i] = p
+        bounds = offsets.tolist()
+        table = np.empty((bounds[-1], dim), dtype="<f4")
+        for i, p in enumerate(positions):
+            dest = table[bounds[p] : bounds[p + 1]]
+            fh.seek(starts[i])
+            if dest.size and fh.readinto(memoryview(dest).cast("B")) != dest.nbytes:
+                raise FormatError(f"{path} is truncated in the rows of record {ids[i]!r}")
+    return BlockRecords(TermTable([ids[i] for i in order], table, offsets), positions)
+
+
+def read_records(path) -> Sequence[CorpusRecord]:
     """Dispatch on the file magic: binary embedding block or JSONL."""
     with open(path, "rb") as fh:
         head = fh.read(4)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scoring
-from .data import text_lines
+from .data import TermTable, text_lines
 from .errors import InvalidConfigError, ParseError
 
 log = logging.getLogger(__name__)
@@ -72,35 +72,14 @@ def recall_at_k(run: dict, qrels: dict, k: int) -> float:
     return total / len(qids)
 
 
-class UnitCorpus(Mapping):
-    """Passage id -> term matrix whose rows are already ``normalize_rows``
-    output, held as one row table in strictly ascending id order (an index's
-    passage order): passage ``ids[i]`` is ``passages[i]``, the view
-    ``rows[offsets[i]:offsets[i + 1]]``.
+class UnitCorpus(TermTable):
+    """A ``TermTable`` whose rows are already ``normalize_rows`` output, in
+    an index's passage order (``CompressedIndex.unit_corpus``).
 
     ``brute_force_search`` scores each passage with ``maxsim_unit`` and
     neither normalizes nor sorts per query, which gives the same bits as
     scoring the raw matrices: normalization works row by row.
     """
-
-    def __init__(self, ids, rows: np.ndarray, offsets):
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise InvalidConfigError("UnitCorpus ids must be strictly ascending")
-        self.ids = list(ids)
-        self.rows = rows
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        bounds = self.offsets.tolist()
-        self.passages = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
-        self._position = {pid: i for i, pid in enumerate(self.ids)}
-
-    def __getitem__(self, pid):
-        return self.passages[self._position[pid]]
-
-    def __iter__(self):
-        return iter(self.ids)
-
-    def __len__(self):
-        return len(self.ids)
 
 
 def brute_force_search(query, corpus: Mapping, k: int):

@@ -48,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scoring
+from .data import TermTable
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -60,6 +61,7 @@ from .evaluation import UnitCorpus
 FORMAT_VERSION = 1
 INDEX_FILES = ("meta.json", "centroids.f32", "codec.f32", "codes.bin", "invlists.bin", "passages.bin")
 _UNIT_BLOCK = 16384  # rows per block in unit_corpus and the build's encoding; bounds temporaries to a few MB
+_PACK_ROWS = 65536  # embeddings per pack_codes chunk; a multiple of 8, so each chunk ends on a byte
 
 
 class DuplicateCentroidWarning(UserWarning):
@@ -202,9 +204,10 @@ def nearest_centroid_ids(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarr
     Distances are taken in row blocks of exactly ``4_000_000 // distinct
     centroids`` vectors, into one reused buffer: the matmul's last bits depend
     on the block's shape, so that block size is part of which centroid a
-    near-tied vector gets, and of the index bytes.
+    near-tied vector gets, and of the index bytes. Float32 vectors are
+    widened to float64 one block at a time, which is exact.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
+    vectors = np.asarray(vectors)
     cents = np.asarray(centroids, dtype=np.float64)
     if vectors.shape[1] != cents.shape[1]:
         raise DimensionMismatchError(f"vector dim {vectors.shape[1]} != centroid dim {cents.shape[1]}")
@@ -217,7 +220,7 @@ def nearest_centroid_ids(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarr
     chunk = max(1, int(4_000_000 // max(1, uniq.shape[0])))
     buf = np.empty((min(chunk, vectors.shape[0]), uniq.shape[0]))
     for start in range(0, vectors.shape[0], chunk):
-        block = vectors[start : start + chunk]
+        block = np.asarray(vectors[start : start + chunk], dtype=np.float64)
         d2 = _squared_distances(block, uniq, cc=cc, out=buf[: block.shape[0]])
         # argmin takes the first minimum; rows are in lowest-original-id order
         out[start : start + chunk] = lowest[np.argmin(d2, axis=1)]
@@ -296,17 +299,25 @@ def id_bit_width(centroid_count: int) -> int:
 
 
 def pack_codes(centroid_ids: np.ndarray, residual_codes: np.ndarray, id_bits: int) -> bytes:
-    """One MSB-first bitstream: per embedding the centroid id then 2 bits/dim."""
+    """One MSB-first bitstream: per embedding the centroid id then 2 bits/dim.
+
+    Embeddings are unpacked into one bit per byte and packed ``_PACK_ROWS``
+    at a time. That count is a multiple of 8, so every chunk but the last
+    ends on a byte boundary and the chunks' bytes join into the stream that
+    packing all embeddings at once gives.
+    """
     n, d = residual_codes.shape
-    cols = []
-    if id_bits:
-        shifts = np.arange(id_bits - 1, -1, -1, dtype=np.uint64)
-        cols.append(((centroid_ids.astype(np.uint64)[:, None] >> shifts) & 1).astype(np.uint8))
-    res_bits = np.empty((n, 2 * d), dtype=np.uint8)
-    res_bits[:, 0::2] = (residual_codes >> 1) & 1
-    res_bits[:, 1::2] = residual_codes & 1
-    cols.append(res_bits)
-    return np.packbits(np.concatenate(cols, axis=1).ravel()).tobytes()
+    shifts = np.arange(id_bits - 1, -1, -1, dtype=np.uint64)
+    bits = np.empty((min(n, _PACK_ROWS), id_bits + 2 * d), dtype=np.uint8)
+    chunks = []
+    for lo in range(0, n, _PACK_ROWS):
+        codes = residual_codes[lo : lo + _PACK_ROWS]
+        chunk = bits[: codes.shape[0]]
+        chunk[:, :id_bits] = (centroid_ids[lo : lo + _PACK_ROWS].astype(np.uint64)[:, None] >> shifts) & 1
+        chunk[:, id_bits::2] = (codes >> 1) & 1
+        chunk[:, id_bits + 1 :: 2] = codes & 1
+        chunks.append(np.packbits(chunk).tobytes())
+    return b"".join(chunks)
 
 
 def unpack_codes(blob: bytes, count: int, dim: int, id_bits: int):
@@ -391,9 +402,10 @@ class CompressedIndex:
     embedding ids, and ``member_passages`` holds each member's internal
     passage in the same order. Both search stages read unit-norm rows from
     one CSR-ordered float64 table: a list is filled (``fill_lists``) the first
-    time a query probes it or re-ranks a passage with a row in it. Filled rows
-    depend only on the stored facts, so a concurrent refill writes the same
-    bytes.
+    time a query probes it or re-ranks a passage with a row in it. The table
+    is allocated at the first fill, so building and saving an index never
+    holds it. Filled rows depend only on the stored facts, so a refill writes
+    the same bytes.
     """
 
     centroids: np.ndarray  # (C, dim) float32
@@ -415,7 +427,7 @@ class CompressedIndex:
         self.member_passages = emb_passage[self.list_members]
         self._csr_position = np.empty_like(self.list_members)  # inverse of list_members
         self._csr_position[self.list_members] = np.arange(self.embedding_count)
-        self._unit_rows = np.empty((self.embedding_count, self.dim))  # pages are touched as lists fill
+        self._unit_rows = None  # (embedding_count, dim) float64 once a list is filled
         self._filled = np.zeros(self.centroid_count, dtype=bool)
 
     @property
@@ -474,6 +486,8 @@ class CompressedIndex:
 
     def fill_lists(self, cids: np.ndarray):
         """Fill the unit-row table for each not yet filled list in ``cids`` (distinct ids)."""
+        if self._unit_rows is None:
+            self._unit_rows = np.empty((self.embedding_count, self.dim))  # pages are touched as lists fill
         for cid in cids[~self._filled[cids]]:
             lo, hi = self.list_offsets[cid], self.list_offsets[cid + 1]
             self._unit_rows[lo:hi] = scoring.normalize_rows(self.decompress_embeddings(self.list_members[lo:hi]))
@@ -495,7 +509,7 @@ class CompressedIndex:
 
 
 def build_index(
-    corpus: dict,
+    corpus,
     seed: int = 0,
     *,
     centroid_count: int | None = None,
@@ -503,67 +517,57 @@ def build_index(
 ) -> CompressedIndex:
     """Compress a corpus of per-passage term matrices into an inverted-file index.
 
-    Passages are ingested in the order of their ``str`` ids, the ids the index
-    stores and the order in which the brute-force oracle breaks ties, so a
-    rebuild from the same corpus and seed is byte-identical. Centroids and the
-    codec are fitted on a seeded sample of at most ``sample_passages``
-    passages, stored as float32, and all assignments/codes are computed
-    against the stored float32 values.
+    ``corpus`` is a ``TermTable``, such as an embedding block's float32 table,
+    or a mapping of id -> matrix, which is stacked once into a float64
+    ``TermTable``. Passages are ingested in the order of their ``str`` ids,
+    the ids the index stores and the order in which the brute-force oracle
+    breaks ties, so a rebuild from the same corpus and seed is
+    byte-identical. Centroids and the codec are fitted on a seeded sample of
+    at most ``sample_passages`` passages, stored as float32, and all
+    assignments/codes are computed against the stored float32 values.
 
-    The corpus is stacked into one float64 table and checked for non-finite
-    values once, after the shape checks; the error names the first passage,
-    in id order, that holds one. Residuals are formed and encoded
-    ``_UNIT_BLOCK`` rows at a time, so no second corpus-sized float64 table
-    exists; encoding is element-wise, so the codes do not depend on the
-    block. Together with the fixed assignment blocks of
-    ``nearest_centroid_ids``, the index files are byte-identical to those of
-    a build that encodes the whole corpus at once.
+    The table is never copied whole. Its rows are widened to float64 one
+    block at a time: the sample, each assignment block of
+    ``nearest_centroid_ids`` and each ``_UNIT_BLOCK``-row block of residuals.
+    Widening float32 is exact and encoding is element-wise, so together with
+    the fixed assignment blocks the index files are byte-identical to those
+    of a build over a float64 copy of the whole table. Before anything is
+    fitted, the rows are checked for non-finite values ``_UNIT_BLOCK`` at a
+    time; the error names the first passage, in id order, that holds one.
     """
-    if not corpus:
+    table = corpus if isinstance(corpus, TermTable) else TermTable.stack(corpus)
+    if not table:
         raise EmptyInputError("cannot index an empty corpus")
-    keys = sorted(corpus, key=str)
-    ids = [str(k) for k in keys]
-    if len(set(ids)) != len(ids):
-        raise InvalidConfigError("two passage ids have the same string form")
-    matrices = []
-    dim = None
-    for key in keys:
-        mat = np.asarray(corpus[key], dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] == 0:
-            raise InvalidConfigError(f"passage {key!r} must be a nonempty 2-d matrix")
-        if dim is None:
-            dim = mat.shape[1]
-        elif mat.shape[1] != dim:
-            raise DimensionMismatchError(f"passage {key!r} dim {mat.shape[1]} != {dim}")
-        matrices.append(mat)
-
-    counts = np.array([m.shape[0] for m in matrices], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    all_emb = np.vstack(matrices)
-    del matrices
-    finite = np.isfinite(all_emb).all(axis=1)
-    if not finite.all():
-        first = keys[int(np.searchsorted(offsets, np.argmin(finite), side="right")) - 1]
-        raise InvalidConfigError(f"passage {first!r} contains non-finite values")
-    total = int(offsets[-1])
+    rows, offsets, ids = table.rows, table.offsets, table.ids
+    empty = np.flatnonzero(np.diff(offsets) == 0)
+    if empty.size:
+        raise InvalidConfigError(f"passage {ids[empty[0]]!r} must be a nonempty 2-d matrix")
+    total, dim = rows.shape
+    for lo in range(0, total, _UNIT_BLOCK):
+        finite = np.isfinite(rows[lo : lo + _UNIT_BLOCK]).all(axis=1)
+        if not finite.all():
+            first = ids[int(np.searchsorted(offsets, lo + np.argmin(finite), side="right")) - 1]
+            raise InvalidConfigError(f"passage {first!r} contains non-finite values")
 
     sample_rng = np.random.default_rng((seed, 0))
-    n_sample = min(len(keys), sample_passages)
-    sample_idx = np.sort(sample_rng.choice(len(keys), size=n_sample, replace=False))
+    n_sample = min(len(ids), sample_passages)
+    sample_idx = np.sort(sample_rng.choice(len(ids), size=n_sample, replace=False))
     sample_rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in sample_idx])
+    sample = np.asarray(rows[sample_rows], dtype=np.float64)
 
-    centroids = select_centroids(
-        [all_emb[sample_rows]], total, (seed, 1), centroid_count=centroid_count
-    ).astype(np.float32)
+    centroids = select_centroids([sample], total, (seed, 1), centroid_count=centroid_count).astype(np.float32)
 
-    assignments = nearest_centroid_ids(all_emb, centroids)
+    assignments = nearest_centroid_ids(rows, centroids)
     cents64 = centroids.astype(np.float64)
-    codec64 = fit_codec(all_emb[sample_rows] - cents64[assignments[sample_rows]], dim)
+    codec64 = fit_codec(sample - cents64[assignments[sample_rows]], dim)
+    del sample
     codec = ResidualCodec(cuts=codec64.cuts.astype(np.float32), reps=codec64.reps.astype(np.float32))
     residual_codes = np.empty((total, dim), dtype=np.uint8)
     for lo in range(0, total, _UNIT_BLOCK):  # element-wise, so chunking keeps every bit
         hi = min(lo + _UNIT_BLOCK, total)
-        residual_codes[lo:hi] = codec.encode(all_emb[lo:hi] - cents64[assignments[lo:hi]])
+        residuals = cents64[assignments[lo:hi]]
+        np.subtract(rows[lo:hi], residuals, out=residuals)  # float32 rows are widened exactly
+        residual_codes[lo:hi] = codec.encode(residuals)
     return CompressedIndex(
         centroids=centroids,
         codec=codec,
@@ -739,15 +743,19 @@ def load_index(directory) -> CompressedIndex:
     """Read an index directory. Every section's size is checked against
     meta.json before it is reshaped or unpacked, and the inverted-list
     directory against the centroid ids in codes.bin; any disagreement, a
-    non-finite centroid or codec float, a passage without embeddings, or
-    passage ids that are not strictly ascending, raises FormatError naming
-    the file."""
+    meta.json that does not end in its newline, a non-finite centroid or
+    codec float, a passage without embeddings, or passage ids that are not
+    strictly ascending, raises FormatError naming the file."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     try:
-        meta = json.loads(meta_path.read_text())
+        raw = meta_path.read_bytes()
     except FileNotFoundError:
         raise FormatError(f"{directory} does not contain an index (missing meta.json)") from None
+    if not raw.endswith(b"\n"):  # save_index ends it with one; without it the file may be cut short
+        raise FormatError(f"{meta_path} does not end in a newline")
+    try:
+        meta = json.loads(raw)
     except ValueError as exc:
         raise FormatError(f"{meta_path} is not valid JSON: {exc}") from None
     if not isinstance(meta, dict) or meta.get("format_version") != FORMAT_VERSION:

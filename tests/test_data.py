@@ -1,9 +1,14 @@
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modir.data import (
+    TermTable,
     read_embedding_block,
     read_jsonl_records,
     read_records,
@@ -11,7 +16,7 @@ from modir.data import (
     tokenize,
     write_embedding_block,
 )
-from modir.errors import FormatError, InvalidConfigError, ParseError
+from modir.errors import DimensionMismatchError, FormatError, InvalidConfigError, ParseError
 from modir.scoring import NUM_SPECIAL
 
 
@@ -95,7 +100,7 @@ class TestEmbeddingBlock:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.emb"
         path.write_bytes(b"MVEBxx")  # magic ok, truncated header
-        with pytest.raises(Exception):
+        with pytest.raises(FormatError):
             read_embedding_block(path)
         path.write_bytes(b"XXXX" + b"\x00" * 12)
         with pytest.raises(FormatError):
@@ -113,6 +118,125 @@ def test_truncated_embedding_block_is_format_error(tmp_path, cut):
     path.write_bytes(cut(_small_block(path)))
     with pytest.raises(FormatError, match="truncated"):
         read_embedding_block(path)
+
+
+_SMALL_BLOCK = {"p2": np.arange(12, dtype=np.float32).reshape(3, 4), "p1": np.zeros((0, 4), dtype=np.float32),
+                "p0": -np.ones((2, 4), dtype=np.float32)}
+
+
+@pytest.fixture(scope="module")
+def small_block_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("block") / "corpus.emb"
+    write_embedding_block(_SMALL_BLOCK, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_truncation_of_an_embedding_block_is_a_format_error(small_block_bytes, tmp_path_factory, data):
+    cut = data.draw(st.integers(0, len(small_block_bytes) - 1))
+    path = tmp_path_factory.mktemp("cut") / "corpus.emb"
+    path.write_bytes(small_block_bytes[:cut])
+    with pytest.raises(FormatError):
+        read_embedding_block(path)
+
+
+@pytest.mark.parametrize("u32_max", [False, True], ids=["one-row-past-the-end", "u32-max"])
+def test_row_count_beyond_the_file_is_a_format_error(tmp_path, small_block_bytes, u32_max):
+    # the first record ("p2", 3 rows of dim 4) starts after the 16-byte header, its 2-byte id length and id
+    raw = bytearray(small_block_bytes)
+    at = 16 + 2 + 2
+    assert struct.unpack_from("<I", raw, at) == (3,)
+    rows = 2**32 - 1 if u32_max else (len(raw) - at - 4) // 16 + 1
+    struct.pack_into("<I", raw, at, rows)
+    path = tmp_path / "corpus.emb"
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated"):
+            read_embedding_block(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # the read buffer; no table is allocated before the sizes are checked
+
+
+class TestBlockTable:
+    """An embedding block is read into one float32 TermTable in id order;
+    its records keep file order and view that table."""
+
+    def test_records_keep_file_order_and_the_table_is_in_id_order(self, tmp_path):
+        path = tmp_path / "corpus.emb"
+        write_embedding_block(_SMALL_BLOCK, path)
+        records = read_embedding_block(path)
+        assert [r.id for r in records] == ["p2", "p1", "p0"]
+        table = records.table
+        assert table.ids == ["p0", "p1", "p2"]
+        assert table.rows.dtype == np.float32
+        assert table.offsets.tolist() == [0, 2, 2, 5]
+        for rec in records:
+            assert np.array_equal(rec.embeddings, _SMALL_BLOCK[rec.id])
+            assert np.shares_memory(rec.embeddings, table.rows) or rec.embeddings.size == 0
+            assert rec.text is None and rec.language == ""
+        assert [r.id for r in records[1:]] == ["p1", "p0"]
+        assert records[-1].id == "p0"
+        with pytest.raises(IndexError):
+            records[3]
+
+    def test_duplicate_id_and_trailing_bytes_are_format_errors(self, tmp_path):
+        path = tmp_path / "corpus.emb"
+        write_embedding_block({"a": np.ones((1, 2), dtype=np.float32)}, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
+            read_embedding_block(path)
+        one = path.read_bytes()[16:-1]  # the record alone
+        path.write_bytes(b"MVEB" + struct.pack("<III", 1, 2, 2) + one + one)
+        with pytest.raises(FormatError, match="duplicate"):
+            read_embedding_block(path)
+
+    def test_empty_block(self, tmp_path):
+        path = tmp_path / "corpus.emb"
+        path.write_bytes(b"MVEB" + struct.pack("<III", 1, 4, 0))
+        records = read_embedding_block(path)
+        assert len(records) == 0 and records.table.rows.shape == (0, 4)
+
+
+class TestTermTable:
+    def test_mapping_over_views(self):
+        rows = np.arange(10.0).reshape(5, 2)
+        table = TermTable(["a", "b", "c"], rows, [0, 2, 2, 5])
+        assert list(table) == ["a", "b", "c"] and len(table) == 3
+        assert np.array_equal(table["c"], rows[2:]) and table["b"].shape == (0, 2)
+        assert "b" in table and "d" not in table
+
+    @pytest.mark.parametrize("ids,offsets,match", [
+        (["b", "a"], [0, 1, 2], "ascending"),
+        (["a", "a"], [0, 1, 2], "ascending"),
+        ([1, 2], [0, 1, 2], "strings"),
+        (["a", "b"], [0, 2], "offsets"),
+        (["a", "b"], [1, 1, 2], "offsets"),
+        (["a", "b"], [0, 2, 1], "offsets"),
+        (["a", "b"], [0, 1, 3], "offsets"),
+    ])
+    def test_rejects_a_bad_layout(self, ids, offsets, match):
+        with pytest.raises(InvalidConfigError, match=match):
+            TermTable(ids, np.zeros((2, 3)), offsets)
+
+    def test_stack_orders_by_str_id_in_float64(self):
+        corpus = {10: np.ones((1, 2), dtype=np.float32), 2: [[0.5, 1.5], [2.5, 3.5]], "a": np.zeros((1, 2))}
+        table = TermTable.stack(corpus)
+        assert table.ids == ["10", "2", "a"]
+        assert table.rows.dtype == np.float64
+        assert table.offsets.tolist() == [0, 1, 3, 4]
+        assert np.array_equal(table["2"], [[0.5, 1.5], [2.5, 3.5]])
+
+    def test_stack_rejects_what_build_index_rejects(self):
+        with pytest.raises(InvalidConfigError, match="same string form"):
+            TermTable.stack({1: [[1.0]], "1": [[2.0]]})
+        with pytest.raises(InvalidConfigError, match="nonempty 2-d"):
+            TermTable.stack({"a": [1.0, 2.0]})
+        with pytest.raises(DimensionMismatchError):
+            TermTable.stack({"a": np.ones((1, 2)), "b": np.ones((1, 3))})
 
 
 class TestTriples:

@@ -356,6 +356,39 @@ class TestGradients:
         batch = Batch((first,) + random_batch(rng, 1).triples)
         assert_loss_directional_derivatives(batch, params, ["aa"], rng)
 
+    def test_zero_norm_rows_get_zero_gradient_and_the_rest_pass_the_directional_check(self, monkeypatch):
+        # only some encoded rows have zero norm: the forward pass zeroes one
+        # state row of the first positive and one of the second query
+        rng = np.random.default_rng(43)
+        params = tiny_params(seed=43)
+        batch = random_batch(rng, 2)
+        zero_rows = {batch.triples[0].positive.token_ids: 1, batch.triples[1].query.token_ids: 0}
+        assert len(zero_rows) == 2
+        forward, backward = encoder._forward, encoder._backward_state
+
+        def forward_with_zero_rows(ids, lang, params):
+            state, cache = forward(ids, lang, params)
+            row = zero_rows.get(tuple(ids.tolist()))
+            if row is not None:
+                state = state.copy()
+                state[row] = 0.0
+            return state, cache
+
+        d_states = {}
+
+        def recording_backward(ids, layer_cache, d_state, lang, params, grads):
+            d_states[tuple(ids.tolist())] = d_state.copy()
+            return backward(ids, layer_cache, d_state, lang, params, grads)
+
+        monkeypatch.setattr(encoder, "_forward", forward_with_zero_rows)
+        monkeypatch.setattr(encoder, "_backward_state", recording_backward)
+        _, grads = total_loss_and_grads(batch, params)
+        for tokens, row in zero_rows.items():
+            assert not d_states[tokens][row].any()
+            assert np.delete(d_states[tokens], row, axis=0).any()
+        assert all(np.isfinite(block).all() for _, block in grad_blocks(grads, ["aa"]))
+        assert_loss_directional_derivatives(batch, params, ["aa"], rng)
+
     def test_total_loss_sampled_entries(self):
         rng = np.random.default_rng(123)
         params = tiny_params(seed=99)

@@ -1,3 +1,4 @@
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -197,6 +198,25 @@ class TestBitPacking:
         back_ids, back_codes = unpack_codes(blob, n, dim, id_bits)
         np.testing.assert_array_equal(back_ids, ids)
         np.testing.assert_array_equal(back_codes, codes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 70),
+        dim=st.integers(1, 9),
+        id_bits=st.integers(0, 12),
+        chunk=st.sampled_from([8, 16, 24, 65536]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunked_packing_equals_one_shot_packing(self, n, dim, id_bits, chunk, seed):
+        # chunks of a multiple of 8 rows end on a byte, so their bytes join into the one-shot stream
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, 1 << id_bits, size=n)
+        codes = rng.integers(0, 4, size=(n, dim)).astype(np.uint8)
+        bits = [((ids.astype(np.uint64)[:, None] >> np.arange(id_bits - 1, -1, -1, dtype=np.uint64)) & 1)]
+        bits.append(np.stack([(codes >> 1) & 1, codes & 1], axis=2).reshape(n, 2 * dim))
+        one_shot = np.packbits(np.concatenate(bits, axis=1).astype(np.uint8).ravel()).tobytes()
+        with mock.patch("modir.index._PACK_ROWS", chunk):
+            assert pack_codes(ids, codes, id_bits) == one_shot
 
     def test_headline_bit_arithmetic(self):
         assert bits_per_embedding(128, 2**18) == 274
@@ -751,11 +771,10 @@ def saved_index_files(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    name=st.sampled_from(["centroids.f32", "codec.f32", "codes.bin", "invlists.bin", "passages.bin"]),
+    name=st.sampled_from(["meta.json", "centroids.f32", "codec.f32", "codes.bin", "invlists.bin", "passages.bin"]),
     data=st.data(),
 )
 def test_every_truncation_of_an_index_file_is_a_format_error(saved_index_files, name, data):
-    # meta.json is left out: without its final newline it is still valid JSON
     cut = data.draw(st.integers(0, len(saved_index_files[name]) - 1))
     with tempfile.TemporaryDirectory() as tmp:
         for file_name, raw in saved_index_files.items():
@@ -816,6 +835,19 @@ class TestLoadCorrupt:
         corrupt(tmp_path)
         with pytest.raises(FormatError, match=r"\.(f32|bin)"):
             load_index(tmp_path)
+
+    def test_meta_json_without_its_newline_rejected(self, tmp_path):
+        _, idx, _ = small_index()
+        save_index(idx, tmp_path)
+        path = tmp_path / "meta.json"
+        raw = path.read_bytes()
+        assert raw.endswith(b"}\n") and raw.count(b"\n") == 1
+        json.loads(raw[:-1])  # still valid JSON without the newline
+        path.write_bytes(raw[:-1])
+        with pytest.raises(FormatError, match=r"meta\.json does not end in a newline"):
+            load_index(tmp_path)
+        path.write_bytes(raw)
+        assert load_index(tmp_path).passage_ids == idx.passage_ids
 
     def test_repeated_passage_id_rejected(self, tmp_path):
         rng = np.random.default_rng(15)
