@@ -73,7 +73,7 @@ def _term_table(records, params, cfg: RunConfig) -> data.TermTable:
 
 
 def _write_report(path, losses):
-    with open(path, "w", encoding="utf-8") as fh:
+    with data.atomic_write(path) as fh:
         fh.write("step,loss\n")
         for step, loss in enumerate(losses, start=1):
             fh.write(f"{step},{loss:.10f}\n")

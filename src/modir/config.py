@@ -1,9 +1,16 @@
 """Run configuration with the standard defaults (n=32, m=256, d_out=128)."""
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, ParseError
+
+_LEAST = dict(  # the smallest value of each bounded integer field
+    n=3, m=3, d_out=1, d=1, n_layers=1, bottleneck=1, vocab=1, batch_size=1,
+    pretrain_steps=0, finetune_steps=0, extend_steps=0, n_probe=1, candidate_k=1, final_k=1,
+)
+
 
 @dataclass
 class RunConfig:
@@ -30,31 +37,27 @@ class RunConfig:
     final_k: int = 10
 
     def __post_init__(self):
-        for name in ("n", "m"):
-            if getattr(self, name) < 3:
-                raise InvalidConfigError(f"{name} must be >= 3, got {getattr(self, name)}")
-        for name in (
-            "d_out", "d", "n_layers", "bottleneck", "vocab", "batch_size",
-            "n_probe", "candidate_k", "final_k",
-        ):
-            if getattr(self, name) < 1:
-                raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("pretrain_steps", "finetune_steps", "extend_steps"):
-            if getattr(self, name) < 0:
-                raise InvalidConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number, kind = (Real, "a number") if f.type is float else (Integral, "an integer")
+            if isinstance(value, bool) or not isinstance(value, number):  # a bool is an Integral too
+                raise InvalidConfigError(f"{f.name} must be {kind}, got {value!r}")
+            if value < _LEAST.get(f.name, value):
+                raise InvalidConfigError(f"{f.name} must be >= {_LEAST[f.name]}, got {value}")
         if not 0.0 <= self.mask_rate <= 1.0:
             raise InvalidConfigError(f"mask_rate must lie in [0, 1], got {self.mask_rate}")
 
     @classmethod
     def from_file(cls, path, **overrides) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+            raise ParseError(f"{path} is not UTF-8 JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ParseError(f"{path} holds a JSON {type(raw).__name__}, not an object")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
         raw.update(overrides)
         return cls(**raw)
-
-    def to_dict(self) -> dict:
-        return asdict(self)

@@ -22,8 +22,10 @@ import re
 import struct
 import zlib
 from collections.abc import Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +53,21 @@ class CorpusRecord:
     language: str = ""
     text: str | None = None
     embeddings: np.ndarray | None = None
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """A file to write (text is UTF-8) that replaces ``path`` when the block
+    ends; a failed write leaves ``path`` as it was and no temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def text_lines(path):
@@ -103,7 +120,7 @@ def write_embedding_block(records: dict, path):
     if not items:
         raise InvalidConfigError("cannot write an empty embedding block")
     dim = np.asarray(items[0][1]).shape[1]
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", 1, dim, len(items)))
         for rid, rows in items:

@@ -32,14 +32,12 @@ Checkpoint layout (all integers little-endian, floats little-endian f64)::
       per language, per layer    w_down d x b, b_down b, w_up b x d, b_up d
 """
 
-import os
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .data import ByteReader
+from .data import ByteReader, atomic_write
 from .errors import (
     FormatError,
     InvalidConfigError,
@@ -532,37 +530,30 @@ def _param_blocks(params: ModularEncoderParams):
 
 
 def save_checkpoint(params: ModularEncoderParams, path):
-    """Write the checkpoint to a temporary file beside ``path``, then rename it
-    over ``path``: a failed write leaves any earlier checkpoint as it was."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(
-                struct.pack(
-                    "<IIIIIB",
-                    params.vocab_size,
-                    params.d,
-                    params.d_out,
-                    params.n_layers,
-                    params.bottleneck,
-                    STAGES.index(params.stage),
-                )
+    """Write the checkpoint atomically (``data.atomic_write``): a failed write
+    leaves any earlier checkpoint as it was."""
+    with atomic_write(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(
+            struct.pack(
+                "<IIIIIB",
+                params.vocab_size,
+                params.d,
+                params.d_out,
+                params.n_layers,
+                params.bottleneck,
+                STAGES.index(params.stage),
             )
-            langs = params.languages()
-            fh.write(struct.pack("<I", len(langs)))
-            for lang in langs:
-                raw = lang.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", 1 if lang in params.post_hoc else 0))
-            for block in _param_blocks(params):
-                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        )
+        langs = params.languages()
+        fh.write(struct.pack("<I", len(langs)))
+        for lang in langs:
+            raw = lang.encode("utf-8")
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<B", 1 if lang in params.post_hoc else 0))
+        for block in _param_blocks(params):
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModularEncoderParams:

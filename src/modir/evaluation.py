@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scoring
-from .data import TermTable, text_lines
+from .data import TermTable, atomic_write, text_lines
 from .errors import InvalidConfigError, ParseError
 
 log = logging.getLogger(__name__)
@@ -149,8 +149,8 @@ def read_run(path) -> dict:
 
 
 def write_run(run: dict, path, tag: str = "modir"):
-    """Ranked results to the 6-column format, ranks contiguous from 1."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Ranked results to the 6-column format, ranks contiguous from 1; atomic."""
+    with atomic_write(path) as fh:
         for qid in run:
             for rank, (pid, score) in enumerate(run[qid], start=1):
                 fh.write(f"{qid} Q0 {pid} {rank} {score:.6f} {tag}\n")

@@ -2,13 +2,13 @@
 
 Every term embedding is stored as the id of its nearest centroid (Euclidean,
 ties to the lowest id) plus a 2-bit-per-dimension quantized residual, so one
-vector costs 2*dim + ceil(log2 |C|) bits. Both search stages read one lazily
-filled table of unit-norm decompressed rows, in inverted-list order. For each
-query term the n_probe nearest centroids' lists are filled and scored by
-cosine. Per-term maxima go into a compact table with one row per passage that
-the probed lists hold, and each row is summed across query terms (an unfetched
-passage/term pair adds 0: a lower bound of decompressed MaxSim for nonnegative
-maxima). Re-ranking fills the lists holding the top candidate_k passages' rows,
+vector costs 2*dim + ceil(log2 |C|) bits. Both search stages read one table
+of unit-norm decompressed rows, in inverted-list order, built whole by the
+first search. For each query term the n_probe nearest centroids' lists are
+scored by cosine. Per-term maxima go into a compact table with one row per
+passage that the probed lists hold, and each row is summed across query terms
+(an unfetched passage/term pair adds 0: a lower bound of decompressed MaxSim
+for nonnegative maxima). Re-ranking reads the top candidate_k passages' rows,
 scores those passages in blocks of rows (one matmul per block), and scores the
 few whose blocked score is within rounding distance of the final_k-th best
 again with the oracle's exact MaxSim kernel, which gives the scores it reports.
@@ -43,6 +43,7 @@ import shutil
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ from .evaluation import UnitCorpus
 
 FORMAT_VERSION = 1
 INDEX_FILES = ("meta.json", "centroids.f32", "codec.f32", "codes.bin", "invlists.bin", "passages.bin")
-_UNIT_BLOCK = 16384  # rows per block in unit_corpus and the build's encoding; bounds temporaries to a few MB
+_UNIT_BLOCK = 2048  # rows per block of unit rows and of the build's checks and encoding; bounds temporaries
 _PACK_ROWS = 65536  # embeddings per pack_codes chunk; a multiple of 8, so each chunk ends on a byte
 
 
@@ -321,15 +322,18 @@ def pack_codes(centroid_ids: np.ndarray, residual_codes: np.ndarray, id_bits: in
 
 
 def unpack_codes(blob: bytes, count: int, dim: int, id_bits: int):
+    """The inverse of ``pack_codes``, ``_PACK_ROWS`` embeddings at a time
+    into preallocated arrays: every chunk starts on a byte."""
     width = id_bits + 2 * dim
-    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8), count=count * width).reshape(count, width)
-    if id_bits:
-        weights = (1 << np.arange(id_bits - 1, -1, -1, dtype=np.uint64)).astype(np.uint64)
-        centroid_ids = (bits[:, :id_bits].astype(np.uint64) * weights).sum(axis=1).astype(np.int64)
-    else:
-        centroid_ids = np.zeros(count, dtype=np.int64)
-    res = bits[:, id_bits:]
-    residual_codes = ((res[:, 0::2] << 1) | res[:, 1::2]).astype(np.uint8)
+    raw = np.frombuffer(blob, dtype=np.uint8)
+    weights = 1 << np.arange(id_bits - 1, -1, -1, dtype=np.int64)  # most significant bit first
+    centroid_ids = np.empty(count, dtype=np.int64)
+    residual_codes = np.empty((count, dim), dtype=np.uint8)
+    for lo in range(0, count, _PACK_ROWS):
+        rows = min(_PACK_ROWS, count - lo)
+        bits = np.unpackbits(raw[lo * width // 8 :], count=rows * width).reshape(rows, width)
+        centroid_ids[lo : lo + rows] = bits[:, :id_bits] @ weights
+        residual_codes[lo : lo + rows] = (bits[:, id_bits::2] << 1) | bits[:, id_bits + 1 :: 2]
     return centroid_ids, residual_codes
 
 
@@ -401,11 +405,9 @@ class CompressedIndex:
     ``list_members[list_offsets[c] : list_offsets[c + 1]]``, ascending
     embedding ids, and ``member_passages`` holds each member's internal
     passage in the same order. Both search stages read unit-norm rows from
-    one CSR-ordered float64 table: a list is filled (``fill_lists``) the first
-    time a query probes it or re-ranks a passage with a row in it. The table
-    is allocated at the first fill, so building and saving an index never
-    holds it. Filled rows depend only on the stored facts, so a refill writes
-    the same bytes.
+    one CSR-ordered float64 table, ``unit_rows``, built whole the first time
+    a search reads it, so building, saving and loading an index never hold
+    it.
     """
 
     centroids: np.ndarray  # (C, dim) float32
@@ -427,8 +429,6 @@ class CompressedIndex:
         self.member_passages = emb_passage[self.list_members]
         self._csr_position = np.empty_like(self.list_members)  # inverse of list_members
         self._csr_position[self.list_members] = np.arange(self.embedding_count)
-        self._unit_rows = None  # (embedding_count, dim) float64 once a list is filled
-        self._filled = np.zeros(self.centroid_count, dtype=bool)
 
     @property
     def dim(self) -> int:
@@ -469,42 +469,35 @@ class CompressedIndex:
         """External id -> decompressed term matrix, for oracle comparisons."""
         return {pid: self.decompress_passage(i) for i, pid in enumerate(self.passage_ids)}
 
-    def unit_corpus(self) -> UnitCorpus:
-        """External id -> unit-norm decompressed term matrix, for the oracle.
+    def _normalized_rows(self, ids: np.ndarray) -> np.ndarray:
+        """``normalize_rows(decompress_embeddings(ids))``, ``_UNIT_BLOCK`` rows
+        at a time; both work row by row, so blocking keeps every bit."""
+        rows = np.empty((ids.shape[0], self.dim))
+        for lo in range(0, ids.shape[0], _UNIT_BLOCK):
+            rows[lo : lo + _UNIT_BLOCK] = scoring.normalize_rows(self.decompress_embeddings(ids[lo : lo + _UNIT_BLOCK]))
+        return rows
 
-        Rows are decompressed and normalized in blocks, in stored order, then
-        split at the passage offsets; a row's bits do not depend on the block
-        it is computed in, so each passage equals ``normalize_rows`` of its
-        ``decompress_passage``.
-        """
-        n = self.embedding_count
-        rows = np.empty((n, self.dim))
-        for lo in range(0, n, _UNIT_BLOCK):
-            hi = min(lo + _UNIT_BLOCK, n)
-            rows[lo:hi] = scoring.normalize_rows(self.decompress_embeddings(np.arange(lo, hi)))
+    def unit_corpus(self) -> UnitCorpus:
+        """External id -> unit-norm decompressed term matrix, for the oracle:
+        the rows in stored order, split at the passage offsets, so each
+        passage equals ``normalize_rows`` of its ``decompress_passage``."""
+        rows = self._normalized_rows(np.arange(self.embedding_count))
         return UnitCorpus(self.passage_ids, rows, self.passage_offsets)
 
-    def fill_lists(self, cids: np.ndarray):
-        """Fill the unit-row table for each not yet filled list in ``cids`` (distinct ids)."""
-        if self._unit_rows is None:
-            self._unit_rows = np.empty((self.embedding_count, self.dim))  # pages are touched as lists fill
-        for cid in cids[~self._filled[cids]]:
-            lo, hi = self.list_offsets[cid], self.list_offsets[cid + 1]
-            self._unit_rows[lo:hi] = scoring.normalize_rows(self.decompress_embeddings(self.list_members[lo:hi]))
-            self._filled[cid] = True
+    @cached_property
+    def unit_rows(self) -> np.ndarray:
+        """The search table, built whole at first use: row i is the unit row
+        of embedding ``list_members[i]``, in inverted-list order."""
+        return self._normalized_rows(self.list_members)
 
     def unit_row_positions(self, internals: np.ndarray):
-        """Fill the lists that hold these passages' rows. Return the rows'
-        positions in the unit-row table, passage after passage in stored row
-        order, and each passage's offsets into those positions."""
+        """The positions in ``unit_rows`` of these passages' rows, passage
+        after passage in stored row order, and each passage's offsets into
+        those positions."""
         lo = self.passage_offsets[internals]
         counts = self.passage_offsets[internals + 1] - lo
         offsets = np.concatenate(([0], np.cumsum(counts)))
         emb_ids = np.repeat(lo - offsets[:-1], counts) + np.arange(offsets[-1])
-        cids = self.centroid_ids[emb_ids]
-        unfilled = cids[~self._filled[cids]]
-        if unfilled.size:  # once warm, every list is filled: skip the sort
-            self.fill_lists(np.unique(unfilled))
         return self._csr_position[emb_ids], offsets
 
 
@@ -564,10 +557,9 @@ def build_index(
     codec = ResidualCodec(cuts=codec64.cuts.astype(np.float32), reps=codec64.reps.astype(np.float32))
     residual_codes = np.empty((total, dim), dtype=np.uint8)
     for lo in range(0, total, _UNIT_BLOCK):  # element-wise, so chunking keeps every bit
-        hi = min(lo + _UNIT_BLOCK, total)
-        residuals = cents64[assignments[lo:hi]]
-        np.subtract(rows[lo:hi], residuals, out=residuals)  # float32 rows are widened exactly
-        residual_codes[lo:hi] = codec.encode(residuals)
+        residuals = cents64[assignments[lo : lo + _UNIT_BLOCK]]
+        np.subtract(rows[lo : lo + _UNIT_BLOCK], residuals, out=residuals)  # float32 rows are widened exactly
+        residual_codes[lo : lo + _UNIT_BLOCK] = codec.encode(residuals)
     return CompressedIndex(
         centroids=centroids,
         codec=codec,
@@ -613,7 +605,6 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     probes = scoring.rank(-_squared_distances(q, index._centroids64, cc=index._centroid_sq), params.n_probe).ravel()
     by_list = np.argsort(probes, kind="stable")
     cids, starts = np.unique(probes[by_list], return_index=True)
-    index.fill_lists(cids)
 
     spans = [slice(index.list_offsets[cid], index.list_offsets[cid + 1]) for cid in cids]
     hit = np.zeros(index.passage_count, dtype=bool)
@@ -627,7 +618,7 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     best = np.full((passages.size, n_terms), -np.inf)
     flat_best = best.reshape(-1)
     for s, term_rows in zip(spans, np.split(by_list // params.n_probe, starts[1:])):
-        sims = qn[term_rows] @ index._unit_rows[s].T
+        sims = qn[term_rows] @ index.unit_rows[s].T
         flat_idx = (row_of[index.member_passages[s]][None, :] * n_terms + term_rows[:, None]).reshape(-1)
         np.maximum.at(flat_best, flat_idx, sims.reshape(-1))
     approx = np.where(best > -np.inf, best, 0.0).sum(axis=1)
@@ -648,7 +639,7 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
     q_unit = scoring.normalize_rows(_check_query(query, index))
     internal = np.sort(np.array([index.internal_passage(pid) for pid in candidates], dtype=np.int64))
     positions, offsets = index.unit_row_positions(internal)
-    order, scores = scoring.maxsim_top_k(q_unit, index._unit_rows, offsets, k, rows=positions)
+    order, scores = scoring.maxsim_top_k(q_unit, index.unit_rows, offsets, k, rows=positions)
     return [(index.passage_ids[internal[i]], float(s)) for i, s in zip(order, scores)]
 
 

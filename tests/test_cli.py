@@ -348,6 +348,29 @@ class TestEvalCmd:
         err = read_stderr(capsys)
         assert err.startswith("error[parse]: line 2:") and files[bad].name in err and "\n" not in err
 
+    @pytest.mark.parametrize(
+        "text,code",
+        [
+            ('{"n": 32,', "parse"),
+            ("[32]", "parse"),
+            (b"\xff\xfe", "parse"),
+            ('{"n": "x"}', "invalid-config"),
+            ('{"n_probe": true}', "invalid-config"),
+            ('{"final_k": 2.0}', "invalid-config"),
+            ('{"learning_rate": "fast"}', "invalid-config"),
+        ],
+        ids=["cut-short", "not-an-object", "not-utf8", "string-int", "bool-int", "float-int", "string-float"],
+    )
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, text, code):
+        config = tmp_path / "bad.json"
+        if isinstance(text, bytes):
+            config.write_bytes(text)
+        else:
+            config.write_text(text)
+        assert run_cli("index", "--corpus", tmp_path / "none.jsonl", "--out", tmp_path / "idx", "--config", config) == 2
+        err = read_stderr(capsys)
+        assert err.startswith(f"error[{code}]") and "\n" not in err
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = run_cli("eval", "--run", tmp_path / "none.run", "--qrels", tmp_path / "none.qrels")
         assert code == 2

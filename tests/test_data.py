@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modir import cli, data, evaluation
 from modir.data import (
     TermTable,
     read_embedding_block,
@@ -261,3 +262,46 @@ def test_non_utf8_line_is_a_parse_error_naming_it(tmp_path, reader, good, bad):
     path.write_bytes(good + b"\n" + bad)
     with pytest.raises(ParseError, match="line 3: .*input.txt is not UTF-8"):
         reader(path)
+
+
+class _FailsOnSecondWrite:
+    """A file whose second write raises, as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("disk full")
+        return self.fh.write(chunk)
+
+
+WRITERS = {
+    "run": lambda path, v: evaluation.write_run({"q1": [("a", v), ("b", v / 2)], "q2": [("c", v / 4)]}, path),
+    "report": lambda path, v: cli._write_report(path, [v, v / 2, v / 4]),
+    "embedding-block": lambda path, v: write_embedding_block({"p0": np.full((2, 3), v), "p1": np.ones((1, 3))}, path),
+}  # checkpoints: tests/test_encoder.py::TestCheckpoint::test_failed_save_keeps_the_earlier_checkpoint
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_a_write_that_fails_halfway_keeps_the_earlier_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out.file"
+    WRITERS[writer](path, 1.0)
+    before = path.read_bytes()
+    real_open = open
+    monkeypatch.setattr(data, "open", lambda *a, **k: _FailsOnSecondWrite(real_open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        WRITERS[writer](path, 2.0)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.file"]
+    monkeypatch.undo()
+    WRITERS[writer](path, 2.0)  # and the same write, when it does not fail, replaces the file
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.file"]

@@ -1,12 +1,13 @@
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from modir.errors import (
@@ -21,6 +22,7 @@ from modir.evaluation import UnitCorpus, brute_force_search
 from modir.index import (
     CompressedIndex,
     DuplicateCentroidWarning,
+    ResidualCodec,
     SearchParams,
     approximate_candidates,
     bits_per_embedding,
@@ -200,6 +202,11 @@ class TestBitPacking:
         np.testing.assert_array_equal(back_codes, codes)
 
     @settings(max_examples=200, deadline=None)
+    # counts that end inside a chunk, with one centroid (id_bits 0) and with many
+    @example(n=13, dim=1, id_bits=0, chunk=8, seed=0)
+    @example(n=37, dim=5, id_bits=0, chunk=16, seed=1)
+    @example(n=41, dim=2, id_bits=12, chunk=8, seed=2)
+    @example(n=45, dim=3, id_bits=7, chunk=16, seed=3)
     @given(
         n=st.integers(0, 70),
         dim=st.integers(1, 9),
@@ -208,7 +215,8 @@ class TestBitPacking:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_chunked_packing_equals_one_shot_packing(self, n, dim, id_bits, chunk, seed):
-        # chunks of a multiple of 8 rows end on a byte, so their bytes join into the one-shot stream
+        # chunks of a multiple of 8 rows end on a byte, so their bytes join into the one-shot stream,
+        # and unpacking chunk by chunk gives the codes back
         rng = np.random.default_rng(seed)
         ids = rng.integers(0, 1 << id_bits, size=n)
         codes = rng.integers(0, 4, size=(n, dim)).astype(np.uint8)
@@ -217,6 +225,10 @@ class TestBitPacking:
         one_shot = np.packbits(np.concatenate(bits, axis=1).astype(np.uint8).ravel()).tobytes()
         with mock.patch("modir.index._PACK_ROWS", chunk):
             assert pack_codes(ids, codes, id_bits) == one_shot
+            back_ids, back_codes = unpack_codes(one_shot, n, dim, id_bits)
+        assert back_ids.dtype == np.int64 and back_codes.dtype == np.uint8
+        np.testing.assert_array_equal(back_ids, ids)
+        np.testing.assert_array_equal(back_codes, codes)
 
     def test_headline_bit_arithmetic(self):
         assert bits_per_embedding(128, 2**18) == 274
@@ -346,11 +358,6 @@ class TestApproximate:
                 exact = dict(exact_rerank(query, [pid for pid, _ in approx], idx))
                 for pid, a in approx:
                     assert a <= exact[pid] + 1e-6
-
-    def test_first_query_fills_only_probed_lists(self):
-        _, idx, query = small_index()
-        approximate_candidates(query, idx, SearchParams(n_probe=1))
-        assert 1 <= idx._filled.sum() <= query.shape[0] < idx.centroid_count
 
     def test_candidate_k_truncates_with_id_tiebreak(self):
         _, idx, query = small_index()
@@ -495,23 +502,46 @@ class TestSearch:
         assert search(query, idx, params) == first
         assert calls == []
 
-    def test_rerank_fills_only_unfilled_lists_and_skips_the_call_when_warm(self, monkeypatch):
+    def test_unit_row_table_holds_each_lists_normalized_rows(self, monkeypatch, tmp_path):
+        monkeypatch.setattr("modir.index._UNIT_BLOCK", 7)  # blocks that cut lists and passages apart
         _, idx, _ = small_index()
-        internals = np.arange(idx.passage_count)
-        idx.fill_lists(np.array([0]))
-        calls = []
-        original = CompressedIndex.fill_lists
-        monkeypatch.setattr(
-            CompressedIndex, "fill_lists", lambda self, cids: calls.append(cids) or original(self, cids)
+        save_index(idx, tmp_path / "idx")
+        for fresh in (idx, load_index(tmp_path / "idx")):  # the first search builds it, not build or load
+            assert "unit_rows" not in vars(fresh)
+        table = idx.unit_rows
+        assert table.shape == (idx.embedding_count, idx.dim)
+        for cid in range(idx.centroid_count):
+            span = slice(idx.list_offsets[cid], idx.list_offsets[cid + 1])
+            expect = normalize_rows(idx.decompress_embeddings(idx.list_members[span]))
+            assert table[span].tobytes() == expect.tobytes()
+        assert idx.unit_corpus().rows.tobytes() == table[idx._csr_position].tobytes()
+        positions, offsets = idx.unit_row_positions(np.array([5, 2]))
+        for i, internal in enumerate((5, 2)):
+            rows = table[positions[offsets[i] : offsets[i + 1]]]
+            assert rows.tobytes() == normalize_rows(idx.decompress_passage(internal)).tobytes()
+
+    def test_unit_row_table_build_peaks_below_the_table_plus_eight_blocks(self):
+        # Random codes stand in for a build: 100,000 rows of dim 8 make a 6.4 MB table,
+        # and computing it in one piece would add several table-sized temporaries.
+        rng = np.random.default_rng(3)
+        n, dim, c_count, per_passage = 100_000, 8, 64, 20
+        idx = CompressedIndex(
+            centroids=rng.normal(size=(c_count, dim)).astype(np.float32),
+            codec=ResidualCodec(cuts=np.zeros((3, dim), np.float32), reps=np.ones((4, dim), np.float32)),
+            centroid_ids=rng.integers(0, c_count, size=n),
+            residual_codes=rng.integers(0, 4, size=(n, dim)).astype(np.uint8),
+            passage_ids=[f"p{i:05d}" for i in range(n // per_passage)],
+            passage_offsets=np.arange(0, n + 1, per_passage),
         )
-        first = idx.unit_row_positions(internals)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], np.setdiff1d(idx.centroid_ids, [0]))
-        assert idx._filled.all()
-        again = idx.unit_row_positions(internals)
-        assert len(calls) == 1
-        for a, b in zip(first, again):
-            np.testing.assert_array_equal(a, b)
+        table_bytes, block_bytes = n * dim * 8, 2048 * dim * 8  # blocks of 2,048 rows bound search's peak memory
+        tracemalloc.start()
+        try:
+            table = idx.unit_rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == table_bytes
+        assert peak < table_bytes + 8 * block_bytes, f"peak {peak / 1e6:.2f} MB, table {table_bytes / 1e6:.2f} MB"
 
 
 def assert_same_ranking(got, expect):
