@@ -91,6 +91,8 @@ def read_jsonl_records(path) -> list[CorpusRecord]:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", line=lineno) from None
+        if not isinstance(raw, dict):
+            raise ParseError("a record must be a JSON object", line=lineno)
         if "id" not in raw:
             raise ParseError("record is missing 'id'", line=lineno)
         rid = str(raw["id"])
@@ -108,8 +110,10 @@ def read_jsonl_records(path) -> list[CorpusRecord]:
                 emb = np.asarray(raw["embeddings"], dtype=np.float64)
             except (TypeError, ValueError):  # rows of unequal length, or not numbers
                 emb = None
-            if emb is None or emb.ndim != 2 or emb.shape[0] == 0:
-                raise ParseError("'embeddings' must be a nonempty list of equal-length rows of numbers", line=lineno)
+            if emb is None or emb.ndim != 2 or 0 in emb.shape:
+                raise ParseError(
+                    "'embeddings' must be a nonempty list of equal-length nonempty rows of numbers", line=lineno
+                )
             records.append(CorpusRecord(id=rid, language=str(raw.get("language", "")), embeddings=emb))
     return records
 
@@ -297,6 +301,8 @@ def read_embedding_block(path) -> BlockRecords:
         version, dim, count = reader.unpack("<III")
         if version != 1:
             raise FormatError(f"unsupported embedding block version {version}")
+        if dim == 0:
+            raise FormatError(f"{path} has dim 0")
         ids, counts, starts = [], [], []
         seen = set()
         for _ in range(count):

@@ -30,8 +30,19 @@ Checkpoint layout (all integers little-endian, floats little-endian f64)::
       per shared layer           w_self d x d, w_ctx d x d, bias d
       output projection          d x d_out
       per language, per layer    w_down d x b, b_down b, w_up b x d, b_up d
+
+In memory the parameters are the same floats in the same order, held in
+flat float64 buffers, one per module: ``core`` holds the embedding table,
+the shared layers and the output projection, and ``flat_adapters[lang]``
+holds one language's adapter stack. Every named block is a reshaped view of
+its buffer. The parameter section of a checkpoint is the bytes of ``core``
+followed by those of each language's buffer, in registration order. Each
+stage's update is one or two contiguous slices: pretrain trains the core up
+to ``w_out`` and the sample language's buffer, finetune the core after the
+embedding table, extend the new language's buffer alone.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -58,9 +69,6 @@ class SharedLayer:
     w_ctx: np.ndarray  # (d, d)
     bias: np.ndarray  # (d,)
 
-    def blocks(self):
-        return [self.w_self, self.w_ctx, self.bias]
-
 
 @dataclass
 class AdapterBlock:
@@ -69,44 +77,74 @@ class AdapterBlock:
     w_up: np.ndarray  # (b, d)
     b_up: np.ndarray  # (d,)
 
-    def blocks(self):
-        return [self.w_down, self.b_down, self.w_up, self.b_up]
+
+def _core_shapes(vocab, d, d_out, n_layers) -> list[tuple]:
+    """The core buffer's blocks in order: embedding, each shared layer's w_self, w_ctx, bias, then w_out."""
+    return [(vocab, d)] + [(d, d), (d, d), (d,)] * n_layers + [(d, d_out)]
+
+
+def _adapter_shapes(d, bottleneck, n_layers) -> list[tuple]:
+    """One language's buffer's blocks in order: each layer's w_down, b_down, w_up, b_up."""
+    return [(d, bottleneck), (bottleneck,), (bottleneck, d), (d,)] * n_layers
+
+
+def _floats(shapes) -> int:
+    return sum(math.prod(shape) for shape in shapes)
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive slices of ``flat``, one per shape, each reshaped to it."""
+    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+    return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
 
 
 @dataclass
 class ModularEncoderParams:
-    """All learnable state plus the stage flag; one instance per model."""
+    """All learnable state plus the stage flag; one instance per model.
 
-    embedding: np.ndarray  # (vocab, d)
-    shared_layers: list[SharedLayer]
-    w_out: np.ndarray  # (d, d_out)
-    adapters: dict[str, list[AdapterBlock]]  # registration order preserved
+    The numbers live in flat float64 buffers in checkpoint order: ``core``
+    and one ``flat_adapters[lang]`` per language. Every named block
+    (``embedding``, ``shared_layers[i].w_self``, ``w_out``,
+    ``adapters[lang][i].w_down``, ...) is a reshaped view of its buffer, so
+    a write to either is a write to both. A gradient is the same structure
+    filled with zeros (``zeros``).
+    """
+
+    vocab_size: int
+    d: int
+    d_out: int
+    n_layers: int
+    bottleneck: int
+    core: np.ndarray
+    flat_adapters: dict[str, np.ndarray]  # registration order preserved
     stage: str = "pretrain"
     post_hoc: set[str] = field(default_factory=set)
 
-    @property
-    def vocab_size(self) -> int:
-        return self.embedding.shape[0]
+    def __post_init__(self):
+        blocks = _views(self.core, _core_shapes(self.vocab_size, self.d, self.d_out, self.n_layers))
+        self.embedding, self.w_out = blocks[0], blocks[-1]
+        self.shared_layers = [SharedLayer(*blocks[i : i + 3]) for i in range(1, len(blocks) - 1, 3)]
+        self.adapters = {lang: self._adapter_views(flat) for lang, flat in self.flat_adapters.items()}
 
-    @property
-    def d(self) -> int:
-        return self.embedding.shape[1]
+    def _adapter_views(self, flat: np.ndarray) -> list[AdapterBlock]:
+        blocks = _views(flat, _adapter_shapes(self.d, self.bottleneck, self.n_layers))
+        return [AdapterBlock(*blocks[i : i + 4]) for i in range(0, len(blocks), 4)]
 
-    @property
-    def d_out(self) -> int:
-        return self.w_out.shape[1]
+    def add_adapters(self, lang: str, flat: np.ndarray):
+        """Register ``lang``'s adapter buffer; no other buffer moves."""
+        self.flat_adapters[lang] = flat
+        self.adapters[lang] = self._adapter_views(flat)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.shared_layers)
-
-    @property
-    def bottleneck(self) -> int:
-        first = next(iter(self.adapters.values()))
-        return first[0].w_down.shape[1]
+    def zeros(self, langs) -> "ModularEncoderParams":
+        """A gradient accumulator: this layout filled with zeros, holding only ``langs``' adapters."""
+        return ModularEncoderParams(
+            self.vocab_size, self.d, self.d_out, self.n_layers, self.bottleneck,
+            core=np.zeros_like(self.core),
+            flat_adapters={lang: np.zeros_like(self.flat_adapters[lang]) for lang in langs},
+        )
 
     def languages(self) -> list[str]:
-        return list(self.adapters)
+        return list(self.flat_adapters)
 
     def adapter_stack(self, lang: str) -> list[AdapterBlock]:
         try:
@@ -129,20 +167,8 @@ class ModularEncoderParams:
         self.stage = stage
 
 
-def _uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.uniform(-0.05, 0.05, size=shape)
-
-
-def _new_adapter_stack(rng, n_layers, d, bottleneck) -> list[AdapterBlock]:
-    return [
-        AdapterBlock(
-            w_down=_uniform(rng, (d, bottleneck)),
-            b_down=_uniform(rng, bottleneck),
-            w_up=_uniform(rng, (bottleneck, d)),
-            b_up=_uniform(rng, d),
-        )
-        for _ in range(n_layers)
-    ]
+def _uniform(rng: np.random.Generator, size: int) -> np.ndarray:
+    return rng.uniform(-0.05, 0.05, size=size)
 
 
 def init_params(
@@ -155,7 +181,7 @@ def init_params(
     bottleneck: int = 8,
     seed: int = 0,
 ) -> ModularEncoderParams:
-    """Seeded uniform(-0.05, 0.05) initialization of every block, declaration order."""
+    """Seeded uniform(-0.05, 0.05) initialization: the core, then each language's buffer."""
     languages = list(languages)
     if not languages:
         raise InvalidConfigError("at least one language must be registered")
@@ -164,14 +190,10 @@ def init_params(
     if min(vocab, d, d_out, n_layers, bottleneck) < 1:
         raise InvalidConfigError("all encoder dimensions must be >= 1")
     rng = np.random.default_rng(seed)
-    embedding = _uniform(rng, (vocab, d))
-    shared = [
-        SharedLayer(w_self=_uniform(rng, (d, d)), w_ctx=_uniform(rng, (d, d)), bias=_uniform(rng, d))
-        for _ in range(n_layers)
-    ]
-    w_out = _uniform(rng, (d, d_out))
-    adapters = {lang: _new_adapter_stack(rng, n_layers, d, bottleneck) for lang in languages}
-    return ModularEncoderParams(embedding=embedding, shared_layers=shared, w_out=w_out, adapters=adapters)
+    core = _uniform(rng, _floats(_core_shapes(vocab, d, d_out, n_layers)))
+    adapter_floats = _floats(_adapter_shapes(d, bottleneck, n_layers))
+    flat_adapters = {lang: _uniform(rng, adapter_floats) for lang in languages}
+    return ModularEncoderParams(vocab, d, d_out, n_layers, bottleneck, core=core, flat_adapters=flat_adapters)
 
 
 def add_language(params: ModularEncoderParams, new_lang: str, init_seed) -> ModularEncoderParams:
@@ -182,8 +204,8 @@ def add_language(params: ModularEncoderParams, new_lang: str, init_seed) -> Modu
     """
     if new_lang in params.adapters:
         raise UnknownLanguageError(f"language {new_lang!r} is already registered")
-    rng = np.random.default_rng(init_seed)
-    params.adapters[new_lang] = _new_adapter_stack(rng, params.n_layers, params.d, params.bottleneck)
+    size = _floats(_adapter_shapes(params.d, params.bottleneck, params.n_layers))
+    params.add_adapters(new_lang, _uniform(np.random.default_rng(init_seed), size))
     params.post_hoc.add(new_lang)
     params.stage = "extend"
     return params
@@ -234,20 +256,7 @@ def _forward(ids: np.ndarray, lang: str, params: ModularEncoderParams):
     return x, layer_cache
 
 
-class Gradients:
-    """Gradient accumulator mirroring the parameter blocks."""
-
-    def __init__(self, params: ModularEncoderParams, langs):
-        self.embedding = np.zeros_like(params.embedding)
-        self.shared_layers = [SharedLayer(*(np.zeros_like(b) for b in layer.blocks())) for layer in params.shared_layers]
-        self.w_out = np.zeros_like(params.w_out)
-        self.adapters = {
-            lang: [AdapterBlock(*(np.zeros_like(b) for b in ad.blocks())) for ad in params.adapters[lang]]
-            for lang in langs
-        }
-
-
-def _backward_state(ids, layer_cache, d_state, lang, params, grads: Gradients):
+def _backward_state(ids, layer_cache, d_state, lang, params, grads: ModularEncoderParams):
     """Backpropagate a gradient on the final pre-projection state into grads."""
     stacks = params.adapter_stack(lang)
     g_ad = grads.adapters[lang]
@@ -414,7 +423,7 @@ def total_loss_and_grads(batch: Batch, params: ModularEncoderParams):
     d_tangent = d_units - units * (units * d_units).sum(axis=1, keepdims=True)
     d_embs = np.divide(d_tangent, norms, out=np.zeros_like(units), where=norms > 0.0)
 
-    grads = Gradients(params, langs)
+    grads = params.zeros(langs)
     grads.w_out += states.T @ d_embs
     d_states = d_embs @ params.w_out.T
     for k, (ids, s, (_, cache)) in enumerate(zip(ids_list, seqs, forwards)):
@@ -431,10 +440,6 @@ def total_loss(batch: Batch, params: ModularEncoderParams) -> float:
 # Training steps
 
 
-def _apply_sgd(param_block: np.ndarray, grad_block: np.ndarray, lr: float):
-    param_block -= lr * grad_block
-
-
 def finetune_step(batch: Batch, params: ModularEncoderParams, lr: float):
     """One SGD step on the contrastive loss, updating shared layers and the
     output projection only; adapters and the embedding table stay untouched."""
@@ -445,10 +450,8 @@ def finetune_step(batch: Batch, params: ModularEncoderParams, lr: float):
         raise InvalidConfigError(f"finetune batch mixes languages {sorted(langs)}")
     loss, grads = total_loss_and_grads(batch, params)
     if lr != 0.0:
-        for layer, g in zip(params.shared_layers, grads.shared_layers):
-            for p_block, g_block in zip(layer.blocks(), g.blocks()):
-                _apply_sgd(p_block, g_block, lr)
-        _apply_sgd(params.w_out, grads.w_out, lr)
+        trained = slice(params.embedding.size, None)  # the shared layers and w_out
+        params.core[trained] -= lr * grads.core[trained]
     return params, loss
 
 
@@ -463,7 +466,7 @@ def mlm_loss_and_grads(token_ids, lang: str, mask, params: ModularEncoderParams)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != ids.shape:
         raise InvalidConfigError("mask length must match the sequence length")
-    grads = Gradients(params, [lang])
+    grads = params.zeros([lang])
     if not mask.any():
         return 0.0, grads
     targets = ids[mask]
@@ -495,7 +498,7 @@ def mlm_step(params: ModularEncoderParams, token_ids, lang: str, mask_rate: floa
     """
     if params.stage not in ("pretrain", "extend"):
         raise StageError(f"mlm_step requires stage 'pretrain' or 'extend', found {params.stage!r}")
-    stacks = params.adapter_stack(lang)
+    params.adapter_stack(lang)  # fail early on an unknown language
     if params.stage == "extend" and lang not in params.post_hoc:
         raise StageError(f"extend stage only trains post-hoc languages, not {lang!r}")
     if not 0.0 <= mask_rate <= 1.0:
@@ -505,28 +508,14 @@ def mlm_step(params: ModularEncoderParams, token_ids, lang: str, mask_rate: floa
     loss, grads = mlm_loss_and_grads(ids, lang, mask, params)
     if lr != 0.0 and mask.any():
         if params.stage == "pretrain":
-            _apply_sgd(params.embedding, grads.embedding, lr)
-            for layer, g in zip(params.shared_layers, grads.shared_layers):
-                for p_block, g_block in zip(layer.blocks(), g.blocks()):
-                    _apply_sgd(p_block, g_block, lr)
-        for ad, g in zip(stacks, grads.adapters[lang]):
-            for p_block, g_block in zip(ad.blocks(), g.blocks()):
-                _apply_sgd(p_block, g_block, lr)
+            trained = slice(params.core.size - params.w_out.size)  # the embedding table and shared layers
+            params.core[trained] -= lr * grads.core[trained]
+        params.flat_adapters[lang] -= lr * grads.flat_adapters[lang]
     return params, loss
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint serialization
-
-
-def _param_blocks(params: ModularEncoderParams):
-    yield params.embedding
-    for layer in params.shared_layers:
-        yield from layer.blocks()
-    yield params.w_out
-    for lang in params.adapters:
-        for ad in params.adapters[lang]:
-            yield from ad.blocks()
 
 
 def save_checkpoint(params: ModularEncoderParams, path):
@@ -552,8 +541,8 @@ def save_checkpoint(params: ModularEncoderParams, path):
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<B", 1 if lang in params.post_hoc else 0))
-        for block in _param_blocks(params):
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        for flat in [params.core, *params.flat_adapters.values()]:
+            fh.write(np.ascontiguousarray(flat, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModularEncoderParams:
@@ -581,30 +570,17 @@ def load_checkpoint(path) -> ModularEncoderParams:
             post_hoc.add(name)
     if min(vocab, d, d_out, n_layers, bottleneck, n_langs) < 1 or len(set(langs)) != n_langs:
         raise FormatError(f"{path} names a zero encoder dimension, no language or a language twice")
-    layer_floats = 2 * d * d + d
-    adapter_floats = 2 * d * bottleneck + bottleneck + d
-    floats = vocab * d + n_layers * layer_floats + d * d_out + n_langs * n_layers * adapter_floats
+    core_floats = _floats(_core_shapes(vocab, d, d_out, n_layers))
+    adapter_floats = _floats(_adapter_shapes(d, bottleneck, n_layers))
+    floats = core_floats + n_langs * adapter_floats
     left = len(data) - reader.offset
     if 8 * floats != left:
         raise FormatError(f"{path} holds {left} parameter bytes, its header names {8 * floats}")
-    if not np.isfinite(np.frombuffer(data, dtype="<f8", offset=reader.offset)).all():
+    values = np.frombuffer(data, dtype="<f8", offset=reader.offset)
+    if not np.isfinite(values).all():
         raise FormatError(f"{path} holds a non-finite parameter")
-
-    def read(shape):
-        return np.frombuffer(reader.take(8 * int(np.prod(shape))), dtype="<f8").reshape(shape).astype(np.float64)
-
-    embedding = read((vocab, d))
-    shared = [SharedLayer(read((d, d)), read((d, d)), read(d)) for _ in range(n_layers)]
-    w_out = read((d, d_out))
-    adapters = {
-        lang: [AdapterBlock(read((d, bottleneck)), read(bottleneck), read((bottleneck, d)), read(d)) for _ in range(n_layers)]
-        for lang in langs
-    }
+    core, *stacks = _views(values.astype(np.float64), [(core_floats,)] + [(adapter_floats,)] * n_langs)
     return ModularEncoderParams(
-        embedding=embedding,
-        shared_layers=shared,
-        w_out=w_out,
-        adapters=adapters,
-        stage=STAGES[stage_idx],
-        post_hoc=post_hoc,
+        vocab, d, d_out, n_layers, bottleneck,
+        core=core, flat_adapters=dict(zip(langs, stacks)), stage=STAGES[stage_idx], post_hoc=post_hoc,
     )

@@ -63,6 +63,9 @@ FORMAT_VERSION = 1
 INDEX_FILES = ("meta.json", "centroids.f32", "codec.f32", "codes.bin", "invlists.bin", "passages.bin")
 _UNIT_BLOCK = 2048  # rows per block of unit rows and of the build's checks and encoding; bounds temporaries
 _PACK_ROWS = 65536  # embeddings per pack_codes chunk; a multiple of 8, so each chunk ends on a byte
+_SAMPLE_PASSAGES = 256  # passages sampled to fit the centroids and the codec
+_LLOYD_ITERATIONS = 25  # at most this many Lloyd iterations after k-means++
+_LLOYD_TOL = 1e-6  # Lloyd stops once no centroid moves farther than this
 
 
 class DuplicateCentroidWarning(UserWarning):
@@ -119,8 +122,6 @@ def select_centroids(
     seed,
     *,
     centroid_count: int | None = None,
-    max_iter: int = 25,
-    tol: float = 1e-6,
 ) -> np.ndarray:
     """Seeded k-means++ plus Lloyd iterations over the sampled term embeddings.
 
@@ -160,7 +161,7 @@ def select_centroids(
     d2 = np.empty((n, k))
     sums = np.empty_like(centroids)
     columns = np.arange(points.shape[1])
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_ITERATIONS):
         assign = np.argmin(_squared_distances(points, centroids, xx, out=d2), axis=1)
         sums[:] = 0.0
         if points.shape[1] == 1:  # a one-column mean is a contiguous reduction, which sums pairwise
@@ -172,7 +173,7 @@ def select_centroids(
         new = np.where(counts > 0, sums / np.maximum(counts, 1), centroids)
         shift = float(np.max(np.linalg.norm(new - centroids, axis=1)))
         centroids = new
-        if shift <= tol:
+        if shift <= _LLOYD_TOL:
             break
     return centroids
 
@@ -506,7 +507,6 @@ def build_index(
     seed: int = 0,
     *,
     centroid_count: int | None = None,
-    sample_passages: int = 256,
 ) -> CompressedIndex:
     """Compress a corpus of per-passage term matrices into an inverted-file index.
 
@@ -516,7 +516,7 @@ def build_index(
     the ids the index stores and the order in which the brute-force oracle
     breaks ties, so a rebuild from the same corpus and seed is
     byte-identical. Centroids and the codec are fitted on a seeded sample of
-    at most ``sample_passages`` passages, stored as float32, and all
+    at most ``_SAMPLE_PASSAGES`` passages, stored as float32, and all
     assignments/codes are computed against the stored float32 values.
 
     The table is never copied whole. Its rows are widened to float64 one
@@ -536,6 +536,8 @@ def build_index(
     if empty.size:
         raise InvalidConfigError(f"passage {ids[empty[0]]!r} must be a nonempty 2-d matrix")
     total, dim = rows.shape
+    if dim == 0:
+        raise InvalidConfigError("term embeddings must have at least one column")
     for lo in range(0, total, _UNIT_BLOCK):
         finite = np.isfinite(rows[lo : lo + _UNIT_BLOCK]).all(axis=1)
         if not finite.all():
@@ -543,7 +545,7 @@ def build_index(
             raise InvalidConfigError(f"passage {first!r} contains non-finite values")
 
     sample_rng = np.random.default_rng((seed, 0))
-    n_sample = min(len(ids), sample_passages)
+    n_sample = min(len(ids), _SAMPLE_PASSAGES)
     sample_idx = np.sort(sample_rng.choice(len(ids), size=n_sample, replace=False))
     sample_rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in sample_idx])
     sample = np.asarray(rows[sample_rows], dtype=np.float64)

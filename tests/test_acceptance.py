@@ -45,7 +45,7 @@ from modir.index import (
 )
 from modir.scoring import prepare_passage, prepare_query
 from tests.conftest import build_language_files, build_triples
-from tests.test_encoder import central_difference, grad_blocks, named_blocks
+from tests.test_encoder import central_difference, named_blocks
 
 
 @contextmanager
@@ -166,7 +166,7 @@ def test_criterion_4_gradient_check():
             params = tiny_params(seed=seed + 100)
             batch = random_batch(rng, 2, lang=lang)
             _, grads = total_loss_and_grads(batch, params)
-            analytic = dict(grad_blocks(grads, [lang]))
+            analytic = dict(named_blocks(grads, [lang]))
             for label, block in named_blocks(params, [lang]):
                 direction = rng.normal(size=block.shape)
                 direction /= np.linalg.norm(direction)

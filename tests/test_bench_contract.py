@@ -11,6 +11,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import bench_child  # noqa: E402
 
+from modir import encoder  # noqa: E402
 from modir.index import build_index  # noqa: E402
 
 
@@ -24,3 +25,14 @@ def test_index_attributes_read_by_the_checks():
     assert idx.centroid_ids.shape == (1,)
     assert idx.centroid_count == 1
     assert idx.internal_passage("p") == 0
+
+
+def test_checkpoint_facts_read_by_the_checks(tmp_path):
+    # the encode phase reads vocab_size off a loaded checkpoint, and the
+    # training phases re-save a loaded checkpoint and compare the bytes
+    ckpt, again = tmp_path / "model.ckpt", tmp_path / "model.ckpt.again"
+    params = encoder.add_language(encoder.init_params(["en", "fr"], vocab=40, d=4, d_out=3, seed=1), "de", 2)
+    encoder.save_checkpoint(params, ckpt)
+    assert encoder.load_checkpoint(ckpt).vocab_size == 40
+    encoder.save_checkpoint(encoder.load_checkpoint(ckpt), again)
+    assert again.read_bytes() == ckpt.read_bytes()

@@ -192,6 +192,34 @@ class TestIndexCmd:
         err = read_stderr(capsys)
         assert err.startswith("error[parse]: line 2:") and "\n" not in err
 
+    @pytest.mark.parametrize("line", ["5", '"xidx"', '["id", "a"]', "null"], ids=["number", "string", "list", "null"])
+    def test_a_line_that_is_not_an_object_is_a_parse_error(self, tmp_path, small_config, capsys, line):
+        config_path, _ = small_config
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a", "embeddings": [[1, 2]]}\n' + line + "\n")
+        assert run_cli("index", "--corpus", corpus, "--out", tmp_path / "idx", "--config", config_path) == 2
+        err = read_stderr(capsys)
+        assert err.startswith("error[parse]: line 2:") and "\n" not in err
+        assert not (tmp_path / "idx").exists()
+
+    def test_zero_width_embedding_rows_are_a_parse_error(self, tmp_path, small_config, capsys):
+        config_path, _ = small_config
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a", "embeddings": [[]]}\n')
+        assert run_cli("index", "--corpus", corpus, "--out", tmp_path / "idx", "--config", config_path) == 2
+        assert read_stderr(capsys).startswith("error[parse]: line 1:")
+        assert not (tmp_path / "idx").exists()
+
+    def test_dim_zero_embedding_block_is_a_format_error(self, tmp_path, small_config, capsys):
+        config_path, _ = small_config
+        block = tmp_path / "corpus.emb"
+        block.write_bytes(b"MVEB" + (1).to_bytes(4, "little") + bytes(4) + (1).to_bytes(4, "little")
+                          + (1).to_bytes(2, "little") + b"a" + (2).to_bytes(4, "little"))
+        assert run_cli("index", "--corpus", block, "--out", tmp_path / "idx", "--config", config_path) == 2
+        err = read_stderr(capsys)
+        assert err.startswith("error[format]") and "dim 0" in err and "\n" not in err
+        assert not (tmp_path / "idx").exists()
+
     def test_text_corpus_without_checkpoint_fails(self, pipeline, capsys):
         code = run_cli("index", "--corpus", pipeline["corpus_a"], "--out", pipeline["tmp"] / "idx2",
                        "--config", pipeline["config"])

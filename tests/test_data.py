@@ -65,6 +65,19 @@ class TestJsonl:
         with pytest.raises(ParseError):
             read_jsonl_records(path)
 
+    @pytest.mark.parametrize("line", ["5", '"xidx"', '["id", "a"]', "null"], ids=["number", "string", "list", "null"])
+    def test_a_line_that_is_not_an_object_is_a_parse_error(self, tmp_path, line):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n' + line + "\n")
+        with pytest.raises(ParseError, match="line 2: a record must be a JSON object"):
+            read_jsonl_records(path)
+
+    def test_zero_width_embedding_rows_rejected_with_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "embeddings": [[1.0]]}\n{"id": "b", "embeddings": [[]]}\n')
+        with pytest.raises(ParseError, match="line 2"):
+            read_jsonl_records(path)
+
     def test_neither_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a"}\n')
@@ -193,6 +206,12 @@ class TestBlockTable:
         one = path.read_bytes()[16:-1]  # the record alone
         path.write_bytes(b"MVEB" + struct.pack("<III", 1, 2, 2) + one + one)
         with pytest.raises(FormatError, match="duplicate"):
+            read_embedding_block(path)
+
+    def test_dim_zero_is_a_format_error(self, tmp_path):
+        path = tmp_path / "corpus.emb"
+        path.write_bytes(b"MVEB" + struct.pack("<III", 1, 0, 1) + struct.pack("<H", 1) + b"a" + struct.pack("<I", 3))
+        with pytest.raises(FormatError, match="dim 0"):
             read_embedding_block(path)
 
     def test_empty_block(self, tmp_path):

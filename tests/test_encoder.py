@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tempfile
 from pathlib import Path
@@ -60,7 +61,8 @@ def random_batch(rng, n, lang="aa"):
 
 
 def named_blocks(params, langs):
-    """(label, array) pairs for every parameter block touching the given languages."""
+    """(label, array) pairs for every parameter block touching the given
+    languages, in checkpoint order; a gradient has the same blocks."""
     yield "embedding", params.embedding
     for i, layer in enumerate(params.shared_layers):
         yield f"shared{i}.w_self", layer.w_self
@@ -69,21 +71,6 @@ def named_blocks(params, langs):
     yield "w_out", params.w_out
     for lang in langs:
         for i, ad in enumerate(params.adapters[lang]):
-            yield f"adapter:{lang}:{i}.w_down", ad.w_down
-            yield f"adapter:{lang}:{i}.b_down", ad.b_down
-            yield f"adapter:{lang}:{i}.w_up", ad.w_up
-            yield f"adapter:{lang}:{i}.b_up", ad.b_up
-
-
-def grad_blocks(grads, langs):
-    yield "embedding", grads.embedding
-    for i, layer in enumerate(grads.shared_layers):
-        yield f"shared{i}.w_self", layer.w_self
-        yield f"shared{i}.w_ctx", layer.w_ctx
-        yield f"shared{i}.bias", layer.bias
-    yield "w_out", grads.w_out
-    for lang in langs:
-        for i, ad in enumerate(grads.adapters[lang]):
             yield f"adapter:{lang}:{i}.w_down", ad.w_down
             yield f"adapter:{lang}:{i}.b_down", ad.b_down
             yield f"adapter:{lang}:{i}.w_up", ad.w_up
@@ -103,7 +90,7 @@ def assert_loss_directional_derivatives(batch, params, langs, rng):
     """Analytic contrastive gradients against central differences along one
     random unit direction per block."""
     _, grads = total_loss_and_grads(batch, params)
-    analytic = dict(grad_blocks(grads, langs))
+    analytic = dict(named_blocks(grads, langs))
     for label, block in named_blocks(params, langs):
         direction = rng.normal(size=block.shape)
         direction /= np.linalg.norm(direction)
@@ -332,7 +319,7 @@ class TestTotalLoss:
         n = 3
         loss, grads = total_loss_and_grads(random_batch(np.random.default_rng(12), n), params)
         assert loss == pytest.approx(math.log(2.0) + math.log(2.0 * n), abs=1e-12)
-        for label, block in grad_blocks(grads, ["aa"]):
+        for label, block in named_blocks(grads, ["aa"]):
             assert not block.any(), label
 
 
@@ -386,7 +373,7 @@ class TestGradients:
         for tokens, row in zero_rows.items():
             assert not d_states[tokens][row].any()
             assert np.delete(d_states[tokens], row, axis=0).any()
-        assert all(np.isfinite(block).all() for _, block in grad_blocks(grads, ["aa"]))
+        assert all(np.isfinite(block).all() for _, block in named_blocks(grads, ["aa"]))
         assert_loss_directional_derivatives(batch, params, ["aa"], rng)
 
     def test_total_loss_sampled_entries(self):
@@ -394,7 +381,7 @@ class TestGradients:
         params = tiny_params(seed=99)
         batch = random_batch(rng, 2)
         _, grads = total_loss_and_grads(batch, params)
-        analytic = dict(grad_blocks(grads, ["aa"]))
+        analytic = dict(named_blocks(grads, ["aa"]))
         for label, block in named_blocks(params, ["aa"]):
             flat = block.reshape(-1)
             for idx in rng.choice(flat.size, size=min(4, flat.size), replace=False):
@@ -413,7 +400,7 @@ class TestGradients:
         mask = np.zeros(9, dtype=bool)
         mask[[1, 4, 5]] = True
         _, grads = mlm_loss_and_grads(ids, "aa", mask, params)
-        analytic = dict(grad_blocks(grads, ["aa"]))
+        analytic = dict(named_blocks(grads, ["aa"]))
         for label, block in named_blocks(params, ["aa"]):
             direction = rng.normal(size=block.shape)
             direction /= np.linalg.norm(direction)
@@ -551,6 +538,22 @@ class TestFinetuneStep:
             finetune_step(batch, params, lr=0.1)
 
 
+class TestInitParams:
+    def test_every_block_is_its_own_draw_in_declaration_order(self):
+        # a reference that draws block by block, as the layout lists them
+        vocab, d, d_out, n_layers, b = 24, 6, 5, 2, 3
+        rng = np.random.default_rng(31)
+        shapes = [(vocab, d)] + [(d, d), (d, d), (d,)] * n_layers + [(d, d_out)]
+        shapes += [(d, b), (b,), (b, d), (d,)] * n_layers * len(LANGS)
+        expected = [rng.uniform(-0.05, 0.05, size=shape) for shape in shapes]
+        new_rng = np.random.default_rng(5)
+        expected += [new_rng.uniform(-0.05, 0.05, size=shape) for shape in [(d, b), (b,), (b, d), (d,)] * n_layers]
+        params = add_language(tiny_params(seed=31), "cc", init_seed=5)
+        got = [block for _, block in named_blocks(params, params.languages())]
+        assert [g.shape for g in got] == [e.shape for e in expected]
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+
 class TestAddLanguage:
     def test_existing_encodings_unchanged(self):
         params = tiny_params()
@@ -664,18 +667,47 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(tiny_params(seed=27), path)
         before = path.read_bytes()
-        real_blocks = encoder._param_blocks
+        params = tiny_params(seed=28)
+        header = len(before) - 8 * sum(flat.size for flat in [params.core, *params.flat_adapters.values()])
+        real_write = encoder.atomic_write
+        written = []
 
-        def first_block_then_fail(params):
-            blocks = real_blocks(params)
-            yield next(blocks)
-            raise OSError("disk full")
+        class HeaderThenFail:
+            def __init__(self, fh):
+                self.fh = fh
 
-        monkeypatch.setattr(encoder, "_param_blocks", first_block_then_fail)
+            def write(self, raw):
+                if sum(written) + len(raw) > header:
+                    raise OSError("disk full")
+                written.append(len(raw))
+                return self.fh.write(raw)
+
+        @contextlib.contextmanager
+        def header_then_fail(target, mode):
+            with real_write(target, mode) as fh:
+                yield HeaderThenFail(fh)
+
+        monkeypatch.setattr(encoder, "atomic_write", header_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(tiny_params(seed=28), path)
+            save_checkpoint(params, path)
+        assert sum(written) == header
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_blocks_are_views_of_their_module_buffer_in_checkpoint_order(self, tmp_path):
+        params = tiny_params(seed=29)
+        add_language(params, "cc", init_seed=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        raw = path.read_bytes()
+        for model in (params, load_checkpoint(path)):
+            blocks = list(named_blocks(model, model.languages()))
+            for label, block in blocks:
+                lang = label.split(":")[1] if label.startswith("adapter:") else None
+                assert np.shares_memory(block, model.flat_adapters[lang] if lang else model.core), label
+            section = b"".join(block.astype("<f8").tobytes() for _, block in blocks)
+            assert len(section) == 8 * sum(flat.size for flat in [model.core, *model.flat_adapters.values()])
+            assert raw.endswith(section)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

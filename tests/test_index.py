@@ -298,6 +298,10 @@ class TestBuildIndex:
         with pytest.raises(InvalidConfigError):
             build_index({"p": np.empty((0, 4))}, seed=0)
 
+    def test_table_without_columns_rejected(self):
+        with pytest.raises(InvalidConfigError, match="at least one column"):
+            build_index({"p": np.empty((2, 0))}, seed=0)
+
     def test_passage_dim_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             build_index({"a": np.ones((2, 4)), "b": np.ones((2, 3))}, seed=0)
