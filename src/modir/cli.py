@@ -205,6 +205,9 @@ def cmd_search(args) -> int:
     idx = index_mod.load_index(args.index)
     params = encoder.load_checkpoint(args.checkpoint) if args.checkpoint else None
     queries = _encode_corpus(data.read_records(args.queries), params, cfg, "query")
+    for qid, matrix in queries.items():
+        if not np.isfinite(matrix).all():
+            raise InvalidConfigError(f"query {qid!r} contains non-finite values")
 
     final_k = args.k if args.k is not None else cfg.final_k
     candidate_k = args.candidate_k if args.candidate_k is not None else max(cfg.candidate_k, final_k)

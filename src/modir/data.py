@@ -14,6 +14,13 @@ without any model dependency (all integers little-endian)::
     u32      record count
     per record: u16 id byte length, UTF-8 id, u32 row count,
                 rows x dim float32, row-major
+
+``ByteReader`` parses the fields of every binary artifact the pipeline
+hands on: this block, the encoder checkpoint and the index files. A field
+that runs past the end of its file, and a byte left over after the last
+field, is a FormatError naming the file. The varint format (unsigned
+LEB128) that the index files use is defined here too, for writing
+(``encode_varints``) and for reading (``ByteReader.varints``).
 """
 
 import json
@@ -138,10 +145,23 @@ def write_embedding_block(records: dict, path):
             fh.write(np.ascontiguousarray(mat, dtype="<f4").tobytes())
 
 
+def encode_varints(values) -> bytes:
+    """Each value as an unsigned LEB128 varint: seven bits a byte, least
+    significant first, the high bit set on every byte but the last."""
+    out = bytearray()
+    for value in values:
+        v = int(value)
+        while v > 0x7F:
+            out.append(v & 0x7F | 0x80)
+            v >>= 7
+        out.append(v)
+    return bytes(out)
+
+
 class ByteReader:
     """Consecutive fields of a binary file held in memory. A read past the
     end raises FormatError naming the file, so a truncated file never reaches
-    ``struct`` or ``np.frombuffer``."""
+    ``struct`` or ``np.frombuffer``; ``finish`` checks that nothing is left."""
 
     def __init__(self, data: bytes, path, offset: int = 0):
         self.view = memoryview(data)
@@ -149,7 +169,11 @@ class ByteReader:
         self.offset = offset
         self.size = len(self.view)
 
-    def _advance(self, size: int) -> int:
+    def _read(self, start: int, size: int):
+        """The ``size`` bytes at ``start``, which the caller has checked."""
+        return self.view[start : start + size]
+
+    def skip(self, size: int) -> int:
         """Move past ``size`` bytes and return where they start."""
         left = self.size - self.offset
         if size > left:
@@ -157,9 +181,8 @@ class ByteReader:
         self.offset += size
         return self.offset - size
 
-    def take(self, size: int) -> memoryview:
-        start = self._advance(size)
-        return self.view[start : self.offset]
+    def take(self, size: int):
+        return self._read(self.skip(size), size)
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -169,6 +192,37 @@ class ByteReader:
             return str(self.take(size), "utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{self.path}: a name at offset {self.offset - size} is not UTF-8") from None
+
+    def varints(self, count: int) -> np.ndarray:
+        """``count`` unsigned LEB128 varints as int64. A varint that runs
+        past the end, or one longer than 9 bytes (63 bits), is FormatError."""
+        left = self.size - self.offset
+        if count > left:  # every varint takes at least one byte
+            raise FormatError(f"{self.path} is truncated: {count} varints wanted at offset {self.offset}, {left} left")
+        raw = self._read(self.offset, min(left, 9 * count))
+        values = np.empty(count, dtype=np.int64)
+        pos = 0
+        for i in range(count):
+            acc = shift = 0
+            while True:
+                if shift > 56:
+                    raise FormatError(f"{self.path}: a varint at offset {self.offset + pos - 9} is over 9 bytes long")
+                if pos == len(raw):
+                    raise FormatError(f"{self.path} is truncated: a varint runs past the end")
+                byte = raw[pos]
+                pos += 1
+                acc |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    break
+                shift += 7
+            values[i] = acc
+        self.skip(pos)
+        return values
+
+    def finish(self):
+        """FormatError unless every byte has been read."""
+        if self.offset != self.size:
+            raise FormatError(f"{self.path} has {self.size - self.offset} trailing bytes")
 
 
 class FileReader(ByteReader):
@@ -182,16 +236,12 @@ class FileReader(ByteReader):
         self.offset = fh.tell()
         self.size = os.fstat(fh.fileno()).st_size
 
-    def take(self, size: int) -> bytes:
-        self._advance(size)
+    def _read(self, start: int, size: int) -> bytes:
+        self.fh.seek(start)
         raw = self.fh.read(size)
         if len(raw) != size:  # the file shrank since it was opened
-            raise FormatError(f"{self.path} is truncated at offset {self.offset - size + len(raw)}")
+            raise FormatError(f"{self.path} is truncated at offset {start + len(raw)}")
         return raw
-
-    def skip(self, size: int):
-        self._advance(size)
-        self.fh.seek(self.offset)
 
 
 class TermTable(Mapping):
@@ -316,8 +366,7 @@ def read_embedding_block(path) -> BlockRecords:
             counts.append(rows)
             starts.append(reader.offset)
             reader.skip(4 * rows * dim)
-        if reader.offset != reader.size:
-            raise FormatError(f"{path} has {reader.size - reader.offset} trailing bytes")
+        reader.finish()
 
         order = sorted(range(count), key=ids.__getitem__)
         offsets = np.concatenate(([0], np.cumsum([counts[i] for i in order], dtype=np.int64)))

@@ -466,6 +466,7 @@ def mlm_loss_and_grads(token_ids, lang: str, mask, params: ModularEncoderParams)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != ids.shape:
         raise InvalidConfigError("mask length must match the sequence length")
+    params.adapter_stack(lang)  # fail early on an unknown language
     grads = params.zeros([lang])
     if not mask.any():
         return 0.0, grads
@@ -546,10 +547,10 @@ def save_checkpoint(params: ModularEncoderParams, path):
 
 
 def load_checkpoint(path) -> ModularEncoderParams:
-    """Read a checkpoint. The header is read through a bounds-checked reader,
-    and the parameter bytes are checked once against the shapes it names
-    before any block is read; a mismatch, or a parameter that is NaN or
-    infinite, raises FormatError naming the file."""
+    """Read a checkpoint through a bounds-checked reader: the parameter
+    section must hold exactly the floats of the shapes the header names. A
+    section cut short, bytes after it, or a parameter that is NaN or
+    infinite raises FormatError naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(_MAGIC)] != _MAGIC:
@@ -572,11 +573,8 @@ def load_checkpoint(path) -> ModularEncoderParams:
         raise FormatError(f"{path} names a zero encoder dimension, no language or a language twice")
     core_floats = _floats(_core_shapes(vocab, d, d_out, n_layers))
     adapter_floats = _floats(_adapter_shapes(d, bottleneck, n_layers))
-    floats = core_floats + n_langs * adapter_floats
-    left = len(data) - reader.offset
-    if 8 * floats != left:
-        raise FormatError(f"{path} holds {left} parameter bytes, its header names {8 * floats}")
-    values = np.frombuffer(data, dtype="<f8", offset=reader.offset)
+    values = np.frombuffer(reader.take(8 * (core_floats + n_langs * adapter_floats)), dtype="<f8")
+    reader.finish()
     if not np.isfinite(values).all():
         raise FormatError(f"{path} holds a non-finite parameter")
     core, *stacks = _views(values.astype(np.float64), [(core_floats,)] + [(adapter_floats,)] * n_langs)

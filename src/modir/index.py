@@ -14,7 +14,10 @@ few whose blocked score is within rounding distance of the final_k-th best
 again with the oracle's exact MaxSim kernel, which gives the scores it reports.
 
 On-disk layout (directory; all integers little-endian; varint = unsigned
-LEB128):
+LEB128, written and read by ``data.encode_varints`` and
+``data.ByteReader.varints``). ``load_index`` parses every binary file through
+``data.ByteReader``, the reader that also parses the embedding block and the
+encoder checkpoint:
 
     meta.json       format_version, dim, centroid_count, embedding_count,
                     passage_count, id_bits, bits_per_embedding, seed
@@ -49,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scoring
-from .data import TermTable
+from .data import ByteReader, TermTable, encode_varints
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -336,43 +339,6 @@ def unpack_codes(blob: bytes, count: int, dim: int, id_bits: int):
         centroid_ids[lo : lo + rows] = bits[:, :id_bits] @ weights
         residual_codes[lo : lo + rows] = (bits[:, id_bits::2] << 1) | bits[:, id_bits + 1 :: 2]
     return centroid_ids, residual_codes
-
-
-def _encode_uvarint(values) -> bytes:
-    out = bytearray()
-    for value in values:
-        v = int(value)
-        while True:
-            byte = v & 0x7F
-            v >>= 7
-            if v:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
-    return bytes(out)
-
-
-def _decode_uvarint(buf: bytes, offset: int, count: int, path):
-    """``count`` varints from ``buf[offset:]``; FormatError naming ``path`` when
-    the buffer ends inside a value or a value overflows int64."""
-    if count > len(buf) - offset:  # every varint takes at least one byte
-        raise FormatError(f"{path}: truncated or overlong varint")
-    values = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        shift = 0
-        acc = 0
-        while True:
-            if offset >= len(buf) or shift > 56:
-                raise FormatError(f"{path}: truncated or overlong varint")
-            byte = buf[offset]
-            offset += 1
-            acc |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        values[i] = acc
-    return values, offset
 
 
 # ---------------------------------------------------------------------------
@@ -710,35 +676,29 @@ def _write_index_files(index: CompressedIndex, directory: Path):
     sizes = np.diff(index.list_offsets)
     nonempty = np.flatnonzero(sizes)
     heads = np.column_stack((np.diff(nonempty, prepend=0), sizes[nonempty])).ravel()
-    (directory / "invlists.bin").write_bytes(struct.pack("<I", nonempty.size) + _encode_uvarint(heads))
+    (directory / "invlists.bin").write_bytes(struct.pack("<I", nonempty.size) + encode_varints(heads))
 
     passages = bytearray()
     passages += struct.pack("<I", index.passage_count)
-    passages += _encode_uvarint(np.diff(index.passage_offsets))
+    passages += encode_varints(np.diff(index.passage_offsets))
     implicit = index.passage_ids == [str(i) for i in range(index.passage_count)]
     passages.append(0 if implicit else 1)
     if not implicit:
         for pid in index.passage_ids:
             raw = pid.encode("utf-8")
-            passages += _encode_uvarint([len(raw)])
+            passages += encode_varints([len(raw)])
             passages += raw
     (directory / "passages.bin").write_bytes(bytes(passages))
 
 
-def _read_sized(path: Path, size: int) -> bytes:
-    raw = path.read_bytes()
-    if len(raw) != size:
-        raise FormatError(f"{path} holds {len(raw)} bytes, expected {size}")
-    return raw
-
-
 def load_index(directory) -> CompressedIndex:
-    """Read an index directory. Every section's size is checked against
-    meta.json before it is reshaped or unpacked, and the inverted-list
-    directory against the centroid ids in codes.bin; any disagreement, a
-    meta.json that does not end in its newline, a non-finite centroid or
-    codec float, a passage without embeddings, or passage ids that are not
-    strictly ascending, raises FormatError naming the file."""
+    """Read an index directory. Each binary file is parsed through one
+    ``ByteReader`` with the sizes meta.json names, and must end where its last
+    field does; the inverted-list directory is checked against the centroid
+    ids in codes.bin. Any disagreement, a meta.json that does not end in its
+    newline, a non-finite centroid or codec float, a passage without
+    embeddings, or passage ids that are not strictly ascending, raises
+    FormatError naming the file."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     try:
@@ -761,8 +721,18 @@ def load_index(directory) -> CompressedIndex:
     if dim < 1 or c_count < 1 or id_bits != id_bit_width(c_count):
         raise FormatError(f"{meta_path} has dim {dim}, centroid_count {c_count}, id_bits {id_bits}")
 
-    centroids = np.frombuffer(_read_sized(directory / "centroids.f32", 4 * c_count * dim), dtype="<f4")
-    codec_raw = np.frombuffer(_read_sized(directory / "codec.f32", 4 * 7 * dim), dtype="<f4")
+    def reader(name: str) -> ByteReader:
+        path = directory / name
+        return ByteReader(path.read_bytes(), path)
+
+    def read_whole(name: str, size: int) -> memoryview:
+        file = reader(name)
+        raw = file.take(size)
+        file.finish()
+        return raw
+
+    centroids = np.frombuffer(read_whole("centroids.f32", 4 * c_count * dim), dtype="<f4")
+    codec_raw = np.frombuffer(read_whole("codec.f32", 4 * 7 * dim), dtype="<f4")
     for name, values in (("centroids.f32", centroids), ("codec.f32", codec_raw)):
         if not np.isfinite(values).all():
             raise FormatError(f"{directory / name} holds a non-finite float")
@@ -771,57 +741,42 @@ def load_index(directory) -> CompressedIndex:
         reps=codec_raw[3 * dim :].reshape(4, dim).copy(),
     )
     codes_path = directory / "codes.bin"
-    blob = _read_sized(codes_path, -(-n * bits_per_embedding(dim, c_count) // 8))
+    blob = read_whole(codes_path.name, -(-n * bits_per_embedding(dim, c_count) // 8))
     centroid_ids, residual_codes = unpack_codes(blob, n, dim, id_bits)
     if n and centroid_ids.max() >= c_count:
         raise FormatError(f"{codes_path} names a centroid id >= centroid_count {c_count}")
 
-    lists_path = directory / "invlists.bin"
-    buf = lists_path.read_bytes()
-    if len(buf) < 4:
-        raise FormatError(f"{lists_path} is truncated")
-    (n_lists,) = struct.unpack_from("<I", buf)
-    heads, end = _decode_uvarint(buf, 4, 2 * n_lists, lists_path)
+    lists = reader("invlists.bin")
+    (n_lists,) = lists.unpack("<I")
+    heads = lists.varints(2 * n_lists)
+    lists.finish()
     gaps, lengths = heads[0::2], heads[1::2]
     cids = np.cumsum(gaps)
-    if end != len(buf) or np.any(gaps[1:] < 1) or np.any(gaps >= c_count) or np.any(cids >= c_count):
-        raise FormatError(f"{lists_path} is not an ascending list of centroid ids below {c_count}")
+    if np.any(gaps[1:] < 1) or np.any(gaps >= c_count) or np.any(cids >= c_count):
+        raise FormatError(f"{lists.path} is not an ascending list of centroid ids below {c_count}")
     stored = np.zeros(c_count, dtype=np.int64)
     stored[cids] = lengths
     if np.any(lengths < 1) or not np.array_equal(stored, np.bincount(centroid_ids, minlength=c_count)):
-        raise FormatError(f"{lists_path} disagrees with the centroid ids in {codes_path.name}")
+        raise FormatError(f"{lists.path} disagrees with the centroid ids in {codes_path.name}")
 
-    passages_path = directory / "passages.bin"
-    buf = passages_path.read_bytes()
-    if len(buf) < 4 or struct.unpack_from("<I", buf)[0] != p_count:
-        raise FormatError(f"{passages_path} disagrees with meta.json on the passage count")
-    counts, offset = _decode_uvarint(buf, 4, p_count, passages_path)
+    passages = reader("passages.bin")
+    if passages.unpack("<I")[0] != p_count:
+        raise FormatError(f"{passages.path} disagrees with meta.json on the passage count")
+    counts = passages.varints(p_count)
     if counts.sum() != n:
-        raise FormatError(f"{passages_path} lists {counts.sum()} embeddings, meta.json {n}")
+        raise FormatError(f"{passages.path} lists {counts.sum()} embeddings, meta.json {n}")
     if np.any(counts < 1):
-        raise FormatError(f"{passages_path} lists a passage with no embeddings")
-    if offset >= len(buf) or buf[offset] > 1:
-        raise FormatError(f"{passages_path} has a missing or unknown id mode")
-    explicit = buf[offset]
-    offset += 1
+        raise FormatError(f"{passages.path} lists a passage with no embeddings")
+    (explicit,) = passages.unpack("<B")
+    if explicit > 1:
+        raise FormatError(f"{passages.path} has an unknown id mode {explicit}")
     if explicit:
-        ids = []
-        for _ in range(p_count):
-            (length,), offset = _decode_uvarint(buf, offset, 1, passages_path)
-            raw = buf[offset : offset + length]
-            offset += length
-            if len(raw) != length:
-                raise FormatError(f"{passages_path}: passage id cut short")
-            try:
-                ids.append(raw.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise FormatError(f"{passages_path}: passage id is not UTF-8") from None
+        ids = [passages.text(passages.varints(1)[0]) for _ in range(p_count)]
     else:
         ids = [str(i) for i in range(p_count)]
     if any(a >= b for a, b in zip(ids, ids[1:])):  # build_index writes them ascending
-        raise FormatError(f"{passages_path} names a passage id twice or out of ascending order")
-    if offset != len(buf):
-        raise FormatError(f"{passages_path} has {len(buf) - offset} bytes after the passage ids")
+        raise FormatError(f"{passages.path} names a passage id twice or out of ascending order")
+    passages.finish()
 
     return CompressedIndex(
         centroids=centroids.reshape(c_count, dim).copy(),

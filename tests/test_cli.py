@@ -334,6 +334,31 @@ class TestSearchCmd:
         err = read_stderr(capsys)
         assert err.startswith("error[format]") and "codes.bin" in err
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["search", "exact"])
+    @pytest.mark.parametrize("queries", ["jsonl-nan", "jsonl-infinity", "block-nan"])
+    def test_non_finite_query_is_one_error_and_no_run_file(self, tmp_path, small_config, capsys, queries, exact):
+        config_path, _ = small_config
+        rng = np.random.default_rng(0)
+        idx_dir = tmp_path / "idx"
+        save_index(build_index({f"p{i}": rng.normal(size=(4, 8)) for i in range(10)}, seed=0), idx_dir)
+        good = rng.normal(size=(2, 8))
+        bad = rng.normal(size=(2, 8))
+        bad[1, 3] = np.inf if queries == "jsonl-infinity" else np.nan
+        if queries == "block-nan":
+            path = tmp_path / "queries.emb"
+            write_embedding_block({"q0": good, "q1": bad}, path)
+        else:
+            path = tmp_path / "queries.jsonl"  # json writes the Python floats as NaN and Infinity
+            path.write_text("".join(json.dumps({"id": q, "embeddings": m.tolist()}) + "\n"
+                                    for q, m in (("q0", good), ("q1", bad))))
+            assert ("Infinity" if queries == "jsonl-infinity" else "NaN") in path.read_text()
+        run_path = tmp_path / "q.run"
+        code = run_cli("search", "--index", idx_dir, "--queries", path, "--out", run_path,
+                       "--config", config_path, *(["--exact"] if exact else []))
+        assert code == 2
+        assert read_stderr(capsys) == "error[invalid-config]: query 'q1' contains non-finite values"
+        assert not run_path.exists()
+
     def test_search_determinism(self, indexed, tmp_path):
         runs = [tmp_path / "r1.run", tmp_path / "r2.run"]
         for r in runs:

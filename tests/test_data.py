@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modir import cli, data, evaluation
 from modir.data import (
+    ByteReader,
+    FileReader,
     TermTable,
+    encode_varints,
     read_embedding_block,
     read_jsonl_records,
     read_records,
@@ -175,6 +178,65 @@ def test_row_count_beyond_the_file_is_a_format_error(tmp_path, small_block_bytes
     assert peak < 4 << 20  # the read buffer; no table is allocated before the sizes are checked
 
 
+_U63 = st.integers(0, 2**63 - 1)
+
+
+class TestVarints:
+    """``encode_varints`` and ``ByteReader.varints`` define the index files'
+    unsigned LEB128 varints; the reader's errors name the file."""
+
+    @pytest.mark.parametrize(
+        "value,raw",
+        [(0, b"\x00"), (127, b"\x7f"), (128, b"\x80\x01"), (2**63 - 1, b"\xff" * 8 + b"\x7f")],
+    )
+    def test_pinned_encodings(self, value, raw):
+        assert encode_varints([value]) == raw
+        assert ByteReader(raw, "f.bin").varints(1).tolist() == [value]
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_U63, max_size=20), tail=st.binary(max_size=3))
+    @example(values=[0, 127, 128, 2**63 - 1], tail=b"")
+    def test_round_trip_stops_at_the_last_value(self, values, tail):
+        reader = ByteReader(encode_varints(values) + tail, "f.bin")
+        out = reader.varints(len(values))
+        assert out.dtype == np.int64 and out.tolist() == values
+        assert reader.view[reader.offset :] == tail
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_U63, min_size=1, max_size=8), data=st.data())
+    def test_every_truncation_is_a_format_error(self, values, data):
+        raw = encode_varints(values)
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(FormatError, match=r"f\.bin is truncated"):
+            ByteReader(raw[:cut], "f.bin").varints(len(values))
+
+    @pytest.mark.parametrize("raw", [b"\x80" * 9 + b"\x01", encode_varints([2**63])], ids=["ten-bytes", "2**63"])
+    def test_a_varint_over_nine_bytes_is_a_format_error(self, raw):
+        assert len(raw) == 10
+        with pytest.raises(FormatError, match=r"f\.bin: a varint at offset 1 is over 9 bytes long"):
+            ByteReader(b"\x05" + raw, "f.bin").varints(2)
+
+    def test_finish_counts_the_bytes_left(self):
+        reader = ByteReader(encode_varints([300, 1]) + b"xy", "f.bin")
+        assert reader.varints(2).tolist() == [300, 1]
+        with pytest.raises(FormatError, match=r"^f\.bin has 2 trailing bytes$"):
+            reader.finish()
+        assert reader.text(2) == "xy"
+        reader.finish()
+
+    def test_file_reader_reads_varints_from_its_offset(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"ab" + encode_varints([5, 2**40]) + b"c")
+        with open(path, "rb") as fh:
+            fh.read(2)
+            reader = FileReader(fh, path)
+            assert reader.varints(2).tolist() == [5, 2**40]
+            assert reader.take(1) == b"c"
+            reader.finish()
+            with pytest.raises(FormatError, match="truncated"):
+                reader.varints(1)
+
+
 class TestBlockTable:
     """An embedding block is read into one float32 TermTable in id order;
     its records keep file order and view that table."""
@@ -201,7 +263,7 @@ class TestBlockTable:
         path = tmp_path / "corpus.emb"
         write_embedding_block({"a": np.ones((1, 2), dtype=np.float32)}, path)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FormatError, match="trailing"):
+        with pytest.raises(FormatError, match=r"corpus\.emb has 1 trailing bytes$"):
             read_embedding_block(path)
         one = path.read_bytes()[16:-1]  # the record alone
         path.write_bytes(b"MVEB" + struct.pack("<III", 1, 2, 2) + one + one)

@@ -414,6 +414,12 @@ class TestGradients:
             denom = max(abs(a), abs(numeric), 1e-8)
             assert abs(a - numeric) / denom <= 1e-4, f"{label}: analytic {a} vs numeric {numeric}"
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["no-mask", "masked"])
+    def test_mlm_unregistered_language_rejected(self, masked):
+        mask = np.array([False, masked, False])
+        with pytest.raises(UnknownLanguageError, match="'zz'"):
+            mlm_loss_and_grads([4, 5, 6], "zz", mask, tiny_params())
+
 
 class TestMlmStep:
     def test_zero_mask_rate_is_noop(self):
@@ -653,6 +659,13 @@ class TestCheckpoint:
         save_checkpoint(tiny_params(seed=25), path)
         path.write_bytes(cut(path.read_bytes()))
         with pytest.raises(FormatError, match="model.ckpt"):
+            load_checkpoint(path)
+
+    def test_a_byte_after_the_parameters_is_format_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_params(seed=25), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match=r"model\.ckpt has 1 trailing bytes"):
             load_checkpoint(path)
 
     def test_non_finite_parameter_is_format_error(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -20,6 +21,7 @@ from modir.errors import (
 from modir import scoring
 from modir.evaluation import UnitCorpus, brute_force_search
 from modir.index import (
+    INDEX_FILES,
     CompressedIndex,
     DuplicateCentroidWarning,
     ResidualCodec,
@@ -868,6 +870,16 @@ class TestLoadCorrupt:
         save_index(idx, tmp_path)
         corrupt(tmp_path)
         with pytest.raises(FormatError, match=r"\.(f32|bin)"):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize("name", INDEX_FILES)
+    def test_a_byte_appended_to_any_file_names_it(self, tmp_path, name):
+        _, idx, _ = small_index()
+        save_index(idx, tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() + b"\x00")
+        problem = "does not end in a newline" if name == "meta.json" else "has 1 trailing bytes"
+        with pytest.raises(FormatError, match=re.escape(f"{path} {problem}")):
             load_index(tmp_path)
 
     def test_meta_json_without_its_newline_rejected(self, tmp_path):
