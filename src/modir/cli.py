@@ -203,15 +203,17 @@ def cmd_index(args) -> int:
 def cmd_search(args) -> int:
     cfg = _load_config(args)
     idx = index_mod.load_index(args.index)
+    final_k = args.k if args.k is not None else cfg.final_k
+    search_params = index_mod.SearchParams(
+        n_probe=args.nprobe if args.nprobe is not None else min(cfg.n_probe, idx.centroid_count),
+        candidate_k=args.candidate_k if args.candidate_k is not None else max(cfg.candidate_k, final_k),
+        final_k=final_k,
+    )
     params = encoder.load_checkpoint(args.checkpoint) if args.checkpoint else None
     queries = _encode_corpus(data.read_records(args.queries), params, cfg, "query")
     for qid, matrix in queries.items():
         if not np.isfinite(matrix).all():
             raise InvalidConfigError(f"query {qid!r} contains non-finite values")
-
-    final_k = args.k if args.k is not None else cfg.final_k
-    candidate_k = args.candidate_k if args.candidate_k is not None else max(cfg.candidate_k, final_k)
-    n_probe = args.nprobe if args.nprobe is not None else min(cfg.n_probe, idx.centroid_count)
     oracle_corpus = idx.unit_corpus() if args.exact else None
 
     run = {}
@@ -221,8 +223,7 @@ def cmd_search(args) -> int:
         if args.exact:
             ranked = evaluation.brute_force_search(matrix, oracle_corpus, final_k)
         else:
-            params_s = index_mod.SearchParams(n_probe=n_probe, candidate_k=candidate_k, final_k=final_k)
-            ranked = index_mod.search(matrix, idx, params_s)
+            ranked = index_mod.search(matrix, idx, search_params)
         latencies.append((time.perf_counter() - started) * 1000.0)
         run[qid] = ranked
     evaluation.write_run(run, args.out)

@@ -20,7 +20,8 @@ hands on: this block, the encoder checkpoint and the index files. A field
 that runs past the end of its file, and a byte left over after the last
 field, is a FormatError naming the file. The varint format (unsigned
 LEB128) that the index files use is defined here too, for writing
-(``encode_varints``) and for reading (``ByteReader.varints``).
+(``encode_varints``) and for reading (``ByteReader.varints``, and
+``ByteReader.texts`` for varint-length-prefixed strings).
 """
 
 import json
@@ -193,6 +194,22 @@ class ByteReader:
         except UnicodeDecodeError:
             raise FormatError(f"{self.path}: a name at offset {self.offset - size} is not UTF-8") from None
 
+    def _varint(self, raw, pos: int) -> tuple[int, int]:
+        """The unsigned LEB128 varint at ``raw[pos]``, where ``raw`` holds the
+        bytes from ``offset`` on, and the position after it."""
+        acc = shift = 0
+        while True:
+            if shift > 56:
+                raise FormatError(f"{self.path}: a varint at offset {self.offset + pos - 9} is over 9 bytes long")
+            if pos == len(raw):
+                raise FormatError(f"{self.path} is truncated: a varint runs past the end")
+            byte = raw[pos]
+            pos += 1
+            acc |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                return acc, pos
+            shift += 7
+
     def varints(self, count: int) -> np.ndarray:
         """``count`` unsigned LEB128 varints as int64. A varint that runs
         past the end, or one longer than 9 bytes (63 bits), is FormatError."""
@@ -203,21 +220,31 @@ class ByteReader:
         values = np.empty(count, dtype=np.int64)
         pos = 0
         for i in range(count):
-            acc = shift = 0
-            while True:
-                if shift > 56:
-                    raise FormatError(f"{self.path}: a varint at offset {self.offset + pos - 9} is over 9 bytes long")
-                if pos == len(raw):
-                    raise FormatError(f"{self.path} is truncated: a varint runs past the end")
-                byte = raw[pos]
-                pos += 1
-                acc |= (byte & 0x7F) << shift
-                if byte < 0x80:
-                    break
-                shift += 7
-            values[i] = acc
+            values[i], pos = self._varint(raw, pos)
         self.skip(pos)
         return values
+
+    def texts(self, count: int) -> list[str]:
+        """``count`` strings, each a varint byte length and that many UTF-8
+        bytes, split from one read of the rest of the file. A length that
+        breaks a ``varints`` rule, a string cut short, or one that is not
+        UTF-8 is FormatError."""
+        raw = bytes(self._read(self.offset, self.size - self.offset))
+        out = []
+        pos = 0
+        for _ in range(count):
+            size, pos = self._varint(raw, pos)
+            if size > len(raw) - pos:
+                raise FormatError(
+                    f"{self.path} is truncated: {size} bytes wanted at offset {self.offset + pos}, {len(raw) - pos} left"
+                )
+            try:
+                out.append(raw[pos : pos + size].decode("utf-8"))
+            except UnicodeDecodeError:
+                raise FormatError(f"{self.path}: a name at offset {self.offset + pos} is not UTF-8") from None
+            pos += size
+        self.skip(pos)
+        return out
 
     def finish(self):
         """FormatError unless every byte has been read."""

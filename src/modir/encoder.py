@@ -364,40 +364,38 @@ def total_loss_and_grads(batch: Batch, params: ModularEncoderParams):
     """Mean per-triple pairwise + in-batch loss and gradients for every block.
 
     Scores are MaxSim over the encoded sequences, taken for the whole batch at
-    once. The 3n encodings are stacked and normalized in one call. One matmul
-    scores every query row against the 2n passages (pos_0, neg_0, pos_1, ...),
-    padded to the longest with -inf cells; the first maximum per passage and
-    query row wins. Each query's cosines are summed along a contiguous row,
-    the order of ``scoring.maxsim_unit``, so a score equals ``maxsim_score``
-    of the two encodings whenever the matmul gives the same cosine bits. The
-    sums form an (n x 2n) score matrix: columns 2i and 2i+1 are query i's
-    positive and hard negative, the rest its in-batch negatives, so gradient
-    flows into the other triples' encodings as well. The backward pass
-    carries the score gradients to the chosen rows through a one-hot weight
-    matrix and two matmuls, then through the row normalization once;
-    zero-norm rows score 0 and get zero gradient.
+    once. The 3n states are stacked, projected and normalized in one call
+    each. One matmul scores the real rows of the 2n passages (pos_0, neg_0,
+    pos_1, ...) against every query row; each passage's maxima come from one
+    ``np.maximum.reduceat`` over its rows, and the first row at the maximum
+    wins. Each query's cosines are summed along a contiguous row, the order
+    of ``scoring.maxsim_unit``, so a score equals ``maxsim_score`` of the two
+    encodings whenever the matmul gives the same cosine bits. The sums form
+    an (n x 2n) score matrix: columns 2i and 2i+1 are query i's positive and
+    hard negative, the rest its in-batch negatives, so gradient flows into
+    the other triples' encodings as well. The backward pass writes each score
+    gradient into a (passage rows x query rows) weight matrix at the chosen
+    row, carries it to both sides with two matmuls, then through the row
+    normalization once; zero-norm rows score 0 and get zero gradient.
     """
     seqs = _batch_sequences(batch)
-    langs = sorted({s.language for s in seqs})
-    for lang in langs:
-        params.adapter_stack(lang)  # fail early on unknown languages
-
     ids_list = [_token_array(s, params.vocab_size) for s in seqs]
     forwards = [_forward(ids, s.language, params) for ids, s in zip(ids_list, seqs)]
     states = np.concatenate([state for state, _ in forwards])
-    embs = np.concatenate([state @ params.w_out for state, _ in forwards])
+    embs = states @ params.w_out
     units = normalize_rows(embs)
 
     n = len(batch)
     lens = np.array([len(ids) for ids in ids_list])
     starts = np.concatenate(([0], np.cumsum(lens)))
-    width = lens[n:].max()
-    real = np.arange(width) < lens[n:, None]  # (2n, width) cells holding a passage row
-    rows = np.where(real, starts[n:-1, None] + np.arange(width), 0)  # padding reads row 0
-    q, p_flat = units[: starts[n]], units[rows.ravel()]
-    sim = np.where(real[..., None], (p_flat @ q.T).reshape(2 * n, width, -1), -np.inf)
-    best = sim.argmax(axis=1)  # (2n, query rows)
-    cos = sim.max(axis=1)
+    q, p = units[: starts[n]], units[starts[n] :]
+    p_starts = starts[n:-1] - starts[n]
+    sim = p @ q.T  # (passage rows, query rows)
+    cos = np.maximum.reduceat(sim, p_starts)  # (2n, query rows)
+    # a NaN cosine equals no maximum and leaves the sentinel len(p), but then
+    # its score is NaN and the loss raises NonFiniteError before it is read
+    at_max = np.where(sim == np.repeat(cos, lens[n:], axis=0), np.arange(len(p))[:, None], len(p))
+    best = np.minimum.reduceat(at_max, p_starts)
     scores = np.stack([cos[:, lo:hi].sum(axis=1) for lo, hi in zip(starts[:n], starts[1 : n + 1])])
 
     cols = np.arange(n)
@@ -415,15 +413,15 @@ def total_loss_and_grads(batch: Batch, params: ModularEncoderParams):
     d_scores[cols, 2 * cols + 1] += sig
     d_scores *= inv_n
 
-    onehot = np.zeros((2 * n * width, starts[n]))
-    onehot[np.arange(2 * n)[:, None] * width + best, np.arange(starts[n])] = np.repeat(d_scores, lens[:n], axis=0).T
-    d_units = np.concatenate((onehot.T @ p_flat, (onehot @ q)[real.ravel()]))
+    weights = np.zeros_like(sim)  # d loss / d sim: nonzero only at the chosen rows
+    weights[best, np.arange(starts[n])] = np.repeat(d_scores, lens[:n], axis=0).T
+    d_units = np.concatenate((weights.T @ p, weights @ q))
     # through u = e / |e|: de = (du - u (u . du)) / |e|, zero where |e| = 0
     norms = np.linalg.norm(embs, axis=1, keepdims=True)
     d_tangent = d_units - units * (units * d_units).sum(axis=1, keepdims=True)
     d_embs = np.divide(d_tangent, norms, out=np.zeros_like(units), where=norms > 0.0)
 
-    grads = params.zeros(langs)
+    grads = params.zeros(sorted({s.language for s in seqs}))
     grads.w_out += states.T @ d_embs
     d_states = d_embs @ params.w_out.T
     for k, (ids, s, (_, cache)) in enumerate(zip(ids_list, seqs, forwards)):

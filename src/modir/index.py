@@ -14,10 +14,10 @@ few whose blocked score is within rounding distance of the final_k-th best
 again with the oracle's exact MaxSim kernel, which gives the scores it reports.
 
 On-disk layout (directory; all integers little-endian; varint = unsigned
-LEB128, written and read by ``data.encode_varints`` and
-``data.ByteReader.varints``). ``load_index`` parses every binary file through
-``data.ByteReader``, the reader that also parses the embedding block and the
-encoder checkpoint:
+LEB128, written by ``data.encode_varints`` and read by
+``data.ByteReader.varints`` and ``.texts``). ``load_index`` parses every
+binary file through ``data.ByteReader``, the reader that also parses the
+embedding block and the encoder checkpoint:
 
     meta.json       format_version, dim, centroid_count, embedding_count,
                     passage_count, id_bits, bits_per_embedding, seed
@@ -596,7 +596,7 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
 def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None):
     """Exact MaxSim of each candidate over its full set of unit-norm rows:
     the k best (all when k is None), descending with ties toward the lower
-    passage id.
+    passage id. A passage listed more than once is ranked once.
 
     The candidates' rows are read from the unit-row table by position, in
     blocks of whole passages (``scoring.maxsim_top_k``). With k set, only the
@@ -605,7 +605,7 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
     the k=None ranking, bit for bit.
     """
     q_unit = scoring.normalize_rows(_check_query(query, index))
-    internal = np.sort(np.array([index.internal_passage(pid) for pid in candidates], dtype=np.int64))
+    internal = np.unique(np.array([index.internal_passage(pid) for pid in candidates], dtype=np.int64))
     positions, offsets = index.unit_row_positions(internal)
     order, scores = scoring.maxsim_top_k(q_unit, index.unit_rows, offsets, k, rows=positions)
     return [(index.passage_ids[internal[i]], float(s)) for i, s in zip(order, scores)]
@@ -771,7 +771,7 @@ def load_index(directory) -> CompressedIndex:
     if explicit > 1:
         raise FormatError(f"{passages.path} has an unknown id mode {explicit}")
     if explicit:
-        ids = [passages.text(passages.varints(1)[0]) for _ in range(p_count)]
+        ids = passages.texts(p_count)
     else:
         ids = [str(i) for i in range(p_count)]
     if any(a >= b for a, b in zip(ids, ids[1:])):  # build_index writes them ascending

@@ -359,6 +359,33 @@ class TestSearchCmd:
         assert read_stderr(capsys) == "error[invalid-config]: query 'q1' contains non-finite values"
         assert not run_path.exists()
 
+    @pytest.mark.parametrize(
+        "flags,n_queries",
+        [
+            (["--exact", "--k", 10, "--candidate-k", 5], 2),
+            (["--exact", "--nprobe", 0], 2),
+            (["--k", 10, "--candidate-k", 5], 0),
+        ],
+        ids=["exact-candidate-k-below-k", "exact-nprobe-0", "no-queries"],
+    )
+    def test_invalid_search_flags_are_rejected_without_a_two_stage_query(
+        self, tmp_path, small_config, capsys, flags, n_queries
+    ):
+        config_path, _ = small_config
+        rng = np.random.default_rng(0)
+        idx_dir = tmp_path / "idx"
+        save_index(build_index({f"p{i}": rng.normal(size=(4, 8)) for i in range(10)}, seed=0), idx_dir)
+        path = tmp_path / "queries.jsonl"
+        path.write_text("".join(json.dumps({"id": f"q{i}", "embeddings": rng.normal(size=(2, 8)).tolist()}) + "\n"
+                                for i in range(n_queries)))
+        run_path = tmp_path / "q.run"
+        code = run_cli("search", "--index", idx_dir, "--queries", path, "--out", run_path,
+                       "--config", config_path, *flags)
+        assert code == 2
+        err = read_stderr(capsys).splitlines()
+        assert len(err) == 1 and err[0].startswith("error[invalid-config]")
+        assert not run_path.exists()
+
     def test_search_determinism(self, indexed, tmp_path):
         runs = [tmp_path / "r1.run", tmp_path / "r2.run"]
         for r in runs:

@@ -237,6 +237,40 @@ class TestVarints:
                 reader.varints(1)
 
 
+def encode_texts(texts) -> bytes:
+    """Strings as passages.bin stores explicit ids: varint byte length, then UTF-8."""
+    return b"".join(encode_varints([len(raw)]) + raw for raw in (t.encode("utf-8") for t in texts))
+
+
+class TestTexts:
+    """``ByteReader.texts`` splits varint-length-prefixed UTF-8 strings; its
+    errors name the file."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(st.text(max_size=200), max_size=20), tail=st.binary(max_size=3))
+    @example(texts=["", "a" * 128, "\u00e9"], tail=b"")  # a two-byte length, a two-byte character
+    def test_round_trip_stops_at_the_last_string(self, texts, tail):
+        reader = ByteReader(b"x" + encode_texts(texts) + tail, "f.bin", 1)
+        assert reader.texts(len(texts)) == texts
+        assert reader.view[reader.offset :] == tail
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(st.text(max_size=150), min_size=1, max_size=6), data=st.data())
+    def test_every_truncation_is_a_format_error(self, texts, data):
+        raw = encode_texts(texts)
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(FormatError, match=r"^f\.bin is truncated"):
+            ByteReader(raw[:cut], "f.bin").texts(len(texts))
+
+    def test_a_string_that_is_not_utf8_is_a_format_error(self):
+        with pytest.raises(FormatError, match=r"^f\.bin: a name at offset 4 is not UTF-8$"):
+            ByteReader(encode_texts(["ab"]) + b"\x02\xff\xfe", "f.bin").texts(2)
+
+    def test_a_length_over_nine_bytes_is_a_format_error(self):
+        with pytest.raises(FormatError, match=r"^f\.bin: a varint at offset 2 is over 9 bytes long$"):
+            ByteReader(encode_texts(["a"]) + b"\x80" * 9 + b"\x01", "f.bin").texts(2)
+
+
 class TestBlockTable:
     """An embedding block is read into one float32 TermTable in id order;
     its records keep file order and view that table."""

@@ -33,7 +33,7 @@ from modir.errors import (
     StageError,
     UnknownLanguageError,
 )
-from modir.scoring import PreparedSequence
+from modir.scoring import PreparedSequence, normalize_rows, prepare_passage, prepare_query
 
 LANGS = ("aa", "bb")
 
@@ -312,6 +312,10 @@ class TestTotalLoss:
         expected /= len(batch)
         assert total_loss(batch, params) == pytest.approx(expected, abs=1e-10)
 
+    def test_unregistered_language_rejected(self):
+        with pytest.raises(UnknownLanguageError, match="'zz'"):
+            total_loss_and_grads(random_batch(np.random.default_rng(13), 2, lang="zz"), tiny_params())
+
     def test_zero_projection_scores_zero_with_zero_gradients(self):
         # every embedding row has zero norm: all MaxSim scores are 0
         params = tiny_params(seed=4)
@@ -321,6 +325,122 @@ class TestTotalLoss:
         assert loss == pytest.approx(math.log(2.0) + math.log(2.0 * n), abs=1e-12)
         for label, block in named_blocks(grads, ["aa"]):
             assert not block.any(), label
+
+
+def padded_total_loss_and_grads(batch, params):
+    """Reference: the contrastive kernel in its padded form. Each sequence is
+    projected on its own; each passage's rows are copied into a (2n, width)
+    grid padded to the longest passage, whose padding cells score -inf; the
+    backward pass scatters the score gradients into a one-hot (padded
+    passage rows x query rows) matrix and un-pads its product."""
+    seqs = encoder._batch_sequences(batch)
+    langs = sorted({s.language for s in seqs})
+    ids_list = [encoder._token_array(s, params.vocab_size) for s in seqs]
+    forwards = [encoder._forward(ids, s.language, params) for ids, s in zip(ids_list, seqs)]
+    states = np.concatenate([state for state, _ in forwards])
+    embs = np.concatenate([state @ params.w_out for state, _ in forwards])
+    units = normalize_rows(embs)
+
+    n = len(batch)
+    lens = np.array([len(ids) for ids in ids_list])
+    starts = np.concatenate(([0], np.cumsum(lens)))
+    width = lens[n:].max()
+    real = np.arange(width) < lens[n:, None]
+    rows = np.where(real, starts[n:-1, None] + np.arange(width), 0)
+    q, p_flat = units[: starts[n]], units[rows.ravel()]
+    sim = np.where(real[..., None], (p_flat @ q.T).reshape(2 * n, width, -1), -np.inf)
+    best = sim.argmax(axis=1)
+    cos = sim.max(axis=1)
+    scores = np.stack([cos[:, lo:hi].sum(axis=1) for lo, hi in zip(starts[:n], starts[1 : n + 1])])
+
+    cols = np.arange(n)
+    pos, neg = scores[cols, 2 * cols], scores[cols, 2 * cols + 1]
+    total = 0.0
+    for i in range(n):
+        total += pairwise_loss(pos[i], neg[i]) + inbatch_loss(pos[i], neg[i], np.delete(scores[i], [2 * i, 2 * i + 1]))
+    inv_n = 1.0 / n
+    sig = 1.0 / (1.0 + np.exp(pos - neg))
+    d_scores = np.exp(scores - scores.max(axis=1, keepdims=True))
+    d_scores /= d_scores.sum(axis=1, keepdims=True)
+    d_scores[cols, 2 * cols] -= 1.0 + sig
+    d_scores[cols, 2 * cols + 1] += sig
+    d_scores *= inv_n
+
+    onehot = np.zeros((2 * n * width, starts[n]))
+    onehot[np.arange(2 * n)[:, None] * width + best, np.arange(starts[n])] = np.repeat(d_scores, lens[:n], axis=0).T
+    d_units = np.concatenate((onehot.T @ p_flat, (onehot @ q)[real.ravel()]))
+    norms = np.linalg.norm(embs, axis=1, keepdims=True)
+    d_tangent = d_units - units * (units * d_units).sum(axis=1, keepdims=True)
+    d_embs = np.divide(d_tangent, norms, out=np.zeros_like(units), where=norms > 0.0)
+
+    grads = params.zeros(langs)
+    grads.w_out += states.T @ d_embs
+    d_states = d_embs @ params.w_out.T
+    for k, (ids, s, (_, cache)) in enumerate(zip(ids_list, seqs, forwards)):
+        encoder._backward_state(ids, cache, d_states[starts[k] : starts[k + 1]], s.language, params, grads)
+    return total * inv_n, grads
+
+
+def prepared_batch(rng, n, lang, vocab, query_rows, text_len, one_token=0.0, tied=0.0):
+    """n triples framed as ``modir train`` frames them: each query padded to a
+    row count drawn from ``query_rows``, each passage from a text of
+    ``text_len`` tokens. A passage's text is one token with probability
+    ``one_token``; with probability ``tied`` the passage is one id repeated,
+    whose identical rows tie every maximum. Every sequence has at least two
+    rows, as framed ones do: a one-row sequence's projection on its own runs
+    through a matrix-vector product, whose last bits can differ from those
+    of the same row in the batch's one projection."""
+
+    def text(low, high):
+        return [int(t) for t in rng.integers(4, vocab, size=int(rng.integers(low, high + 1)))]
+
+    def query():
+        rows = int(rng.integers(query_rows[0], query_rows[1] + 1))
+        return prepare_query(text(1, rows - 2), rows, lang)
+
+    def passage():
+        draw = rng.random()
+        if draw < one_token:
+            return prepare_passage(text(1, 1), 256, lang)
+        if draw < one_token + tied:
+            return PreparedSequence((7,) * int(rng.integers(2, 6)), kind="passage", language=lang)
+        return prepare_passage(text(*text_len), 256, lang)
+
+    return Batch(tuple(TrainingTriple(query(), passage(), passage()) for _ in range(n)))
+
+
+class TestPaddedReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_loss_and_every_gradient_block_equal_the_padded_kernel(self, seed):
+        rng = np.random.default_rng(seed)
+        lang = LANGS[seed % 2]
+        params = tiny_params(seed=seed + 200)
+        batch = prepared_batch(rng, 1 + seed % 5, lang, 24, (3, 11), (2, 18), one_token=0.3, tied=0.2)
+        loss, grads = total_loss_and_grads(batch, params)
+        ref_loss, ref_grads = padded_total_loss_and_grads(batch, params)
+        assert loss == ref_loss
+        assert np.array_equal(grads.core, ref_grads.core)
+        assert np.array_equal(grads.flat_adapters[lang], ref_grads.flat_adapters[lang])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_finetune_sized_batches_give_the_padded_kernels_loss(self, seed):
+        # d_out 128, batch 8, 32-row queries, 16-64-row passages: the gradient
+        # products no longer sum over padding zeros, so their last bits may move
+        rng = np.random.default_rng(seed)
+        params = init_params(LANGS, vocab=1024, d=32, d_out=128, seed=seed)
+        batch = prepared_batch(rng, 8, "aa", 1024, (32, 32), (14, 62))
+        loss, grads = total_loss_and_grads(batch, params)
+        ref_loss, ref_grads = padded_total_loss_and_grads(batch, params)
+        assert loss == ref_loss
+        assert np.abs(grads.core - ref_grads.core).max() <= 1e-12 * np.abs(ref_grads.core).max()
+
+    def test_a_nan_in_the_projection_is_non_finite_error(self):
+        # every cosine is NaN, so no row equals its passage's maximum
+        params = tiny_params(seed=5)
+        params.w_out[2, 1] = np.nan
+        batch = prepared_batch(np.random.default_rng(6), 3, "aa", 24, (3, 11), (2, 18), one_token=0.3)
+        with pytest.raises(NonFiniteError):
+            total_loss_and_grads(batch, params)
 
 
 class TestGradients:

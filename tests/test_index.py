@@ -450,6 +450,13 @@ class TestRerank:
         _, idx, query = small_index()
         assert exact_rerank(query, [], idx) == []
 
+    @pytest.mark.parametrize("k", [None, 2, 3])
+    def test_a_passage_listed_twice_is_ranked_once(self, k):
+        _, idx, query = small_index()
+        ranked = exact_rerank(query, ["17", "3", "17", "41", "3"], idx, k=k)
+        assert ranked == exact_rerank(query, ["17", "3", "41"], idx, k=k)
+        assert len({pid for pid, _ in ranked}) == len(ranked) == (k or 3)
+
     def test_every_score_equals_maxsim_of_the_decompressed_passage(self):
         _, idx, query = small_index()
         candidates = ["41", "3", "17", "0", "59", "26"]  # out of id order on purpose
@@ -839,6 +846,11 @@ def _leave_out_last_list(directory):
     path.write_bytes(struct.pack("<I", n_lists - 1) + buf[4:-2])
 
 
+def _last_id_byte_not_utf8(directory):
+    path = directory / "passages.bin"
+    path.write_bytes(path.read_bytes()[:-1] + b"\xff")
+
+
 def _nan_first_float(directory, name):
     path = directory / name
     path.write_bytes(np.array([np.nan], dtype="<f4").tobytes() + path.read_bytes()[4:])
@@ -857,10 +869,12 @@ class TestLoadCorrupt:
             _leave_out_last_list,
             lambda d: _nan_first_float(d, "centroids.f32"),
             lambda d: _nan_first_float(d, "codec.f32"),
+            _last_id_byte_not_utf8,
         ],
         ids=[
             "centroids-cut", "codec-cut", "invlists-cut", "invlists-first-gap-127",
             "codes-cut", "passages-cut", "invlists-list-left-out", "centroids-nan", "codec-nan",
+            "passages-id-not-utf8",
         ],
     )
     def test_format_error_names_the_file(self, tmp_path, corrupt):
