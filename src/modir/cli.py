@@ -1,6 +1,7 @@
 """Batch command-line surface: train, index, search, eval.
 
-Every command is deterministic for a fixed --seed. Operational failures exit
+Every command is deterministic: train, index and search for a fixed --seed
+(eval has no seed and no config). Operational failures exit
 nonzero after printing a single ``error[<code>]: message`` line to stderr.
 Log verbosity comes from the MODIR_LOG environment variable (debug, info,
 warning, error).
@@ -17,6 +18,7 @@ import numpy as np
 from . import data, encoder, evaluation, index as index_mod, scoring
 from .config import RunConfig
 from .errors import (
+    EmptyInputError,
     InvalidConfigError,
     ModirError,
     StageError,
@@ -32,7 +34,7 @@ _STAGE_STREAM = {"pretrain": 1, "finetune": 2, "extend": 3}
 
 def _load_config(args) -> RunConfig:
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     if args.config:
         return RunConfig.from_file(args.config, **overrides)
@@ -210,10 +212,13 @@ def cmd_search(args) -> int:
         final_k=final_k,
     )
     params = encoder.load_checkpoint(args.checkpoint) if args.checkpoint else None
+    index_mod.check_n_probe(search_params, idx)
     queries = _encode_corpus(data.read_records(args.queries), params, cfg, "query")
     for qid, matrix in queries.items():
         if not np.isfinite(matrix).all():
             raise InvalidConfigError(f"query {qid!r} contains non-finite values")
+        if matrix.shape[0] == 0:
+            raise EmptyInputError(f"query {qid!r} has no rows")
     oracle_corpus = idx.unit_corpus() if args.exact else None
 
     run = {}
@@ -267,6 +272,7 @@ def cmd_eval(args) -> int:
         value = _METRICS[name](run, qrels, k)
         print(f"{name}@{k} {value:.4f}")
     if skipped:
+        log.info("skipping %d unjudged or all-negative queries: %s", len(skipped), skipped)
         print(f"skipped_queries {len(skipped)}")
     return 0
 
@@ -314,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--metrics", default="mrr@10,recall@100", help="comma list, e.g. mrr@10,recall@100")
     eval_p.set_defaults(func=cmd_eval)
 
-    for p in (train, index_p, search_p, eval_p):
+    for p in (train, index_p, search_p):
         p.add_argument("--config", help="JSON file of RunConfig overrides")
         p.add_argument("--seed", type=int, help="overrides the config seed")
     return parser

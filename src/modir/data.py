@@ -5,6 +5,12 @@ travels in from the reader to the index.
 A JSONL record is ``{"id": ..., "language": ..., "text": ...}`` or
 ``{"id": ..., "embeddings": [[...], ...]}`` (exactly one of text/embeddings).
 
+Every text file is read through ``text_lines``, which numbers the nonblank
+lines and rejects bytes that are not UTF-8. Every whitespace-separated text
+file (triples here; run and qrels files in ``evaluation``) is split by
+``text_fields``, the one place that checks a line's field count and words
+its ParseError.
+
 The binary embedding block lets externally computed term embeddings drop in
 without any model dependency (all integers little-endian)::
 
@@ -89,6 +95,20 @@ def text_lines(path):
                 raise ParseError(f"{path} is not UTF-8 text", line=lineno) from None
             if line.strip():
                 yield lineno, line
+
+
+def text_fields(path, layout: str):
+    """(line number from 1, fields) for each nonblank line of a whitespace
+    separated text file, such as a run, qrels or triples file. ``layout``
+    names the fields, for example ``'qid 0 pid grade'``; a line with another
+    number of fields is a ParseError quoting it, as is one ``text_lines``
+    rejects."""
+    width = len(layout.split())
+    for lineno, line in text_lines(path):
+        fields = line.split()
+        if len(fields) != width:
+            raise ParseError(f"expected {layout!r}, got {line.strip()!r}", line=lineno)
+        yield lineno, fields
 
 
 def read_jsonl_records(path) -> list[CorpusRecord]:
@@ -421,10 +441,4 @@ def read_records(path) -> Sequence[CorpusRecord]:
 
 def read_triples(path) -> list[tuple[str, str, str]]:
     """Whitespace-separated ``qid positive_pid negative_pid`` lines."""
-    triples = []
-    for lineno, line in text_lines(path):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"expected 'qid pos_pid neg_pid', got {line.strip()!r}", line=lineno)
-        triples.append((parts[0], parts[1], parts[2]))
-    return triples
+    return [tuple(fields) for _, fields in text_fields(path, "qid pos_pid neg_pid")]

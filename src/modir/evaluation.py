@@ -1,25 +1,27 @@
 """Retrieval metrics, TREC-style run/qrels I/O, a brute-force search oracle,
 and a training energy/emissions estimator.
 
-File formats are the standard whitespace layouts:
-qrels ``qid 0 pid grade`` and run ``qid Q0 pid rank score tag``.
+MRR@k and recall@k share one judged-query mean: the cutoff check, the split
+into judged and skipped queries (``evaluable_queries``, which logs nothing;
+``modir eval`` reports the skipped ones) and the mean in run order are
+written once, and each metric adds only its per-query formula.
+
+File formats are the standard whitespace layouts, split by
+``data.text_fields``: qrels ``qid 0 pid grade`` and run
+``qid Q0 pid rank score tag``.
 """
 
-import logging
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import scoring
-from .data import TermTable, atomic_write, text_lines
+from .data import TermTable, atomic_write, text_fields
 from .errors import InvalidConfigError, ParseError
 
-log = logging.getLogger(__name__)
-
-
 # ---------------------------------------------------------------------------
-# Run / qrels containers
+# Metrics
 
 
 def evaluable_queries(run: dict, qrels: dict):
@@ -31,45 +33,36 @@ def evaluable_queries(run: dict, qrels: dict):
             good.append(qid)
         else:
             skipped.append(qid)
-    if skipped:
-        log.info("skipping %d unjudged or all-negative queries: %s", len(skipped), skipped)
     return good, skipped
 
 
-def _relevant(qrels_for_query: dict) -> set:
-    return {pid for pid, grade in qrels_for_query.items() if grade > 0}
+def _judged_mean(run: dict, qrels: dict, k: int, per_query) -> float:
+    """Mean over the judged queries, in run order, of ``per_query(top k pids,
+    relevant pids)``; 0.0 when no query is judged."""
+    if k < 1:
+        raise InvalidConfigError(f"cutoff k must be >= 1, got {k}")
+    qids, _ = evaluable_queries(run, qrels)
+    if not qids:
+        return 0.0
+    total = 0.0
+    for qid in qids:
+        relevant = {pid for pid, grade in qrels[qid].items() if grade > 0}
+        total += per_query([pid for pid, _score in run[qid][:k]], relevant)
+    return total / len(qids)
 
 
 def mrr_at_k(run: dict, qrels: dict, k: int) -> float:
     """Mean over judged queries of 1/rank of the first relevant hit in the top k."""
-    if k < 1:
-        raise InvalidConfigError(f"cutoff k must be >= 1, got {k}")
-    qids, _ = evaluable_queries(run, qrels)
-    if not qids:
-        return 0.0
-    total = 0.0
-    for qid in qids:
-        relevant = _relevant(qrels[qid])
-        for rank, (pid, _score) in enumerate(run[qid][:k], start=1):
-            if pid in relevant:
-                total += 1.0 / rank
-                break
-    return total / len(qids)
+
+    def reciprocal_rank(top, relevant):
+        return next((1.0 / rank for rank, pid in enumerate(top, start=1) if pid in relevant), 0.0)
+
+    return _judged_mean(run, qrels, k, reciprocal_rank)
 
 
 def recall_at_k(run: dict, qrels: dict, k: int) -> float:
     """Mean over judged queries of the fraction of relevant passages in the top k."""
-    if k < 1:
-        raise InvalidConfigError(f"cutoff k must be >= 1, got {k}")
-    qids, _ = evaluable_queries(run, qrels)
-    if not qids:
-        return 0.0
-    total = 0.0
-    for qid in qids:
-        relevant = _relevant(qrels[qid])
-        retrieved = {pid for pid, _score in run[qid][:k]}
-        total += len(relevant & retrieved) / len(relevant)
-    return total / len(qids)
+    return _judged_mean(run, qrels, k, lambda top, relevant: len(relevant.intersection(top)) / len(relevant))
 
 
 class UnitCorpus(TermTable):
@@ -82,30 +75,32 @@ class UnitCorpus(TermTable):
     """
 
 
-def brute_force_search(query, corpus: Mapping, k: int):
-    """Exact MaxSim against every passage, one passage at a time; descending
-    score, ties to lower id.
+def brute_force_search(query, corpus: Mapping, k: int | None):
+    """Exact MaxSim against every passage, one passage at a time; the k best
+    (all when k is None), descending score, ties to lower id.
 
-    The oracle counterpart of the compressed two-stage search: insertion order
-    of the corpus never matters because passages are sorted by id first, and
-    ties break in this sorted order. A plain mapping is scored with
-    ``maxsim_score``. A ``UnitCorpus`` is already normalized and sorted and
-    is scored with ``maxsim_unit``. The oracle does not use re-ranking's
-    blocked selection (``scoring.maxsim_top_k``), so comparing search with
-    it checks that selection as well.
+    The oracle counterpart of the compressed two-stage search. A plain
+    mapping is put in the order of its ``str`` ids by ``TermTable.stack``, as
+    ``build_index`` orders it, so insertion order never matters, ties break
+    in that order and ids come back as the index stores them; each passage
+    is scored with ``maxsim_score``. A ``UnitCorpus`` is already normalized
+    and in that order and is scored with ``maxsim_unit``. The oracle does not
+    use re-ranking's blocked selection (``scoring.maxsim_top_k``), so
+    comparing search with it checks that selection as well. A query without
+    rows is EmptyInputError; the cutoff follows ``scoring.rank``.
     """
-    if k < 1:
-        raise InvalidConfigError(f"k must be >= 1, got {k}")
     q = np.asarray(query, dtype=np.float64)
-    if isinstance(corpus, UnitCorpus) and corpus.ids:
-        scoring.check_pair(q, corpus.passages[0])
+    scoring.check_query_rows(q)
+    if isinstance(corpus, UnitCorpus):
+        table = corpus
+        if table.ids:
+            scoring.check_pair(q, table.passages[0])
         q_unit = scoring.normalize_rows(q)
-        ids = corpus.ids
-        scores = np.array([scoring.maxsim_unit(q_unit, rows) for rows in corpus.passages])
+        scores = [scoring.maxsim_unit(q_unit, rows) for rows in table.passages]
     else:
-        ids = sorted(corpus)
-        scores = np.array([scoring.maxsim_score(q, corpus[pid]) for pid in ids])
-    return [(ids[i], float(scores[i])) for i in scoring.rank(scores, k)]
+        table = TermTable.stack(corpus)
+        scores = [scoring.maxsim_score(q, rows) for rows in table.passages]
+    return [(table.ids[i], scores[i]) for i in scoring.rank(scores, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +109,7 @@ def brute_force_search(query, corpus: Mapping, k: int):
 
 def read_qrels(path) -> dict:
     qrels: dict = {}
-    for lineno, line in text_lines(path):
-        parts = line.split()
-        if len(parts) != 4:
-            raise ParseError(f"expected 'qid 0 pid grade', got {line.strip()!r}", line=lineno)
-        qid, _, pid, grade = parts
+    for lineno, (qid, _, pid, grade) in text_fields(path, "qid 0 pid grade"):
         try:
             grade = int(grade)
         except ValueError:
@@ -131,11 +122,7 @@ def read_qrels(path) -> dict:
 
 def read_run(path) -> dict:
     run: dict = {}
-    for lineno, line in text_lines(path):
-        parts = line.split()
-        if len(parts) != 6:
-            raise ParseError(f"expected 'qid Q0 pid rank score tag', got {line.strip()!r}", line=lineno)
-        qid, _, pid, _rank, score, _tag = parts
+    for lineno, (qid, _, pid, _rank, score, _tag) in text_fields(path, "qid Q0 pid rank score tag"):
         try:
             score = float(score)
         except ValueError:

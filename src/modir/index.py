@@ -259,10 +259,12 @@ class ResidualCodec:
         return codes
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
+        """Representative ``reps[codes[i, j], j]`` per element, as float64:
+        one ``np.take`` from the flat table ``reps.T``, at ``4 j + code``."""
         codes = np.atleast_2d(np.asarray(codes))
         if codes.shape[1] != self.dim:
             raise DimensionMismatchError(f"code dim {codes.shape[1]} != codec dim {self.dim}")
-        return self.reps.astype(np.float64)[codes, np.arange(self.dim)[None, :]]
+        return np.take(self.reps.astype(np.float64).T.ravel(), codes + 4 * np.arange(self.dim))
 
 
 def fit_codec(residual_sample, dim: int | None = None) -> ResidualCodec:
@@ -549,7 +551,14 @@ def _check_query(query, index: CompressedIndex) -> np.ndarray:
         raise DimensionMismatchError("query must be a (terms, dim) matrix")
     if q.shape[1] != index.dim:
         raise DimensionMismatchError(f"query dim {q.shape[1]} != index dim {index.dim}")
+    scoring.check_query_rows(q)
     return q
+
+
+def check_n_probe(params: SearchParams, index: CompressedIndex):
+    """InvalidConfigError unless the index has at least n_probe centroids."""
+    if params.n_probe > index.centroid_count:
+        raise InvalidConfigError(f"n_probe {params.n_probe} exceeds centroid count {index.centroid_count}")
 
 
 def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
@@ -565,8 +574,7 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     best first, score ties broken toward the lower passage id.
     """
     q = _check_query(query, index)
-    if params.n_probe > index.centroid_count:
-        raise InvalidConfigError(f"n_probe {params.n_probe} exceeds centroid count {index.centroid_count}")
+    check_n_probe(params, index)
     qn = scoring.normalize_rows(q)
     n_terms = q.shape[0]
     # each term's n_probe nearest centroids, grouped by centroid with terms ascending

@@ -106,6 +106,13 @@ def check_pair(hq: np.ndarray, hp: np.ndarray):
         raise EmptyInputError("passage embedding matrix has no rows")
 
 
+def check_query_rows(hq: np.ndarray):
+    """EmptyInputError for a 2-d query without rows: a search or a pooled
+    score needs at least one query row (MaxSim of no rows is 0)."""
+    if hq.ndim == 2 and hq.shape[0] == 0:
+        raise EmptyInputError("query embedding matrix has no rows")
+
+
 def maxsim_score(hq, hp) -> float:
     """Sum over query rows of the maximum cosine against any passage row.
 
@@ -147,7 +154,8 @@ def maxsim_rounding_gap(n_terms: int, dim: int) -> float:
 
 def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, offsets, k: int | None = None, rows=None):
     """The k best passages by ``maxsim_unit`` (all when k is None), best
-    first with ties to the lower passage index, and their scores.
+    first with ties to the lower passage index, and their scores. A k that
+    ``rank`` rejects is rejected before any passage is scored.
 
     Passage i's unit rows are ``table[offsets[i]:offsets[i + 1]]``, or
     ``table[rows[offsets[i]:offsets[i + 1]]]`` when ``rows`` is given; every
@@ -167,6 +175,7 @@ def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, offsets, k: int | None =
     top k and every exact tie at the cut, in ascending passage order. A
     non-finite blocked score sends every passage to ``maxsim_unit``.
     """
+    _check_cutoff(k)
     n = len(offsets) - 1
 
     def passage(i):
@@ -199,9 +208,15 @@ def _blocked_maxsim(q_unit: np.ndarray, table: np.ndarray, offsets, rows) -> np.
     return out
 
 
+def _check_cutoff(k: int | None):
+    if k is not None and k < 1:
+        raise InvalidConfigError(f"cutoff k must be None (all) or >= 1, got {k}")
+
+
 def rank(scores, k: int | None = None) -> np.ndarray:
     """Indices of the k best (all when k is None) along the last axis, best
     first; ties keep input order, so ids listed ascending tie to the lower.
+    Any other k below 1 is InvalidConfigError.
 
     The result is always the first k of a stable descending argsort. When
     k < n, ``np.partition`` finds the k-th best value, and only the entries
@@ -209,8 +224,9 @@ def rank(scores, k: int | None = None) -> np.ndarray:
     A cut that leaves fewer than k entries (NaN scores) or, in a matrix,
     unequal counts per row falls back to sorting everything.
     """
+    _check_cutoff(k)
     neg = -np.asarray(scores)
-    if k is not None and 0 < k < neg.shape[-1]:
+    if k is not None and k < neg.shape[-1]:
         keep = neg <= np.partition(neg, k - 1, axis=-1)[..., k - 1 : k]
         counts = keep.sum(axis=-1)
         width = counts.max(initial=0)
@@ -237,8 +253,7 @@ def pooled_score(hq, hp, pooling: str = "mean") -> float:
     hq = np.asarray(hq, dtype=np.float64)
     hp = np.asarray(hp, dtype=np.float64)
     check_pair(hq, hp)
-    if hq.shape[0] == 0:
-        raise EmptyInputError("query embedding matrix has no rows")
+    check_query_rows(hq)
     return cosine(pool_rows(hq, pooling), pool_rows(hp, pooling))
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -386,6 +387,45 @@ class TestSearchCmd:
         assert len(err) == 1 and err[0].startswith("error[invalid-config]")
         assert not run_path.exists()
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["search", "exact"])
+    def test_query_without_rows_is_one_error_and_no_run_file(self, tmp_path, small_config, capsys, exact):
+        config_path, _ = small_config
+        rng = np.random.default_rng(0)
+        idx_dir = tmp_path / "idx"
+        save_index(build_index({f"p{i}": rng.normal(size=(4, 8)) for i in range(10)}, seed=0), idx_dir)
+        path = tmp_path / "queries.emb"
+        write_embedding_block({"q0": rng.normal(size=(2, 8)), "q1": np.zeros((0, 8))}, path)
+        run_path = tmp_path / "q.run"
+        code = run_cli("search", "--index", idx_dir, "--queries", path, "--out", run_path,
+                       "--config", config_path, *(["--exact"] if exact else []))
+        assert code == 2
+        assert read_stderr(capsys) == "error[empty-input]: query 'q1' has no rows"
+        assert not run_path.exists()
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["search", "exact"])
+    @pytest.mark.parametrize("n_queries", [2, 0])
+    def test_nprobe_is_bounded_by_the_centroid_count_on_both_paths(
+        self, tmp_path, small_config, capsys, exact, n_queries
+    ):
+        config_path, _ = small_config
+        rng = np.random.default_rng(0)
+        idx_dir = tmp_path / "idx"
+        save_index(build_index({f"p{i}": rng.normal(size=(4, 8)) for i in range(10)}, seed=0), idx_dir)
+        count = json.loads((idx_dir / "meta.json").read_text())["centroid_count"]
+        path = tmp_path / "queries.jsonl"
+        path.write_text("".join(json.dumps({"id": f"q{i}", "embeddings": rng.normal(size=(2, 8)).tolist()}) + "\n"
+                                for i in range(n_queries)))
+        run_path = tmp_path / "q.run"
+        argv = ["search", "--index", idx_dir, "--queries", path, "--out", run_path, "--config", config_path,
+                "--k", 3, *(["--exact"] if exact else [])]
+        assert run_cli(*argv, "--nprobe", count) == 0
+        assert len(run_path.read_text().splitlines()) == n_queries * 3
+        run_path.unlink()
+        capsys.readouterr()
+        assert run_cli(*argv, "--nprobe", count + 1) == 2
+        assert read_stderr(capsys) == f"error[invalid-config]: n_probe {count + 1} exceeds centroid count {count}"
+        assert not run_path.exists()
+
     def test_search_determinism(self, indexed, tmp_path):
         runs = [tmp_path / "r1.run", tmp_path / "r2.run"]
         for r in runs:
@@ -406,6 +446,28 @@ class TestEvalCmd:
                        "--metrics", "mrr@10,recall@5") == 0
         out = capsys.readouterr().out
         assert "mrr@10 " in out and "recall@5 " in out
+
+    def test_skipped_queries_are_logged_once(self, tmp_path, capsys, caplog):
+        run_path = tmp_path / "x.run"
+        run_path.write_text("q1 Q0 a 1 2.0 t\nq2 Q0 b 1 1.0 t\nq3 Q0 c 1 1.0 t\n")
+        qrels = tmp_path / "x.qrels"
+        qrels.write_text("q1 0 a 1\nq3 0 c 0\n")
+        with caplog.at_level(logging.INFO):
+            assert run_cli("eval", "--run", run_path, "--qrels", qrels, "--metrics", "mrr@10,recall@5") == 0
+        skips = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+        assert skips == ["skipping 2 unjudged or all-negative queries: ['q2', 'q3']"]
+        assert capsys.readouterr().out.splitlines() == ["mrr@10 1.0000", "recall@5 1.0000", "skipped_queries 2"]
+
+    @pytest.mark.parametrize("flag,value", [("--config", "x"), ("--seed", "5")])
+    def test_eval_takes_no_config_or_seed(self, tmp_path, capsys, flag, value):
+        run_path = tmp_path / "x.run"
+        run_path.write_text("q Q0 p 1 1.0 t\n")
+        qrels = tmp_path / "x.qrels"
+        qrels.write_text("q 0 p 1\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("eval", "--run", run_path, "--qrels", qrels, flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in read_stderr(capsys)
 
     def test_unknown_metric_lists_supported(self, indexed, tmp_path, capsys):
         run_path = tmp_path / "dummy.run"

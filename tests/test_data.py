@@ -17,6 +17,7 @@ from modir.data import (
     read_jsonl_records,
     read_records,
     read_triples,
+    text_fields,
     tokenize,
     write_embedding_block,
 )
@@ -366,6 +367,30 @@ class TestTriples:
         path.write_text("q1 p1 p2\nq2 p3\n")
         with pytest.raises(ParseError, match="line 2"):
             read_triples(path)
+
+    @pytest.mark.parametrize("line", ["q2 p3", "q2 p3 p4 p5"], ids=["short", "long"])
+    def test_wrong_width_line_quotes_the_layout_and_the_line(self, tmp_path, line):
+        path = tmp_path / "triples.tsv"
+        path.write_text(f"q1 p1 p2\n\n  {line}\t\n")
+        with pytest.raises(ParseError) as exc:
+            read_triples(path)
+        assert exc.value.line == 3
+        assert exc.value.message == f"line 3: expected 'qid pos_pid neg_pid', got {line!r}"
+
+
+class TestTextFields:
+    def test_yields_the_fields_of_each_nonblank_line_with_its_number(self, tmp_path):
+        path = tmp_path / "fields.txt"
+        path.write_text("a b\n\n \t\nc\td  \n")
+        assert list(text_fields(path, "x y")) == [(1, ["a", "b"]), (4, ["c", "d"])]
+
+    def test_a_line_of_another_width_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "fields.txt"
+        path.write_text("a b\na b c\n")
+        fields = text_fields(path, "x y")
+        assert next(fields) == (1, ["a", "b"])
+        with pytest.raises(ParseError, match=r"^line 2: expected 'x y', got 'a b c'$"):
+            next(fields)
 
 
 @pytest.mark.parametrize("reader,good,bad", [

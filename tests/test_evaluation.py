@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modir.errors import InvalidConfigError, ParseError
+from modir.errors import EmptyInputError, InvalidConfigError, ParseError
 from modir.evaluation import (
     HardwareProfile,
     brute_force_search,
@@ -13,6 +15,7 @@ from modir.evaluation import (
     recall_at_k,
     write_run,
 )
+from modir.index import SearchParams, build_index, search
 from modir.scoring import maxsim_score
 
 
@@ -91,6 +94,76 @@ class TestRecall:
             assert recall_at_k(run, qrels, k) == recall_at_k(squashed, qrels, k)
 
 
+def reference_mrr_at_k(run, qrels, k):
+    """The per-metric loop ``mrr_at_k`` ran before the metrics shared one
+    judged-query mean, with its own judged-query split."""
+    qids = [qid for qid in run if qrels.get(qid) and any(g > 0 for g in qrels[qid].values())]
+    if not qids:
+        return 0.0
+    total = 0.0
+    for qid in qids:
+        relevant = {pid for pid, grade in qrels[qid].items() if grade > 0}
+        for rank, (pid, _score) in enumerate(run[qid][:k], start=1):
+            if pid in relevant:
+                total += 1.0 / rank
+                break
+    return total / len(qids)
+
+
+def reference_recall_at_k(run, qrels, k):
+    """The per-metric loop ``recall_at_k`` ran before the metrics shared one
+    judged-query mean."""
+    qids = [qid for qid in run if qrels.get(qid) and any(g > 0 for g in qrels[qid].values())]
+    if not qids:
+        return 0.0
+    total = 0.0
+    for qid in qids:
+        relevant = {pid for pid, grade in qrels[qid].items() if grade > 0}
+        retrieved = {pid for pid, _score in run[qid][:k]}
+        total += len(relevant & retrieved) / len(relevant)
+    return total / len(qids)
+
+
+PIDS = [f"p{i}" for i in range(9)]
+
+
+@st.composite
+def runs_and_qrels(draw):
+    """Up to 12 queries ranking up to 9 passages; each query's judgments are
+    missing, all zero, or mixed grades, and a judged passage may be unranked."""
+    qids = [f"q{i}" for i in range(draw(st.integers(0, 12)))]
+    run = {qid: make_run({qid: draw(st.lists(st.sampled_from(PIDS), unique=True, max_size=9))})[qid] for qid in qids}
+    qrels = {}
+    for qid in qids + ["unranked"]:
+        kind = draw(st.sampled_from(["none", "zeros", "graded"]))
+        judged = draw(st.lists(st.sampled_from(PIDS), unique=True, min_size=1, max_size=9))
+        if kind != "none":
+            qrels[qid] = {pid: 0 if kind == "zeros" else draw(st.integers(0, 3)) for pid in judged}
+    return run, qrels
+
+
+class TestJudgedMean:
+    @settings(max_examples=400, deadline=None)
+    @given(case=runs_and_qrels(), cutoffs=st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    def test_both_metrics_equal_their_reference_loops_bit_for_bit(self, case, cutoffs):
+        run, qrels = case
+        for k in cutoffs + cutoffs:  # every cutoff twice, some beyond the longest ranking
+            assert mrr_at_k(run, qrels, k).hex() == reference_mrr_at_k(run, qrels, k).hex()
+            assert recall_at_k(run, qrels, k).hex() == reference_recall_at_k(run, qrels, k).hex()
+
+    @pytest.mark.parametrize("metric", [mrr_at_k, recall_at_k])
+    def test_no_judged_query_means_zero(self, metric):
+        run = make_run({"q1": ["a"], "q2": ["b"]})
+        assert metric(run, {"q1": {"a": 0}}, 10) == 0.0
+        assert metric({}, {"q1": {"a": 1}}, 10) == 0.0
+
+    @pytest.mark.parametrize("metric", [mrr_at_k, recall_at_k])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_rejected(self, metric, k):
+        with pytest.raises(InvalidConfigError, match=f"cutoff k must be >= 1, got {k}"):
+            metric(make_run({"q1": ["a"]}), {"q1": {"a": 1}}, k)
+
+
 class TestBruteForce:
     def test_single_passage(self):
         corpus = {"only": np.eye(2)}
@@ -119,6 +192,29 @@ class TestBruteForce:
         corpus = {"b": mat, "a": mat.copy(), "c": mat.copy()}
         out = brute_force_search(mat, corpus, 3)
         assert [pid for pid, _ in out] == ["a", "b", "c"]
+
+    @pytest.mark.filterwarnings("ignore::modir.index.DuplicateCentroidWarning")
+    def test_mapping_ids_come_back_in_the_index_order(self):
+        mat = np.array([[1.0, 0.0], [0.0, 1.0]])
+        corpus = {i: mat.copy() for i in range(12)}
+        query = np.array([[1.0, 0.5]])
+        out = brute_force_search(query, corpus, 5)
+        assert [pid for pid, _ in out] == ["0", "1", "10", "11", "2"]
+        idx = build_index(corpus, seed=0)
+        assert out == search(query, idx, SearchParams(n_probe=idx.centroid_count, candidate_k=12, final_k=5))
+
+    def test_mixed_int_and_str_keys(self):
+        mat = np.eye(2)
+        assert brute_force_search(mat, {"a": mat, 1: mat.copy()}, 2) == [("1", 2.0), ("a", 2.0)]
+
+    def test_query_without_rows_rejected(self):
+        with pytest.raises(EmptyInputError):
+            brute_force_search(np.zeros((0, 2)), {"a": np.eye(2)}, 1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_rejected(self, k):
+        with pytest.raises(InvalidConfigError, match=f"got {k}"):
+            brute_force_search(np.eye(2), {"a": np.eye(2), "b": np.ones((1, 2))}, k)
 
     def test_scores_are_exact_maxsim(self):
         rng = np.random.default_rng(3)
@@ -181,6 +277,23 @@ class TestTrecIO:
         path.write_text("q1 0 a 1\nbroken line\n")
         with pytest.raises(ParseError, match="line 2"):
             read_qrels(path)
+
+    @pytest.mark.parametrize("line", ["q1 Q0 b 2 1.0", "q1 Q0 b 2 1.0 t extra"], ids=["short", "long"])
+    def test_wrong_width_run_line_quotes_the_layout_and_the_line(self, tmp_path, line):
+        path = tmp_path / "run.trec"
+        path.write_text(f"q1 Q0 a 1 2.0 t\n\n{line}\n")
+        with pytest.raises(ParseError) as exc:
+            read_run(path)
+        assert exc.value.line == 3
+        assert exc.value.message == f"line 3: expected 'qid Q0 pid rank score tag', got {line!r}"
+
+    def test_wrong_width_qrels_line_quotes_the_layout_and_the_line(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 a 1\nq1 0 b\n")
+        with pytest.raises(ParseError) as exc:
+            read_qrels(path)
+        assert exc.value.line == 2
+        assert exc.value.message == "line 2: expected 'qid 0 pid grade', got 'q1 0 b'"
 
     def test_duplicate_passage_in_run_rejected(self, tmp_path):
         path = tmp_path / "run.trec"

@@ -28,6 +28,7 @@ from modir.index import (
     SearchParams,
     approximate_candidates,
     bits_per_embedding,
+    check_n_probe,
     build_index,
     centroid_count_for,
     exact_rerank,
@@ -161,6 +162,23 @@ class TestCodec:
         rng = np.random.default_rng(7)
         codec = fit_codec(rng.normal(size=(100, 4)))
         assert np.all(np.diff(codec.cuts, axis=0) >= 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(1, 9),
+        n=st.integers(0, 40),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decode_equals_the_broadcast_lookup_bit_for_bit(self, dim, n, dtype, seed):
+        rng = np.random.default_rng(seed)
+        reps = rng.normal(size=(4, dim)) * 10.0 ** rng.integers(-30, 30, size=(4, dim))
+        codec = ResidualCodec(cuts=np.sort(rng.normal(size=(3, dim)), axis=0).astype(dtype), reps=reps.astype(dtype))
+        codes = rng.integers(0, 4, size=(n, dim), dtype=np.uint8)
+        expect = codec.reps.astype(np.float64)[codes, np.arange(dim)[None, :]]
+        got = codec.decode(codes)
+        assert got.dtype == np.float64 and got.shape == (n, dim)
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestCompress:
@@ -418,6 +436,16 @@ class TestApproximate:
         with pytest.raises(InvalidConfigError):
             approximate_candidates(query, idx, SearchParams(n_probe=idx.centroid_count + 1))
 
+    def test_nprobe_limit_is_the_centroid_count(self):
+        _, idx, query = small_index()
+        count = idx.centroid_count
+        check_n_probe(SearchParams(n_probe=count), idx)
+        assert approximate_candidates(query, idx, SearchParams(n_probe=count, candidate_k=idx.passage_count))
+        message = f"^n_probe {count + 1} exceeds centroid count {count}$"
+        for call in (check_n_probe, lambda p, i: approximate_candidates(query, i, p)):
+            with pytest.raises(InvalidConfigError, match=message):
+                call(SearchParams(n_probe=count + 1), idx)
+
 
 class TestRerank:
     def test_single_candidate_exact_value(self):
@@ -449,6 +477,12 @@ class TestRerank:
     def test_no_candidates(self):
         _, idx, query = small_index()
         assert exact_rerank(query, [], idx) == []
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_rejected(self, k):
+        _, idx, query = small_index()
+        with pytest.raises(InvalidConfigError, match=f"got {k}"):
+            exact_rerank(query, ["17", "3", "41", "0"], idx, k=k)
 
     @pytest.mark.parametrize("k", [None, 2, 3])
     def test_a_passage_listed_twice_is_ranked_once(self, k):
@@ -493,6 +527,21 @@ class TestSearch:
         assert brute_force_search(query, unit, idx.passage_count) == brute_force_search(query, raw, idx.passage_count)
         with pytest.raises(DimensionMismatchError):
             brute_force_search(np.zeros((2, idx.dim + 1)), unit, 3)
+
+    def test_a_query_without_rows_is_rejected_on_every_path(self):
+        _, idx, _ = small_index()
+        empty = np.zeros((0, idx.dim))
+        params = SearchParams(n_probe=idx.centroid_count, candidate_k=5, final_k=5)
+        calls = [
+            lambda: search(empty, idx, params),
+            lambda: approximate_candidates(empty, idx, params),
+            lambda: exact_rerank(empty, ["3", "17"], idx),
+            lambda: brute_force_search(empty, idx.unit_corpus(), 5),
+            lambda: brute_force_search(empty, idx.decompressed_corpus(), 5),
+        ]
+        for call in calls:
+            with pytest.raises(EmptyInputError):
+                call()
 
     def test_unit_corpus_ids_must_ascend(self):
         with pytest.raises(InvalidConfigError, match="ascending"):

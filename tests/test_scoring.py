@@ -257,6 +257,12 @@ class TestRank:
     def test_ranks_each_row_of_a_matrix(self):
         assert rank([[1.0, 1.0, 2.0], [0.0, 3.0, 3.0]], 2).tolist() == [[2, 0], [1, 2]]
 
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_cutoff_below_one_is_rejected(self, k):
+        for scores in ([3.0, 1.0, 2.0], [[3.0, 1.0], [1.0, 2.0]], []):
+            with pytest.raises(InvalidConfigError, match=f"cutoff k must be None \\(all\\) or >= 1, got {k}"):
+                rank(scores, k)
+
     def test_unequal_survivors_per_row_still_rank_each_row(self):
         # k=1 leaves two tied entries in row 0 and one in row 1
         assert rank([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0]], 1).tolist() == [[0], [1]]
@@ -279,6 +285,15 @@ class TestRank:
 
 
 class TestMaxsimTopK:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_is_rejected_before_any_passage_is_scored(self, k):
+        q_unit = normalize_rows(np.eye(2))
+        table = normalize_rows(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        with mock.patch("modir.scoring._blocked_maxsim", side_effect=AssertionError("blocked pass ran")):
+            with mock.patch("modir.scoring.maxsim_unit", side_effect=AssertionError("passage scored")):
+                with pytest.raises(InvalidConfigError, match=f"got {k}"):
+                    maxsim_top_k(q_unit, table, np.array([0, 1, 2, 3]), k)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_equals_the_head_of_the_per_passage_ranking(self, data):
