@@ -18,7 +18,6 @@ import numpy as np
 from . import data, encoder, evaluation, index as index_mod, scoring
 from .config import RunConfig
 from .errors import (
-    EmptyInputError,
     InvalidConfigError,
     ModirError,
     StageError,
@@ -135,7 +134,7 @@ def _run_mlm(params, records, cfg: RunConfig, steps: int, stage: str):
     losses = []
     for step in range(steps):
         rec = records[step % len(records)]
-        seq = scoring.prepare_passage(data.tokenize(rec.text, params.vocab_size), cfg.m, rec.language)
+        seq = _prepare_record(rec, cfg, params.vocab_size, "passage")
         _, loss = encoder.mlm_step(params, seq, rec.language, cfg.mask_rate, cfg.learning_rate, rng)
         losses.append(loss)
     return losses
@@ -192,7 +191,7 @@ def cmd_index(args) -> int:
         f"embeddings={idx.embedding_count} centroids={idx.centroid_count} "
         f"bits_per_embedding={idx.bits_per_embedding}"
     )
-    sizes = np.bincount(idx.centroid_ids, minlength=idx.centroid_count)
+    sizes = np.diff(idx.list_offsets)
     print(f"list_size max={sizes.max()} mean={sizes.mean():.2f} empty_centroids={int((sizes == 0).sum())}")
     print(f"index={args.out}")
     return 0
@@ -214,11 +213,10 @@ def cmd_search(args) -> int:
     params = encoder.load_checkpoint(args.checkpoint) if args.checkpoint else None
     index_mod.check_n_probe(search_params, idx)
     queries = _encode_corpus(data.read_records(args.queries), params, cfg, "query")
-    for qid, matrix in queries.items():
+    for qid, matrix in queries.items():  # every query, before any search; no float64 copy is kept
         if not np.isfinite(matrix).all():
             raise InvalidConfigError(f"query {qid!r} contains non-finite values")
-        if matrix.shape[0] == 0:
-            raise EmptyInputError(f"query {qid!r} has no rows")
+        scoring.check_query(matrix, idx.dim, name=f"query {qid!r}")
     oracle_corpus = idx.unit_corpus() if args.exact else None
 
     run = {}

@@ -8,7 +8,8 @@ written once, and each metric adds only its per-query formula.
 
 File formats are the standard whitespace layouts, split by
 ``data.text_fields``: qrels ``qid 0 pid grade`` and run
-``qid Q0 pid rank score tag``.
+``qid Q0 pid rank score tag``. A run is ranked by its scores, not by its line
+order, and a qrels file judges each (query, passage) pair once.
 """
 
 from collections.abc import Mapping
@@ -86,19 +87,18 @@ def brute_force_search(query, corpus: Mapping, k: int | None):
     is scored with ``maxsim_score``. A ``UnitCorpus`` is already normalized
     and in that order and is scored with ``maxsim_unit``. The oracle does not
     use re-ranking's blocked selection (``scoring.maxsim_top_k``), so
-    comparing search with it checks that selection as well. A query without
-    rows is EmptyInputError; the cutoff follows ``scoring.rank``.
+    comparing search with it checks that selection as well. The query must
+    pass ``scoring.check_query`` at the corpus's width, as on both search
+    stages; an empty corpus gives ``[]``. The cutoff follows ``scoring.rank``.
     """
-    q = np.asarray(query, dtype=np.float64)
-    scoring.check_query_rows(q)
+    table = corpus if isinstance(corpus, UnitCorpus) else TermTable.stack(corpus)
+    if not table.ids:
+        return []
+    q = scoring.check_query(query, table.rows.shape[1])
     if isinstance(corpus, UnitCorpus):
-        table = corpus
-        if table.ids:
-            scoring.check_pair(q, table.passages[0])
         q_unit = scoring.normalize_rows(q)
         scores = [scoring.maxsim_unit(q_unit, rows) for rows in table.passages]
     else:
-        table = TermTable.stack(corpus)
         scores = [scoring.maxsim_score(q, rows) for rows in table.passages]
     return [(table.ids[i], scores[i]) for i in scoring.rank(scores, k)]
 
@@ -108,6 +108,8 @@ def brute_force_search(query, corpus: Mapping, k: int | None):
 
 
 def read_qrels(path) -> dict:
+    """qid -> {pid: grade}; a second judgment of one passage for one query
+    is a ParseError, as a repeated passage in a run is."""
     qrels: dict = {}
     for lineno, (qid, _, pid, grade) in text_fields(path, "qid 0 pid grade"):
         try:
@@ -116,22 +118,34 @@ def read_qrels(path) -> dict:
             raise ParseError(f"relevance grade {grade!r} is not an integer", line=lineno) from None
         if grade < 0:
             raise ParseError(f"relevance grade must be >= 0, got {grade}", line=lineno)
-        qrels.setdefault(qid, {})[pid] = grade
+        judgments = qrels.setdefault(qid, {})
+        if pid in judgments:
+            raise ParseError(f"query {qid!r} judges passage {pid!r} twice", line=lineno)
+        judgments[pid] = grade
     return qrels
 
 
 def read_run(path) -> dict:
-    run: dict = {}
-    for lineno, (qid, _, pid, _rank, score, _tag) in text_fields(path, "qid Q0 pid rank score tag"):
+    """qid -> [(pid, score)], best first: highest score first, score ties by
+    the rank column, whatever the line order. A run that ``write_run`` wrote
+    reads back in its written order, since rounding keeps the scores' order."""
+    lines: dict = {}
+    for lineno, (qid, _, pid, rank, score, _tag) in text_fields(path, "qid Q0 pid rank score tag"):
+        try:
+            rank = int(rank)
+        except ValueError:
+            raise ParseError(f"rank {rank!r} is not an integer", line=lineno) from None
         try:
             score = float(score)
         except ValueError:
             raise ParseError(f"score {score!r} is not a number", line=lineno) from None
-        run.setdefault(qid, []).append((pid, score))
-    for qid, ranking in run.items():
-        pids = [pid for pid, _ in ranking]
+        lines.setdefault(qid, []).append((pid, rank, score))
+    run = {}
+    for qid, ranking in lines.items():
+        pids, ranks, scores = zip(*ranking)
         if len(pids) != len(set(pids)):
             raise ParseError(f"query {qid!r} ranks a passage twice")
+        run[qid] = [(pids[i], scores[i]) for i in np.lexsort((ranks, np.negative(scores)))]
     return run
 
 

@@ -12,6 +12,8 @@ for nonnegative maxima). Re-ranking reads the top candidate_k passages' rows,
 scores those passages in blocks of rows (one matmul per block), and scores the
 few whose blocked score is within rounding distance of the final_k-th best
 again with the oracle's exact MaxSim kernel, which gives the scores it reports.
+Both stages, like the oracle, accept a query that ``scoring.check_query``
+accepts at the index's width: a float (terms, dim) matrix with rows.
 
 On-disk layout (directory; all integers little-endian; varint = unsigned
 LEB128, written by ``data.encode_varints`` and read by
@@ -545,16 +547,6 @@ def build_index(
 # Search
 
 
-def _check_query(query, index: CompressedIndex) -> np.ndarray:
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 2:
-        raise DimensionMismatchError("query must be a (terms, dim) matrix")
-    if q.shape[1] != index.dim:
-        raise DimensionMismatchError(f"query dim {q.shape[1]} != index dim {index.dim}")
-    scoring.check_query_rows(q)
-    return q
-
-
 def check_n_probe(params: SearchParams, index: CompressedIndex):
     """InvalidConfigError unless the index has at least n_probe centroids."""
     if params.n_probe > index.centroid_count:
@@ -573,7 +565,7 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     Returns at most candidate_k (external passage id, approximate score) pairs,
     best first, score ties broken toward the lower passage id.
     """
-    q = _check_query(query, index)
+    q = scoring.check_query(query, index.dim)
     check_n_probe(params, index)
     qn = scoring.normalize_rows(q)
     n_terms = q.shape[0]
@@ -612,7 +604,7 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
     are scored again with ``maxsim_unit``, so the result is the first k of
     the k=None ranking, bit for bit.
     """
-    q_unit = scoring.normalize_rows(_check_query(query, index))
+    q_unit = scoring.normalize_rows(scoring.check_query(query, index.dim))
     internal = np.unique(np.array([index.internal_passage(pid) for pid in candidates], dtype=np.int64))
     positions, offsets = index.unit_row_positions(internal)
     order, scores = scoring.maxsim_top_k(q_unit, index.unit_rows, offsets, k, rows=positions)

@@ -4,7 +4,9 @@ Queries are padded to a fixed length with mask tokens so the extra
 contextualized positions take part in scoring (query augmentation);
 passages are only truncated.  Relevance between two bags of term
 embeddings is either the sum of per-query-term maximum cosines (MaxSim)
-or the cosine of pooled single-vector representations.
+or the cosine of pooled single-vector representations. ``check_query`` is
+the one rule for a valid query matrix, shared by both search stages, the
+oracle, the pooled score and ``modir search``.
 """
 
 from dataclasses import dataclass
@@ -106,11 +108,17 @@ def check_pair(hq: np.ndarray, hp: np.ndarray):
         raise EmptyInputError("passage embedding matrix has no rows")
 
 
-def check_query_rows(hq: np.ndarray):
-    """EmptyInputError for a 2-d query without rows: a search or a pooled
-    score needs at least one query row (MaxSim of no rows is 0)."""
-    if hq.ndim == 2 and hq.shape[0] == 0:
-        raise EmptyInputError("query embedding matrix has no rows")
+def check_query(query, dim: int, name: str = "query") -> np.ndarray:
+    """The query as a float64 (terms, dim) matrix. A query that is not 2-d
+    or has another width is DimensionMismatchError, and one without rows is
+    EmptyInputError: a search or a pooled score needs a query row (MaxSim of
+    no rows is 0). Each message starts with ``name``."""
+    q = np.asarray(query, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != dim:
+        raise DimensionMismatchError(f"{name} must be a (terms, {dim}) matrix, got shape {q.shape}")
+    if q.shape[0] == 0:
+        raise EmptyInputError(f"{name} has no rows")
+    return q
 
 
 def maxsim_score(hq, hp) -> float:
@@ -249,11 +257,11 @@ def pool_rows(matrix: np.ndarray, pooling: str) -> np.ndarray:
 
 
 def pooled_score(hq, hp, pooling: str = "mean") -> float:
-    """Cosine of the pooled sequence representations."""
-    hq = np.asarray(hq, dtype=np.float64)
+    """Cosine of the pooled sequence representations. The passage must be a
+    matrix with rows, and the query pass ``check_query`` at its width."""
     hp = np.asarray(hp, dtype=np.float64)
-    check_pair(hq, hp)
-    check_query_rows(hq)
+    check_pair(hp, hp)  # the passage alone: 2-d, with rows
+    hq = check_query(hq, hp.shape[1])
     return cosine(pool_rows(hq, pooling), pool_rows(hp, pooling))
 
 

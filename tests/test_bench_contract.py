@@ -10,8 +10,9 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 
 import bench_child  # noqa: E402
+import run as bench_run  # noqa: E402
 
-from modir import encoder  # noqa: E402
+from modir import cli, encoder  # noqa: E402
 from modir.index import build_index  # noqa: E402
 
 
@@ -36,3 +37,36 @@ def test_checkpoint_facts_read_by_the_checks(tmp_path):
     assert encoder.load_checkpoint(ckpt).vocab_size == 40
     encoder.save_checkpoint(encoder.load_checkpoint(ckpt), again)
     assert again.read_bytes() == ckpt.read_bytes()
+
+
+class _InputPaths(dict):
+    """Every input file name maps to a path, whatever names the benchmark reads."""
+
+    def __missing__(self, name):
+        return os.path.join("inputs", name)
+
+
+@pytest.mark.parametrize("workload", sorted(bench_run.WORKLOADS))
+def test_cli_parses_every_command_line_the_benchmark_builds(workload, tmp_path, monkeypatch):
+    argvs = []
+    monkeypatch.setattr(bench_run, "run_phase", lambda kind, spec, *a, **k: argvs.append(spec.get("argv")) or {})
+    wl = bench_run.WORKLOADS[workload]
+    inputs = bench_run.Inputs(files=_InputPaths(), n_queries=0, exact={}, embeddings=0)
+    bench_run.run_pipeline(wl, inputs, str(tmp_path), trace=False)
+    shapes = set()
+    for argv in filter(None, argvs):
+        args = cli.build_parser().parse_args([str(a) for a in argv])  # argparse exits on a flag it does not know
+        shapes.add((args.command, getattr(args, "stage", None), bool(getattr(args, "checkpoint_in", None)),
+                    getattr(args, "exact", None)))
+        assert args.config == os.path.join("inputs", "config.json")
+        if args.command == "search":
+            assert (args.k, args.nprobe, args.candidate_k) == (
+                wl.search["final_k"], wl.search["n_probe"], wl.search["candidate_k"])
+    assert shapes == {
+        ("train", "pretrain", False, None),
+        ("train", "pretrain", True, None),
+        ("train", "finetune", True, None),
+        ("index", None, False, None),
+        ("search", None, False, False),
+        ("search", None, False, True),
+    }

@@ -403,6 +403,29 @@ class TestSearchCmd:
         assert not run_path.exists()
 
     @pytest.mark.parametrize("exact", [False, True], ids=["search", "exact"])
+    def test_a_wrong_width_query_mid_file_fails_before_any_search(
+        self, tmp_path, small_config, capsys, monkeypatch, exact
+    ):
+        config_path, _ = small_config
+        rng = np.random.default_rng(0)
+        idx_dir = tmp_path / "idx"
+        save_index(build_index({f"p{i}": rng.normal(size=(4, 8)) for i in range(10)}, seed=0), idx_dir)
+        path = tmp_path / "queries.jsonl"
+        path.write_text("".join(json.dumps({"id": q, "embeddings": rng.normal(size=(2, width)).tolist()}) + "\n"
+                                for q, width in (("q0", 8), ("q1", 5))))
+        calls = []
+        for owner, name in ((index_mod, "search"), (evaluation, "brute_force_search"),
+                            (index_mod.CompressedIndex, "unit_corpus")):
+            monkeypatch.setattr(owner, name, lambda *a, name=name, **k: calls.append(name))
+        run_path = tmp_path / "q.run"
+        code = run_cli("search", "--index", idx_dir, "--queries", path, "--out", run_path,
+                       "--config", config_path, *(["--exact"] if exact else []))
+        assert code == 2
+        assert read_stderr(capsys) == "error[dim-mismatch]: query 'q1' must be a (terms, 8) matrix, got shape (2, 5)"
+        assert calls == []
+        assert not run_path.exists()
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["search", "exact"])
     @pytest.mark.parametrize("n_queries", [2, 0])
     def test_nprobe_is_bounded_by_the_centroid_count_on_both_paths(
         self, tmp_path, small_config, capsys, exact, n_queries
@@ -457,6 +480,22 @@ class TestEvalCmd:
         skips = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
         assert skips == ["skipping 2 unjudged or all-negative queries: ['q2', 'q3']"]
         assert capsys.readouterr().out.splitlines() == ["mrr@10 1.0000", "recall@5 1.0000", "skipped_queries 2"]
+
+    def test_a_run_is_ranked_by_score_not_by_line_order(self, tmp_path, capsys):
+        run_path = tmp_path / "x.run"
+        run_path.write_text("q Q0 a 2 1.0 t\nq Q0 b 1 2.0 t\n")
+        qrels = tmp_path / "x.qrels"
+        qrels.write_text("q 0 b 1\n")
+        assert run_cli("eval", "--run", run_path, "--qrels", qrels, "--metrics", "mrr@1,recall@1") == 0
+        assert capsys.readouterr().out.splitlines() == ["mrr@1 1.0000", "recall@1 1.0000"]
+
+    def test_a_repeated_judgment_is_one_parse_error(self, tmp_path, capsys):
+        run_path = tmp_path / "x.run"
+        run_path.write_text("q Q0 b 1 2.0 t\n")
+        qrels = tmp_path / "x.qrels"
+        qrels.write_text("q 0 b 1\nq 0 b 0\n")
+        assert run_cli("eval", "--run", run_path, "--qrels", qrels, "--metrics", "mrr@10") == 2
+        assert read_stderr(capsys) == "error[parse]: line 2: query 'q' judges passage 'b' twice"
 
     @pytest.mark.parametrize("flag,value", [("--config", "x"), ("--seed", "5")])
     def test_eval_takes_no_config_or_seed(self, tmp_path, capsys, flag, value):

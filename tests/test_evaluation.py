@@ -295,6 +295,32 @@ class TestTrecIO:
         assert exc.value.line == 2
         assert exc.value.message == "line 2: expected 'qid 0 pid grade', got 'q1 0 b'"
 
+    def test_run_is_ordered_by_score_then_by_rank(self, tmp_path):
+        path = tmp_path / "run.trec"
+        path.write_text("q Q0 a 2 1.0 t\nq Q0 b 1 2.0 t\nq Q0 d 4 0.5 t\nq Q0 c 3 0.5 t\nr Q0 e 2 1.0 t\nr Q0 f 1 1.0 t\n")
+        assert read_run(path) == {"q": [("b", 2.0), ("a", 1.0), ("c", 0.5), ("d", 0.5)], "r": [("f", 1.0), ("e", 1.0)]}
+
+    def test_written_run_reads_back_in_written_order_when_rounding_ties_scores(self, tmp_path):
+        run = {"q": [("z", 1.0000004), ("a", 1.0000001), ("m", 0.5)]}
+        path = tmp_path / "run.trec"
+        write_run(run, path)
+        assert [pid for pid, _ in read_run(path)["q"]] == ["z", "a", "m"]
+
+    @pytest.mark.parametrize("rank", ["1.5", "x"])
+    def test_rank_that_is_not_an_integer_names_its_line(self, tmp_path, rank):
+        path = tmp_path / "run.trec"
+        path.write_text(f"q Q0 a 1 2.0 t\nq Q0 b {rank} 1.0 t\n")
+        with pytest.raises(ParseError) as exc:
+            read_run(path)
+        assert exc.value.message == f"line 2: rank {rank!r} is not an integer"
+
+    def test_repeated_judgment_names_its_line(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q 0 a 1\nq 0 b 1\nq 0 b 0\n")
+        with pytest.raises(ParseError) as exc:
+            read_qrels(path)
+        assert exc.value.message == "line 3: query 'q' judges passage 'b' twice"
+
     def test_duplicate_passage_in_run_rejected(self, tmp_path):
         path = tmp_path / "run.trec"
         path.write_text("q1 Q0 a 1 2.0 t\nq1 Q0 a 2 1.0 t\n")

@@ -16,6 +16,7 @@ from modir.errors import (
     EmptyInputError,
     FormatError,
     InvalidConfigError,
+    ModirError,
     UnknownPassageError,
 )
 from modir import scoring
@@ -542,6 +543,29 @@ class TestSearch:
         for call in calls:
             with pytest.raises(EmptyInputError):
                 call()
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 5), (0, 6)], ids=["1-d", "wrong-width", "no-rows"])
+    def test_a_malformed_query_is_the_same_error_on_every_path(self, shape):
+        corpus, idx, _ = small_index(dim=6)
+        query = np.ones(shape)
+        params = SearchParams(n_probe=idx.centroid_count, candidate_k=5, final_k=5)
+        calls = {
+            "approximate_candidates": lambda: approximate_candidates(query, idx, params),
+            "exact_rerank": lambda: exact_rerank(query, ["3", "17"], idx),
+            "search": lambda: search(query, idx, params),
+            "oracle over a mapping": lambda: brute_force_search(query, corpus, 5),
+            "oracle over a UnitCorpus": lambda: brute_force_search(query, idx.unit_corpus(), 5),
+            "pooled_score": lambda: scoring.pooled_score(query, np.ones((3, 6))),
+        }
+        expected = (
+            (EmptyInputError, "query has no rows")
+            if shape[0] == 0
+            else (DimensionMismatchError, f"query must be a (terms, 6) matrix, got shape {shape}")
+        )
+        for name, call in calls.items():
+            with pytest.raises(ModirError) as exc:
+                call()
+            assert (type(exc.value), exc.value.message) == expected, name
 
     def test_unit_corpus_ids_must_ascend(self):
         with pytest.raises(InvalidConfigError, match="ascending"):
