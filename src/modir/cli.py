@@ -29,6 +29,7 @@ from .errors import (
 log = logging.getLogger("modir")
 
 _STAGE_STREAM = {"pretrain": 1, "finetune": 2, "extend": 3}
+_LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _load_config(args) -> RunConfig:
@@ -324,11 +325,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_level() -> str:
+    """The MODIR_LOG level; any other value is InvalidConfigError naming the
+    allowed ones."""
+    name = os.environ.get("MODIR_LOG", "warning")
+    if name.lower() not in _LOG_LEVELS:
+        raise InvalidConfigError(f"MODIR_LOG must be one of {', '.join(_LOG_LEVELS)}, got {name!r}")
+    return name.upper()
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("MODIR_LOG", "warning").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        logging.basicConfig(level=_log_level())
         return args.func(args)
     except ModirError as exc:
         print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)

@@ -21,6 +21,10 @@ without any model dependency (all integers little-endian)::
     per record: u16 id byte length, UTF-8 id, u32 row count,
                 rows x dim float32, row-major
 
+``read_embedding_block`` reads only the record headers; the rows stay in
+the file, and the ``BlockRows`` of the block's ``TermTable`` reads the rows
+asked for when they are asked for.
+
 ``ByteReader`` parses the fields of every binary artifact the pipeline
 hands on: this block, the encoder checkpoint and the index files. A field
 that runs past the end of its file, and a byte left over after the last
@@ -293,15 +297,20 @@ class FileReader(ByteReader):
 
 class TermTable(Mapping):
     """Passage id -> term matrix, held as one ragged row table: the ids are
-    strings in strictly ascending order, and passage ``ids[i]`` is the view
+    strings in strictly ascending order, and passage ``ids[i]`` is
     ``rows[offsets[i]:offsets[i + 1]]``. ColBERTv2 and PLAID hold a corpus
     the same way, as one flat embedding tensor plus per-passage lengths.
 
+    ``rows`` is a 2-d array or an embedding block's ``BlockRows``, which
+    reads the rows asked for from the file on demand; either has ``shape``,
+    ``ndim`` and ``dtype`` and is sliced by row ranges and row index arrays.
+    ``build_index`` asks for the sampled passages once and for every row
+    twice, so it reads an embedding block's rows from the file that often.
     The rows keep the dtype they were made with: an embedding block's are
     its float32 values, stacked matrices are float64.
     """
 
-    def __init__(self, ids, rows: np.ndarray, offsets):
+    def __init__(self, ids, rows, offsets):
         name = type(self).__name__
         self.ids = list(ids)
         if not all(isinstance(pid, str) for pid in self.ids):
@@ -343,7 +352,7 @@ class TermTable(Mapping):
 
     @cached_property
     def passages(self) -> list:
-        """Every passage's rows, as views, in id order."""
+        """Every passage's rows, as views of an in-memory table, in id order."""
         bounds = self.offsets.tolist()
         return [self.rows[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -352,7 +361,8 @@ class TermTable(Mapping):
         return {pid: i for i, pid in enumerate(self.ids)}
 
     def __getitem__(self, pid):
-        return self.passages[self._position[pid]]
+        i = self._position[pid]
+        return self.rows[self.offsets[i] : self.offsets[i + 1]]
 
     def __iter__(self):
         return iter(self.ids)
@@ -361,10 +371,81 @@ class TermTable(Mapping):
         return len(self.ids)
 
 
+def _file_stamp(fh) -> tuple:
+    """What tells one version of an open file from another: its inode,
+    size and modification time."""
+    st = os.fstat(fh.fileno())
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+class BlockRows:
+    """The rows of an embedding block's ``TermTable``, in id order, read
+    from the file when they are asked for; nothing holds them all.
+
+    ``rows[lo:hi]`` and ``rows[index array]`` return a new float32 array of
+    those rows. They are read with one read per run of rows, in the order
+    asked for, whose records sit next to each other in the file, and
+    gathered out of those bytes without a loop over records. Every read
+    first checks that ``_file_stamp`` is still that of the header pass, and
+    that it read every byte it asked for: a block that shrank or changed
+    since is FormatError naming the file and a record.
+    """
+
+    ndim = 2
+    dtype = np.dtype("<f4")
+
+    def __init__(self, path, stamp: tuple, dim: int, offsets, ranks, ids: list, starts: list):
+        self.path = path
+        self.shape = (int(offsets[-1]), dim)
+        self._stamp = stamp  # the file's _file_stamp at the header pass
+        self._offsets = offsets  # each passage's first row, in id order
+        self._ranks = ranks  # each passage's record number in the file
+        self._ids = ids  # the records' ids, in file order
+        self._starts = np.array(starts, dtype=np.int64)  # where each record's rows start, in file order
+
+    def __getitem__(self, key) -> np.ndarray:
+        n, dim = self.shape
+        if isinstance(key, slice):
+            rows = np.arange(*key.indices(n))
+        else:
+            rows = np.asarray(key)
+            if rows.ndim != 1 or rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n):
+                raise IndexError(f"rows are asked for by a slice or a 1-d array of row numbers below {n}")
+        if rows.size == 0:
+            return np.empty((0, dim), dtype=self.dtype)
+        width = 4 * dim
+        passage = np.searchsorted(self._offsets, rows, side="right") - 1
+        rank = self._ranks[passage]
+        where = self._starts[rank] + width * (rows - self._offsets[passage])  # each row's file offset
+        # a run goes on while the next row asked for is later in the same record or in the next one
+        step = np.diff(rank)
+        new_run = np.r_[True, (step < 0) | (step > 1) | (np.diff(where) <= 0)]
+        heads = np.flatnonzero(new_run)
+        lo, hi = where[heads], where[np.r_[heads[1:] - 1, rows.size - 1]] + width
+        base = np.cumsum(hi - lo) - (hi - lo)  # each run's place in buf
+        buf = np.empty(int(base[-1] + hi[-1] - lo[-1]), dtype=np.uint8)
+        view = memoryview(buf)
+        with open(self.path, "rb") as fh:
+            if _file_stamp(fh) != self._stamp:
+                raise FormatError(
+                    f"{self.path} changed after its headers were read; the rows of record "
+                    f"{self._ids[rank[0]]!r} cannot be read"
+                )
+            for head, a, b, at in zip(heads.tolist(), lo.tolist(), hi.tolist(), base.tolist()):
+                fh.seek(a)
+                got = fh.readinto(view[at : at + b - a])
+                if got != b - a:
+                    cut = head + int(np.argmax(where[head:] + width > a + got))
+                    raise FormatError(f"{self.path} is truncated in the rows of record {self._ids[rank[cut]]!r}")
+        # one row-wide item starting at every byte of buf, so one index gathers whole rows
+        windows = np.ndarray((buf.size - width + 1,), dtype=(np.void, width), buffer=buf, strides=(1,))
+        return windows[where + (base - lo)[np.cumsum(new_run) - 1]].view(self.dtype).reshape(rows.size, dim)
+
+
 class BlockRecords(Sequence):
     """An embedding block's records in file order, each made when it is
-    read. Their embeddings are views of ``table``, which holds the same rows
-    in id order."""
+    read, with its rows read from the file by ``table``, which holds the
+    same passages in id order."""
 
     def __init__(self, table: TermTable, positions: list):
         self.table = table
@@ -376,24 +457,26 @@ class BlockRecords(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        p = self._positions[i]
-        return CorpusRecord(id=self.table.ids[p], embeddings=self.table.passages[p])
+        pid = self.table.ids[self._positions[i]]
+        return CorpusRecord(id=pid, embeddings=self.table[pid])
 
 
 def read_embedding_block(path) -> BlockRecords:
     """The records of a binary embedding block, in file order, over one
     float32 ``TermTable`` of their rows in id order.
 
-    The file is read in two passes. The first walks the record headers and
-    seeks past the rows, checking every size against the file's size: a
-    truncated block, a row count that runs past the end, trailing bytes and
-    a repeated id are FormatError before the table is allocated. The second
-    reads each record's rows straight into the table, at its id's place, so
-    a block whose ids are not ascending is put in id order without a copy.
+    The file is read once here, for its record headers; the rows are
+    skipped, and every size is checked against the file's size: a truncated
+    block, a row count that runs past the end, trailing bytes and a repeated
+    id are FormatError. The table's rows are a ``BlockRows``, which reads
+    rows from the file on demand, so no corpus-sized buffer is allocated:
+    ``build_index`` reads the sampled passages once and every row twice
+    more, and a record's rows are read when the record is.
     """
     with open(path, "rb", buffering=_READ_BUFFER) as fh:
         if fh.read(4) != _MAGIC:
             raise FormatError(f"{path} is not an embedding block (bad magic)")
+        stamp = _file_stamp(fh)
         reader = FileReader(fh, path)
         version, dim, count = reader.unpack("<III")
         if version != 1:
@@ -415,19 +498,13 @@ def read_embedding_block(path) -> BlockRecords:
             reader.skip(4 * rows * dim)
         reader.finish()
 
-        order = sorted(range(count), key=ids.__getitem__)
-        offsets = np.concatenate(([0], np.cumsum([counts[i] for i in order], dtype=np.int64)))
-        positions = [0] * count
-        for p, i in enumerate(order):
-            positions[i] = p
-        bounds = offsets.tolist()
-        table = np.empty((bounds[-1], dim), dtype="<f4")
-        for i, p in enumerate(positions):
-            dest = table[bounds[p] : bounds[p + 1]]
-            fh.seek(starts[i])
-            if dest.size and fh.readinto(memoryview(dest).cast("B")) != dest.nbytes:
-                raise FormatError(f"{path} is truncated in the rows of record {ids[i]!r}")
-    return BlockRecords(TermTable([ids[i] for i in order], table, offsets), positions)
+    order = sorted(range(count), key=ids.__getitem__)
+    offsets = np.concatenate(([0], np.cumsum([counts[i] for i in order], dtype=np.int64)))
+    positions = [0] * count
+    for p, i in enumerate(order):
+        positions[i] = p
+    block_rows = BlockRows(path, stamp, dim, offsets, np.array(order, dtype=np.int64), ids, starts)
+    return BlockRecords(TermTable([ids[i] for i in order], block_rows, offsets), positions)
 
 
 def read_records(path) -> Sequence[CorpusRecord]:

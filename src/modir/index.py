@@ -67,7 +67,7 @@ from .evaluation import UnitCorpus
 FORMAT_VERSION = 1
 INDEX_FILES = ("meta.json", "centroids.f32", "codec.f32", "codes.bin", "invlists.bin", "passages.bin")
 _UNIT_BLOCK = 2048  # rows per block of unit rows and of the build's checks and encoding; bounds temporaries
-_PACK_ROWS = 65536  # embeddings per pack_codes chunk; a multiple of 8, so each chunk ends on a byte
+_PACK_ROWS = 8192  # embeddings per pack_codes chunk; a multiple of 8, so each chunk ends on a byte
 _SAMPLE_PASSAGES = 256  # passages sampled to fit the centroids and the codec
 _LLOYD_ITERATIONS = 25  # at most this many Lloyd iterations after k-means++
 _LLOYD_TOL = 1e-6  # Lloyd stops once no centroid moves farther than this
@@ -203,7 +203,7 @@ def _squared_distances(x: np.ndarray, c: np.ndarray, xx=None, cc=None, out=None)
     return np.maximum(d2, 0.0, out=d2)
 
 
-def nearest_centroid_ids(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def nearest_centroid_ids(vectors, centroids: np.ndarray) -> np.ndarray:
     """Nearest centroid per vector; any tie resolves to the lowest centroid id.
 
     Duplicate centroid rows are collapsed before the distance computation and
@@ -211,10 +211,13 @@ def nearest_centroid_ids(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarr
     Distances are taken in row blocks of exactly ``4_000_000 // distinct
     centroids`` vectors, into one reused buffer: the matmul's last bits depend
     on the block's shape, so that block size is part of which centroid a
-    near-tied vector gets, and of the index bytes. Float32 vectors are
-    widened to float64 one block at a time, which is exact.
+    near-tied vector gets, and of the index bytes. ``vectors`` is a 2-d array
+    or a row source such as ``data.BlockRows``: only its ``shape`` and one
+    block slice at a time are read, so an embedding block's rows are read
+    from its file on demand, once here and once more by ``build_index``'s
+    residual pass. Float32 vectors are widened to float64 one block at a
+    time, which is exact.
     """
-    vectors = np.asarray(vectors)
     cents = np.asarray(centroids, dtype=np.float64)
     if vectors.shape[1] != cents.shape[1]:
         raise DimensionMismatchError(f"vector dim {vectors.shape[1]} != centroid dim {cents.shape[1]}")
@@ -313,7 +316,9 @@ def pack_codes(centroid_ids: np.ndarray, residual_codes: np.ndarray, id_bits: in
     Embeddings are unpacked into one bit per byte and packed ``_PACK_ROWS``
     at a time. That count is a multiple of 8, so every chunk but the last
     ends on a byte boundary and the chunks' bytes join into the stream that
-    packing all embeddings at once gives.
+    packing all embeddings at once gives. ``save_index`` calls it on one
+    chunk at a time and writes each chunk's bytes as they come, so it never
+    holds the whole stream.
     """
     n, d = residual_codes.shape
     shifts = np.arange(id_bits - 1, -1, -1, dtype=np.uint64)
@@ -472,6 +477,33 @@ class CompressedIndex:
         return self._csr_position[emb_ids], offsets
 
 
+def _check_finite(table: TermTable, lo: int, rows: np.ndarray):
+    """InvalidConfigError naming the first passage that holds a non-finite
+    value among ``rows``, the table's rows from ``lo`` on."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        first = table.ids[int(np.searchsorted(table.offsets, lo + np.argmin(finite), side="right")) - 1]
+        raise InvalidConfigError(f"passage {first!r} contains non-finite values")
+
+
+class _FiniteRows:
+    """A table's rows as ``nearest_centroid_ids`` reads them, one block at a
+    time, each block checked by ``_check_finite`` on the way. Blocks come in
+    row order, so the error names the first bad passage in id order."""
+
+    def __init__(self, table: TermTable):
+        self.table = table
+        self.shape = table.rows.shape
+
+    def __len__(self):  # the row count, as len() of an array gives it; perfbench's trace counts rows so
+        return self.shape[0]
+
+    def __getitem__(self, block: slice) -> np.ndarray:
+        rows = self.table.rows[block]
+        _check_finite(self.table, block.indices(self.shape[0])[0], rows)
+        return rows
+
+
 def build_index(
     corpus,
     seed: int = 0,
@@ -489,14 +521,17 @@ def build_index(
     at most ``_SAMPLE_PASSAGES`` passages, stored as float32, and all
     assignments/codes are computed against the stored float32 values.
 
-    The table is never copied whole. Its rows are widened to float64 one
-    block at a time: the sample, each assignment block of
+    The table is never read whole. Its rows are asked for, and widened to
+    float64, one block at a time: the sample, each assignment block of
     ``nearest_centroid_ids`` and each ``_UNIT_BLOCK``-row block of residuals.
-    Widening float32 is exact and encoding is element-wise, so together with
-    the fixed assignment blocks the index files are byte-identical to those
-    of a build over a float64 copy of the whole table. Before anything is
-    fitted, the rows are checked for non-finite values ``_UNIT_BLOCK`` at a
-    time; the error names the first passage, in id order, that holds one.
+    An embedding block's ``BlockRows`` reads each block from the file, so a
+    build reads the sampled passages once and every row twice. Widening
+    float32 is exact and encoding is element-wise, so together with the fixed
+    assignment blocks the index files are byte-identical to those of a build
+    over a float64 copy of the whole table. Each assignment block is checked
+    for non-finite values as it is read, and the sample before it is fitted
+    (a non-finite sample has every row checked first); the error names the
+    first passage, in id order, that holds one.
     """
     table = corpus if isinstance(corpus, TermTable) else TermTable.stack(corpus)
     if not table:
@@ -508,21 +543,19 @@ def build_index(
     total, dim = rows.shape
     if dim == 0:
         raise InvalidConfigError("term embeddings must have at least one column")
-    for lo in range(0, total, _UNIT_BLOCK):
-        finite = np.isfinite(rows[lo : lo + _UNIT_BLOCK]).all(axis=1)
-        if not finite.all():
-            first = ids[int(np.searchsorted(offsets, lo + np.argmin(finite), side="right")) - 1]
-            raise InvalidConfigError(f"passage {first!r} contains non-finite values")
 
     sample_rng = np.random.default_rng((seed, 0))
     n_sample = min(len(ids), _SAMPLE_PASSAGES)
     sample_idx = np.sort(sample_rng.choice(len(ids), size=n_sample, replace=False))
     sample_rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in sample_idx])
     sample = np.asarray(rows[sample_rows], dtype=np.float64)
+    if not np.isfinite(sample).all():  # an unsampled passage before the sample's may hold one too
+        for lo in range(0, total, _UNIT_BLOCK):
+            _check_finite(table, lo, rows[lo : lo + _UNIT_BLOCK])
 
     centroids = select_centroids([sample], total, (seed, 1), centroid_count=centroid_count).astype(np.float32)
 
-    assignments = nearest_centroid_ids(rows, centroids)
+    assignments = nearest_centroid_ids(_FiniteRows(table), centroids)
     cents64 = centroids.astype(np.float64)
     codec64 = fit_codec(sample - cents64[assignments[sample_rows]], dim)
     del sample
@@ -627,7 +660,10 @@ def save_index(index: CompressedIndex, directory):
     then rename it into place. An existing ``directory`` is renamed aside
     first and removed once the new one is in place; it must be empty or hold
     only index files, or nothing is written. A failed write leaves any
-    earlier index where it was and no temporary directory behind."""
+    earlier index where it was and no temporary directory behind.
+
+    The index holds its codes, not the corpus, so saving reads no rows;
+    codes.bin is packed and written ``_PACK_ROWS`` embeddings at a time."""
     directory = Path(os.path.abspath(directory))
     if directory.exists() and not (directory.is_dir() and {p.name for p in directory.iterdir()} <= set(INDEX_FILES)):
         raise InvalidConfigError(f"{directory} exists and is not an index directory; not replacing it")
@@ -671,7 +707,10 @@ def _write_index_files(index: CompressedIndex, directory: Path):
         np.ascontiguousarray(index.codec.cuts, dtype="<f4").tobytes()
         + np.ascontiguousarray(index.codec.reps, dtype="<f4").tobytes()
     )
-    (directory / "codes.bin").write_bytes(pack_codes(index.centroid_ids, index.residual_codes, id_bits))
+    with open(directory / "codes.bin", "wb") as fh:  # a chunk at a time: the stream is never held whole
+        for lo in range(0, index.embedding_count, _PACK_ROWS):
+            chunk = slice(lo, lo + _PACK_ROWS)
+            fh.write(pack_codes(index.centroid_ids[chunk], index.residual_codes[chunk], id_bits))
 
     sizes = np.diff(index.list_offsets)
     nonempty = np.flatnonzero(sizes)

@@ -519,6 +519,21 @@ class TestEvalCmd:
         assert err.startswith("error[unknown-metric]")
         assert "mrr@K" in err and "recall@K" in err
 
+    @pytest.mark.parametrize("level", ["verbose", "10", ""])
+    def test_an_unknown_log_level_is_one_error_line(self, tmp_path, capsys, monkeypatch, level):
+        run_path = tmp_path / "x.run"
+        run_path.write_text("q Q0 p 1 1.0 t\n")
+        qrels = tmp_path / "x.qrels"
+        qrels.write_text("q 0 p 1\n")
+        monkeypatch.setenv("MODIR_LOG", level)
+        assert run_cli("eval", "--run", run_path, "--qrels", qrels) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[invalid-config]: MODIR_LOG must be one of debug, info, warning, error, got {level!r}\n"
+        monkeypatch.setenv("MODIR_LOG", "Info")  # levels are not case-sensitive
+        assert run_cli("eval", "--run", run_path, "--qrels", qrels, "--metrics", "mrr@10") == 0
+        assert capsys.readouterr().out == "mrr@10 1.0000\n"
+
     @pytest.mark.parametrize("bad", ["run", "qrels"])
     def test_non_utf8_byte_is_a_parse_error(self, tmp_path, capsys, bad):
         files = {"run": tmp_path / "x.run", "qrels": tmp_path / "x.qrels"}

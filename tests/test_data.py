@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -22,6 +23,7 @@ from modir.data import (
     write_embedding_block,
 )
 from modir.errors import DimensionMismatchError, FormatError, InvalidConfigError, ParseError
+from modir.index import build_index
 from modir.scoring import NUM_SPECIAL
 
 
@@ -273,8 +275,8 @@ class TestTexts:
 
 
 class TestBlockTable:
-    """An embedding block is read into one float32 TermTable in id order;
-    its records keep file order and view that table."""
+    """An embedding block is read as one float32 TermTable in id order; its
+    records keep file order and read their rows through that table."""
 
     def test_records_keep_file_order_and_the_table_is_in_id_order(self, tmp_path):
         path = tmp_path / "corpus.emb"
@@ -287,7 +289,7 @@ class TestBlockTable:
         assert table.offsets.tolist() == [0, 2, 2, 5]
         for rec in records:
             assert np.array_equal(rec.embeddings, _SMALL_BLOCK[rec.id])
-            assert np.shares_memory(rec.embeddings, table.rows) or rec.embeddings.size == 0
+            assert np.array_equal(rec.embeddings, table[rec.id])
             assert rec.text is None and rec.language == ""
         assert [r.id for r in records[1:]] == ["p1", "p0"]
         assert records[-1].id == "p0"
@@ -316,6 +318,101 @@ class TestBlockTable:
         path.write_bytes(b"MVEB" + struct.pack("<III", 1, 4, 0))
         records = read_embedding_block(path)
         assert len(records) == 0 and records.table.rows.shape == (0, 4)
+
+
+@st.composite
+def shuffled_blocks(draw):
+    """``{id: float32 rows}`` under distinct ids drawn in any order, some
+    records with no rows, and the width of the rows."""
+    dim = draw(st.integers(1, 5))
+    counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=8))
+    ids = draw(st.lists(st.text(max_size=4), min_size=len(counts), max_size=len(counts), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return {pid: rng.normal(size=(count, dim)).astype(np.float32) for pid, count in zip(ids, counts)}, dim
+
+
+class TestBlockRows:
+    """An embedding block's rows are read from its file when they are asked
+    for, and equal the in-memory table of the same passages in id order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(block=shuffled_blocks(), data=st.data())
+    @example(block=({"b": np.ones((2, 3), dtype=np.float32), "a": np.zeros((0, 3), dtype=np.float32)}, 3), data=None)
+    def test_rows_equal_an_in_memory_table(self, tmp_path_factory, block, data):
+        corpus, dim = block
+        path = tmp_path_factory.mktemp("rows") / "corpus.emb"
+        write_embedding_block(corpus, path)
+        table = read_embedding_block(path).table
+        reference = np.concatenate([corpus[pid] for pid in sorted(corpus)])
+        total = reference.shape[0]
+        if data is None:
+            lo, hi, idx = 0, total, list(range(total))[::-1]
+        else:
+            lo = data.draw(st.integers(0, total))
+            hi = data.draw(st.integers(lo, total))
+            idx = data.draw(st.lists(st.integers(0, total - 1), max_size=12)) if total else []
+        idx = np.array(idx, dtype=np.int64)
+        assert table.rows.shape == reference.shape and table.rows.ndim == 2 and table.rows.dtype == np.float32
+        for got, expect in ((table.rows[lo:hi], reference[lo:hi]), (table.rows[idx], reference[idx])):
+            assert got.dtype == np.float32 and got.shape == expect.shape and got.tobytes() == expect.tobytes()
+        for pid, rows in corpus.items():
+            assert table[pid].shape == rows.shape and table[pid].tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("key", [[True, False, True], [[0]], [3], [-1], [0.5]],
+                             ids=["mask", "2-d", "past-the-end", "negative", "float"])
+    def test_rows_are_asked_for_by_row_numbers(self, tmp_path, key):
+        path = tmp_path / "corpus.emb"
+        write_embedding_block({"b": np.ones((2, 3)), "a": np.zeros((1, 3))}, path)
+        rows = read_embedding_block(path).table.rows
+        with pytest.raises(IndexError, match="^rows are asked for by a slice or a 1-d array of row numbers below 3$"):
+            rows[key]
+
+    def test_reading_a_block_allocates_far_less_than_its_rows(self, tmp_path):
+        rows = np.random.default_rng(0).normal(size=(32, 64)).astype(np.float32)
+        path = tmp_path / "corpus.emb"
+        write_embedding_block({f"p{i:04d}": rows for i in range(2000)}, path)
+        row_bytes = 2000 * rows.nbytes  # 16 MB
+        tracemalloc.start()
+        try:
+            records = read_embedding_block(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records.table.rows.shape == (64_000, 64)
+        assert peak < row_bytes / 8, f"reading the block peaked at {peak / 1e6:.1f} MB, its rows are {row_bytes / 1e6:.1f} MB"
+
+    @staticmethod
+    def _block(path):
+        """40 records of 3 rows of dim 4 in id order; record i's rows start at
+        byte 16 + 57 i + 9 (the file header, then 57-byte records)."""
+        write_embedding_block({f"p{i:02d}": np.full((3, 4), i, dtype=np.float32) for i in range(40)}, path)
+        return read_embedding_block(path).table
+
+    @pytest.mark.parametrize("change", ["truncate", "rewrite"])
+    def test_a_block_that_changes_after_its_headers_are_read_is_a_format_error(self, tmp_path, change):
+        path = tmp_path / "corpus.emb"
+        table = self._block(path)
+        if change == "truncate":
+            with open(path, "r+b") as fh:
+                fh.truncate(path.stat().st_size - 10)
+        else:  # the same sizes, other values
+            write_embedding_block({f"p{i:02d}": np.full((3, 4), -i, dtype=np.float32) for i in range(40)}, path)
+        message = f"{path} changed after its headers were read; the rows of record 'p05' cannot be read"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            table.rows[15:30]
+        with pytest.raises(FormatError, match="the rows of record 'p00' cannot be read$"):
+            build_index(table, seed=0)
+
+    def test_a_short_read_names_the_record_it_cuts(self, tmp_path):
+        path = tmp_path / "corpus.emb"
+        table = self._block(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(16 + 57 * 30 + 9 + 20)  # inside the rows of p30
+        with open(path, "rb") as fh:
+            table.rows._stamp = data._file_stamp(fh)  # as if it shrank after the check
+        assert table.rows[:90].tobytes() == np.repeat(np.arange(30, dtype=np.float32), 12).tobytes()
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))} is truncated in the rows of record 'p30'$"):
+            table.rows[60:120]
 
 
 class TestTermTable:

@@ -112,10 +112,70 @@ class TestSameFilesAsFloat64Copies:
         with pytest.raises(InvalidConfigError, match=f"^passage {ordered[12]!r} contains"):
             build_index(read_records(path).table, seed=0)
 
+    @pytest.mark.parametrize("sampled", [False, True], ids=["only-unsampled", "sampled-and-earlier-unsampled"])
+    def test_non_finite_value_outside_the_sample_names_the_first_passage(self, tmp_path, sampled):
+        # 300 passages, so the 256-passage sample leaves some out
+        corpus = float32_corpus(np.random.default_rng(13), 300, 4)
+        ordered = sorted(corpus)
+        in_sample = set(np.random.default_rng((0, 0)).choice(300, size=256, replace=False).tolist())
+        unsampled = [i for i in range(300) if i not in in_sample]
+        corpus[ordered[unsampled[2]]][0, 1] = np.nan
+        corpus[ordered[unsampled[5]]][-1, 0] = -np.inf
+        if sampled:
+            corpus[ordered[max(in_sample)]][0, 0] = np.inf
+        path = tmp_path / "corpus.emb"
+        write_embedding_block(corpus, path)
+        expected = f"passage {ordered[unsampled[2]]!r} contains non-finite values"
+        for table in (TermTable.stack(float64_copies(corpus)), read_records(path).table):
+            with pytest.raises(InvalidConfigError, match=f"^{expected}$"):
+                build_index(table, seed=0)
+
     def test_empty_passage_in_a_table_is_named(self):
         table = TermTable(["a", "b", "c"], np.ones((3, 2), dtype=np.float32), [0, 1, 1, 3])
         with pytest.raises(InvalidConfigError, match="^passage 'b' must be a nonempty 2-d matrix$"):
             build_index(table, seed=0)
+
+
+class RowSpy:
+    """An in-memory float32 row table with the row source interface, which
+    records how many rows each request asks for."""
+
+    ndim = 2
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self.shape = rows.shape
+        self.dtype = rows.dtype
+        self.requests = []
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, key):
+        out = self.rows[key]
+        self.requests.append(out.shape[0])
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        self.requests.append(self.shape[0])
+        return self.rows if dtype is None else self.rows.astype(dtype)
+
+
+def test_build_asks_for_one_block_of_rows_at_a_time(tmp_path):
+    # 30,000 rows of dim 8 make 256 centroids and assignment blocks of 15,625 rows
+    rng = np.random.default_rng(2)
+    n_passages, terms, dim = 10_000, 3, 8
+    rows = (rng.normal(size=(64, dim))[rng.integers(64, size=n_passages * terms)]
+            + 0.2 * rng.normal(size=(n_passages * terms, dim))).astype(np.float32)
+    ids, offsets = [f"p{i:05d}" for i in range(n_passages)], np.arange(0, rows.shape[0] + 1, terms)
+    spy = RowSpy(rows)
+    idx = build_index(TermTable(ids, spy, offsets), seed=3)
+    assignment_block = 4_000_000 // np.unique(idx.centroids, axis=0).shape[0]
+    sample = index._SAMPLE_PASSAGES * terms
+    assert max(spy.requests) <= max(assignment_block, index._UNIT_BLOCK, sample) < rows.shape[0]
+    assert sum(spy.requests) == sample + 2 * rows.shape[0]  # the sample once, then every row twice
+    plain = build_index(TermTable(ids, rows, offsets), seed=3)
+    assert index_files(idx, tmp_path / "spied") == index_files(plain, tmp_path / "plain")
 
 
 def test_float32_assignment_blocks_equal_float64_blocks():
