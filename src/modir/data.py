@@ -26,7 +26,8 @@ the file, and the ``BlockRows`` of the block's ``TermTable`` reads the rows
 asked for when they are asked for.
 
 ``ByteReader`` parses the fields of every binary artifact the pipeline
-hands on: this block, the encoder checkpoint and the index files. A field
+hands on: this block, the encoder checkpoint and the index files that
+hold stored facts (``index.load_index`` rebuilds the derived ones). A field
 that runs past the end of its file, and a byte left over after the last
 field, is a FormatError naming the file. The varint format (unsigned
 LEB128) that the index files use is defined here too, for writing

@@ -24,7 +24,7 @@ Checkpoint layout (all integers little-endian, floats little-endian f64)::
     u32 x 5          vocab, d, d_out, n_layers, bottleneck
     u8               stage (0 pretrain, 1 finetune, 2 zeroshot, 3 extend)
     u32              language count
-    per language     u16 name length, UTF-8 name, u8 post-hoc flag
+    per language     u16 name length, UTF-8 name, u8 post-hoc flag (0 or 1)
     f64 blocks, declaration order:
       embedding table            vocab x d
       per shared layer           w_self d x d, w_ctx d x d, bias d
@@ -547,8 +547,9 @@ def save_checkpoint(params: ModularEncoderParams, path):
 def load_checkpoint(path) -> ModularEncoderParams:
     """Read a checkpoint through a bounds-checked reader: the parameter
     section must hold exactly the floats of the shapes the header names. A
-    section cut short, bytes after it, or a parameter that is NaN or
-    infinite raises FormatError naming the file."""
+    section cut short, bytes after it, a post-hoc flag other than 0 or 1,
+    or a parameter that is NaN or infinite raises FormatError naming the
+    file."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(_MAGIC)] != _MAGIC:
@@ -564,6 +565,8 @@ def load_checkpoint(path) -> ModularEncoderParams:
         (name_len,) = reader.unpack("<H")
         name = reader.text(name_len)
         (flag,) = reader.unpack("<B")
+        if flag > 1:
+            raise FormatError(f"{path} has post-hoc flag {flag} for language {name!r}; it must be 0 or 1")
         langs.append(name)
         if flag:
             post_hoc.add(name)

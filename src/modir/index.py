@@ -13,29 +13,33 @@ scores those passages in blocks of rows (one matmul per block), and scores the
 few whose blocked score is within rounding distance of the final_k-th best
 again with the oracle's exact MaxSim kernel, which gives the scores it reports.
 Both stages, like the oracle, accept a query that ``scoring.check_query``
-accepts at the index's width: a float (terms, dim) matrix with rows.
+accepts at the index's width: a finite float (terms, dim) matrix with rows.
 
 On-disk layout (directory; all integers little-endian; varint = unsigned
 LEB128, written by ``data.encode_varints`` and read by
-``data.ByteReader.varints`` and ``.texts``). ``load_index`` parses every
-binary file through ``data.ByteReader``, the reader that also parses the
-embedding block and the encoder checkpoint:
+``data.ByteReader.varints`` and ``.texts``). centroids.f32, codec.f32,
+codes.bin and passages.bin hold the stored facts; ``load_index`` parses them
+through ``data.ByteReader``, the reader that also parses the embedding block
+and the encoder checkpoint. meta.json and invlists.bin are derived, each
+with one writer (``_meta_bytes``, ``_invlists_bytes``): ``load_index``
+rebuilds both with those writers from what it loaded, and refuses any other
+bytes:
 
     meta.json       format_version, dim, centroid_count, embedding_count,
-                    passage_count, id_bits, bits_per_embedding, seed
+                    passage_count, id_bits, bits_per_embedding, seed; one
+                    line of sorted compact JSON
     centroids.f32   centroid_count x dim float32, row-major
     codec.f32       cut points (3 x dim) then representatives (4 x dim), float32
     codes.bin       per embedding, MSB-first: centroid id (id_bits bits) then
-                    2 bits per dimension; one contiguous bitstream, zero-padded
-                    to a byte at the end. Size = ceil(n * bits_per_embedding / 8).
+                    2 bits per dimension; one contiguous bitstream, padded
+                    with zero bits to a byte at the end, and a nonzero padding
+                    bit is refused. Size = ceil(n * bits_per_embedding / 8).
     invlists.bin    u32 count of nonempty lists; per list (ascending centroid
                     id): varint centroid-id gap, varint length. Memberships
                     are not duplicated on disk: every embedding id belongs to
                     exactly the list named by its centroid-id field in
                     codes.bin, so the loader derives the lists (ascending ids)
-                    from the codes and rejects a directory whose lengths
-                    disagree with them, including one that leaves out a
-                    nonempty list.
+                    from the codes, and the file is their sizes.
     passages.bin    u32 passage count, varint embeddings-per-passage, u8 id
                     mode (0 = ids are decimal positions, 1 = explicit), then
                     per passage varint byte length + UTF-8 id when explicit
@@ -67,7 +71,7 @@ from .evaluation import UnitCorpus
 FORMAT_VERSION = 1
 INDEX_FILES = ("meta.json", "centroids.f32", "codec.f32", "codes.bin", "invlists.bin", "passages.bin")
 _UNIT_BLOCK = 2048  # rows per block of unit rows and of the build's checks and encoding; bounds temporaries
-_PACK_ROWS = 8192  # embeddings per pack_codes chunk; a multiple of 8, so each chunk ends on a byte
+_PACK_ROWS = 8192  # embeddings per codes.bin chunk packed or unpacked; a multiple of 8, so each ends on a byte
 _SAMPLE_PASSAGES = 256  # passages sampled to fit the centroids and the codec
 _LLOYD_ITERATIONS = 25  # at most this many Lloyd iterations after k-means++
 _LLOYD_TOL = 1e-6  # Lloyd stops once no centroid moves farther than this
@@ -86,13 +90,6 @@ def centroid_count_for(total_estimate: int) -> int:
     if total_estimate < 1:
         raise InvalidConfigError(f"total_estimate must be >= 1, got {total_estimate}")
     return 1 << math.ceil(math.log2(math.sqrt(total_estimate))) if total_estimate > 1 else 1
-
-
-def _stack_sample(sample) -> np.ndarray:
-    mats = [np.asarray(m, dtype=np.float64) for m in sample]
-    if not mats or sum(m.shape[0] for m in mats) == 0:
-        raise EmptyInputError("centroid selection needs at least one sample vector")
-    return np.vstack(mats)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, xx: np.ndarray, inverse: np.ndarray):
@@ -130,10 +127,10 @@ def select_centroids(
 ) -> np.ndarray:
     """Seeded k-means++ plus Lloyd iterations over the sampled term embeddings.
 
-    ``sample`` is an iterable of (rows, dim) matrices. The centroid count is
-    the power of two at or above sqrt(total_estimate) unless overridden. When
-    there are fewer distinct sample vectors than centroids, the sample is
-    cycled and duplicate centroids are kept with a warning.
+    ``sample`` is one (rows, dim) matrix with at least one row. The centroid
+    count is the power of two at or above sqrt(total_estimate) unless
+    overridden. When there are fewer distinct sample vectors than centroids,
+    the sample is cycled and duplicate centroids are kept with a warning.
 
     The result is bit-identical to seeding with direct squared differences
     and taking each Lloyd mean as ``points[assign == j].mean(axis=0)``, on
@@ -145,7 +142,9 @@ def select_centroids(
     the exception: numpy sums a contiguous column pairwise, so its clusters
     are summed one at a time. Empty clusters keep their previous centroid.
     """
-    points = _stack_sample(sample)
+    points = np.asarray(sample, dtype=np.float64)
+    if points.shape[0] == 0:
+        raise EmptyInputError("centroid selection needs at least one sample vector")
     k = centroid_count if centroid_count is not None else centroid_count_for(total_estimate)
     if k < 1:
         raise InvalidConfigError(f"centroid count must be >= 1, got {k}")
@@ -311,27 +310,22 @@ def id_bit_width(centroid_count: int) -> int:
 
 
 def pack_codes(centroid_ids: np.ndarray, residual_codes: np.ndarray, id_bits: int) -> bytes:
-    """One MSB-first bitstream: per embedding the centroid id then 2 bits/dim.
+    """One MSB-first bitstream: per embedding the centroid id then 2 bits/dim,
+    zero-padded to a byte at the end.
 
-    Embeddings are unpacked into one bit per byte and packed ``_PACK_ROWS``
-    at a time. That count is a multiple of 8, so every chunk but the last
-    ends on a byte boundary and the chunks' bytes join into the stream that
-    packing all embeddings at once gives. ``save_index`` calls it on one
-    chunk at a time and writes each chunk's bytes as they come, so it never
-    holds the whole stream.
+    The embeddings are unpacked into one bit per byte, so a caller bounds
+    that temporary by the rows it passes. ``save_index`` passes
+    ``_PACK_ROWS`` at a time, a multiple of 8: every chunk but the last ends
+    on a byte boundary, so the chunks' bytes join into the stream of one call
+    over all embeddings.
     """
     n, d = residual_codes.shape
     shifts = np.arange(id_bits - 1, -1, -1, dtype=np.uint64)
-    bits = np.empty((min(n, _PACK_ROWS), id_bits + 2 * d), dtype=np.uint8)
-    chunks = []
-    for lo in range(0, n, _PACK_ROWS):
-        codes = residual_codes[lo : lo + _PACK_ROWS]
-        chunk = bits[: codes.shape[0]]
-        chunk[:, :id_bits] = (centroid_ids[lo : lo + _PACK_ROWS].astype(np.uint64)[:, None] >> shifts) & 1
-        chunk[:, id_bits::2] = (codes >> 1) & 1
-        chunk[:, id_bits + 1 :: 2] = codes & 1
-        chunks.append(np.packbits(chunk).tobytes())
-    return b"".join(chunks)
+    bits = np.empty((n, id_bits + 2 * d), dtype=np.uint8)
+    bits[:, :id_bits] = (centroid_ids.astype(np.uint64)[:, None] >> shifts) & 1
+    bits[:, id_bits::2] = (residual_codes >> 1) & 1
+    bits[:, id_bits + 1 :: 2] = residual_codes & 1
+    return np.packbits(bits).tobytes()
 
 
 def unpack_codes(blob: bytes, count: int, dim: int, id_bits: int):
@@ -553,7 +547,7 @@ def build_index(
         for lo in range(0, total, _UNIT_BLOCK):
             _check_finite(table, lo, rows[lo : lo + _UNIT_BLOCK])
 
-    centroids = select_centroids([sample], total, (seed, 1), centroid_count=centroid_count).astype(np.float32)
+    centroids = select_centroids(sample, total, (seed, 1), centroid_count=centroid_count).astype(np.float32)
 
     assignments = nearest_centroid_ids(_FiniteRows(table), centroids)
     cents64 = centroids.astype(np.float64)
@@ -685,20 +679,33 @@ def save_index(index: CompressedIndex, directory):
     shutil.rmtree(aside, ignore_errors=True)
 
 
-def _write_index_files(index: CompressedIndex, directory: Path):
-    id_bits = id_bit_width(index.centroid_count)
+def _meta_bytes(dim: int, centroid_count: int, embedding_count: int, passage_count: int, seed: int) -> bytes:
+    """meta.json: the five counts and the seed, with the format version and
+    the bit widths they give, as one sorted JSON line."""
     meta = {
         "format_version": FORMAT_VERSION,
-        "dim": index.dim,
-        "centroid_count": index.centroid_count,
-        "embedding_count": index.embedding_count,
-        "passage_count": index.passage_count,
-        "id_bits": id_bits,
-        "bits_per_embedding": index.bits_per_embedding,
-        "seed": index.seed,
+        "dim": dim,
+        "centroid_count": centroid_count,
+        "embedding_count": embedding_count,
+        "passage_count": passage_count,
+        "id_bits": id_bit_width(centroid_count),
+        "bits_per_embedding": bits_per_embedding(dim, centroid_count),
+        "seed": seed,
     }
+    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def _invlists_bytes(list_sizes: np.ndarray) -> bytes:
+    """invlists.bin for these per-centroid list sizes: the count of nonempty
+    lists, then each one's centroid-id gap and size."""
+    nonempty = np.flatnonzero(list_sizes)
+    heads = np.column_stack((np.diff(nonempty, prepend=0), list_sizes[nonempty])).ravel()
+    return struct.pack("<I", nonempty.size) + encode_varints(heads)
+
+
+def _write_index_files(index: CompressedIndex, directory: Path):
     (directory / "meta.json").write_bytes(
-        json.dumps(meta, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+        _meta_bytes(index.dim, index.centroid_count, index.embedding_count, index.passage_count, index.seed)
     )
     (directory / "centroids.f32").write_bytes(
         np.ascontiguousarray(index.centroids, dtype="<f4").tobytes()
@@ -707,15 +714,12 @@ def _write_index_files(index: CompressedIndex, directory: Path):
         np.ascontiguousarray(index.codec.cuts, dtype="<f4").tobytes()
         + np.ascontiguousarray(index.codec.reps, dtype="<f4").tobytes()
     )
+    id_bits = id_bit_width(index.centroid_count)
     with open(directory / "codes.bin", "wb") as fh:  # a chunk at a time: the stream is never held whole
         for lo in range(0, index.embedding_count, _PACK_ROWS):
             chunk = slice(lo, lo + _PACK_ROWS)
             fh.write(pack_codes(index.centroid_ids[chunk], index.residual_codes[chunk], id_bits))
-
-    sizes = np.diff(index.list_offsets)
-    nonempty = np.flatnonzero(sizes)
-    heads = np.column_stack((np.diff(nonempty, prepend=0), sizes[nonempty])).ravel()
-    (directory / "invlists.bin").write_bytes(struct.pack("<I", nonempty.size) + encode_varints(heads))
+    (directory / "invlists.bin").write_bytes(_invlists_bytes(np.diff(index.list_offsets)))
 
     passages = bytearray()
     passages += struct.pack("<I", index.passage_count)
@@ -730,14 +734,23 @@ def _write_index_files(index: CompressedIndex, directory: Path):
     (directory / "passages.bin").write_bytes(bytes(passages))
 
 
+def _check_derived(path: Path, raw: bytes, expected: bytes):
+    """FormatError naming ``path`` unless it holds exactly ``expected``, the
+    bytes ``save_index`` writes there for the index as loaded."""
+    if raw != expected:
+        raise FormatError(f"{path} differs from the file that save_index writes for this index")
+
+
 def load_index(directory) -> CompressedIndex:
-    """Read an index directory. Each binary file is parsed through one
+    """Read an index directory. Each stored-fact file is parsed through one
     ``ByteReader`` with the sizes meta.json names, and must end where its last
-    field does; the inverted-list directory is checked against the centroid
-    ids in codes.bin. Any disagreement, a meta.json that does not end in its
-    newline, a non-finite centroid or codec float, a passage without
-    embeddings, or passage ids that are not strictly ascending, raises
-    FormatError naming the file."""
+    field does. meta.json and invlists.bin are derived files: each must equal
+    the bytes ``save_index`` writes for what was loaded (``_meta_bytes`` of
+    meta.json's counts and seed, ``_invlists_bytes`` of the list sizes that
+    codes.bin's centroid ids give). Any disagreement, a meta.json that does
+    not end in its newline, a non-finite centroid or codec float, a nonzero
+    padding bit in codes.bin, a passage without embeddings, or passage ids
+    that are not strictly ascending, raises FormatError naming the file."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     try:
@@ -753,12 +766,13 @@ def load_index(directory) -> CompressedIndex:
     if not isinstance(meta, dict) or meta.get("format_version") != FORMAT_VERSION:
         version = meta.get("format_version") if isinstance(meta, dict) else None
         raise FormatError(f"unsupported index format version {version}")
-    keys = ("dim", "centroid_count", "embedding_count", "passage_count", "id_bits", "seed")
+    keys = ("dim", "centroid_count", "embedding_count", "passage_count", "seed")
     if not all(type(meta.get(k)) is int and meta[k] >= 0 for k in keys):
         raise FormatError(f"{meta_path} needs nonnegative integers {', '.join(keys)}")
-    dim, c_count, n, p_count, id_bits = (meta[k] for k in keys[:5])
-    if dim < 1 or c_count < 1 or id_bits != id_bit_width(c_count):
-        raise FormatError(f"{meta_path} has dim {dim}, centroid_count {c_count}, id_bits {id_bits}")
+    dim, c_count, n, p_count, seed = (meta[k] for k in keys)
+    if dim < 1 or c_count < 1:
+        raise FormatError(f"{meta_path} has dim {dim} and centroid_count {c_count}; both must be >= 1")
+    _check_derived(meta_path, raw, _meta_bytes(dim, c_count, n, p_count, seed))
 
     def reader(name: str) -> ByteReader:
         path = directory / name
@@ -780,23 +794,16 @@ def load_index(directory) -> CompressedIndex:
         reps=codec_raw[3 * dim :].reshape(4, dim).copy(),
     )
     codes_path = directory / "codes.bin"
-    blob = read_whole(codes_path.name, -(-n * bits_per_embedding(dim, c_count) // 8))
-    centroid_ids, residual_codes = unpack_codes(blob, n, dim, id_bits)
+    stream_bits = n * bits_per_embedding(dim, c_count)
+    blob = read_whole(codes_path.name, -(-stream_bits // 8))
+    padding = -stream_bits % 8
+    if padding and blob[-1] & ((1 << padding) - 1):
+        raise FormatError(f"{codes_path} has a nonzero padding bit")
+    centroid_ids, residual_codes = unpack_codes(blob, n, dim, id_bit_width(c_count))
     if n and centroid_ids.max() >= c_count:
         raise FormatError(f"{codes_path} names a centroid id >= centroid_count {c_count}")
-
-    lists = reader("invlists.bin")
-    (n_lists,) = lists.unpack("<I")
-    heads = lists.varints(2 * n_lists)
-    lists.finish()
-    gaps, lengths = heads[0::2], heads[1::2]
-    cids = np.cumsum(gaps)
-    if np.any(gaps[1:] < 1) or np.any(gaps >= c_count) or np.any(cids >= c_count):
-        raise FormatError(f"{lists.path} is not an ascending list of centroid ids below {c_count}")
-    stored = np.zeros(c_count, dtype=np.int64)
-    stored[cids] = lengths
-    if np.any(lengths < 1) or not np.array_equal(stored, np.bincount(centroid_ids, minlength=c_count)):
-        raise FormatError(f"{lists.path} disagrees with the centroid ids in {codes_path.name}")
+    lists_path = directory / "invlists.bin"
+    _check_derived(lists_path, lists_path.read_bytes(), _invlists_bytes(np.bincount(centroid_ids, minlength=c_count)))
 
     passages = reader("passages.bin")
     if passages.unpack("<I")[0] != p_count:
@@ -824,5 +831,5 @@ def load_index(directory) -> CompressedIndex:
         residual_codes=residual_codes,
         passage_ids=ids,
         passage_offsets=np.concatenate(([0], np.cumsum(counts))),
-        seed=meta["seed"],
+        seed=seed,
     )

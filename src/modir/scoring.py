@@ -109,15 +109,18 @@ def check_pair(hq: np.ndarray, hp: np.ndarray):
 
 
 def check_query(query, dim: int, name: str = "query") -> np.ndarray:
-    """The query as a float64 (terms, dim) matrix. A query that is not 2-d
-    or has another width is DimensionMismatchError, and one without rows is
-    EmptyInputError: a search or a pooled score needs a query row (MaxSim of
-    no rows is 0). Each message starts with ``name``."""
+    """The query as a finite float64 (terms, dim) matrix. A query that is not
+    2-d or has another width is DimensionMismatchError, one without rows is
+    EmptyInputError (a search or a pooled score needs a query row; MaxSim of
+    no rows is 0), and one holding a NaN or an infinity is InvalidConfigError
+    (it would score every passage NaN). Each message starts with ``name``."""
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != dim:
         raise DimensionMismatchError(f"{name} must be a (terms, {dim}) matrix, got shape {q.shape}")
     if q.shape[0] == 0:
         raise EmptyInputError(f"{name} has no rows")
+    if not np.isfinite(q).all():
+        raise InvalidConfigError(f"{name} contains non-finite values")
     return q
 
 

@@ -788,6 +788,19 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=r"model\.ckpt has 1 trailing bytes"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_a_post_hoc_flag_other_than_0_or_1_is_format_error(self, tmp_path, flag):
+        params = tiny_params(seed=26)
+        add_language(params, "cc", init_seed=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        raw = path.read_bytes()
+        at = raw.index(b"\x02\x00cc") + 4  # u16 name length, the name, then its post-hoc flag
+        assert raw[at] == 1
+        path.write_bytes(raw[:at] + bytes([flag]) + raw[at + 1 :])
+        with pytest.raises(FormatError, match=rf"model\.ckpt has post-hoc flag {flag} for language 'cc'"):
+            load_checkpoint(path)
+
     def test_non_finite_parameter_is_format_error(self, tmp_path):
         params = tiny_params(seed=26)
         params.w_out[1, 2] = np.inf

@@ -3,6 +3,7 @@ import re
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -72,16 +73,16 @@ class TestCentroidCount:
 class TestSelectCentroids:
     def test_single_centroid_is_sample_mean(self):
         rng = np.random.default_rng(0)
-        sample = [rng.normal(size=(10, 4)), rng.normal(size=(6, 4))]
+        sample = np.vstack([rng.normal(size=(10, 4)), rng.normal(size=(6, 4))])
         cents = select_centroids(sample, total_estimate=1, seed=1)
         assert cents.shape == (1, 4)
-        np.testing.assert_allclose(cents[0], np.vstack(sample).mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(cents[0], sample.mean(axis=0), atol=1e-12)
 
     def test_recovers_separated_cluster_means(self):
         rng = np.random.default_rng(2)
         true_means = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0], [0.0, -10.0]])
         points = np.vstack([m + 0.01 * rng.normal(size=(50, 2)) for m in true_means])
-        cents = select_centroids([points], total_estimate=16, seed=3)
+        cents = select_centroids(points, total_estimate=16, seed=3)
         assert cents.shape == (4, 2)
         # each true mean recovered by some centroid
         empirical = np.array([points[i * 50 : (i + 1) * 50].mean(axis=0) for i in range(4)])
@@ -90,7 +91,7 @@ class TestSelectCentroids:
             assert best < 1e-6
 
     def test_duplicates_with_warning_when_sample_small(self):
-        sample = [np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])]
+        sample = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.warns(DuplicateCentroidWarning):
             cents = select_centroids(sample, total_estimate=64, seed=0)
         assert cents.shape == (8, 2)
@@ -98,11 +99,11 @@ class TestSelectCentroids:
 
     def test_empty_sample_rejected(self):
         with pytest.raises(EmptyInputError):
-            select_centroids([], total_estimate=4, seed=0)
+            select_centroids(np.empty((0, 4)), total_estimate=4, seed=0)
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(4)
-        sample = [rng.normal(size=(100, 3))]
+        sample = rng.normal(size=(100, 3))
         a = select_centroids(sample, total_estimate=64, seed=9)
         b = select_centroids(sample, total_estimate=64, seed=9)
         np.testing.assert_array_equal(a, b)
@@ -208,6 +209,11 @@ class TestCompress:
         assert np.all(np.abs(back - vectors) <= radius + 1e-12)
 
 
+def random_codes(rng, n, dim, id_bits):
+    """n random centroid ids below 2 ** id_bits and (n, dim) residual codes."""
+    return rng.integers(0, 1 << id_bits, size=n), rng.integers(0, 4, size=(n, dim)).astype(np.uint8)
+
+
 class TestBitPacking:
     @pytest.mark.parametrize("n,dim,c_count", [(1, 4, 1), (5, 3, 2), (17, 8, 128), (10, 128, 2**18)])
     def test_round_trip_and_exact_size(self, n, dim, c_count):
@@ -235,21 +241,45 @@ class TestBitPacking:
         chunk=st.sampled_from([8, 16, 24, 65536]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_chunked_packing_equals_one_shot_packing(self, n, dim, id_bits, chunk, seed):
-        # chunks of a multiple of 8 rows end on a byte, so their bytes join into the one-shot stream,
-        # and unpacking chunk by chunk gives the codes back
-        rng = np.random.default_rng(seed)
-        ids = rng.integers(0, 1 << id_bits, size=n)
-        codes = rng.integers(0, 4, size=(n, dim)).astype(np.uint8)
+    def test_packing_matches_the_bit_layout_and_chunked_unpacking_inverts_it(self, n, dim, id_bits, chunk, seed):
+        # chunks of a multiple of 8 rows start on a byte, so unpacking chunk by chunk gives the codes back
+        ids, codes = random_codes(np.random.default_rng(seed), n, dim, id_bits)
         bits = [((ids.astype(np.uint64)[:, None] >> np.arange(id_bits - 1, -1, -1, dtype=np.uint64)) & 1)]
         bits.append(np.stack([(codes >> 1) & 1, codes & 1], axis=2).reshape(n, 2 * dim))
         one_shot = np.packbits(np.concatenate(bits, axis=1).astype(np.uint8).ravel()).tobytes()
+        assert pack_codes(ids, codes, id_bits) == one_shot
         with mock.patch("modir.index._PACK_ROWS", chunk):
-            assert pack_codes(ids, codes, id_bits) == one_shot
             back_ids, back_codes = unpack_codes(one_shot, n, dim, id_bits)
         assert back_ids.dtype == np.int64 and back_codes.dtype == np.uint8
         np.testing.assert_array_equal(back_ids, ids)
         np.testing.assert_array_equal(back_codes, codes)
+
+    @settings(max_examples=100, deadline=None)
+    @example(n=13, dim=1, id_bits=0, chunk=8, seed=0)
+    @example(n=45, dim=3, id_bits=7, chunk=16, seed=3)
+    @given(
+        n=st.integers(1, 70),
+        dim=st.integers(1, 9),
+        id_bits=st.integers(0, 12),
+        chunk=st.sampled_from([8, 16, 24, 65536]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_save_index_writes_codes_in_chunks_that_join_into_one_stream(self, n, dim, id_bits, chunk, seed):
+        # chunks of a multiple of 8 rows end on a byte, so their bytes join into the one-call stream
+        ids, codes = random_codes(np.random.default_rng(seed), n, dim, id_bits)
+        c_count = 1 << id_bits
+        idx = CompressedIndex(
+            centroids=np.zeros((c_count, dim), np.float32),
+            codec=ResidualCodec(cuts=np.zeros((3, dim), np.float32), reps=np.zeros((4, dim), np.float32)),
+            centroid_ids=ids,
+            residual_codes=codes,
+            passage_ids=["p"],
+            passage_offsets=np.array([0, n]),
+        )
+        assert id_bit_width(idx.centroid_count) == id_bits
+        with tempfile.TemporaryDirectory() as tmp, mock.patch("modir.index._PACK_ROWS", chunk):
+            save_index(idx, Path(tmp) / "idx")
+            assert (Path(tmp) / "idx" / "codes.bin").read_bytes() == pack_codes(ids, codes, id_bits)
 
     def test_headline_bit_arithmetic(self):
         assert bits_per_embedding(128, 2**18) == 274
@@ -567,6 +597,30 @@ class TestSearch:
                 call()
             assert (type(exc.value), exc.value.message) == expected, name
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "entry",
+        ["search", "approximate_candidates", "exact_rerank", "oracle over a mapping", "oracle over a UnitCorpus",
+         "pooled_score"],
+    )
+    def test_a_non_finite_query_is_refused_on_every_path(self, entry, value):
+        corpus, idx, query = small_index(dim=6)
+        query[1, 2] = value
+        params = SearchParams(n_probe=idx.centroid_count, candidate_k=5, final_k=5)
+        calls = {
+            "search": lambda: search(query, idx, params),
+            "approximate_candidates": lambda: approximate_candidates(query, idx, params),
+            "exact_rerank": lambda: exact_rerank(query, ["3", "17"], idx),
+            "oracle over a mapping": lambda: brute_force_search(query, corpus, 5),
+            "oracle over a UnitCorpus": lambda: brute_force_search(query, idx.unit_corpus(), 5),
+            "pooled_score": lambda: scoring.pooled_score(query, np.ones((3, 6))),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic warns
+            with pytest.raises(InvalidConfigError) as exc:
+                calls[entry]()
+        assert exc.value.message == "query contains non-finite values"
+
     def test_unit_corpus_ids_must_ascend(self):
         with pytest.raises(InvalidConfigError, match="ascending"):
             UnitCorpus(["b", "a"], np.eye(2), np.array([0, 1, 2]))
@@ -763,18 +817,20 @@ class TestBlockedTopK:
         assert len(calls) == 6  # three each: the scores are distinct
 
     def test_a_nan_query_row_sends_every_passage_to_the_exact_path(self, monkeypatch):
+        # re-rank and the oracle refuse the query (check_query); maxsim_top_k itself still takes it
         _, idx, query = small_index()
         query[1] = np.nan
-        ids = list(idx.passage_ids)
-        expect = exact_rerank(query, ids, idx)[:3]
+        unit = idx.unit_corpus()
+        with pytest.raises(InvalidConfigError):
+            exact_rerank(query, list(idx.passage_ids), idx, k=3)
+        with pytest.raises(InvalidConfigError):
+            brute_force_search(query, unit, 3)
+        expect = per_passage_oracle(query, unit, 3)
         calls = []
         monkeypatch.setattr(scoring, "maxsim_unit", lambda q, p: calls.append(len(p)) or maxsim_unit(q, p))
-        got = exact_rerank(query, ids, idx, k=3)
+        got = table_top_k(query, unit, 3)
         assert len(calls) == idx.passage_count and all(np.isnan(s) for _, s in got)
         assert_same_ranking(got, expect)
-        unit = idx.unit_corpus()
-        assert_same_ranking(brute_force_search(query, unit, 3), per_passage_oracle(query, unit, 3))
-        assert_same_ranking(table_top_k(query, unit, 3), per_passage_oracle(query, unit, 3))
 
     @pytest.mark.filterwarnings("ignore::modir.index.DuplicateCentroidWarning")
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -899,6 +955,24 @@ def test_every_truncation_of_an_index_file_is_a_format_error(saved_index_files, 
             load_index(tmp)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_single_byte_change_to_invlists_is_a_format_error(saved_index_files, data):
+    raw = bytearray(saved_index_files["invlists.bin"])
+    at = data.draw(st.integers(0, len(raw) - 1))
+    raw[at] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for file_name, content in saved_index_files.items():
+            (Path(tmp) / file_name).write_bytes(bytes(raw) if file_name == "invlists.bin" else content)
+        with pytest.raises(FormatError, match="invlists.bin"):
+            load_index(tmp)
+
+
+def _edit_meta(raw, **fields):
+    """meta.json with these fields set, written as save_index writes JSON."""
+    return json.dumps(dict(json.loads(raw), **fields), sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
 def _cut_last_byte(directory, name):
     path = directory / name
     path.write_bytes(path.read_bytes()[:-1])
@@ -965,8 +1039,32 @@ class TestLoadCorrupt:
         save_index(idx, tmp_path)
         path = tmp_path / name
         path.write_bytes(path.read_bytes() + b"\x00")
-        problem = "does not end in a newline" if name == "meta.json" else "has 1 trailing bytes"
+        problem = {
+            "meta.json": "does not end in a newline",
+            "invlists.bin": "differs from the file that save_index writes for this index",
+        }.get(name, "has 1 trailing bytes")
         with pytest.raises(FormatError, match=re.escape(f"{path} {problem}")):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize(
+        "name,corrupt",
+        [
+            ("meta.json", lambda raw: _edit_meta(raw, bits_per_embedding=999)),
+            ("meta.json", lambda raw: _edit_meta(raw, comment="extra")),
+            ("invlists.bin", lambda raw: raw[:4] + bytes([0x80 | raw[4], 0x00]) + raw[5:]),
+            ("codes.bin", lambda raw: raw[:-1] + bytes([raw[-1] | 1])),
+        ],
+        ids=["meta-bits-per-embedding-999", "meta-extra-key", "invlists-overlong-first-gap", "codes-padding-bit"],
+    )
+    def test_a_file_that_save_index_would_not_write_names_it(self, tmp_path, name, corrupt):
+        idx = build_index(clustered_corpus(np.random.default_rng(14), 20, 3), seed=0, centroid_count=5)
+        assert idx.embedding_count * idx.bits_per_embedding % 8 != 0  # codes.bin ends in padding bits
+        save_index(idx, tmp_path)
+        path = tmp_path / name
+        raw = path.read_bytes()
+        assert (tmp_path / "invlists.bin").read_bytes()[4] < 0x80  # the first gap is a one-byte varint
+        path.write_bytes(corrupt(raw))
+        with pytest.raises(FormatError, match=re.escape(str(path))):
             load_index(tmp_path)
 
     def test_meta_json_without_its_newline_rejected(self, tmp_path):

@@ -107,7 +107,7 @@ def duplicated_points(rng, distinct, n, dim):
 def select_quietly(points, k, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", index.DuplicateCentroidWarning)
-        return select_centroids([points], points.shape[0], seed, centroid_count=k)
+        return select_centroids(points, points.shape[0], seed, centroid_count=k)
 
 
 def assert_same_arrays(built, ref):
