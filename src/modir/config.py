@@ -1,6 +1,7 @@
 """Run configuration with the standard defaults (n=32, m=256, d_out=128)."""
 
 import json
+import math
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
@@ -44,6 +45,8 @@ class RunConfig:
                 raise InvalidConfigError(f"{f.name} must be {kind}, got {value!r}")
             if value < _LEAST.get(f.name, value):
                 raise InvalidConfigError(f"{f.name} must be >= {_LEAST[f.name]}, got {value}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise InvalidConfigError(f"learning_rate must be a finite number >= 0, got {self.learning_rate}")
         if not 0.0 <= self.mask_rate <= 1.0:
             raise InvalidConfigError(f"mask_rate must lie in [0, 1], got {self.mask_rate}")
 

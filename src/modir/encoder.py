@@ -119,6 +119,8 @@ class ModularEncoderParams:
     flat_adapters: dict[str, np.ndarray]  # registration order preserved
     stage: str = "pretrain"
     post_hoc: set[str] = field(default_factory=set)
+    # mlm_step's gradient accumulator per language; never handed out
+    _step_grads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = _views(self.core, _core_shapes(self.vocab_size, self.d, self.d_out, self.n_layers))
@@ -142,6 +144,16 @@ class ModularEncoderParams:
             core=np.zeros_like(self.core),
             flat_adapters={lang: np.zeros_like(self.flat_adapters[lang]) for lang in langs},
         )
+
+    def _step_accumulator(self, lang: str) -> "ModularEncoderParams":
+        """``zeros([lang])``, allocated at ``lang``'s first step and zero-filled at each later one."""
+        grads = self._step_grads.get(lang)
+        if grads is None:
+            grads = self._step_grads[lang] = self.zeros([lang])
+        else:
+            grads.core.fill(0.0)
+            grads.flat_adapters[lang].fill(0.0)
+        return grads
 
     def languages(self) -> list[str]:
         return list(self.flat_adapters)
@@ -227,16 +239,22 @@ def _token_array(seq, vocab: int) -> np.ndarray:
 _NORM_EPS = 1e-6
 
 
+def _mean(x: np.ndarray, axis: int, keepdims: bool = False):
+    """``x.mean(axis, keepdims=keepdims)`` bit for bit: numpy's mean is this
+    sum divided by the count. Multiplying by ``1 / n`` would change bits."""
+    return np.add.reduce(x, axis=axis, keepdims=keepdims) / x.shape[axis]
+
+
 def _norm_rows_forward(x: np.ndarray):
     """Parameter-free per-position normalization: zero mean, unit RMS per row."""
-    centered = x - x.mean(axis=1, keepdims=True)
-    scale = np.sqrt((centered * centered).mean(axis=1, keepdims=True) + _NORM_EPS)
+    centered = x - _mean(x, 1, keepdims=True)
+    scale = np.sqrt(_mean(centered * centered, 1, keepdims=True) + _NORM_EPS)
     return centered / scale, scale
 
 
 def _norm_rows_backward(d_out: np.ndarray, normed: np.ndarray, scale: np.ndarray):
-    row_mean = d_out.mean(axis=1, keepdims=True)
-    proj = (d_out * normed).mean(axis=1, keepdims=True)
+    row_mean = _mean(d_out, 1, keepdims=True)
+    proj = _mean(d_out * normed, 1, keepdims=True)
     return (d_out - row_mean - normed * proj) / scale
 
 
@@ -246,7 +264,7 @@ def _forward(ids: np.ndarray, lang: str, params: ModularEncoderParams):
     x = params.embedding[ids]
     layer_cache = []
     for layer, ad in zip(params.shared_layers, stacks):
-        mean = x.mean(axis=0)
+        mean = _mean(x, 0)
         act = np.tanh(x @ layer.w_self + mean @ layer.w_ctx + layer.bias)
         hid = np.tanh(act @ ad.w_down + ad.b_down)
         up = hid @ ad.w_up + ad.b_up
@@ -279,7 +297,7 @@ def _backward_state(ids, layer_cache, d_state, lang, params, grads: ModularEncod
         g = grads.shared_layers[li]
         g.w_self += x_in.T @ d_pre
         col = d_pre.sum(axis=0)
-        g.w_ctx += np.outer(x_in.mean(axis=0), col)
+        g.w_ctx += np.outer(_mean(x_in, 0), col)
         g.bias += col
         dx = dx + d_pre @ layer.w_self.T + (col @ layer.w_ctx.T) / k
     np.add.at(grads.embedding, ids, dx)
@@ -438,6 +456,12 @@ def total_loss(batch: Batch, params: ModularEncoderParams) -> float:
 # Training steps
 
 
+def _sgd_update(p: np.ndarray, g: np.ndarray, lr: float):
+    """``p -= lr * g`` in place, with the same bits and no temporary; ``g`` is consumed."""
+    np.multiply(g, lr, out=g)
+    np.subtract(p, g, out=p)
+
+
 def finetune_step(batch: Batch, params: ModularEncoderParams, lr: float):
     """One SGD step on the contrastive loss, updating shared layers and the
     output projection only; adapters and the embedding table stay untouched."""
@@ -449,25 +473,14 @@ def finetune_step(batch: Batch, params: ModularEncoderParams, lr: float):
     loss, grads = total_loss_and_grads(batch, params)
     if lr != 0.0:
         trained = slice(params.embedding.size, None)  # the shared layers and w_out
-        params.core[trained] -= lr * grads.core[trained]
+        _sgd_update(params.core[trained], grads.core[trained], lr)
     return params, loss
 
 
-def mlm_loss_and_grads(token_ids, lang: str, mask, params: ModularEncoderParams):
-    """Masked-token cross-entropy with the prediction head tied to the embedding table.
-
-    ``mask`` is a boolean array over positions; masked inputs are replaced by
-    [M] and the original ids are the prediction targets. Returns (loss, grads)
-    where grads covers the embedding table, shared layers, and lang's adapters.
-    """
-    ids = _token_array(token_ids, params.vocab_size)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != ids.shape:
-        raise InvalidConfigError("mask length must match the sequence length")
-    params.adapter_stack(lang)  # fail early on an unknown language
-    grads = params.zeros([lang])
-    if not mask.any():
-        return 0.0, grads
+def _mlm_loss_into(ids: np.ndarray, lang: str, mask: np.ndarray, params: ModularEncoderParams, grads) -> float:
+    """The masked-token loss of checked ids, a mask with at least one
+    position and a registered language; its gradient is added to ``grads``,
+    which must hold zeros."""
     targets = ids[mask]
     masked_ids = ids.copy()
     masked_ids[mask] = MASK_ID
@@ -477,15 +490,36 @@ def mlm_loss_and_grads(token_ids, lang: str, mask, params: ModularEncoderParams)
     exp = np.exp(logits)
     probs = exp / exp.sum(axis=1, keepdims=True)
     m = targets.shape[0]
-    loss = float(-np.mean(np.log(probs[np.arange(m), targets])))
+    loss = float(-_mean(np.log(probs[np.arange(m), targets]), 0))
     d_logits = probs
     d_logits[np.arange(m), targets] -= 1.0
     d_logits /= m
     d_state = np.zeros_like(state)
     d_state[mask] = d_logits @ params.embedding
+    # added to zeros, not written with matmul(out=): the sum makes a -0.0
+    # product +0.0, and a parameter's sign bit can depend on it
     grads.embedding += d_logits.T @ state[mask]  # head side of the tied table
     _backward_state(masked_ids, cache, d_state, lang, params, grads)
-    return loss, grads
+    return loss
+
+
+def mlm_loss_and_grads(token_ids, lang: str, mask, params: ModularEncoderParams):
+    """Masked-token cross-entropy with the prediction head tied to the embedding table.
+
+    ``mask`` is a boolean array over positions; masked inputs are replaced by
+    [M] and the original ids are the prediction targets. Returns (loss, grads)
+    where grads covers the embedding table, shared layers, and lang's adapters;
+    each call returns a fresh grads.
+    """
+    ids = _token_array(token_ids, params.vocab_size)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != ids.shape:
+        raise InvalidConfigError("mask length must match the sequence length")
+    params.adapter_stack(lang)  # fail early on an unknown language
+    grads = params.zeros([lang])
+    if not mask.any():
+        return 0.0, grads
+    return _mlm_loss_into(ids, lang, mask, params, grads), grads
 
 
 def mlm_step(params: ModularEncoderParams, token_ids, lang: str, mask_rate: float, lr: float, rng: np.random.Generator):
@@ -493,7 +527,9 @@ def mlm_step(params: ModularEncoderParams, token_ids, lang: str, mask_rate: floa
 
     In the pretrain stage this updates the embedding table, shared layers, and
     the sample language's adapters. In the extend stage only the adapters of a
-    post-hoc language may move. mask_rate=0 is a no-op with loss 0.
+    post-hoc language may move. mask_rate=0 is a no-op with loss 0, as is a
+    step whose draw masks no position. The gradient goes into ``lang``'s
+    private accumulator (``_step_accumulator``), which is never returned.
     """
     if params.stage not in ("pretrain", "extend"):
         raise StageError(f"mlm_step requires stage 'pretrain' or 'extend', found {params.stage!r}")
@@ -504,12 +540,15 @@ def mlm_step(params: ModularEncoderParams, token_ids, lang: str, mask_rate: floa
         raise InvalidConfigError(f"mask_rate must lie in [0, 1], got {mask_rate}")
     ids = _token_array(token_ids, params.vocab_size)
     mask = rng.random(ids.shape[0]) < mask_rate
-    loss, grads = mlm_loss_and_grads(ids, lang, mask, params)
-    if lr != 0.0 and mask.any():
+    if not mask.any():
+        return params, 0.0
+    grads = params._step_accumulator(lang)
+    loss = _mlm_loss_into(ids, lang, mask, params, grads)
+    if lr != 0.0:
         if params.stage == "pretrain":
             trained = slice(params.core.size - params.w_out.size)  # the embedding table and shared layers
-            params.core[trained] -= lr * grads.core[trained]
-        params.flat_adapters[lang] -= lr * grads.flat_adapters[lang]
+            _sgd_update(params.core[trained], grads.core[trained], lr)
+        _sgd_update(params.flat_adapters[lang], grads.flat_adapters[lang], lr)
     return params, loss
 
 
@@ -519,7 +558,12 @@ def mlm_step(params: ModularEncoderParams, token_ids, lang: str, mask_rate: floa
 
 def save_checkpoint(params: ModularEncoderParams, path):
     """Write the checkpoint atomically (``data.atomic_write``): a failed write
-    leaves any earlier checkpoint as it was."""
+    leaves any earlier checkpoint as it was. A NaN or infinite parameter,
+    which ``load_checkpoint`` would refuse, raises NonFiniteError before the
+    file is opened."""
+    buffers = [params.core, *params.flat_adapters.values()]
+    if not all(np.isfinite(flat).all() for flat in buffers):
+        raise NonFiniteError(f"not writing {path}: a parameter is NaN or infinite")
     with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(
@@ -540,7 +584,7 @@ def save_checkpoint(params: ModularEncoderParams, path):
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<B", 1 if lang in params.post_hoc else 0))
-        for flat in [params.core, *params.flat_adapters.values()]:
+        for flat in buffers:
             fh.write(np.ascontiguousarray(flat, dtype="<f8").tobytes())
 
 
@@ -557,7 +601,7 @@ def load_checkpoint(path) -> ModularEncoderParams:
     reader = ByteReader(data, path, len(_MAGIC))
     vocab, d, d_out, n_layers, bottleneck, stage_idx = reader.unpack("<IIIIIB")
     if stage_idx >= len(STAGES):
-        raise FormatError(f"bad stage byte {stage_idx}")
+        raise FormatError(f"{path} has stage byte {stage_idx}; it must be 0 to {len(STAGES) - 1}")
     (n_langs,) = reader.unpack("<I")
     langs = []
     post_hoc = set()

@@ -143,6 +143,36 @@ class TestTrain:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), -5.0])
+    def test_a_learning_rate_that_is_not_finite_and_non_negative_is_one_error_line(
+        self, tmp_path, small_config, capsys, rate
+    ):
+        _, cfg = small_config
+        config = tmp_path / "bad_rate.json"
+        config.write_text(json.dumps(dict(cfg, learning_rate=rate)))  # NaN and Infinity literals
+        corpus, _, _, _, _ = build_language_files(tmp_path, "aa")
+        out = tmp_path / "model.ckpt"
+        out.write_bytes(b"an earlier checkpoint")
+        code = run_cli("train", "--stage", "pretrain", "--corpus", corpus, "--checkpoint-out", out, "--config", config)
+        assert code == 2
+        assert read_stderr(capsys) == f"error[invalid-config]: learning_rate must be a finite number >= 0, got {rate}"
+        assert out.read_bytes() == b"an earlier checkpoint"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that makes the parameters non-finite
+    def test_a_diverged_run_is_one_error_line_and_keeps_the_earlier_checkpoint(self, tmp_path, small_config, capsys):
+        _, cfg = small_config
+        config = tmp_path / "huge_rate.json"
+        config.write_text(json.dumps(dict(cfg, learning_rate=1e300, pretrain_steps=20)))
+        corpus, _, _, _, _ = build_language_files(tmp_path, "aa")
+        out = tmp_path / "model.ckpt"
+        out.write_bytes(b"an earlier checkpoint")
+        code = run_cli("train", "--stage", "pretrain", "--corpus", corpus, "--checkpoint-out", out, "--config", config)
+        assert code == 2
+        assert read_stderr(capsys) == f"error[non-finite]: not writing {out}: a parameter is NaN or infinite"
+        assert out.read_bytes() == b"an earlier checkpoint"
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("model")) == ["model.ckpt"]
+
+
 class TestIndexCmd:
     def test_index_from_checkpoint(self, pipeline, capsys):
         out = pipeline["tmp"] / "idx"

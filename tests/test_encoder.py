@@ -1,5 +1,6 @@
 import contextlib
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -664,6 +665,215 @@ class TestFinetuneStep:
             finetune_step(batch, params, lr=0.1)
 
 
+# Reference: the training steps written the plain way, with a fresh
+# ``params.zeros`` accumulator per step, ``np.mean`` and ``p -= lr * g``.
+# The steps reuse one accumulator, divide ``np.add.reduce`` sums by the count
+# and update in place; every float must keep these bits.
+
+
+def ref_norm_rows_forward(x):
+    centered = x - x.mean(axis=1, keepdims=True)
+    scale = np.sqrt((centered * centered).mean(axis=1, keepdims=True) + encoder._NORM_EPS)
+    return centered / scale, scale
+
+
+def ref_norm_rows_backward(d_out, normed, scale):
+    row_mean = d_out.mean(axis=1, keepdims=True)
+    proj = (d_out * normed).mean(axis=1, keepdims=True)
+    return (d_out - row_mean - normed * proj) / scale
+
+
+def ref_forward(ids, lang, params):
+    stacks = params.adapter_stack(lang)
+    x = params.embedding[ids]
+    layer_cache = []
+    for layer, ad in zip(params.shared_layers, stacks):
+        mean = x.mean(axis=0)
+        act = np.tanh(x @ layer.w_self + mean @ layer.w_ctx + layer.bias)
+        hid = np.tanh(act @ ad.w_down + ad.b_down)
+        up = hid @ ad.w_up + ad.b_up
+        normed, scale = ref_norm_rows_forward(x + up)
+        layer_cache.append((x, act, hid, normed, scale))
+        x = normed
+    return x, layer_cache
+
+
+def ref_backward_state(ids, layer_cache, d_state, lang, params, grads):
+    stacks = params.adapter_stack(lang)
+    g_ad = grads.adapters[lang]
+    dx = d_state
+    k = ids.shape[0]
+    for li in reversed(range(params.n_layers)):
+        x_in, act, hid, normed, scale = layer_cache[li]
+        layer = params.shared_layers[li]
+        ad = stacks[li]
+        dx = ref_norm_rows_backward(dx, normed, scale)
+        d_up = dx
+        g_ad[li].w_up += hid.T @ d_up
+        g_ad[li].b_up += d_up.sum(axis=0)
+        d_hid = (d_up @ ad.w_up.T) * (1.0 - hid * hid)
+        g_ad[li].w_down += act.T @ d_hid
+        g_ad[li].b_down += d_hid.sum(axis=0)
+        d_act = d_hid @ ad.w_down.T
+        d_pre = d_act * (1.0 - act * act)
+        g = grads.shared_layers[li]
+        g.w_self += x_in.T @ d_pre
+        col = d_pre.sum(axis=0)
+        g.w_ctx += np.outer(x_in.mean(axis=0), col)
+        g.bias += col
+        dx = dx + d_pre @ layer.w_self.T + (col @ layer.w_ctx.T) / k
+    np.add.at(grads.embedding, ids, dx)
+
+
+def ref_encode(seq, params):
+    ids = encoder._token_array(seq, params.vocab_size)
+    state, _ = ref_forward(ids, seq.language, params)
+    return state @ params.w_out
+
+
+def ref_mlm_loss_and_grads(ids, lang, mask, params):
+    grads = params.zeros([lang])
+    if not mask.any():
+        return 0.0, grads
+    targets = ids[mask]
+    masked_ids = ids.copy()
+    masked_ids[mask] = encoder.MASK_ID
+    state, cache = ref_forward(masked_ids, lang, params)
+    logits = state[mask] @ params.embedding.T
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    m = targets.shape[0]
+    loss = float(-np.mean(np.log(probs[np.arange(m), targets])))
+    d_logits = probs
+    d_logits[np.arange(m), targets] -= 1.0
+    d_logits /= m
+    d_state = np.zeros_like(state)
+    d_state[mask] = d_logits @ params.embedding
+    grads.embedding += d_logits.T @ state[mask]
+    ref_backward_state(masked_ids, cache, d_state, lang, params, grads)
+    return loss, grads
+
+
+def ref_mlm_step(params, seq, lang, mask_rate, lr, rng):
+    ids = encoder._token_array(seq, params.vocab_size)
+    mask = rng.random(ids.shape[0]) < mask_rate
+    loss, grads = ref_mlm_loss_and_grads(ids, lang, mask, params)
+    if lr != 0.0 and mask.any():
+        if params.stage == "pretrain":
+            trained = slice(params.core.size - params.w_out.size)
+            params.core[trained] -= lr * grads.core[trained]
+        params.flat_adapters[lang] -= lr * grads.flat_adapters[lang]
+    return loss
+
+
+def ref_finetune_step(batch, params, lr, monkeypatch):
+    """The contrastive kernel as it is, around the reference per-sequence passes."""
+    with monkeypatch.context() as patch:
+        patch.setattr(encoder, "_forward", ref_forward)
+        patch.setattr(encoder, "_backward_state", ref_backward_state)
+        loss, grads = total_loss_and_grads(batch, params)
+    if lr != 0.0:
+        trained = slice(params.embedding.size, None)
+        params.core[trained] -= lr * grads.core[trained]
+    return loss
+
+
+SHAPES = {
+    "tiny": dict(vocab=24, d=6, d_out=5, n_layers=2, bottleneck=3),
+    "default": dict(vocab=1024, d=32, d_out=128, n_layers=2, bottleneck=8),
+}
+
+
+class TestStepsMatchTheReference:
+    """Pretrain, finetune, extend and encode give the reference's bits: equal
+    losses, equal parameter bytes after every step, equal encodings."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_every_stage_and_the_encodings(self, shape, monkeypatch):
+        cfg = SHAPES[shape]
+        fast, ref = (init_params(LANGS, seed=41, **cfg) for _ in range(2))
+        rng = np.random.default_rng(42)
+
+        def seq(lang, low=1, high=40):
+            ids = rng.integers(4, cfg["vocab"], size=int(rng.integers(low, high + 1)))
+            return PreparedSequence(tuple(int(t) for t in ids), kind="passage", language=lang)
+
+        def same_params():
+            assert param_bytes(fast) == param_bytes(ref)
+
+        def mlm_steps(langs, steps):
+            draws_fast, draws_ref = np.random.default_rng(43), np.random.default_rng(43)
+            losses = []
+            for step in range(steps):
+                lang = langs[step % len(langs)]
+                s, lr = seq(lang), (0.0 if step % 7 == 3 else 0.2)
+                _, loss = mlm_step(fast, s, lang, 0.15, lr, draws_fast)
+                assert loss == ref_mlm_step(ref, s, lang, 0.15, lr, draws_ref)
+                same_params()
+                losses.append(loss)
+            return losses
+
+        losses = mlm_steps(LANGS, 120)
+        assert 0.0 in losses and any(loss > 0.0 for loss in losses)  # empty masks and real steps
+
+        for model in (fast, ref):
+            model.set_stage("finetune")
+        for step in range(6):
+            lang = LANGS[step % 2]
+            batch = Batch(tuple(
+                TrainingTriple(seq(lang, 3, 12), seq(lang, 2, 30), seq(lang, 2, 30)) for _ in range(1 + step % 3)
+            ))
+            lr = 0.0 if step == 2 else 0.05
+            _, loss = finetune_step(batch, fast, lr)
+            assert loss == ref_finetune_step(batch, ref, lr, monkeypatch)
+            same_params()
+
+        for model in (fast, ref):
+            add_language(model, "cc", init_seed=44)
+        losses = mlm_steps(["cc"], 60)
+        assert 0.0 in losses and any(loss > 0.0 for loss in losses)
+
+        for lang in (*LANGS, "cc"):
+            for _ in range(10):
+                s = seq(lang)
+                assert np.array_equal(encode(s, fast), ref_encode(s, ref))
+
+
+class TestStepAccumulator:
+    def test_mlm_loss_and_grads_returns_a_fresh_accumulator_that_steps_leave_alone(self):
+        params = tiny_params(seed=45)
+        rng = np.random.default_rng(46)
+        ids = rng.integers(4, 24, size=9)
+        mask = np.zeros(9, dtype=bool)
+        mask[[0, 3, 7]] = True
+        loss_a, first = mlm_loss_and_grads(ids, "aa", mask, params)
+        kept = first.core.copy(), first.flat_adapters["aa"].copy()
+        loss_b, second = mlm_loss_and_grads(ids, "aa", mask, params)
+        assert loss_a == loss_b and first is not second
+        assert not np.shares_memory(first.core, second.core)
+        for _ in range(5):
+            mlm_step(params, random_sequence(rng, "aa", length=10), "aa", 0.5, 0.3, rng)
+        assert np.array_equal(first.core, kept[0]) and np.array_equal(first.flat_adapters["aa"], kept[1])
+        assert first.languages() == ["aa"] and np.abs(kept[0]).sum() > 0.0
+
+    def test_fifty_steps_allocate_one_accumulator_per_language(self, monkeypatch):
+        allocated = []
+        real_zeros = encoder.ModularEncoderParams.zeros
+
+        def spy(self, langs):
+            allocated.append(tuple(langs))
+            return real_zeros(self, langs)
+
+        monkeypatch.setattr(encoder.ModularEncoderParams, "zeros", spy)
+        params = tiny_params(seed=47)
+        rng = np.random.default_rng(48)
+        for step in range(50):
+            lang = LANGS[step % 2]
+            assert mlm_step(params, random_sequence(rng, lang, length=10), lang, 0.5, 0.1, rng)[0] is params
+        assert sorted(allocated) == [("aa",), ("bb",)]
+
+
 class TestInitParams:
     def test_every_block_is_its_own_draw_in_declaration_order(self):
         # a reference that draws block by block, as the layout lists them
@@ -803,10 +1013,35 @@ class TestCheckpoint:
 
     def test_non_finite_parameter_is_format_error(self, tmp_path):
         params = tiny_params(seed=26)
-        params.w_out[1, 2] = np.inf
+        params.w_out[1, 2] = 0.125  # no draw of uniform(-0.05, 0.05)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, path)
+        save_checkpoint(params, path)  # save refuses an infinite parameter, so write its bytes in afterwards
+        raw = path.read_bytes()
+        assert raw.count(struct.pack("<d", 0.125)) == 1
+        path.write_bytes(raw.replace(struct.pack("<d", 0.125), struct.pack("<d", np.inf)))
         with pytest.raises(FormatError, match="model.ckpt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_a_non_finite_parameter_and_keeps_the_earlier_checkpoint(self, tmp_path, bad):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_params(seed=27), path)
+        before = path.read_bytes()
+        params = add_language(tiny_params(seed=28), "cc", init_seed=5)
+        params.adapters["cc"][1].b_up[2] = bad
+        with pytest.raises(NonFiniteError, match=r"model\.ckpt"):
+            save_checkpoint(params, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_a_bad_stage_byte_is_format_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_params(seed=25), path)
+        raw = bytearray(path.read_bytes())
+        assert raw[28] == 0  # after the 8-byte magic and five u32 sizes; pretrain
+        raw[28] = 9
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=r"model\.ckpt has stage byte 9; it must be 0 to 3"):
             load_checkpoint(path)
 
     def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
