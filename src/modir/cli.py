@@ -9,6 +9,7 @@ warning, error).
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -20,6 +21,7 @@ from .config import RunConfig
 from .errors import (
     InvalidConfigError,
     ModirError,
+    NonFiniteError,
     StageError,
     UnknownLanguageError,
     UnknownMetricError,
@@ -53,16 +55,23 @@ def _prepare_record(rec, cfg: RunConfig, vocab: int, kind: str) -> scoring.Prepa
 
 
 def _encode_corpus(records, params, cfg: RunConfig, kind: str) -> dict:
+    """Each record's matrix by id, in record order: its own embeddings, or
+    its text encoded. The text records are encoded together
+    (``encoder.encode_batch``), each to the bits ``encoder.encode`` gives."""
     out = {}
+    text = []
     for rec in records:
-        if rec.embeddings is not None:
-            out[rec.id] = rec.embeddings
-        else:
+        if rec.embeddings is None:
             if params is None:
                 raise InvalidConfigError(
                     f"record {rec.id!r} is raw text; pass --checkpoint so it can be encoded"
                 )
-            out[rec.id] = encoder.encode(_prepare_record(rec, cfg, params.vocab_size, kind), params)
+            text.append(rec)
+        out[rec.id] = rec.embeddings
+    if text:
+        seqs = [_prepare_record(rec, cfg, params.vocab_size, kind) for rec in text]
+        for rec, matrix in zip(text, encoder.encode_batch(seqs, params)):
+            out[rec.id] = matrix
     return out
 
 
@@ -130,15 +139,35 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _losses(stage: str, steps: int, step_loss) -> list[float]:
+    """The losses of ``step_loss(0)`` ... ``step_loss(steps - 1)``. The first
+    loss that is not finite, or a step's own NonFiniteError, ends the run with
+    a NonFiniteError naming the stage and the step. numpy's floating-point
+    warnings are silenced, so that error is all a diverged run prints."""
+    losses = []
+    with np.errstate(all="ignore"):
+        for step in range(steps):
+            try:
+                loss = step_loss(step)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"{stage} step {step + 1}: {exc.message}") from None
+            if not math.isfinite(loss):
+                raise NonFiniteError(
+                    f"{stage} step {step + 1}: the loss is {loss}; a smaller learning_rate may keep it finite"
+                )
+            losses.append(loss)
+    return losses
+
+
 def _run_mlm(params, records, cfg: RunConfig, steps: int, stage: str):
     rng = np.random.default_rng((cfg.seed, _STAGE_STREAM[stage]))
-    losses = []
-    for step in range(steps):
+
+    def step_loss(step):
         rec = records[step % len(records)]
         seq = _prepare_record(rec, cfg, params.vocab_size, "passage")
-        _, loss = encoder.mlm_step(params, seq, rec.language, cfg.mask_rate, cfg.learning_rate, rng)
-        losses.append(loss)
-    return losses
+        return encoder.mlm_step(params, seq, rec.language, cfg.mask_rate, cfg.learning_rate, rng)[1]
+
+    return _losses(stage, steps, step_loss)
 
 
 def _run_finetune(params, text_records, cfg: RunConfig, args):
@@ -166,11 +195,10 @@ def _run_finetune(params, text_records, cfg: RunConfig, args):
         encoder.Batch(tuple(triples[i : i + cfg.batch_size]))
         for i in range(0, len(triples), cfg.batch_size)
     ]
-    losses = []
-    for step in range(cfg.finetune_steps):
-        _, loss = encoder.finetune_step(batches[step % len(batches)], params, cfg.learning_rate)
-        losses.append(loss)
-    return losses
+    return _losses(
+        "finetune", cfg.finetune_steps,
+        lambda step: encoder.finetune_step(batches[step % len(batches)], params, cfg.learning_rate)[1],
+    )
 
 
 # ---------------------------------------------------------------------------

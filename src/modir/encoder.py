@@ -16,7 +16,17 @@ the embedding table, the shared layers, and the sample language's adapters.
 ``finetune``: the contrastive retrieval objective updates only the shared
 layers and the output projection. ``zeroshot``: inference only. ``extend``:
 masked-token training of a post-hoc language updates only that language's
-adapters.
+adapters. A step computes the gradients of the parts its stage trains and
+no others (``_TRAINS``): pretrain every part but ``w_out``; finetune the
+shared layers and ``w_out``, with no adapter gradient, no scatter into the
+embedding table and no input gradient out of layer 0; extend the adapters
+alone, with no core gradient at all. ``total_loss_and_grads`` and
+``mlm_loss_and_grads`` compute every part, for the gradient checks.
+
+The encoder passes take one sequence or a stack of equal-length sequences
+of one language. The contrastive loss runs them once per (language, token
+count) bucket of its batch, and ``encode_batch`` once per bucket of a
+corpus; every sequence gets the bits it gets on its own (see ``_forward``).
 
 Checkpoint layout (all integers little-endian, floats little-endian f64)::
 
@@ -45,6 +55,7 @@ embedding table, extend the new language's buffer alone.
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -63,6 +74,23 @@ STAGES = ("pretrain", "finetune", "zeroshot", "extend")
 _MAGIC = b"MODENC\x00\x01"
 
 
+@dataclass(frozen=True)
+class _Trains:
+    """The parts a backward pass computes gradients for; it skips the rest."""
+
+    embedding: bool  # the table: the tied head's gradient and the input scatter
+    shared: bool  # the shared layers, and w_out in the contrastive loss
+    adapters: bool
+
+
+_EVERY = _Trains(embedding=True, shared=True, adapters=True)
+_TRAINS = {
+    "pretrain": _EVERY,
+    "finetune": _Trains(embedding=False, shared=True, adapters=False),
+    "extend": _Trains(embedding=False, shared=False, adapters=True),
+}
+
+
 @dataclass
 class SharedLayer:
     w_self: np.ndarray  # (d, d)
@@ -78,9 +106,14 @@ class AdapterBlock:
     b_up: np.ndarray  # (d,)
 
 
+def _layer_shapes(d, n_layers) -> list[tuple]:
+    """Each shared layer's w_self, w_ctx, bias: a contiguous run of the core."""
+    return [(d, d), (d, d), (d,)] * n_layers
+
+
 def _core_shapes(vocab, d, d_out, n_layers) -> list[tuple]:
     """The core buffer's blocks in order: embedding, each shared layer's w_self, w_ctx, bias, then w_out."""
-    return [(vocab, d)] + [(d, d), (d, d), (d,)] * n_layers + [(d, d_out)]
+    return [(vocab, d)] + _layer_shapes(d, n_layers) + [(d, d_out)]
 
 
 def _adapter_shapes(d, bottleneck, n_layers) -> list[tuple]:
@@ -93,9 +126,20 @@ def _floats(shapes) -> int:
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive slices of ``flat``, one per shape, each reshaped to it."""
-    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
-    return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+    """Consecutive slices of ``flat``'s last axis, one per shape, each
+    reshaped to its leading axes plus that shape. Splitting a contiguous last
+    axis always gives a view, so a write to a block is a write to ``flat``."""
+    bounds = list(accumulate((math.prod(shape) for shape in shapes), initial=0))
+    lead = flat.shape[:-1]
+    return [flat[..., lo:hi].reshape(lead + shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+
+
+def _shared_layers(blocks) -> list[SharedLayer]:
+    return [SharedLayer(*blocks[i : i + 3]) for i in range(0, len(blocks), 3)]
+
+
+def _adapter_blocks(blocks) -> list[AdapterBlock]:
+    return [AdapterBlock(*blocks[i : i + 4]) for i in range(0, len(blocks), 4)]
 
 
 @dataclass
@@ -107,7 +151,8 @@ class ModularEncoderParams:
     (``embedding``, ``shared_layers[i].w_self``, ``w_out``,
     ``adapters[lang][i].w_down``, ...) is a reshaped view of its buffer, so
     a write to either is a write to both. A gradient is the same structure
-    filled with zeros (``zeros``).
+    filled with zeros (``zeros``); one that only adapters train holds no
+    core (``core`` is None, and so are the core's blocks).
     """
 
     vocab_size: int
@@ -115,45 +160,80 @@ class ModularEncoderParams:
     d_out: int
     n_layers: int
     bottleneck: int
-    core: np.ndarray
+    core: np.ndarray | None
     flat_adapters: dict[str, np.ndarray]  # registration order preserved
     stage: str = "pretrain"
     post_hoc: set[str] = field(default_factory=set)
-    # mlm_step's gradient accumulator per language; never handed out
+    # the training steps' gradient accumulators by (stage, language); never handed out
     _step_grads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the contrastive loss's per-sequence gradient rows (_zeroed_rows)
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks = _views(self.core, _core_shapes(self.vocab_size, self.d, self.d_out, self.n_layers))
-        self.embedding, self.w_out = blocks[0], blocks[-1]
-        self.shared_layers = [SharedLayer(*blocks[i : i + 3]) for i in range(1, len(blocks) - 1, 3)]
+        self.embedding = self.w_out = None
+        self.shared_layers = []
+        if self.core is not None:
+            blocks = _views(self.core, _core_shapes(self.vocab_size, self.d, self.d_out, self.n_layers))
+            self.embedding, self.w_out = blocks[0], blocks[-1]
+            self.shared_layers = _shared_layers(blocks[1:-1])
         self.adapters = {lang: self._adapter_views(flat) for lang, flat in self.flat_adapters.items()}
 
     def _adapter_views(self, flat: np.ndarray) -> list[AdapterBlock]:
-        blocks = _views(flat, _adapter_shapes(self.d, self.bottleneck, self.n_layers))
-        return [AdapterBlock(*blocks[i : i + 4]) for i in range(0, len(blocks), 4)]
+        return _adapter_blocks(_views(flat, _adapter_shapes(self.d, self.bottleneck, self.n_layers)))
 
     def add_adapters(self, lang: str, flat: np.ndarray):
         """Register ``lang``'s adapter buffer; no other buffer moves."""
         self.flat_adapters[lang] = flat
         self.adapters[lang] = self._adapter_views(flat)
 
-    def zeros(self, langs) -> "ModularEncoderParams":
-        """A gradient accumulator: this layout filled with zeros, holding only ``langs``' adapters."""
+    def zeros(self, langs, core: bool = True) -> "ModularEncoderParams":
+        """A gradient accumulator: this layout filled with zeros, holding only
+        ``langs``' adapters, and no core when ``core`` is false."""
         return ModularEncoderParams(
             self.vocab_size, self.d, self.d_out, self.n_layers, self.bottleneck,
-            core=np.zeros_like(self.core),
+            core=np.zeros_like(self.core) if core else None,
             flat_adapters={lang: np.zeros_like(self.flat_adapters[lang]) for lang in langs},
         )
 
-    def _step_accumulator(self, lang: str) -> "ModularEncoderParams":
-        """``zeros([lang])``, allocated at ``lang``'s first step and zero-filled at each later one."""
-        grads = self._step_grads.get(lang)
+    def _core_trained(self) -> slice | None:
+        """The part of ``core`` that a step of this stage updates: pretrain the
+        embedding table and the shared layers, finetune the shared layers and
+        ``w_out``, extend none of it."""
+        if self.stage == "pretrain":
+            return slice(self.core.size - self.w_out.size)
+        if self.stage == "finetune":
+            return slice(self.embedding.size, None)
+        return None
+
+    def _step_accumulator(self, lang: str | None = None) -> "ModularEncoderParams":
+        """The gradient of a step of this stage: the core if any of it trains,
+        and ``lang``'s adapters if they train (``_TRAINS``). It is allocated at
+        the stage's first step for ``lang`` and its trained part zero-filled at
+        each later one; no step writes the rest."""
+        trains = _TRAINS[self.stage]
+        key = (self.stage, lang)
+        grads = self._step_grads.get(key)
         if grads is None:
-            grads = self._step_grads[lang] = self.zeros([lang])
+            langs = [lang] if trains.adapters else []
+            grads = self._step_grads[key] = self.zeros(langs, core=trains.shared)
         else:
-            grads.core.fill(0.0)
-            grads.flat_adapters[lang].fill(0.0)
+            trained = self._core_trained()
+            if trained is not None:
+                grads.core[trained].fill(0.0)
+            for flat in grads.flat_adapters.values():
+                flat.fill(0.0)
         return grads
+
+    def _zeroed_rows(self, rows: int, width: int) -> np.ndarray:
+        """A zero-filled (rows, width) work array whose memory is reused from
+        call to call: allocating a fresh 0.8 MB one at every contrastive step
+        made a short-passages finetune step (batch 8) about 1 ms, a quarter,
+        slower on a 2-core host."""
+        if self._rows is None or self._rows.size < rows * width:
+            self._rows = np.zeros(rows * width)
+        out = self._rows[: rows * width].reshape(rows, width)
+        out.fill(0.0)
+        return out
 
     def languages(self) -> list[str]:
         return list(self.flat_adapters)
@@ -247,15 +327,24 @@ def _mean(x: np.ndarray, axis: int, keepdims: bool = False):
 
 def _norm_rows_forward(x: np.ndarray):
     """Parameter-free per-position normalization: zero mean, unit RMS per row."""
-    centered = x - _mean(x, 1, keepdims=True)
-    scale = np.sqrt(_mean(centered * centered, 1, keepdims=True) + _NORM_EPS)
+    centered = x - _mean(x, -1, keepdims=True)
+    scale = np.sqrt(_mean(centered * centered, -1, keepdims=True) + _NORM_EPS)
     return centered / scale, scale
 
 
 def _norm_rows_backward(d_out: np.ndarray, normed: np.ndarray, scale: np.ndarray):
-    row_mean = _mean(d_out, 1, keepdims=True)
-    proj = _mean(d_out * normed, 1, keepdims=True)
+    row_mean = _mean(d_out, -1, keepdims=True)
+    proj = _mean(d_out * normed, -1, keepdims=True)
     return (d_out - row_mean - normed * proj) / scale
+
+
+# _forward and _backward_state take one sequence, ids of shape (L,), or a
+# stack of B sequences of one language and length, ids (B, L). A stacked item
+# gets the bits of its sequence run alone: numpy's matmul makes one BLAS call
+# per item, of the same shape and strides (gemm, or gemv for a one-row
+# operand), and every sum runs along the item's own axis (-2 over positions,
+# -1 over features). Concatenating the items' rows into one 2-d product
+# would not keep the bits (tests/test_encoder.py, TestStackedProductsKeepBits).
 
 
 def _forward(ids: np.ndarray, lang: str, params: ModularEncoderParams):
@@ -264,7 +353,7 @@ def _forward(ids: np.ndarray, lang: str, params: ModularEncoderParams):
     x = params.embedding[ids]
     layer_cache = []
     for layer, ad in zip(params.shared_layers, stacks):
-        mean = _mean(x, 0)
+        mean = _mean(x, -2, keepdims=True)
         act = np.tanh(x @ layer.w_self + mean @ layer.w_ctx + layer.bias)
         hid = np.tanh(act @ ad.w_down + ad.b_down)
         up = hid @ ad.w_up + ad.b_up
@@ -274,33 +363,44 @@ def _forward(ids: np.ndarray, lang: str, params: ModularEncoderParams):
     return x, layer_cache
 
 
-def _backward_state(ids, layer_cache, d_state, lang, params, grads: ModularEncoderParams):
-    """Backpropagate a gradient on the final pre-projection state into grads."""
+def _backward_state(ids, layer_cache, d_state, lang, params, grads, trains: _Trains):
+    """Backpropagate a gradient on the final pre-projection state.
+
+    Adds the weight gradients of the parts in ``trains`` into ``grads``,
+    whose blocks have the leading axes of ``ids``: a step accumulator for one
+    sequence, one row per item for a stack (``_stack_grads``). Returns the
+    gradient on the input embeddings when the table trains, else None; the
+    caller scatters it. Nothing is computed for a part that does not train.
+    """
     stacks = params.adapter_stack(lang)
-    g_ad = grads.adapters[lang]
     dx = d_state
-    k = ids.shape[0]
+    k = ids.shape[-1]
     for li in reversed(range(params.n_layers)):
         x_in, act, hid, normed, scale = layer_cache[li]
-        layer = params.shared_layers[li]
         ad = stacks[li]
         # x_out = norm(x_in + adapter(act)), adapter = up . tanh . down
         dx = _norm_rows_backward(dx, normed, scale)
-        d_up = dx
-        g_ad[li].w_up += hid.T @ d_up
-        g_ad[li].b_up += d_up.sum(axis=0)
-        d_hid = (d_up @ ad.w_up.T) * (1.0 - hid * hid)
-        g_ad[li].w_down += act.T @ d_hid
-        g_ad[li].b_down += d_hid.sum(axis=0)
-        d_act = d_hid @ ad.w_down.T
-        d_pre = d_act * (1.0 - act * act)
-        g = grads.shared_layers[li]
-        g.w_self += x_in.T @ d_pre
-        col = d_pre.sum(axis=0)
-        g.w_ctx += np.outer(_mean(x_in, 0), col)
-        g.bias += col
-        dx = dx + d_pre @ layer.w_self.T + (col @ layer.w_ctx.T) / k
-    np.add.at(grads.embedding, ids, dx)
+        d_hid = (dx @ ad.w_up.T) * (1.0 - hid * hid)
+        if trains.adapters:
+            g_ad = grads.adapters[lang][li]
+            g_ad.w_up += hid.swapaxes(-1, -2) @ dx
+            g_ad.b_up += dx.sum(axis=-2)
+            g_ad.w_down += act.swapaxes(-1, -2) @ d_hid
+            g_ad.b_down += d_hid.sum(axis=-2)
+        to_input = li > 0 or trains.embedding
+        if not (to_input or trains.shared):
+            break
+        d_pre = (d_hid @ ad.w_down.T) * (1.0 - act * act)
+        col = d_pre.sum(axis=-2, keepdims=True)
+        if trains.shared:
+            g = grads.shared_layers[li]
+            g.w_self += x_in.swapaxes(-1, -2) @ d_pre
+            g.w_ctx += _mean(x_in, -2, keepdims=True).swapaxes(-1, -2) * col  # outer product
+            g.bias += col[..., 0, :]
+        if to_input:
+            layer = params.shared_layers[li]
+            dx = dx + d_pre @ layer.w_self.T + (col @ layer.w_ctx.T) / k
+    return dx if trains.embedding else None
 
 
 def encode(seq: PreparedSequence, params: ModularEncoderParams) -> np.ndarray:
@@ -308,6 +408,30 @@ def encode(seq: PreparedSequence, params: ModularEncoderParams) -> np.ndarray:
     ids = _token_array(seq, params.vocab_size)
     state, _ = _forward(ids, seq.language, params)
     return state @ params.w_out
+
+
+_ENCODE_ROWS = 2048  # token rows per stacked call of encode_batch
+
+
+def encode_batch(seqs, params: ModularEncoderParams) -> list[np.ndarray]:
+    """``encode`` of each sequence, in order and bit for bit. The encoder runs
+    once per (language, token count) bucket, on the stacked ids of up to
+    ``_ENCODE_ROWS`` token rows at a time. The sequences are checked in order
+    first, so the first bad one raises what ``encode`` would."""
+    ids_list, buckets = [], {}
+    for k, seq in enumerate(seqs):
+        ids_list.append(_token_array(seq, params.vocab_size))
+        params.adapter_stack(seq.language)
+        buckets.setdefault((seq.language, ids_list[k].size), []).append(k)
+    out = [None] * len(ids_list)
+    for (lang, length), members in buckets.items():
+        per_call = max(1, _ENCODE_ROWS // length)
+        for lo in range(0, len(members), per_call):
+            chunk = members[lo : lo + per_call]
+            state, _ = _forward(np.stack([ids_list[k] for k in chunk]), lang, params)
+            for k, matrix in zip(chunk, state @ params.w_out):
+                out[k] = matrix
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +519,59 @@ def total_loss_and_grads(batch: Batch, params: ModularEncoderParams):
     gradient into a (passage rows x query rows) weight matrix at the chosen
     row, carries it to both sides with two matmuls, then through the row
     normalization once; zero-norm rows score 0 and get zero gradient.
+
+    The encoder runs once per (language, token count) bucket of the batch,
+    and the loss and every gradient keep the bits of running the sequences
+    one at a time (``_contrastive_loss``). Returns a fresh accumulator.
     """
+    return _contrastive_loss(batch, params, _EVERY)
+
+
+@dataclass
+class _StackGrads:
+    """Gradient blocks with a leading item axis, one row per stacked sequence,
+    into which ``_backward_state`` adds as into a step accumulator."""
+
+    shared_layers: list[SharedLayer]
+    adapters: dict[str, list[AdapterBlock]]
+
+
+def _stack_grads(params: ModularEncoderParams, lang: str, rows: np.ndarray, trains: _Trains) -> _StackGrads:
+    """Views of one stack's gradient rows: the shared layers' blocks, if they
+    train, then ``lang``'s adapter blocks, if they train."""
+    layer_shapes = _layer_shapes(params.d, params.n_layers) if trains.shared else []
+    adapter_shapes = _adapter_shapes(params.d, params.bottleneck, params.n_layers) if trains.adapters else []
+    blocks = _views(rows, layer_shapes + adapter_shapes)
+    adapters = {lang: _adapter_blocks(blocks[len(layer_shapes) :])} if trains.adapters else {}
+    return _StackGrads(_shared_layers(blocks[: len(layer_shapes)]), adapters)
+
+
+def _contrastive_loss(batch: Batch, params: ModularEncoderParams, trains: _Trains, grads=None):
+    """``total_loss_and_grads``' loss and gradient for the parts in ``trains``,
+    added into ``grads``, or into a fresh full accumulator when it is None.
+    Each bucket's states land at their sequences' offsets of one (rows, d)
+    array; the embedding table's gradient is one ``np.add.at`` over the
+    batch's ids in sequence order, as the sequences one at a time add it."""
     seqs = _batch_sequences(batch)
     ids_list = [_token_array(s, params.vocab_size) for s in seqs]
-    forwards = [_forward(ids, s.language, params) for ids, s in zip(ids_list, seqs)]
-    states = np.concatenate([state for state, _ in forwards])
+    lens = np.array([len(ids) for ids in ids_list])
+    starts = np.concatenate(([0], np.cumsum(lens)))
+    all_ids = np.concatenate(ids_list)
+    buckets: dict = {}
+    for k, s in enumerate(seqs):
+        buckets.setdefault((s.language, lens[k]), []).append(k)
+    states = np.empty((starts[-1], params.d))
+    stacks = []  # per bucket: language, members, their state rows, stacked ids, layer cache
+    for (lang, length), members in buckets.items():
+        rows = (starts[members][:, None] + np.arange(length)).ravel()
+        ids = all_ids[rows].reshape(len(members), length)
+        state, cache = _forward(ids, lang, params)
+        states[rows] = state.reshape(rows.size, params.d)
+        stacks.append((lang, members, rows, ids, cache))
     embs = states @ params.w_out
     units = normalize_rows(embs)
 
     n = len(batch)
-    lens = np.array([len(ids) for ids in ids_list])
-    starts = np.concatenate(([0], np.cumsum(lens)))
     q, p = units[: starts[n]], units[starts[n] :]
     p_starts = starts[n:-1] - starts[n]
     sim = p @ q.T  # (passage rows, query rows)
@@ -439,11 +605,36 @@ def total_loss_and_grads(batch: Batch, params: ModularEncoderParams):
     d_tangent = d_units - units * (units * d_units).sum(axis=1, keepdims=True)
     d_embs = np.divide(d_tangent, norms, out=np.zeros_like(units), where=norms > 0.0)
 
-    grads = params.zeros(sorted({s.language for s in seqs}))
+    if grads is None:
+        grads = params.zeros(sorted({s.language for s in seqs}))
     grads.w_out += states.T @ d_embs
     d_states = d_embs @ params.w_out.T
-    for k, (ids, s, (_, cache)) in enumerate(zip(ids_list, seqs, forwards)):
-        _backward_state(ids, cache, d_states[starts[k] : starts[k + 1]], s.language, params, grads)
+    # each stack adds its items' weight gradients into rows of its own; the
+    # rows then join the accumulator in sequence order, one addition per
+    # sequence, as the sequences run one at a time would add them
+    layer_floats = _floats(_layer_shapes(params.d, params.n_layers)) if trains.shared else 0
+    adapter_floats = _floats(_adapter_shapes(params.d, params.bottleneck, params.n_layers)) if trains.adapters else 0
+    item_rows = params._zeroed_rows(len(seqs), layer_floats + adapter_floats)
+    item_row = np.empty(len(seqs), dtype=np.int64)  # each sequence's row, in the stacks' order
+    d_inputs = np.empty_like(states) if trains.embedding else None
+    lo = 0
+    for lang, members, rows, ids, cache in stacks:
+        hi = lo + len(members)
+        item_row[members] = np.arange(lo, hi)
+        stack_grads = _stack_grads(params, lang, item_rows[lo:hi], trains)
+        d_in = _backward_state(ids, cache, d_states[rows].reshape(*ids.shape, -1), lang, params, stack_grads, trains)
+        if d_in is not None:
+            d_inputs[rows] = d_in.reshape(rows.size, params.d)
+        lo = hi
+    if trains.shared:
+        layer_grads = grads.core[params.embedding.size : params.core.size - params.w_out.size]
+        for row in item_row:
+            layer_grads += item_rows[row, :layer_floats]
+    if trains.adapters:
+        for s, row in zip(seqs, item_row):
+            grads.flat_adapters[s.language] += item_rows[row, layer_floats:]
+    if trains.embedding:
+        np.add.at(grads.embedding, all_ids, d_inputs)
     return total * inv_n, grads
 
 
@@ -464,23 +655,26 @@ def _sgd_update(p: np.ndarray, g: np.ndarray, lr: float):
 
 def finetune_step(batch: Batch, params: ModularEncoderParams, lr: float):
     """One SGD step on the contrastive loss, updating shared layers and the
-    output projection only; adapters and the embedding table stay untouched."""
+    output projection only; adapters and the embedding table stay untouched.
+    Only those parts' gradients are computed, into the stage's private
+    accumulator (``_step_accumulator``), which is never returned."""
     if params.stage != "finetune":
         raise StageError(f"finetune_step requires stage 'finetune', found {params.stage!r}")
     langs = {t.language for t in batch.triples}
     if len(langs) != 1:
         raise InvalidConfigError(f"finetune batch mixes languages {sorted(langs)}")
-    loss, grads = total_loss_and_grads(batch, params)
+    grads = params._step_accumulator()
+    loss, _ = _contrastive_loss(batch, params, _TRAINS["finetune"], grads)
     if lr != 0.0:
-        trained = slice(params.embedding.size, None)  # the shared layers and w_out
+        trained = params._core_trained()
         _sgd_update(params.core[trained], grads.core[trained], lr)
     return params, loss
 
 
-def _mlm_loss_into(ids: np.ndarray, lang: str, mask: np.ndarray, params: ModularEncoderParams, grads) -> float:
+def _mlm_loss_into(ids: np.ndarray, lang: str, mask: np.ndarray, params: ModularEncoderParams, grads, trains) -> float:
     """The masked-token loss of checked ids, a mask with at least one
-    position and a registered language; its gradient is added to ``grads``,
-    which must hold zeros."""
+    position and a registered language; its gradient on the parts in
+    ``trains`` is added to ``grads``, which must hold zeros."""
     targets = ids[mask]
     masked_ids = ids.copy()
     masked_ids[mask] = MASK_ID
@@ -496,10 +690,13 @@ def _mlm_loss_into(ids: np.ndarray, lang: str, mask: np.ndarray, params: Modular
     d_logits /= m
     d_state = np.zeros_like(state)
     d_state[mask] = d_logits @ params.embedding
-    # added to zeros, not written with matmul(out=): the sum makes a -0.0
-    # product +0.0, and a parameter's sign bit can depend on it
-    grads.embedding += d_logits.T @ state[mask]  # head side of the tied table
-    _backward_state(masked_ids, cache, d_state, lang, params, grads)
+    if trains.embedding:
+        # added to zeros, not written with matmul(out=): the sum makes a -0.0
+        # product +0.0, and a parameter's sign bit can depend on it
+        grads.embedding += d_logits.T @ state[mask]  # head side of the tied table
+    d_input = _backward_state(masked_ids, cache, d_state, lang, params, grads, trains)
+    if d_input is not None:
+        np.add.at(grads.embedding, masked_ids, d_input)
     return loss
 
 
@@ -519,7 +716,7 @@ def mlm_loss_and_grads(token_ids, lang: str, mask, params: ModularEncoderParams)
     grads = params.zeros([lang])
     if not mask.any():
         return 0.0, grads
-    return _mlm_loss_into(ids, lang, mask, params, grads), grads
+    return _mlm_loss_into(ids, lang, mask, params, grads, _EVERY), grads
 
 
 def mlm_step(params: ModularEncoderParams, token_ids, lang: str, mask_rate: float, lr: float, rng: np.random.Generator):
@@ -528,8 +725,10 @@ def mlm_step(params: ModularEncoderParams, token_ids, lang: str, mask_rate: floa
     In the pretrain stage this updates the embedding table, shared layers, and
     the sample language's adapters. In the extend stage only the adapters of a
     post-hoc language may move. mask_rate=0 is a no-op with loss 0, as is a
-    step whose draw masks no position. The gradient goes into ``lang``'s
-    private accumulator (``_step_accumulator``), which is never returned.
+    step whose draw masks no position. Only the stage's trained parts get a
+    gradient (``_TRAINS``), in the private accumulator of the stage and
+    ``lang`` (``_step_accumulator``), which is never returned; an extend step's
+    holds no core.
     """
     if params.stage not in ("pretrain", "extend"):
         raise StageError(f"mlm_step requires stage 'pretrain' or 'extend', found {params.stage!r}")
@@ -543,10 +742,10 @@ def mlm_step(params: ModularEncoderParams, token_ids, lang: str, mask_rate: floa
     if not mask.any():
         return params, 0.0
     grads = params._step_accumulator(lang)
-    loss = _mlm_loss_into(ids, lang, mask, params, grads)
+    loss = _mlm_loss_into(ids, lang, mask, params, grads, _TRAINS[params.stage])
     if lr != 0.0:
-        if params.stage == "pretrain":
-            trained = slice(params.core.size - params.w_out.size)  # the embedding table and shared layers
+        trained = params._core_trained()
+        if trained is not None:
             _sgd_update(params.core[trained], grads.core[trained], lr)
         _sgd_update(params.flat_adapters[lang], grads.flat_adapters[lang], lr)
     return params, loss

@@ -4,10 +4,12 @@ import logging
 import numpy as np
 import pytest
 
-from modir import evaluation, index as index_mod
+from modir import cli, data, encoder, evaluation, index as index_mod
 from modir.cli import main
+from modir.config import RunConfig
 from modir.data import write_embedding_block
 from modir.encoder import load_checkpoint
+from modir.errors import NonFiniteError
 from modir.index import build_index, save_index
 from tests.conftest import build_language_files, build_triples
 
@@ -158,22 +160,77 @@ class TestTrain:
         assert read_stderr(capsys) == f"error[invalid-config]: learning_rate must be a finite number >= 0, got {rate}"
         assert out.read_bytes() == b"an earlier checkpoint"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that makes the parameters non-finite
-    def test_a_diverged_run_is_one_error_line_and_keeps_the_earlier_checkpoint(self, tmp_path, small_config, capsys):
-        _, cfg = small_config
+    @staticmethod
+    def diverge(tmp_path, cfg, rate, steps):
+        """Train with a learning rate far too large over an earlier file at
+        --checkpoint-out; returns the exit code and that file."""
         config = tmp_path / "huge_rate.json"
-        config.write_text(json.dumps(dict(cfg, learning_rate=1e300, pretrain_steps=20)))
+        config.write_text(json.dumps(dict(cfg, learning_rate=rate, pretrain_steps=steps)))
         corpus, _, _, _, _ = build_language_files(tmp_path, "aa")
         out = tmp_path / "model.ckpt"
         out.write_bytes(b"an earlier checkpoint")
         code = run_cli("train", "--stage", "pretrain", "--corpus", corpus, "--checkpoint-out", out, "--config", config)
-        assert code == 2
-        assert read_stderr(capsys) == f"error[non-finite]: not writing {out}: a parameter is NaN or infinite"
+        return code, out
+
+    @staticmethod
+    def assert_nothing_written(tmp_path, out):
         assert out.read_bytes() == b"an earlier checkpoint"
         assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("model")) == ["model.ckpt"]
 
+    # "error": a numpy warning would raise instead of printing beside the error line
+    @pytest.mark.filterwarnings("error")
+    def test_a_diverged_run_is_one_error_line_and_keeps_the_earlier_checkpoint(self, tmp_path, small_config, capsys):
+        # the first update makes the parameters non-finite, so step 2's loss is NaN
+        code, out = self.diverge(tmp_path, small_config[1], 1e300, 20)
+        assert code == 2
+        assert read_stderr(capsys) == (
+            "error[non-finite]: pretrain step 2: the loss is nan; a smaller learning_rate may keep it finite"
+        )
+        self.assert_nothing_written(tmp_path, out)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_infinite_loss_with_finite_parameters_is_one_error_line(self, tmp_path, small_config, capsys):
+        # a probability underflows to 0, so np.log gives an infinite loss while
+        # every parameter stays finite
+        code, out = self.diverge(tmp_path, small_config[1], 1e10, 20)
+        assert code == 2
+        assert read_stderr(capsys) == (
+            "error[non-finite]: pretrain step 2: the loss is inf; a smaller learning_rate may keep it finite"
+        )
+        self.assert_nothing_written(tmp_path, out)
+
+    def test_a_non_finite_error_inside_a_step_names_the_stage_and_step(self, pipeline, tmp_path, capsys, monkeypatch):
+        real_step, calls = encoder.finetune_step, []
+
+        def third_step_diverges(batch, params, lr):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NonFiniteError("similarity scores must be finite")
+            return real_step(batch, params, lr)
+
+        monkeypatch.setattr(encoder, "finetune_step", third_step_diverges)
+        out = tmp_path / "model.ckpt"
+        out.write_bytes(b"an earlier checkpoint")
+        code = run_cli("train", "--stage", "finetune", "--corpus", pipeline["corpus_a"],
+                       "--queries", pipeline["queries_a"], "--triples", pipeline["triples_a"],
+                       "--checkpoint-in", pipeline["ck_pre"], "--checkpoint-out", out, "--config", pipeline["config"])
+        assert code == 2
+        assert read_stderr(capsys) == "error[non-finite]: finetune step 3: similarity scores must be finite"
+        self.assert_nothing_written(tmp_path, out)
 
 class TestIndexCmd:
+    @pytest.mark.parametrize("kind", ["passage", "query"])
+    def test_text_records_encode_to_the_bits_of_encode_in_record_order(self, pipeline, kind):
+        params = load_checkpoint(pipeline["ck_ft"])
+        cfg = RunConfig(**pipeline["cfg"])
+        records = data.read_records(pipeline["corpus_all"])
+        out = cli._encode_corpus(records, params, cfg, kind)
+        assert list(out) == [rec.id for rec in records]
+        seqs = [cli._prepare_record(rec, cfg, params.vocab_size, kind) for rec in records]
+        assert max(list(map(len, seqs)).count(n) for n in set(map(len, seqs))) > 1  # a bucket stacks
+        for rec, seq in zip(records, seqs):
+            assert np.array_equal(out[rec.id], encoder.encode(seq, params))
+
     def test_index_from_checkpoint(self, pipeline, capsys):
         out = pipeline["tmp"] / "idx"
         assert run_cli("index", "--corpus", pipeline["corpus_a"], "--checkpoint", pipeline["ck_ft"],

@@ -2,6 +2,7 @@ import contextlib
 import math
 import struct
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,10 @@ from modir.errors import (
 from modir.scoring import PreparedSequence, normalize_rows, prepare_passage, prepare_query
 
 LANGS = ("aa", "bb")
+SHAPES = {
+    "tiny": dict(vocab=24, d=6, d_out=5, n_layers=2, bottleneck=3),
+    "default": dict(vocab=1024, d=32, d_out=128, n_layers=2, bottleneck=8),
+}
 
 
 def tiny_params(seed=0, vocab=24, d=6, d_out=5, n_layers=2, bottleneck=3):
@@ -239,6 +244,34 @@ class TestEncode:
         with pytest.raises(InvalidConfigError):
             encode(PreparedSequence((4, 99), kind="passage", language="aa"), params)
 
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_encode_batch_gives_each_sequence_the_bits_of_encode(self, shape, monkeypatch):
+        # a small row budget splits the larger buckets over several calls
+        monkeypatch.setattr(encoder, "_ENCODE_ROWS", 12)
+        cfg = SHAPES[shape]
+        params = init_params(LANGS, seed=9, **cfg)
+        rng = np.random.default_rng(10)
+        seqs = [
+            PreparedSequence(tuple(int(t) for t in rng.integers(4, cfg["vocab"], size=int(rng.choice([1, 3, 5, 20])))),
+                             kind="passage", language=LANGS[int(rng.integers(2))])
+            for _ in range(40)
+        ]
+        assert max(Counter((s.language, len(s)) for s in seqs).values()) > 12 // 3
+        out = encoder.encode_batch(seqs, params)
+        assert len(out) == len(seqs)
+        for seq, matrix in zip(seqs, out):
+            assert np.array_equal(matrix, encode(seq, params))
+
+    def test_encode_batch_raises_for_the_first_bad_sequence(self):
+        params = tiny_params()
+        good = PreparedSequence((4, 5), kind="passage", language="aa")
+        with pytest.raises(UnknownLanguageError, match="'zz'"):
+            encoder.encode_batch([good, PreparedSequence((4,), kind="passage", language="zz"),
+                                  PreparedSequence((4, 99), kind="passage", language="aa")], params)
+        with pytest.raises(InvalidConfigError):
+            encoder.encode_batch([good, PreparedSequence((4, 99), kind="passage", language="zz")], params)
+        assert encoder.encode_batch([], params) == []
+
 
 class TestTotalLoss:
     def test_identical_positive_and_negative_gives_two_ln2(self):
@@ -333,11 +366,12 @@ def padded_total_loss_and_grads(batch, params):
     projected on its own; each passage's rows are copied into a (2n, width)
     grid padded to the longest passage, whose padding cells score -inf; the
     backward pass scatters the score gradients into a one-hot (padded
-    passage rows x query rows) matrix and un-pads its product."""
+    passage rows x query rows) matrix and un-pads its product. The encoder
+    runs one sequence at a time (``ref_forward``, ``ref_backward_state``)."""
     seqs = encoder._batch_sequences(batch)
     langs = sorted({s.language for s in seqs})
     ids_list = [encoder._token_array(s, params.vocab_size) for s in seqs]
-    forwards = [encoder._forward(ids, s.language, params) for ids, s in zip(ids_list, seqs)]
+    forwards = [ref_forward(ids, s.language, params) for ids, s in zip(ids_list, seqs)]
     states = np.concatenate([state for state, _ in forwards])
     embs = np.concatenate([state @ params.w_out for state, _ in forwards])
     units = normalize_rows(embs)
@@ -378,7 +412,7 @@ def padded_total_loss_and_grads(batch, params):
     grads.w_out += states.T @ d_embs
     d_states = d_embs @ params.w_out.T
     for k, (ids, s, (_, cache)) in enumerate(zip(ids_list, seqs, forwards)):
-        encoder._backward_state(ids, cache, d_states[starts[k] : starts[k + 1]], s.language, params, grads)
+        ref_backward_state(ids, cache, d_states[starts[k] : starts[k + 1]], s.language, params, grads)
     return total * inv_n, grads
 
 
@@ -474,19 +508,25 @@ class TestGradients:
         assert len(zero_rows) == 2
         forward, backward = encoder._forward, encoder._backward_state
 
+        # both passes may take a stack of sequences (ids of shape (B, L))
+        def items(ids, rows):
+            return zip(ids.reshape(-1, ids.shape[-1]), rows.reshape(-1, *rows.shape[-2:]))
+
         def forward_with_zero_rows(ids, lang, params):
             state, cache = forward(ids, lang, params)
-            row = zero_rows.get(tuple(ids.tolist()))
-            if row is not None:
-                state = state.copy()
-                state[row] = 0.0
+            state = state.copy()
+            for tokens, item in items(ids, state):
+                row = zero_rows.get(tuple(tokens.tolist()))
+                if row is not None:
+                    item[row] = 0.0
             return state, cache
 
         d_states = {}
 
-        def recording_backward(ids, layer_cache, d_state, lang, params, grads):
-            d_states[tuple(ids.tolist())] = d_state.copy()
-            return backward(ids, layer_cache, d_state, lang, params, grads)
+        def recording_backward(ids, layer_cache, d_state, lang, params, grads, trains):
+            for tokens, item in items(ids, d_state):
+                d_states[tuple(tokens.tolist())] = item.copy()
+            return backward(ids, layer_cache, d_state, lang, params, grads, trains)
 
         monkeypatch.setattr(encoder, "_forward", forward_with_zero_rows)
         monkeypatch.setattr(encoder, "_backward_state", recording_backward)
@@ -767,22 +807,66 @@ def ref_mlm_step(params, seq, lang, mask_rate, lr, rng):
     return loss
 
 
-def ref_finetune_step(batch, params, lr, monkeypatch):
-    """The contrastive kernel as it is, around the reference per-sequence passes."""
-    with monkeypatch.context() as patch:
-        patch.setattr(encoder, "_forward", ref_forward)
-        patch.setattr(encoder, "_backward_state", ref_backward_state)
-        loss, grads = total_loss_and_grads(batch, params)
+def ref_total_loss_and_grads(batch, params):
+    """The contrastive kernel as it was written for one sequence at a time,
+    copied literally, around the reference per-sequence passes."""
+    seqs = encoder._batch_sequences(batch)
+    ids_list = [encoder._token_array(s, params.vocab_size) for s in seqs]
+    forwards = [ref_forward(ids, s.language, params) for ids, s in zip(ids_list, seqs)]
+    states = np.concatenate([state for state, _ in forwards])
+    embs = states @ params.w_out
+    units = normalize_rows(embs)
+
+    n = len(batch)
+    lens = np.array([len(ids) for ids in ids_list])
+    starts = np.concatenate(([0], np.cumsum(lens)))
+    q, p = units[: starts[n]], units[starts[n] :]
+    p_starts = starts[n:-1] - starts[n]
+    sim = p @ q.T  # (passage rows, query rows)
+    cos = np.maximum.reduceat(sim, p_starts)  # (2n, query rows)
+    # a NaN cosine equals no maximum and leaves the sentinel len(p), but then
+    # its score is NaN and the loss raises NonFiniteError before it is read
+    at_max = np.where(sim == np.repeat(cos, lens[n:], axis=0), np.arange(len(p))[:, None], len(p))
+    best = np.minimum.reduceat(at_max, p_starts)
+    scores = np.stack([cos[:, lo:hi].sum(axis=1) for lo, hi in zip(starts[:n], starts[1 : n + 1])])
+
+    cols = np.arange(n)
+    pos, neg = scores[cols, 2 * cols], scores[cols, 2 * cols + 1]
+    total = 0.0
+    for i in range(n):
+        total += pairwise_loss(pos[i], neg[i]) + inbatch_loss(pos[i], neg[i], np.delete(scores[i], [2 * i, 2 * i + 1]))
+    # d(pair)/ds = (sigma(s_neg - s_pos)) on neg, negated on pos;
+    # d(ib)/ds_j = softmax_j - 1{j = pos}.
+    inv_n = 1.0 / n
+    sig = 1.0 / (1.0 + np.exp(pos - neg))
+    d_scores = np.exp(scores - scores.max(axis=1, keepdims=True))
+    d_scores /= d_scores.sum(axis=1, keepdims=True)
+    d_scores[cols, 2 * cols] -= 1.0 + sig
+    d_scores[cols, 2 * cols + 1] += sig
+    d_scores *= inv_n
+
+    weights = np.zeros_like(sim)  # d loss / d sim: nonzero only at the chosen rows
+    weights[best, np.arange(starts[n])] = np.repeat(d_scores, lens[:n], axis=0).T
+    d_units = np.concatenate((weights.T @ p, weights @ q))
+    # through u = e / |e|: de = (du - u (u . du)) / |e|, zero where |e| = 0
+    norms = np.linalg.norm(embs, axis=1, keepdims=True)
+    d_tangent = d_units - units * (units * d_units).sum(axis=1, keepdims=True)
+    d_embs = np.divide(d_tangent, norms, out=np.zeros_like(units), where=norms > 0.0)
+
+    grads = params.zeros(sorted({s.language for s in seqs}))
+    grads.w_out += states.T @ d_embs
+    d_states = d_embs @ params.w_out.T
+    for k, (ids, s, (_, cache)) in enumerate(zip(ids_list, seqs, forwards)):
+        ref_backward_state(ids, cache, d_states[starts[k] : starts[k + 1]], s.language, params, grads)
+    return total * inv_n, grads
+
+
+def ref_finetune_step(batch, params, lr):
+    loss, grads = ref_total_loss_and_grads(batch, params)
     if lr != 0.0:
         trained = slice(params.embedding.size, None)
         params.core[trained] -= lr * grads.core[trained]
     return loss
-
-
-SHAPES = {
-    "tiny": dict(vocab=24, d=6, d_out=5, n_layers=2, bottleneck=3),
-    "default": dict(vocab=1024, d=32, d_out=128, n_layers=2, bottleneck=8),
-}
 
 
 class TestStepsMatchTheReference:
@@ -790,7 +874,7 @@ class TestStepsMatchTheReference:
     losses, equal parameter bytes after every step, equal encodings."""
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_every_stage_and_the_encodings(self, shape, monkeypatch):
+    def test_every_stage_and_the_encodings(self, shape):
         cfg = SHAPES[shape]
         fast, ref = (init_params(LANGS, seed=41, **cfg) for _ in range(2))
         rng = np.random.default_rng(42)
@@ -798,6 +882,23 @@ class TestStepsMatchTheReference:
         def seq(lang, low=1, high=40):
             ids = rng.integers(4, cfg["vocab"], size=int(rng.integers(low, high + 1)))
             return PreparedSequence(tuple(int(t) for t in ids), kind="passage", language=lang)
+
+        def bucketed_batch(lang, lengths):
+            # 8 triples: queries framed at one n, passages of two or three
+            # lengths, one of them a single token, so each bucket stacks
+            # several sequences
+            def query():
+                tokens = rng.integers(4, cfg["vocab"], size=int(rng.integers(1, 7)))
+                return prepare_query([int(t) for t in tokens], 8, lang)
+
+            def passage():
+                length = int(rng.choice(lengths))
+                return seq(lang, length, length)
+
+            batch = Batch(tuple(TrainingTriple(query(), passage(), passage()) for _ in range(8)))
+            sizes = Counter(len(s) for s in encoder._batch_sequences(batch))
+            assert sizes[8] == 8 and sizes[1] >= 2 and len(sizes) >= 3
+            return batch
 
         def same_params():
             assert param_bytes(fast) == param_bytes(ref)
@@ -826,13 +927,21 @@ class TestStepsMatchTheReference:
             ))
             lr = 0.0 if step == 2 else 0.05
             _, loss = finetune_step(batch, fast, lr)
-            assert loss == ref_finetune_step(batch, ref, lr, monkeypatch)
+            assert loss == ref_finetune_step(batch, ref, lr)
+            same_params()
+        for step in range(6):
+            batch = bucketed_batch(LANGS[step % 2], (1, 5, 9) if step % 3 else (1, 6))
+            lr = 0.0 if step == 4 else 0.05
+            _, loss = finetune_step(batch, fast, lr)
+            assert loss == ref_finetune_step(batch, ref, lr)
             same_params()
 
         for model in (fast, ref):
             add_language(model, "cc", init_seed=44)
         losses = mlm_steps(["cc"], 60)
         assert 0.0 in losses and any(loss > 0.0 for loss in losses)
+        extend_grads = fast._step_grads[("extend", "cc")]  # the adapters alone, no core buffer
+        assert extend_grads.core is None and extend_grads.languages() == ["cc"]
 
         for lang in (*LANGS, "cc"):
             for _ in range(10):
@@ -861,9 +970,9 @@ class TestStepAccumulator:
         allocated = []
         real_zeros = encoder.ModularEncoderParams.zeros
 
-        def spy(self, langs):
+        def spy(self, langs, core=True):
             allocated.append(tuple(langs))
-            return real_zeros(self, langs)
+            return real_zeros(self, langs, core)
 
         monkeypatch.setattr(encoder.ModularEncoderParams, "zeros", spy)
         params = tiny_params(seed=47)
@@ -872,6 +981,105 @@ class TestStepAccumulator:
             lang = LANGS[step % 2]
             assert mlm_step(params, random_sequence(rng, lang, length=10), lang, 0.5, 0.1, rng)[0] is params
         assert sorted(allocated) == [("aa",), ("bb",)]
+
+
+class TestStackedProductsKeepBits:
+    """The premise of the stacked encoder passes: for the shapes the kernel
+    uses, each item of a stacked product or sum has the bits of the same item
+    computed alone. A numpy or BLAS change that breaks this fails here, not
+    as a checkpoint that no longer matches."""
+
+    CASES = [(d, length, items) for d in (6, 32) for length in (1, 2, 7, 32) for items in (2, 8)]
+
+    @pytest.mark.parametrize("d, length, items", CASES)
+    def test_each_item_of_a_stacked_product_equals_the_2d_product(self, d, length, items):
+        rng = np.random.default_rng(d * 100 + length * 10 + items)
+        x = rng.normal(size=(items, length, d))
+        for w in (rng.normal(size=(d, d)), rng.normal(size=(d, d)).T, rng.normal(size=(d, 3 * d + 1))):
+            stacked = x @ w  # (B, L, d) @ (d, d) and (d, d_out), weights as stored or transposed
+            for i in range(items):
+                assert np.array_equal(stacked[i], x[i] @ w)
+            rows = x[:, :1, :]  # (B, 1, d) @ (d, d): the one-row mean product
+            stacked = rows @ w
+            for i in range(items):
+                assert np.array_equal(stacked[i, 0], x[i, 0] @ w)
+
+    @pytest.mark.parametrize("d, length, items", CASES)
+    def test_each_item_of_a_stacked_weight_gradient_equals_the_2d_product(self, d, length, items):
+        rng = np.random.default_rng(d * 100 + length * 10 + items + 1)
+        a, b, c = rng.normal(size=(items, length, d)), rng.normal(size=(items, length, d)), rng.normal(size=(items, length, 3))
+        for left, right in ((a, b), (a, c), (c, a)):
+            stacked = np.swapaxes(left, -1, -2) @ right
+            for i in range(items):
+                assert np.array_equal(stacked[i], left[i].T @ right[i])
+
+    @pytest.mark.parametrize("d, length, items", CASES)
+    def test_each_item_of_a_stacked_sum_equals_the_per_item_sum(self, d, length, items):
+        x = np.random.default_rng(d + length + items).normal(size=(items, length, d))
+        over_positions, over_features = np.add.reduce(x, axis=-2), np.add.reduce(x, axis=-1, keepdims=True)
+        for i in range(items):
+            assert np.array_equal(over_positions[i], np.add.reduce(x[i], axis=0))
+            assert np.array_equal(over_features[i], np.add.reduce(x[i], axis=1, keepdims=True))
+
+
+class RecordingAddAt:
+    """Stands in for ``numpy`` inside the encoder module, recording the
+    target of every ``np.add.at``."""
+
+    def __init__(self):
+        self.targets = []
+        outer = self
+
+        class Add:
+            def __getattr__(self, name):
+                return getattr(np.add, name)
+
+            def __call__(self, *args, **kwargs):
+                return np.add(*args, **kwargs)
+
+            def at(self, target, *args):
+                outer.targets.append(target)
+                return np.add.at(target, *args)
+
+        self.add = Add()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestStageAwareGradients:
+    """A finetune step computes gradients only for the parts it trains (the
+    extend stage's accumulator is checked in TestStepsMatchTheReference)."""
+
+    def test_fifty_finetune_steps_allocate_one_accumulator(self, monkeypatch):
+        allocated = []
+        real_zeros = encoder.ModularEncoderParams.zeros
+
+        def spy(self, langs, core=True):
+            allocated.append((tuple(langs), core))
+            return real_zeros(self, langs, core)
+
+        monkeypatch.setattr(encoder.ModularEncoderParams, "zeros", spy)
+        params = tiny_params(seed=51)
+        params.set_stage("finetune")
+        rng = np.random.default_rng(52)
+        for step in range(50):
+            batch = random_batch(rng, 1 + step % 3, lang=LANGS[step % 2])
+            assert finetune_step(batch, params, 0.05)[0] is params
+        assert allocated == [((), True)]  # the core alone: no adapter buffer
+
+    def test_a_finetune_step_scatters_nothing_into_the_embedding_gradient(self, monkeypatch):
+        recorder = RecordingAddAt()
+        monkeypatch.setattr(encoder, "np", recorder)
+        params = tiny_params(seed=53)
+        batch = random_batch(np.random.default_rng(54), 3)
+        _, grads = total_loss_and_grads(batch, params)  # every gradient: one scatter for the batch
+        assert len(recorder.targets) == 1 and np.shares_memory(recorder.targets[0], grads.embedding)
+        recorder.targets.clear()
+        params.set_stage("finetune")
+        for _ in range(5):
+            finetune_step(batch, params, 0.1)
+        assert recorder.targets == []
 
 
 class TestInitParams:
