@@ -1,6 +1,6 @@
 """Modular multilingual late-interaction retrieval at desk scale.
 
-The pieces: term-level sequence preparation and MaxSim/pooled scoring
+The pieces: term-level sequence preparation and MaxSim scoring
 (:mod:`modir.scoring`), a toy adapter-routed encoder with the contrastive
 training objective and staged freezing (:mod:`modir.encoder`), a residual-
 quantized inverted-file index with two-stage search (:mod:`modir.index`),
@@ -14,7 +14,6 @@ from .encoder import (
     ModularEncoderParams,
     TrainingTriple,
     add_language,
-    build_inbatch_negatives,
     encode,
     finetune_step,
     inbatch_loss,
@@ -47,13 +46,9 @@ from .index import (
 )
 from .scoring import (
     PreparedSequence,
-    SimilarityConfig,
-    cosine,
     maxsim_score,
-    pooled_score,
     prepare_passage,
     prepare_query,
-    score,
 )
 
 __version__ = "0.1.0"
@@ -67,14 +62,11 @@ __all__ = [
     "ResidualCodec",
     "RunConfig",
     "SearchParams",
-    "SimilarityConfig",
     "TrainingTriple",
     "add_language",
     "approximate_candidates",
     "brute_force_search",
-    "build_inbatch_negatives",
     "build_index",
-    "cosine",
     "encode",
     "estimate_energy_emissions",
     "exact_rerank",
@@ -88,13 +80,11 @@ __all__ = [
     "mlm_step",
     "mrr_at_k",
     "pairwise_loss",
-    "pooled_score",
     "prepare_passage",
     "prepare_query",
     "recall_at_k",
     "save_checkpoint",
     "save_index",
-    "score",
     "search",
     "select_centroids",
     "total_loss",

@@ -8,7 +8,7 @@ from numbers import Integral, Real
 from .errors import InvalidConfigError, ParseError
 
 _LEAST = dict(  # the smallest value of each bounded integer field
-    n=3, m=3, d_out=1, d=1, n_layers=1, bottleneck=1, vocab=1, batch_size=1,
+    n=3, m=3, d_out=1, d=1, n_layers=1, bottleneck=1, vocab=1, seed=0, batch_size=1,
     pretrain_steps=0, finetune_steps=0, extend_steps=0, n_probe=1, candidate_k=1, final_k=1,
 )
 

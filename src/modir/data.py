@@ -128,6 +128,11 @@ def read_jsonl_records(path) -> list[CorpusRecord]:
             raise ParseError("a record must be a JSON object", line=lineno)
         if "id" not in raw:
             raise ParseError("record is missing 'id'", line=lineno)
+        if isinstance(raw["id"], bool) or not isinstance(raw["id"], (str, int)):  # a bool is an int too
+            raise ParseError("'id' must be a string or an integer", line=lineno)
+        for key in ("language", "text"):
+            if not isinstance(raw.get(key, ""), str):
+                raise ParseError(f"{key!r} must be a string", line=lineno)
         rid = str(raw["id"])
         if rid in seen:
             raise ParseError(f"duplicate record id {rid!r}", line=lineno)
@@ -137,7 +142,7 @@ def read_jsonl_records(path) -> list[CorpusRecord]:
         if has_text == has_emb:
             raise ParseError("record needs exactly one of 'text' or 'embeddings'", line=lineno)
         if has_text:
-            records.append(CorpusRecord(id=rid, language=str(raw.get("language", "")), text=str(raw["text"])))
+            records.append(CorpusRecord(id=rid, language=raw.get("language", ""), text=raw["text"]))
         else:
             try:
                 emb = np.asarray(raw["embeddings"], dtype=np.float64)
@@ -147,7 +152,7 @@ def read_jsonl_records(path) -> list[CorpusRecord]:
                 raise ParseError(
                     "'embeddings' must be a nonempty list of equal-length nonempty rows of numbers", line=lineno
                 )
-            records.append(CorpusRecord(id=rid, language=str(raw.get("language", "")), embeddings=emb))
+            records.append(CorpusRecord(id=rid, language=raw.get("language", ""), embeddings=emb))
     return records
 
 

@@ -410,6 +410,20 @@ def encode(seq: PreparedSequence, params: ModularEncoderParams) -> np.ndarray:
     return state @ params.w_out
 
 
+def _buckets(seqs, params: ModularEncoderParams, check_languages: bool = False):
+    """Each sequence's checked token array, and the sequence indices grouped
+    by (language, token count), buckets in first-seen order. The sequences are
+    checked in order; with ``check_languages`` each one's language must have
+    adapters too, so the first bad sequence raises what ``encode`` would."""
+    ids_list, buckets = [], {}
+    for k, seq in enumerate(seqs):
+        ids_list.append(_token_array(seq, params.vocab_size))
+        if check_languages:
+            params.adapter_stack(seq.language)
+        buckets.setdefault((seq.language, ids_list[k].size), []).append(k)
+    return ids_list, buckets
+
+
 _ENCODE_ROWS = 2048  # token rows per stacked call of encode_batch
 
 
@@ -417,12 +431,8 @@ def encode_batch(seqs, params: ModularEncoderParams) -> list[np.ndarray]:
     """``encode`` of each sequence, in order and bit for bit. The encoder runs
     once per (language, token count) bucket, on the stacked ids of up to
     ``_ENCODE_ROWS`` token rows at a time. The sequences are checked in order
-    first, so the first bad one raises what ``encode`` would."""
-    ids_list, buckets = [], {}
-    for k, seq in enumerate(seqs):
-        ids_list.append(_token_array(seq, params.vocab_size))
-        params.adapter_stack(seq.language)
-        buckets.setdefault((seq.language, ids_list[k].size), []).append(k)
+    first (``_buckets``), so the first bad one raises what ``encode`` would."""
+    ids_list, buckets = _buckets(seqs, params, check_languages=True)
     out = [None] * len(ids_list)
     for (lang, length), members in buckets.items():
         per_call = max(1, _ENCODE_ROWS // length)
@@ -471,14 +481,6 @@ class Batch:
 def _batch_sequences(batch: Batch) -> list[PreparedSequence]:
     """Every query in batch order, then each triple's positive and hard negative."""
     return [t.query for t in batch.triples] + [s for t in batch.triples for s in (t.positive, t.hard_negative)]
-
-
-def build_inbatch_negatives(batch: Batch, i: int) -> list[PreparedSequence]:
-    """The 2(N-1) passages of all other triples: positive then hard negative, in batch order."""
-    n = len(batch)
-    if not 0 <= i < n:
-        raise InvalidConfigError(f"triple index {i} out of range for batch of {n}")
-    return [s for j, t in enumerate(batch.triples) if j != i for s in (t.positive, t.hard_negative)]
 
 
 def _check_finite_scores(*scores):
@@ -553,13 +555,10 @@ def _contrastive_loss(batch: Batch, params: ModularEncoderParams, trains: _Train
     array; the embedding table's gradient is one ``np.add.at`` over the
     batch's ids in sequence order, as the sequences one at a time add it."""
     seqs = _batch_sequences(batch)
-    ids_list = [_token_array(s, params.vocab_size) for s in seqs]
-    lens = np.array([len(ids) for ids in ids_list])
+    ids_list, buckets = _buckets(seqs, params)
+    lens = np.array([ids.size for ids in ids_list])
     starts = np.concatenate(([0], np.cumsum(lens)))
     all_ids = np.concatenate(ids_list)
-    buckets: dict = {}
-    for k, s in enumerate(seqs):
-        buckets.setdefault((s.language, lens[k]), []).append(k)
     states = np.empty((starts[-1], params.d))
     stacks = []  # per bucket: language, members, their state rows, stacked ids, layer cache
     for (lang, length), members in buckets.items():

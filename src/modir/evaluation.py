@@ -128,7 +128,8 @@ def read_qrels(path) -> dict:
 def read_run(path) -> dict:
     """qid -> [(pid, score)], best first: highest score first, score ties by
     the rank column, whatever the line order. A run that ``write_run`` wrote
-    reads back in its written order, since rounding keeps the scores' order."""
+    reads back in its written order, since rounding keeps the scores' order.
+    A score that is not a number, NaN included, is a ParseError."""
     lines: dict = {}
     for lineno, (qid, _, pid, rank, score, _tag) in text_fields(path, "qid Q0 pid rank score tag"):
         try:
@@ -136,10 +137,12 @@ def read_run(path) -> dict:
         except ValueError:
             raise ParseError(f"rank {rank!r} is not an integer", line=lineno) from None
         try:
-            score = float(score)
+            value = float(score)
         except ValueError:
-            raise ParseError(f"score {score!r} is not a number", line=lineno) from None
-        lines.setdefault(qid, []).append((pid, rank, score))
+            value = np.nan
+        if np.isnan(value):  # a NaN score has no place in a ranking
+            raise ParseError(f"score {score!r} is not a number", line=lineno)
+        lines.setdefault(qid, []).append((pid, rank, value))
     run = {}
     for qid, ranking in lines.items():
         pids, ranks, scores = zip(*ranking)

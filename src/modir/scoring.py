@@ -3,10 +3,9 @@
 Queries are padded to a fixed length with mask tokens so the extra
 contextualized positions take part in scoring (query augmentation);
 passages are only truncated.  Relevance between two bags of term
-embeddings is either the sum of per-query-term maximum cosines (MaxSim)
-or the cosine of pooled single-vector representations. ``check_query`` is
-the one rule for a valid query matrix, shared by both search stages, the
-oracle, the pooled score and ``modir search``.
+embeddings is the sum of per-query-term maximum cosines (MaxSim).
+``check_query`` is the one rule for a valid query matrix, shared by both
+search stages, the oracle and ``modir search``.
 """
 
 from dataclasses import dataclass
@@ -21,8 +20,6 @@ Q_MARKER_ID = 1
 P_MARKER_ID = 2
 MASK_ID = 3
 NUM_SPECIAL = 4
-
-POOLING_MODES = ("mean", "max", "cls")
 
 _MAXSIM_BLOCK = 1024  # rows per blocked MaxSim matmul in maxsim_top_k: about 1 MB of rows
 
@@ -42,20 +39,6 @@ class PreparedSequence:
 
     def __len__(self) -> int:
         return len(self.token_ids)
-
-
-@dataclass(frozen=True)
-class SimilarityConfig:
-    """Selects the similarity function; ``pooling`` only applies in pooled mode."""
-
-    mode: str = "maxsim"  # "maxsim" | "pooled"
-    pooling: str = "mean"
-
-    def __post_init__(self):
-        if self.mode not in ("maxsim", "pooled"):
-            raise InvalidConfigError(f"unknown similarity mode {self.mode!r}")
-        if self.mode == "pooled" and self.pooling not in POOLING_MODES:
-            raise InvalidConfigError(f"unknown pooling mode {self.pooling!r}")
 
 
 def prepare_query(tokens, n: int, lang: str) -> PreparedSequence:
@@ -85,35 +68,12 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return h / np.where(norms == 0.0, 1.0, norms)
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity in [-1, 1]; 0 when either vector has zero norm."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DimensionMismatchError(f"cosine needs equal-length vectors, got {u.shape} and {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float((u / nu) @ (v / nv))
-
-
-def check_pair(hq: np.ndarray, hp: np.ndarray):
-    """Both 2-d with equal widths, and the passage has rows; typed errors otherwise."""
-    if hq.ndim != 2 or hp.ndim != 2:
-        raise DimensionMismatchError(f"expected 2-d matrices, got shapes {hq.shape} and {hp.shape}")
-    if hq.shape[1] != hp.shape[1]:
-        raise DimensionMismatchError(f"embedding widths differ: {hq.shape[1]} vs {hp.shape[1]}")
-    if hp.shape[0] == 0:
-        raise EmptyInputError("passage embedding matrix has no rows")
-
-
 def check_query(query, dim: int, name: str = "query") -> np.ndarray:
     """The query as a finite float64 (terms, dim) matrix. A query that is not
     2-d or has another width is DimensionMismatchError, one without rows is
-    EmptyInputError (a search or a pooled score needs a query row; MaxSim of
-    no rows is 0), and one holding a NaN or an infinity is InvalidConfigError
-    (it would score every passage NaN). Each message starts with ``name``."""
+    EmptyInputError (a search needs a query row; MaxSim of no rows is 0), and
+    one holding a NaN or an infinity is InvalidConfigError (it would score
+    every passage NaN). Each message starts with ``name``."""
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != dim:
         raise DimensionMismatchError(f"{name} must be a (terms, {dim}) matrix, got shape {q.shape}")
@@ -131,7 +91,12 @@ def maxsim_score(hq, hp) -> float:
     """
     hq = np.asarray(hq, dtype=np.float64)
     hp = np.asarray(hp, dtype=np.float64)
-    check_pair(hq, hp)
+    if hq.ndim != 2 or hp.ndim != 2:
+        raise DimensionMismatchError(f"expected 2-d matrices, got shapes {hq.shape} and {hp.shape}")
+    if hq.shape[1] != hp.shape[1]:
+        raise DimensionMismatchError(f"embedding widths differ: {hq.shape[1]} vs {hp.shape[1]}")
+    if hp.shape[0] == 0:
+        raise EmptyInputError("passage embedding matrix has no rows")
     return maxsim_unit(normalize_rows(hq), normalize_rows(hp))
 
 
@@ -246,30 +211,3 @@ def rank(scores, k: int | None = None) -> np.ndarray:
             order = np.argsort(np.take_along_axis(neg, survivors, axis=-1), axis=-1, kind="stable")
             return np.take_along_axis(survivors, order[..., :k], axis=-1)
     return np.argsort(neg, axis=-1, kind="stable")[..., :k]
-
-
-def pool_rows(matrix: np.ndarray, pooling: str) -> np.ndarray:
-    """Collapse a term matrix to one vector by mean, element-wise max, or first row."""
-    if pooling == "mean":
-        return np.mean(matrix, axis=0)
-    if pooling == "max":
-        return np.max(matrix, axis=0)
-    if pooling == "cls":
-        return matrix[0]
-    raise InvalidConfigError(f"unknown pooling mode {pooling!r}")
-
-
-def pooled_score(hq, hp, pooling: str = "mean") -> float:
-    """Cosine of the pooled sequence representations. The passage must be a
-    matrix with rows, and the query pass ``check_query`` at its width."""
-    hp = np.asarray(hp, dtype=np.float64)
-    check_pair(hp, hp)  # the passage alone: 2-d, with rows
-    hq = check_query(hq, hp.shape[1])
-    return cosine(pool_rows(hq, pooling), pool_rows(hp, pooling))
-
-
-def score(hq, hp, config: SimilarityConfig) -> float:
-    """Dispatch to maxsim_score or pooled_score per the config."""
-    if config.mode == "maxsim":
-        return maxsim_score(hq, hp)
-    return pooled_score(hq, hp, config.pooling)

@@ -654,6 +654,26 @@ class TestEvalCmd:
         err = read_stderr(capsys)
         assert err.startswith(f"error[{code}]") and "\n" not in err
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["train", "index", "search"])
+    def test_a_negative_seed_is_one_error_line_before_any_work(
+        self, tmp_path, small_config, capsys, command, given
+    ):
+        _, cfg = small_config
+        config = tmp_path / "seed.json"
+        config.write_text(json.dumps(dict(cfg, seed=-1 if given == "config" else 5)))
+        corpus, queries, _, _, _ = build_language_files(tmp_path, "aa")
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--stage", "pretrain", "--corpus", corpus, "--checkpoint-out", out],
+            "index": ["index", "--corpus", corpus, "--checkpoint", tmp_path / "none.ckpt", "--out", out],
+            "search": ["search", "--index", tmp_path / "none", "--queries", queries, "--out", out],
+        }[command]
+        argv += ["--config", config] + (["--seed", -1] if given == "flag" else [])
+        assert run_cli(*argv) == 2
+        assert read_stderr(capsys) == "error[invalid-config]: seed must be >= 0, got -1"
+        assert not out.exists()
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = run_cli("eval", "--run", tmp_path / "none.run", "--qrels", tmp_path / "none.qrels")
         assert code == 2

@@ -96,6 +96,34 @@ class TestJsonl:
         with pytest.raises(ParseError, match="line 2"):
             read_jsonl_records(path)
 
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ('{"id": "b", "language": "en", "text": null}', "'text' must be a string"),
+            ('{"id": "b", "text": 7}', "'text' must be a string"),
+            ('{"id": "b", "text": ["a", "b"]}', "'text' must be a string"),
+            ('{"id": "b", "language": null, "text": "x"}', "'language' must be a string"),
+            ('{"id": "b", "language": 3, "embeddings": [[1.0]]}', "'language' must be a string"),
+            ('{"id": true, "text": "x"}', "'id' must be a string or an integer"),
+            ('{"id": 1.5, "text": "x"}', "'id' must be a string or an integer"),
+            ('{"id": null, "text": "x"}', "'id' must be a string or an integer"),
+            ('{"id": ["b"], "text": "x"}', "'id' must be a string or an integer"),
+        ],
+        ids=["null-text", "number-text", "list-text", "null-language", "number-language",
+             "bool-id", "float-id", "null-id", "list-id"],
+    )
+    def test_a_field_of_the_wrong_json_type_is_a_parse_error_naming_the_line(self, tmp_path, record, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": 1, "language": "en", "text": "x"}\n' + record + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_jsonl_records(path)
+        assert exc.value.message == f"line 2: {message}"
+
+    def test_an_integer_id_reads_as_its_decimal_text(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": 12, "text": "x"}\n')
+        assert read_jsonl_records(path)[0].id == "12"
+
 
 class TestEmbeddingBlock:
     def test_round_trip(self, tmp_path):

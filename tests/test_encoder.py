@@ -15,7 +15,6 @@ from modir.encoder import (
     Batch,
     TrainingTriple,
     add_language,
-    build_inbatch_negatives,
     encode,
     finetune_step,
     inbatch_loss,
@@ -175,29 +174,7 @@ class TestInbatchLoss:
             inbatch_loss(0.0, 0.0, [float("nan")])
 
 
-class TestInbatchNegatives:
-    def test_single_triple_has_no_negatives(self):
-        batch = random_batch(np.random.default_rng(2), 1)
-        assert build_inbatch_negatives(batch, 0) == []
-
-    def test_two_triples(self):
-        batch = random_batch(np.random.default_rng(3), 2)
-        negs = build_inbatch_negatives(batch, 0)
-        assert negs == [batch.triples[1].positive, batch.triples[1].hard_negative]
-        assert len(negs) == 2 * (2 - 1)
-
-    def test_five_triples_excludes_own(self):
-        batch = random_batch(np.random.default_rng(4), 5)
-        negs = build_inbatch_negatives(batch, 3)
-        assert len(negs) == 2 * (5 - 1)
-        assert batch.triples[3].positive not in negs
-        assert batch.triples[3].hard_negative not in negs
-
-    def test_index_out_of_range(self):
-        batch = random_batch(np.random.default_rng(5), 2)
-        with pytest.raises(InvalidConfigError):
-            build_inbatch_negatives(batch, 2)
-
+class TestTrainingTriple:
     def test_mixed_language_triple_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(InvalidConfigError):
@@ -341,7 +318,8 @@ class TestTotalLoss:
             hq = encode(triple.query, params)
             s_pos = maxsim_score(hq, encode(triple.positive, params))
             s_neg = maxsim_score(hq, encode(triple.hard_negative, params))
-            s_ib = [maxsim_score(hq, encode(p, params)) for p in build_inbatch_negatives(batch, i)]
+            others = [s for j, t in enumerate(batch.triples) if j != i for s in (t.positive, t.hard_negative)]
+            s_ib = [maxsim_score(hq, encode(p, params)) for p in others]
             expected += pairwise_loss(s_pos, s_neg) + inbatch_loss(s_pos, s_neg, s_ib)
         expected /= len(batch)
         assert total_loss(batch, params) == pytest.approx(expected, abs=1e-10)

@@ -314,6 +314,14 @@ class TestTrecIO:
             read_run(path)
         assert exc.value.message == f"line 2: rank {rank!r} is not an integer"
 
+    @pytest.mark.parametrize("score", ["x", "nan", "NaN", "-nan"])
+    def test_score_that_is_not_a_number_names_its_line(self, tmp_path, score):
+        path = tmp_path / "run.trec"
+        path.write_text(f"q1 Q0 a 1 {score} t\nq1 Q0 b 2 1.0 t\n")
+        with pytest.raises(ParseError) as exc:
+            read_run(path)
+        assert exc.value.message == f"line 1: score {score!r} is not a number"
+
     def test_repeated_judgment_names_its_line(self, tmp_path):
         path = tmp_path / "qrels.txt"
         path.write_text("q 0 a 1\nq 0 b 1\nq 0 b 0\n")

@@ -585,7 +585,6 @@ class TestSearch:
             "search": lambda: search(query, idx, params),
             "oracle over a mapping": lambda: brute_force_search(query, corpus, 5),
             "oracle over a UnitCorpus": lambda: brute_force_search(query, idx.unit_corpus(), 5),
-            "pooled_score": lambda: scoring.pooled_score(query, np.ones((3, 6))),
         }
         expected = (
             (EmptyInputError, "query has no rows")
@@ -600,8 +599,7 @@ class TestSearch:
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize(
         "entry",
-        ["search", "approximate_candidates", "exact_rerank", "oracle over a mapping", "oracle over a UnitCorpus",
-         "pooled_score"],
+        ["search", "approximate_candidates", "exact_rerank", "oracle over a mapping", "oracle over a UnitCorpus"],
     )
     def test_a_non_finite_query_is_refused_on_every_path(self, entry, value):
         corpus, idx, query = small_index(dim=6)
@@ -613,7 +611,6 @@ class TestSearch:
             "exact_rerank": lambda: exact_rerank(query, ["3", "17"], idx),
             "oracle over a mapping": lambda: brute_force_search(query, corpus, 5),
             "oracle over a UnitCorpus": lambda: brute_force_search(query, idx.unit_corpus(), 5),
-            "pooled_score": lambda: scoring.pooled_score(query, np.ones((3, 6))),
         }
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before any arithmetic warns

@@ -13,18 +13,13 @@ from modir.scoring import (
     MASK_ID,
     P_MARKER_ID,
     Q_MARKER_ID,
-    SimilarityConfig,
-    cosine,
     maxsim_score,
     maxsim_top_k,
     maxsim_unit,
     normalize_rows,
-    pool_rows,
-    pooled_score,
     prepare_passage,
     prepare_query,
     rank,
-    score,
 )
 
 T1, T2 = 10, 11  # arbitrary text token ids
@@ -96,29 +91,6 @@ class TestPreparePassage:
             prepare_passage([T1], 2, "en")
 
 
-class TestCosine:
-    def test_identity(self):
-        assert cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_zero_vector_convention(self):
-        assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
-        assert cosine([1.0, 0.0], [0.0, 0.0]) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            cosine([1.0, 0.0], [1.0, 0.0, 0.0])
-
-    def test_matches_oracle_on_random_vectors(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            u, v = rng.normal(size=(2, 5))
-            assert cosine(u, v) == pytest.approx(cosine_oracle(u, v), abs=1e-12)
-            assert -1.0 - 1e-12 <= cosine(u, v) <= 1.0 + 1e-12
-
-
 class TestMaxsim:
     def test_single_identical_vector(self):
         assert maxsim_score([[1.0, 0.0]], [[1.0, 0.0]]) == pytest.approx(1.0)
@@ -151,6 +123,21 @@ class TestMaxsim:
 
     def test_empty_query_scores_zero(self):
         assert maxsim_score(np.empty((0, 2)), [[1.0, 0.0]]) == 0.0
+
+    @pytest.mark.parametrize(
+        "hq,hp,error,text",
+        [
+            ([1.0, 0.0], [[1.0, 0.0]], DimensionMismatchError, "expected 2-d matrices, got shapes (2,) and (1, 2)"),
+            ([[1.0, 0.0]], [1.0, 0.0], DimensionMismatchError, "expected 2-d matrices, got shapes (1, 2) and (2,)"),
+            ([[1.0, 0.0]], [[1.0, 0.0, 0.0]], DimensionMismatchError, "embedding widths differ: 2 vs 3"),
+            ([[1.0, 0.0]], np.empty((0, 2)), EmptyInputError, "passage embedding matrix has no rows"),
+        ],
+        ids=["1-d-query", "1-d-passage", "widths", "no-passage-rows"],
+    )
+    def test_malformed_input_is_a_typed_error_with_a_fixed_text(self, hq, hp, error, text):
+        with pytest.raises(error) as info:
+            maxsim_score(hq, hp)
+        assert str(info.value) == text
 
     # -- properties ---------------------------------------------------------
 
@@ -201,48 +188,6 @@ class TestMaxsim:
             hp = rng.normal(size=(5, 4))
             s = maxsim_score(hq, hp)
             assert -3.0 - 1e-9 <= s <= 3.0 + 1e-9
-
-
-class TestPooled:
-    def test_identical_inputs_mean_pooling(self):
-        h = [[1.0, 0.0], [0.0, 1.0]]
-        assert pooled_score(h, h, "mean") == pytest.approx(1.0)
-
-    def test_cls_pooling_uses_first_rows_only(self):
-        hq = [[1.0, 0.0], [9.0, 9.0]]
-        hp = [[1.0, 0.0], [-5.0, 2.0]]
-        assert pooled_score(hq, hp, "cls") == pytest.approx(1.0)
-
-    def test_mean_pooling_hand_computed(self):
-        hq = [[1.0, 0.0], [0.0, 1.0]]
-        hp = [[1.0, 0.0], [1.0, 0.0]]
-        expected = cosine_oracle([0.5, 0.5], [1.0, 0.0])
-        assert expected == pytest.approx(1.0 / math.sqrt(2.0))
-        assert pooled_score(hq, hp, "mean") == pytest.approx(expected)
-
-    def test_max_pooling_is_elementwise(self):
-        hq = np.array([[1.0, -2.0], [0.5, 3.0]])
-        assert pool_rows(hq, "max").tolist() == [1.0, 3.0]
-
-    def test_range(self):
-        rng = np.random.default_rng(12)
-        for pooling in ("mean", "max", "cls"):
-            for _ in range(10):
-                hq = rng.normal(size=(3, 4))
-                hp = rng.normal(size=(4, 4))
-                assert -1.0 - 1e-12 <= pooled_score(hq, hp, pooling) <= 1.0 + 1e-12
-
-    def test_dispatch_through_config(self):
-        hq = [[1.0, 0.0], [0.6, 0.8]]
-        hp = [[0.0, 1.0], [1.0, 0.0]]
-        assert score(hq, hp, SimilarityConfig(mode="maxsim")) == maxsim_score(hq, hp)
-        assert score(hq, hp, SimilarityConfig(mode="pooled", pooling="cls")) == pooled_score(hq, hp, "cls")
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            SimilarityConfig(mode="nope")
-        with pytest.raises(InvalidConfigError):
-            SimilarityConfig(mode="pooled", pooling="median")
 
 
 class TestRank:
