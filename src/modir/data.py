@@ -74,6 +74,14 @@ class CorpusRecord:
     embeddings: np.ndarray | None = None
 
 
+def check_seed(seed):
+    """The seed rule of ``config.RunConfig`` for the library calls that take a
+    seed: an integer, or a tuple of them as numpy's generators take, none
+    negative. numpy itself would raise a bare ValueError."""
+    if np.min(seed) < 0:
+        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
+
+
 @contextmanager
 def atomic_write(path, mode: str = "w"):
     """A file to write (text is UTF-8) that replaces ``path`` when the block

@@ -20,7 +20,9 @@ adapters. A step computes the gradients of the parts its stage trains and
 no others (``_TRAINS``): pretrain every part but ``w_out``; finetune the
 shared layers and ``w_out``, with no adapter gradient, no scatter into the
 embedding table and no input gradient out of layer 0; extend the adapters
-alone, with no core gradient at all. ``total_loss_and_grads`` and
+alone, with no core gradient at all. Every step of a model adds its
+gradients into one workspace of the full layout, zero-filling only the
+slices its stage trains. ``total_loss_and_grads`` and
 ``mlm_loss_and_grads`` compute every part, for the gradient checks.
 
 The encoder passes take one sequence or a stack of equal-length sequences
@@ -59,7 +61,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .data import ByteReader, atomic_write
+from .data import ByteReader, atomic_write, check_seed
 from .errors import (
     FormatError,
     InvalidConfigError,
@@ -151,8 +153,7 @@ class ModularEncoderParams:
     (``embedding``, ``shared_layers[i].w_self``, ``w_out``,
     ``adapters[lang][i].w_down``, ...) is a reshaped view of its buffer, so
     a write to either is a write to both. A gradient is the same structure
-    filled with zeros (``zeros``); one that only adapters train holds no
-    core (``core`` is None, and so are the core's blocks).
+    filled with zeros (``zeros``).
     """
 
     vocab_size: int
@@ -160,42 +161,41 @@ class ModularEncoderParams:
     d_out: int
     n_layers: int
     bottleneck: int
-    core: np.ndarray | None
+    core: np.ndarray
     flat_adapters: dict[str, np.ndarray]  # registration order preserved
     stage: str = "pretrain"
     post_hoc: set[str] = field(default_factory=set)
-    # the training steps' gradient accumulators by (stage, language); never handed out
-    _step_grads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the training steps' gradient workspace (_step_accumulator); never handed out
+    _grads: "ModularEncoderParams | None" = field(default=None, init=False, repr=False, compare=False)
     # the contrastive loss's per-sequence gradient rows (_zeroed_rows)
     _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.embedding = self.w_out = None
-        self.shared_layers = []
-        if self.core is not None:
-            blocks = _views(self.core, _core_shapes(self.vocab_size, self.d, self.d_out, self.n_layers))
-            self.embedding, self.w_out = blocks[0], blocks[-1]
-            self.shared_layers = _shared_layers(blocks[1:-1])
+        self.embedding, *layers, self.w_out = _views(self.core, _core_shapes(self.vocab_size, self.d, self.d_out, self.n_layers))
+        self.shared_layers = _shared_layers(layers)
         self.adapters = {lang: self._adapter_views(flat) for lang, flat in self.flat_adapters.items()}
 
     def _adapter_views(self, flat: np.ndarray) -> list[AdapterBlock]:
         return _adapter_blocks(_views(flat, _adapter_shapes(self.d, self.bottleneck, self.n_layers)))
 
     def add_adapters(self, lang: str, flat: np.ndarray):
-        """Register ``lang``'s adapter buffer; no other buffer moves."""
+        """Register ``lang``'s adapter buffer, and a zero one in the step
+        workspace if there is one; no other buffer moves."""
         self.flat_adapters[lang] = flat
         self.adapters[lang] = self._adapter_views(flat)
+        if self._grads is not None:
+            self._grads.add_adapters(lang, np.zeros_like(flat))
 
-    def zeros(self, langs, core: bool = True) -> "ModularEncoderParams":
+    def zeros(self, langs) -> "ModularEncoderParams":
         """A gradient accumulator: this layout filled with zeros, holding only
-        ``langs``' adapters, and no core when ``core`` is false."""
+        ``langs``' adapters."""
         return ModularEncoderParams(
             self.vocab_size, self.d, self.d_out, self.n_layers, self.bottleneck,
-            core=np.zeros_like(self.core) if core else None,
+            core=np.zeros_like(self.core),
             flat_adapters={lang: np.zeros_like(self.flat_adapters[lang]) for lang in langs},
         )
 
-    def _core_trained(self) -> slice | None:
+    def _core_trained(self) -> slice:
         """The part of ``core`` that a step of this stage updates: pretrain the
         embedding table and the shared layers, finetune the shared layers and
         ``w_out``, extend none of it."""
@@ -203,26 +203,19 @@ class ModularEncoderParams:
             return slice(self.core.size - self.w_out.size)
         if self.stage == "finetune":
             return slice(self.embedding.size, None)
-        return None
+        return slice(0)
 
     def _step_accumulator(self, lang: str | None = None) -> "ModularEncoderParams":
-        """The gradient of a step of this stage: the core if any of it trains,
-        and ``lang``'s adapters if they train (``_TRAINS``). It is allocated at
-        the stage's first step for ``lang`` and its trained part zero-filled at
-        each later one; no step writes the rest."""
-        trains = _TRAINS[self.stage]
-        key = (self.stage, lang)
-        grads = self._step_grads.get(key)
-        if grads is None:
-            langs = [lang] if trains.adapters else []
-            grads = self._step_grads[key] = self.zeros(langs, core=trains.shared)
-        else:
-            trained = self._core_trained()
-            if trained is not None:
-                grads.core[trained].fill(0.0)
-            for flat in grads.flat_adapters.values():
-                flat.fill(0.0)
-        return grads
+        """The gradient workspace of every training step: the full layout,
+        allocated at the first step. Each step zero-fills what its stage trains
+        (``_TRAINS``), the core's ``_core_trained`` slice and ``lang``'s
+        adapters if they train, and writes nothing else."""
+        if self._grads is None:
+            self._grads = self.zeros(self.languages())
+        self._grads.core[self._core_trained()].fill(0.0)
+        if _TRAINS[self.stage].adapters:
+            self._grads.flat_adapters[lang].fill(0.0)
+        return self._grads
 
     def _zeroed_rows(self, rows: int, width: int) -> np.ndarray:
         """A zero-filled (rows, width) work array whose memory is reused from
@@ -281,6 +274,7 @@ def init_params(
         raise InvalidConfigError("duplicate language ids")
     if min(vocab, d, d_out, n_layers, bottleneck) < 1:
         raise InvalidConfigError("all encoder dimensions must be >= 1")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     core = _uniform(rng, _floats(_core_shapes(vocab, d, d_out, n_layers)))
     adapter_floats = _floats(_adapter_shapes(d, bottleneck, n_layers))
@@ -296,6 +290,7 @@ def add_language(params: ModularEncoderParams, new_lang: str, init_seed) -> Modu
     """
     if new_lang in params.adapters:
         raise UnknownLanguageError(f"language {new_lang!r} is already registered")
+    check_seed(init_seed)
     size = _floats(_adapter_shapes(params.d, params.bottleneck, params.n_layers))
     params.add_adapters(new_lang, _uniform(np.random.default_rng(init_seed), size))
     params.post_hoc.add(new_lang)
@@ -655,15 +650,14 @@ def _sgd_update(p: np.ndarray, g: np.ndarray, lr: float):
 def finetune_step(batch: Batch, params: ModularEncoderParams, lr: float):
     """One SGD step on the contrastive loss, updating shared layers and the
     output projection only; adapters and the embedding table stay untouched.
-    Only those parts' gradients are computed, into the stage's private
-    accumulator (``_step_accumulator``), which is never returned."""
+    Only those parts' gradients are computed, into the model's private
+    workspace (``_step_accumulator``), which is never returned."""
     if params.stage != "finetune":
         raise StageError(f"finetune_step requires stage 'finetune', found {params.stage!r}")
     langs = {t.language for t in batch.triples}
     if len(langs) != 1:
         raise InvalidConfigError(f"finetune batch mixes languages {sorted(langs)}")
-    grads = params._step_accumulator()
-    loss, _ = _contrastive_loss(batch, params, _TRAINS["finetune"], grads)
+    loss, grads = _contrastive_loss(batch, params, _TRAINS["finetune"], params._step_accumulator())
     if lr != 0.0:
         trained = params._core_trained()
         _sgd_update(params.core[trained], grads.core[trained], lr)
@@ -725,9 +719,8 @@ def mlm_step(params: ModularEncoderParams, token_ids, lang: str, mask_rate: floa
     the sample language's adapters. In the extend stage only the adapters of a
     post-hoc language may move. mask_rate=0 is a no-op with loss 0, as is a
     step whose draw masks no position. Only the stage's trained parts get a
-    gradient (``_TRAINS``), in the private accumulator of the stage and
-    ``lang`` (``_step_accumulator``), which is never returned; an extend step's
-    holds no core.
+    gradient (``_TRAINS``), in the model's private workspace
+    (``_step_accumulator``), which is never returned.
     """
     if params.stage not in ("pretrain", "extend"):
         raise StageError(f"mlm_step requires stage 'pretrain' or 'extend', found {params.stage!r}")
@@ -744,8 +737,7 @@ def mlm_step(params: ModularEncoderParams, token_ids, lang: str, mask_rate: floa
     loss = _mlm_loss_into(ids, lang, mask, params, grads, _TRAINS[params.stage])
     if lr != 0.0:
         trained = params._core_trained()
-        if trained is not None:
-            _sgd_update(params.core[trained], grads.core[trained], lr)
+        _sgd_update(params.core[trained], grads.core[trained], lr)
         _sgd_update(params.flat_adapters[lang], grads.flat_adapters[lang], lr)
     return params, loss
 

@@ -152,12 +152,18 @@ def read_run(path) -> dict:
     return run
 
 
-def write_run(run: dict, path, tag: str = "modir"):
-    """Ranked results to the 6-column format, ranks contiguous from 1; atomic."""
+def write_run(run: dict, path):
+    """Ranked results to the 6-column format, tagged ``modir``, ranks
+    contiguous from 1; atomic. A query or passage id that is empty or holds
+    whitespace, which would not read back as one field, is InvalidConfigError
+    before the file is opened."""
+    for text in [*run, *(pid for ranking in run.values() for pid, _ in ranking)]:
+        if str(text).split() != [str(text)]:
+            raise InvalidConfigError(f"id {text!r} is empty or holds whitespace; a run file cannot hold it")
     with atomic_write(path) as fh:
         for qid in run:
             for rank, (pid, score) in enumerate(run[qid], start=1):
-                fh.write(f"{qid} Q0 {pid} {rank} {score:.6f} {tag}\n")
+                fh.write(f"{qid} Q0 {pid} {rank} {score:.6f} modir\n")
 
 
 # ---------------------------------------------------------------------------

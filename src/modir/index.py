@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scoring
-from .data import ByteReader, TermTable, encode_varints
+from .data import ByteReader, TermTable, check_seed, encode_varints
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -271,9 +271,9 @@ class ResidualCodec:
         return np.take(self.reps.astype(np.float64).T.ravel(), codes + 4 * np.arange(self.dim))
 
 
-def fit_codec(residual_sample, dim: int | None = None) -> ResidualCodec:
+def fit_codec(residual_sample) -> ResidualCodec:
     """Quantile codec: cuts at the 25/50/75th percentiles per dimension,
-    representatives are in-bucket means.
+    representatives are in-bucket means. The codec is as wide as the sample.
 
     Empty inner buckets fall back to the midpoint of their cut interval;
     empty outer buckets collapse onto the adjacent cut point.
@@ -281,8 +281,6 @@ def fit_codec(residual_sample, dim: int | None = None) -> ResidualCodec:
     r = np.atleast_2d(np.asarray(residual_sample, dtype=np.float64))
     if r.shape[0] == 0:
         raise EmptyInputError("codec fitting needs at least one residual vector")
-    if dim is not None and r.shape[1] != dim:
-        raise DimensionMismatchError(f"residual dim {r.shape[1]} != expected {dim}")
     cuts = np.percentile(r, [25.0, 50.0, 75.0], axis=0)
     codec = ResidualCodec(cuts=cuts, reps=np.empty((4, r.shape[1])))
     codes = codec.encode(r)
@@ -527,6 +525,7 @@ def build_index(
     (a non-finite sample has every row checked first); the error names the
     first passage, in id order, that holds one.
     """
+    check_seed(seed)
     table = corpus if isinstance(corpus, TermTable) else TermTable.stack(corpus)
     if not table:
         raise EmptyInputError("cannot index an empty corpus")
@@ -551,7 +550,7 @@ def build_index(
 
     assignments = nearest_centroid_ids(_FiniteRows(table), centroids)
     cents64 = centroids.astype(np.float64)
-    codec64 = fit_codec(sample - cents64[assignments[sample_rows]], dim)
+    codec64 = fit_codec(sample - cents64[assignments[sample_rows]])
     del sample
     codec = ResidualCodec(cuts=codec64.cuts.astype(np.float32), reps=codec64.reps.astype(np.float32))
     residual_codes = np.empty((total, dim), dtype=np.uint8)
@@ -634,7 +633,7 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
     q_unit = scoring.normalize_rows(scoring.check_query(query, index.dim))
     internal = np.unique(np.array([index.internal_passage(pid) for pid in candidates], dtype=np.int64))
     positions, offsets = index.unit_row_positions(internal)
-    order, scores = scoring.maxsim_top_k(q_unit, index.unit_rows, offsets, k, rows=positions)
+    order, scores = scoring.maxsim_top_k(q_unit, index.unit_rows, positions, offsets, k)
     return [(index.passage_ids[internal[i]], float(s)) for i, s in zip(order, scores)]
 
 

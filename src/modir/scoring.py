@@ -34,7 +34,6 @@ class PreparedSequence:
     """
 
     token_ids: tuple[int, ...]
-    kind: str  # "query" | "passage"
     language: str
 
     def __len__(self) -> int:
@@ -47,7 +46,7 @@ def prepare_query(tokens, n: int, lang: str) -> PreparedSequence:
         raise InvalidConfigError(f"query length n={n} must be at least 3")
     text = list(tokens)[: n - 2]
     ids = [CLS_ID, Q_MARKER_ID] + text + [MASK_ID] * (n - 2 - len(text))
-    return PreparedSequence(tuple(ids), kind="query", language=lang)
+    return PreparedSequence(tuple(ids), language=lang)
 
 
 def prepare_passage(tokens, m: int, lang: str = "") -> PreparedSequence:
@@ -56,7 +55,7 @@ def prepare_passage(tokens, m: int, lang: str = "") -> PreparedSequence:
         raise InvalidConfigError(f"passage length m={m} must be at least 3")
     text = list(tokens)[: m - 2]
     ids = [CLS_ID, P_MARKER_ID] + text
-    return PreparedSequence(tuple(ids), kind="passage", language=lang)
+    return PreparedSequence(tuple(ids), language=lang)
 
 
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -128,15 +127,15 @@ def maxsim_rounding_gap(n_terms: int, dim: int) -> float:
     return 2.0 * 2.0 * n_terms * (dim + n_terms) * 2.0**-53
 
 
-def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, offsets, k: int | None = None, rows=None):
+def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | None = None):
     """The k best passages by ``maxsim_unit`` (all when k is None), best
     first with ties to the lower passage index, and their scores. A k that
     ``rank`` rejects is rejected before any passage is scored.
 
-    Passage i's unit rows are ``table[offsets[i]:offsets[i + 1]]``, or
-    ``table[rows[offsets[i]:offsets[i + 1]]]`` when ``rows`` is given; every
-    passage has at least one row. The result is bit-identical to ranking
-    ``maxsim_unit`` of every passage, for any k.
+    Passage i's unit rows are ``table[rows[offsets[i]:offsets[i + 1]]]``:
+    ``rows`` holds positions in ``table``, and every passage has at least
+    one. The result is bit-identical to ranking ``maxsim_unit`` of every
+    passage, for any k.
 
     When k is below the passage count, whole passages are first scored in
     blocks of about ``_MAXSIM_BLOCK`` rows: one ``q_unit @ block.T``, then
@@ -153,23 +152,18 @@ def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, offsets, k: int | None =
     """
     _check_cutoff(k)
     n = len(offsets) - 1
-
-    def passage(i):
-        span = slice(offsets[i], offsets[i + 1])
-        return table[span] if rows is None else table[rows[span]]
-
     survivors = np.arange(n)
     if k is not None and k < n:
-        blocked = _blocked_maxsim(q_unit, table, offsets, rows)
+        blocked = _blocked_maxsim(q_unit, table, rows, offsets)
         if np.isfinite(blocked).all():
             cut = np.partition(blocked, n - k)[n - k]
             survivors = np.flatnonzero(blocked >= cut - 2.0 * maxsim_rounding_gap(*q_unit.shape))
-    exact = np.array([maxsim_unit(q_unit, passage(i)) for i in survivors], dtype=np.float64)
+    exact = np.array([maxsim_unit(q_unit, table[rows[offsets[i] : offsets[i + 1]]]) for i in survivors])
     order = rank(exact, k)
     return survivors[order], exact[order]
 
 
-def _blocked_maxsim(q_unit: np.ndarray, table: np.ndarray, offsets, rows) -> np.ndarray:
+def _blocked_maxsim(q_unit: np.ndarray, table: np.ndarray, rows, offsets) -> np.ndarray:
     """Approximate MaxSim per passage, whole passages in blocks of at most
     ``_MAXSIM_BLOCK`` rows (a longer passage is a block of its own)."""
     n = len(offsets) - 1
@@ -178,7 +172,7 @@ def _blocked_maxsim(q_unit: np.ndarray, table: np.ndarray, offsets, rows) -> np.
     while first < n:
         last = max(first + 1, int(np.searchsorted(offsets, offsets[first] + _MAXSIM_BLOCK, side="right")) - 1)
         lo, hi = offsets[first], offsets[last]
-        sims = q_unit @ (table[lo:hi] if rows is None else table[rows[lo:hi]]).T  # terms x rows
+        sims = q_unit @ table[rows[lo:hi]].T  # terms x rows
         out[first:last] = np.maximum.reduceat(sims, offsets[first:last] - lo, axis=1).sum(axis=0)
         first = last
     return out

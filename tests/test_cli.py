@@ -475,6 +475,31 @@ class TestSearchCmd:
         assert not run_path.exists()
 
     @pytest.mark.parametrize("exact", [False, True], ids=["search", "exact"])
+    @pytest.mark.parametrize("bad", ["query", "passage"])
+    def test_an_id_a_run_file_cannot_hold_is_one_error_and_keeps_the_earlier_run(
+        self, tmp_path, small_config, capsys, bad, exact
+    ):
+        # a run line is split on whitespace, so "query one" or "doc 9" would not read back
+        config_path, _ = small_config
+        rng = np.random.default_rng(0)
+        pid = "doc {}" if bad == "passage" else "p{}"
+        idx_dir = tmp_path / "idx"
+        save_index(build_index({pid.format(i): rng.normal(size=(4, 8)) for i in range(10)}, seed=0), idx_dir)
+        path = tmp_path / "queries.jsonl"
+        qid = "query one" if bad == "query" else "q1"
+        path.write_text(json.dumps({"id": qid, "embeddings": rng.normal(size=(2, 8)).tolist()}) + "\n")
+        run_path = tmp_path / "q.run"
+        run_path.write_text("q Q0 p 1 1.000000 modir\n")
+        code = run_cli("search", "--index", idx_dir, "--queries", path, "--out", run_path,
+                       "--config", config_path, "--k", 10, *(["--exact"] if exact else []))
+        assert code == 2
+        err = read_stderr(capsys).splitlines()
+        named = "'query one'" if bad == "query" else "'doc "
+        assert len(err) == 1 and err[0].startswith(f"error[invalid-config]: id {named}")
+        assert err[0].endswith("is empty or holds whitespace; a run file cannot hold it")
+        assert run_path.read_text() == "q Q0 p 1 1.000000 modir\n"
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["search", "exact"])
     def test_query_without_rows_is_one_error_and_no_run_file(self, tmp_path, small_config, capsys, exact):
         config_path, _ = small_config
         rng = np.random.default_rng(0)

@@ -47,16 +47,16 @@ def tiny_params(seed=0, vocab=24, d=6, d_out=5, n_layers=2, bottleneck=3):
     return init_params(LANGS, vocab=vocab, d=d, d_out=d_out, n_layers=n_layers, bottleneck=bottleneck, seed=seed)
 
 
-def random_sequence(rng, lang, kind="passage", low=4, length=None):
+def random_sequence(rng, lang, low=4, length=None):
     length = length if length is not None else int(rng.integers(3, 8))
     ids = tuple(int(t) for t in rng.integers(low, 24, size=length))
-    return PreparedSequence(ids, kind=kind, language=lang)
+    return PreparedSequence(ids, language=lang)
 
 
 def random_batch(rng, n, lang="aa"):
     triples = tuple(
         TrainingTriple(
-            query=random_sequence(rng, lang, "query"),
+            query=random_sequence(rng, lang),
             positive=random_sequence(rng, lang),
             hard_negative=random_sequence(rng, lang),
         )
@@ -179,7 +179,7 @@ class TestTrainingTriple:
         rng = np.random.default_rng(6)
         with pytest.raises(InvalidConfigError):
             TrainingTriple(
-                query=random_sequence(rng, "aa", "query"),
+                query=random_sequence(rng, "aa"),
                 positive=random_sequence(rng, "bb"),
                 hard_negative=random_sequence(rng, "aa"),
             )
@@ -205,21 +205,21 @@ class TestEncode:
 
     def test_shape_contract(self):
         params = tiny_params()
-        seq = PreparedSequence(tuple(range(6)), kind="passage", language="bb")
+        seq = PreparedSequence(tuple(range(6)), language="bb")
         out = encode(seq, params)
         assert out.shape == (6, params.d_out)
         assert np.all(np.isfinite(out))
 
     def test_unknown_language_rejected(self):
         params = tiny_params()
-        seq = PreparedSequence((4, 5), kind="passage", language="zz")
+        seq = PreparedSequence((4, 5), language="zz")
         with pytest.raises(UnknownLanguageError):
             encode(seq, params)
 
     def test_out_of_vocab_token_rejected(self):
         params = tiny_params()
         with pytest.raises(InvalidConfigError):
-            encode(PreparedSequence((4, 99), kind="passage", language="aa"), params)
+            encode(PreparedSequence((4, 99), language="aa"), params)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_encode_batch_gives_each_sequence_the_bits_of_encode(self, shape, monkeypatch):
@@ -230,7 +230,7 @@ class TestEncode:
         rng = np.random.default_rng(10)
         seqs = [
             PreparedSequence(tuple(int(t) for t in rng.integers(4, cfg["vocab"], size=int(rng.choice([1, 3, 5, 20])))),
-                             kind="passage", language=LANGS[int(rng.integers(2))])
+                             language=LANGS[int(rng.integers(2))])
             for _ in range(40)
         ]
         assert max(Counter((s.language, len(s)) for s in seqs).values()) > 12 // 3
@@ -241,12 +241,12 @@ class TestEncode:
 
     def test_encode_batch_raises_for_the_first_bad_sequence(self):
         params = tiny_params()
-        good = PreparedSequence((4, 5), kind="passage", language="aa")
+        good = PreparedSequence((4, 5), language="aa")
         with pytest.raises(UnknownLanguageError, match="'zz'"):
-            encoder.encode_batch([good, PreparedSequence((4,), kind="passage", language="zz"),
-                                  PreparedSequence((4, 99), kind="passage", language="aa")], params)
+            encoder.encode_batch([good, PreparedSequence((4,), language="zz"),
+                                  PreparedSequence((4, 99), language="aa")], params)
         with pytest.raises(InvalidConfigError):
-            encoder.encode_batch([good, PreparedSequence((4, 99), kind="passage", language="zz")], params)
+            encoder.encode_batch([good, PreparedSequence((4, 99), language="zz")], params)
         assert encoder.encode_batch([], params) == []
 
 
@@ -255,7 +255,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(9)
         passage = random_sequence(rng, "aa")
         triple = TrainingTriple(
-            query=random_sequence(rng, "aa", "query"),
+            query=random_sequence(rng, "aa"),
             positive=passage,
             hard_negative=passage,
         )
@@ -416,7 +416,7 @@ def prepared_batch(rng, n, lang, vocab, query_rows, text_len, one_token=0.0, tie
         if draw < one_token:
             return prepare_passage(text(1, 1), 256, lang)
         if draw < one_token + tied:
-            return PreparedSequence((7,) * int(rng.integers(2, 6)), kind="passage", language=lang)
+            return PreparedSequence((7,) * int(rng.integers(2, 6)), language=lang)
         return prepare_passage(text(*text_len), 256, lang)
 
     return Batch(tuple(TrainingTriple(query(), passage(), passage()) for _ in range(n)))
@@ -469,10 +469,10 @@ class TestGradients:
         # maximum over that passage is an exact tie
         rng = np.random.default_rng(41)
         params = tiny_params(seed=41)
-        tied = PreparedSequence((7,) * 5, kind="passage", language="aa")
+        tied = PreparedSequence((7,) * 5, language="aa")
         rows = encode(tied, params)
         assert all(np.array_equal(rows[0], row) for row in rows[1:])
-        first = TrainingTriple(random_sequence(rng, "aa", "query"), tied, random_sequence(rng, "aa"))
+        first = TrainingTriple(random_sequence(rng, "aa"), tied, random_sequence(rng, "aa"))
         batch = Batch((first,) + random_batch(rng, 1).triples)
         assert_loss_directional_derivatives(batch, params, ["aa"], rng)
 
@@ -612,9 +612,9 @@ def structured_batch(n=3, seed=1, lang="aa"):
         neg = tuple(int(t) for t in rng.integers(14, 24, size=6))
         triples.append(
             TrainingTriple(
-                query=PreparedSequence(q, kind="query", language=lang),
-                positive=PreparedSequence(p, kind="passage", language=lang),
-                hard_negative=PreparedSequence(neg, kind="passage", language=lang),
+                query=PreparedSequence(q, language=lang),
+                positive=PreparedSequence(p, language=lang),
+                hard_negative=PreparedSequence(neg, language=lang),
             )
         )
     return Batch(tuple(triples))
@@ -859,7 +859,7 @@ class TestStepsMatchTheReference:
 
         def seq(lang, low=1, high=40):
             ids = rng.integers(4, cfg["vocab"], size=int(rng.integers(low, high + 1)))
-            return PreparedSequence(tuple(int(t) for t in ids), kind="passage", language=lang)
+            return PreparedSequence(tuple(int(t) for t in ids), language=lang)
 
         def bucketed_batch(lang, lengths):
             # 8 triples: queries framed at one n, passages of two or three
@@ -916,10 +916,11 @@ class TestStepsMatchTheReference:
 
         for model in (fast, ref):
             add_language(model, "cc", init_seed=44)
+        core_grads = fast._grads.core.tobytes()
         losses = mlm_steps(["cc"], 60)
         assert 0.0 in losses and any(loss > 0.0 for loss in losses)
-        extend_grads = fast._step_grads[("extend", "cc")]  # the adapters alone, no core buffer
-        assert extend_grads.core is None and extend_grads.languages() == ["cc"]
+        # extend steps write the new adapters' gradient alone, none of the core's
+        assert fast._grads.core.tobytes() == core_grads and fast._grads.languages() == [*LANGS, "cc"]
 
         for lang in (*LANGS, "cc"):
             for _ in range(10):
@@ -944,13 +945,13 @@ class TestStepAccumulator:
         assert np.array_equal(first.core, kept[0]) and np.array_equal(first.flat_adapters["aa"], kept[1])
         assert first.languages() == ["aa"] and np.abs(kept[0]).sum() > 0.0
 
-    def test_fifty_steps_allocate_one_accumulator_per_language(self, monkeypatch):
+    def test_every_stage_on_one_model_allocates_one_workspace(self, monkeypatch):
         allocated = []
         real_zeros = encoder.ModularEncoderParams.zeros
 
-        def spy(self, langs, core=True):
+        def spy(self, langs):
             allocated.append(tuple(langs))
-            return real_zeros(self, langs, core)
+            return real_zeros(self, langs)
 
         monkeypatch.setattr(encoder.ModularEncoderParams, "zeros", spy)
         params = tiny_params(seed=47)
@@ -958,7 +959,16 @@ class TestStepAccumulator:
         for step in range(50):
             lang = LANGS[step % 2]
             assert mlm_step(params, random_sequence(rng, lang, length=10), lang, 0.5, 0.1, rng)[0] is params
-        assert sorted(allocated) == [("aa",), ("bb",)]
+        workspace = params._grads
+        params.set_stage("finetune")
+        for step in range(10):
+            assert finetune_step(random_batch(rng, 1 + step % 3, lang=LANGS[step % 2]), params, 0.05)[0] is params
+        add_language(params, "cc", init_seed=49)
+        for _ in range(20):
+            assert mlm_step(params, random_sequence(rng, "cc", length=10), "cc", 0.5, 0.1, rng)[0] is params
+        assert allocated == [tuple(LANGS)] and params._grads is workspace
+        assert workspace.languages() == [*LANGS, "cc"]
+        assert all(flat.shape == params.flat_adapters[lang].shape for lang, flat in workspace.flat_adapters.items())
 
 
 class TestStackedProductsKeepBits:
@@ -1027,15 +1037,15 @@ class RecordingAddAt:
 
 class TestStageAwareGradients:
     """A finetune step computes gradients only for the parts it trains (the
-    extend stage's accumulator is checked in TestStepsMatchTheReference)."""
+    extend stage's workspace is checked in TestStepsMatchTheReference)."""
 
     def test_fifty_finetune_steps_allocate_one_accumulator(self, monkeypatch):
         allocated = []
         real_zeros = encoder.ModularEncoderParams.zeros
 
-        def spy(self, langs, core=True):
-            allocated.append((tuple(langs), core))
-            return real_zeros(self, langs, core)
+        def spy(self, langs):
+            allocated.append(tuple(langs))
+            return real_zeros(self, langs)
 
         monkeypatch.setattr(encoder.ModularEncoderParams, "zeros", spy)
         params = tiny_params(seed=51)
@@ -1044,7 +1054,7 @@ class TestStageAwareGradients:
         for step in range(50):
             batch = random_batch(rng, 1 + step % 3, lang=LANGS[step % 2])
             assert finetune_step(batch, params, 0.05)[0] is params
-        assert allocated == [((), True)]  # the core alone: no adapter buffer
+        assert allocated == [tuple(LANGS)]  # the model's one workspace, of the full layout
 
     def test_a_finetune_step_scatters_nothing_into_the_embedding_gradient(self, monkeypatch):
         recorder = RecordingAddAt()
@@ -1075,6 +1085,11 @@ class TestInitParams:
         assert [g.shape for g in got] == [e.shape for e in expected]
         assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
 
+    def test_a_negative_seed_is_a_typed_error(self):
+        with pytest.raises(InvalidConfigError) as exc:
+            tiny_params(seed=-1)
+        assert exc.value.message == "seed must be >= 0, got -1"
+
 
 class TestAddLanguage:
     def test_existing_encodings_unchanged(self):
@@ -1083,6 +1098,16 @@ class TestAddLanguage:
         before = encode(seq, params).tobytes()
         add_language(params, "cc", init_seed=42)
         assert encode(seq, params).tobytes() == before
+
+    @pytest.mark.parametrize("seed", [-1, (3, -1)], ids=["int", "tuple"])
+    def test_a_negative_seed_is_a_typed_error_before_anything_changes(self, seed):
+        params = tiny_params()
+        before = param_bytes(params)
+        with pytest.raises(InvalidConfigError) as exc:
+            add_language(params, "cc", init_seed=seed)
+        assert exc.value.message == f"seed must be >= 0, got {seed}"
+        assert params.languages() == list(LANGS) and params.stage == "pretrain" and not params.post_hoc
+        assert param_bytes(params) == before
 
     def test_duplicate_language_rejected(self):
         params = tiny_params()

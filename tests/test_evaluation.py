@@ -258,13 +258,30 @@ class TestTrecIO:
     def test_round_trip(self, tmp_path):
         run = {"q1": [("a", 2.5), ("b", 1.5)], "q2": [("c", 9.0)]}
         path = tmp_path / "run.trec"
-        write_run(run, path, tag="t")
+        write_run(run, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "q1 Q0 a 1 2.500000 t"
-        assert lines[1] == "q1 Q0 b 2 1.500000 t"
+        assert lines[0] == "q1 Q0 a 1 2.500000 modir"
+        assert lines[1] == "q1 Q0 b 2 1.500000 modir"
         loaded = read_run(path)
         assert loaded["q1"] == [("a", 2.5), ("b", 1.5)]
         assert loaded["q2"] == [("c", 9.0)]
+
+    @pytest.mark.parametrize("run, bad", [
+        ({"query one": [("a", 1.0)]}, "query one"),
+        ({"q1": [("a", 1.0), ("doc 9", 0.5)]}, "doc 9"),
+        ({"": [("a", 1.0)]}, ""),
+        ({"q1": [("", 1.0)]}, ""),
+        ({"q1": [("a\tb", 1.0)]}, "a\tb"),
+        ({"q1\n": [("a", 1.0)]}, "q1\n"),
+        ({"q1": [("a\u2028b", 1.0)]}, "a\u2028b"),
+    ], ids=["space-in-qid", "space-in-pid", "empty-qid", "empty-pid", "tab", "newline", "line-separator"])
+    def test_an_id_that_would_not_read_back_is_refused_before_the_file_opens(self, tmp_path, run, bad):
+        path = tmp_path / "run.trec"
+        path.write_text("q Q0 a 1 1.000000 modir\n")
+        with pytest.raises(InvalidConfigError) as exc:
+            write_run(run, path)
+        assert exc.value.message == f"id {bad!r} is empty or holds whitespace; a run file cannot hold it"
+        assert path.read_text() == "q Q0 a 1 1.000000 modir\n" and list(tmp_path.iterdir()) == [path]
 
     def test_qrels_format(self, tmp_path):
         path = tmp_path / "qrels.txt"

@@ -287,6 +287,12 @@ class TestBitPacking:
 
 
 class TestBuildIndex:
+    @pytest.mark.parametrize("corpus", [{"p": [[1.0, 2.0, 3.0]]}, {}], ids=["one-passage", "empty"])
+    def test_a_negative_seed_is_a_typed_error_before_any_work(self, corpus):
+        with pytest.raises(InvalidConfigError) as exc:
+            build_index(corpus, seed=-1)
+        assert exc.value.message == "seed must be >= 0, got -1"
+
     def test_single_vector_corpus(self):
         idx = build_index({"p": [[1.0, 2.0, 3.0]]}, seed=0)
         assert idx.centroid_count == 1
@@ -696,8 +702,9 @@ def per_passage_oracle(query, unit, k):
 
 
 def table_top_k(query, unit, k):
-    """``maxsim_top_k`` over a UnitCorpus's contiguous row table (no gather)."""
-    order, scores = scoring.maxsim_top_k(normalize_rows(query), unit.rows, unit.offsets, k)
+    """``maxsim_top_k`` over a UnitCorpus's row table, its rows in table order."""
+    positions = np.arange(len(unit.rows))
+    order, scores = scoring.maxsim_top_k(normalize_rows(query), unit.rows, positions, unit.offsets, k)
     return [(unit.ids[i], float(s)) for i, s in zip(order, scores)]
 
 
@@ -709,7 +716,7 @@ def corpus_with_copies(rng, n_passages=20, n_distinct=8, dim=5):
 
 class TestBlockedTopK:
     """Re-rank (rows gathered from the unit-row table) and ``maxsim_top_k``
-    over a contiguous table score passages in row blocks and re-score only
+    over a table in row order score passages in row blocks and re-score only
     the near-top with ``maxsim_unit``; every ranking must equal the first k
     of the per-passage ranking, bit for bit, and so must the oracle's."""
 

@@ -91,7 +91,7 @@ def ref_build_arrays(corpus, seed, sample_passages=256):
     centroids = ref_select_centroids(all_emb[sample_rows], k, (seed, 1)).astype(np.float32)
     assignments = ref_nearest_centroid_ids(all_emb, centroids)
     sample_residuals = all_emb[sample_rows] - centroids.astype(np.float64)[assignments[sample_rows]]
-    codec64 = fit_codec(sample_residuals, all_emb.shape[1])
+    codec64 = fit_codec(sample_residuals)
     codec = ResidualCodec(cuts=codec64.cuts.astype(np.float32), reps=codec64.reps.astype(np.float32))
     residual_codes = codec.encode(all_emb - centroids.astype(np.float64)[assignments])
     return centroids, codec, assignments, residual_codes

@@ -44,7 +44,6 @@ class TestPrepareQuery:
     def test_short_query_padded_with_masks(self):
         seq = prepare_query([T1, T2], 6, "en")
         assert seq.token_ids == (CLS_ID, Q_MARKER_ID, T1, T2, MASK_ID, MASK_ID)
-        assert seq.kind == "query"
         assert seq.language == "en"
 
     def test_empty_query_is_all_padding(self):
@@ -84,7 +83,6 @@ class TestPreparePassage:
     def test_empty_passage_is_markers_only(self):
         seq = prepare_passage([], 8, "en")
         assert seq.token_ids == (CLS_ID, P_MARKER_ID)
-        assert seq.kind == "passage"
 
     def test_m_below_three_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -237,7 +235,7 @@ class TestMaxsimTopK:
         with mock.patch("modir.scoring._blocked_maxsim", side_effect=AssertionError("blocked pass ran")):
             with mock.patch("modir.scoring.maxsim_unit", side_effect=AssertionError("passage scored")):
                 with pytest.raises(InvalidConfigError, match=f"got {k}"):
-                    maxsim_top_k(q_unit, table, np.array([0, 1, 2, 3]), k)
+                    maxsim_top_k(q_unit, table, np.arange(3), np.array([0, 1, 2, 3]), k)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -257,17 +255,16 @@ class TestMaxsimTopK:
         q_unit = normalize_rows(query)
         offsets = np.concatenate(([0], np.cumsum([p.shape[0] for p in passages])))
         table = np.vstack(passages)
+        rows = np.arange(table.shape[0])
         if data.draw(st.booleans()):  # rows gathered from a shuffled table by position
             rows = np.random.default_rng(len(picks)).permutation(table.shape[0])
             shuffled = np.empty_like(table)
             shuffled[rows] = table
             table = shuffled
             passages = [table[rows[offsets[i] : offsets[i + 1]]] for i in range(len(passages))]
-        else:
-            rows = None
         scores = np.array([maxsim_unit(q_unit, p) for p in passages])
         expect = rank(scores)[:k]
         with mock.patch("modir.scoring._MAXSIM_BLOCK", block):
-            order, got = maxsim_top_k(q_unit, table, offsets, k, rows=rows)
+            order, got = maxsim_top_k(q_unit, table, rows, offsets, k)
         assert np.array_equal(order, expect)
         assert got.tobytes() == scores[expect].tobytes()
