@@ -243,6 +243,7 @@ def cmd_search(args) -> int:
     index_mod.check_n_probe(search_params, idx)
     queries = _encode_corpus(data.read_records(args.queries), params, cfg, "query")
     for qid, matrix in queries.items():  # every query, before any search; no float64 copy is kept
+        evaluation.check_run_id(qid)
         scoring.check_query(matrix, idx.dim, name=f"query {qid!r}")
     oracle_corpus = idx.unit_corpus() if args.exact else None
 

@@ -152,14 +152,19 @@ def read_run(path) -> dict:
     return run
 
 
+def check_run_id(text):
+    """InvalidConfigError unless ``text`` reads back from a run line as one
+    field: an id that is empty or holds whitespace cannot go into a run."""
+    if str(text).split() != [str(text)]:
+        raise InvalidConfigError(f"id {text!r} is empty or holds whitespace; a run file cannot hold it")
+
+
 def write_run(run: dict, path):
     """Ranked results to the 6-column format, tagged ``modir``, ranks
-    contiguous from 1; atomic. A query or passage id that is empty or holds
-    whitespace, which would not read back as one field, is InvalidConfigError
-    before the file is opened."""
+    contiguous from 1; atomic. Every query and passage id passes
+    ``check_run_id`` before the file is opened."""
     for text in [*run, *(pid for ranking in run.values() for pid, _ in ranking)]:
-        if str(text).split() != [str(text)]:
-            raise InvalidConfigError(f"id {text!r} is empty or holds whitespace; a run file cannot hold it")
+        check_run_id(text)
     with atomic_write(path) as fh:
         for qid in run:
             for rank, (pid, score) in enumerate(run[qid], start=1):

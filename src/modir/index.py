@@ -75,6 +75,7 @@ _PACK_ROWS = 8192  # embeddings per codes.bin chunk packed or unpacked; a multip
 _SAMPLE_PASSAGES = 256  # passages sampled to fit the centroids and the codec
 _LLOYD_ITERATIONS = 25  # at most this many Lloyd iterations after k-means++
 _LLOYD_TOL = 1e-6  # Lloyd stops once no centroid moves farther than this
+_DISTANCE_FLOATS = 1_000_000  # float64s in one (rows x centroids) distance block of a build: 8 MB
 
 
 class DuplicateCentroidWarning(UserWarning):
@@ -141,6 +142,13 @@ def select_centroids(
     as that ``mean`` (``np.add.reduceat`` does not). A one-column sample is
     the exception: numpy sums a contiguous column pairwise, so its clusters
     are summed one at a time. Empty clusters keep their previous centroid.
+
+    Each Lloyd iteration assigns the sample one ``_row_blocks`` block at a
+    time through one reused distance buffer, with ``np.argmin``'s first
+    minimum (no duplicate-centroid collapse), so the build never holds a
+    (sample rows x centroids) matrix. A row's distances have the same bits
+    in a block of 32 rows or more as in the whole product (the premise that
+    ``tests/test_index_build.py`` checks), so blocking moves no assignment.
     """
     points = np.asarray(sample, dtype=np.float64)
     if points.shape[0] == 0:
@@ -162,11 +170,15 @@ def select_centroids(
         return np.tile(points, (reps, 1))[:k]
     xx = (points * points).sum(axis=1)
     centroids = _kmeans_pp_init(points, k, rng, xx, inverse.reshape(-1))
-    d2 = np.empty((n, k))
+    blocks = _row_blocks(n, k)
+    d2 = np.empty((blocks[0].stop, k))
+    assign = np.empty(n, dtype=np.intp)
     sums = np.empty_like(centroids)
     columns = np.arange(points.shape[1])
     for _ in range(_LLOYD_ITERATIONS):
-        assign = np.argmin(_squared_distances(points, centroids, xx, out=d2), axis=1)
+        for rows in blocks:
+            dist = _squared_distances(points[rows], centroids, xx[rows], out=d2[: rows.stop - rows.start])
+            np.argmin(dist, axis=1, out=assign[rows])
         sums[:] = 0.0
         if points.shape[1] == 1:  # a one-column mean is a contiguous reduction, which sums pairwise
             for j in np.unique(assign):
@@ -189,9 +201,10 @@ def _squared_distances(x: np.ndarray, c: np.ndarray, xx=None, cc=None, out=None)
     ``xx`` and ``cc`` are the rows' squared norms, ``(x * x).sum(axis=1)``,
     for callers that reuse them. The product goes into ``out`` and every
     later step runs in place, with the same bits as the expression above:
-    scaling by -2 is exact and ``a - b`` equals ``a + (-b)``. The product's
-    bits depend on its shape under BLAS, so a caller that needs stable
-    assignments keeps its row blocks the same size.
+    scaling by -2 is exact and ``a - b`` equals ``a + (-b)``. A row's bits
+    are the same in any product of 32 rows or more, but can differ in a
+    shorter one (BLAS picks its kernels by shape), so a build takes its rows
+    in ``_row_blocks``.
     """
     xx = (x * x).sum(axis=1) if xx is None else xx
     cc = (c * c).sum(axis=1) if cc is None else cc
@@ -202,15 +215,26 @@ def _squared_distances(x: np.ndarray, c: np.ndarray, xx=None, cc=None, out=None)
     return np.maximum(d2, 0.0, out=d2)
 
 
+def _row_blocks(rows: int, centroids: int) -> list:
+    """Slices that cover ``rows`` rows in blocks of at most ``_DISTANCE_FLOATS
+    // centroids`` rows (at least one), as few as that allows, of heights
+    that differ by at most one row, the first the tallest: no block is a
+    short remainder. With several blocks each is at least half that cap,
+    so 32 rows or more up to 15,625 centroids. Every (rows x centroids)
+    distance matrix of a build is taken in these blocks."""
+    count = max(1, -(-rows // max(1, _DISTANCE_FLOATS // centroids)))
+    return [slice(-(-i * rows // count), -(-(i + 1) * rows // count)) for i in range(count)]  # ceil(i rows / count)
+
+
 def nearest_centroid_ids(vectors, centroids: np.ndarray) -> np.ndarray:
     """Nearest centroid per vector; any tie resolves to the lowest centroid id.
 
     Duplicate centroid rows are collapsed before the distance computation and
     mapped back to the lowest original id, so ties are exact, not float-luck.
-    Distances are taken in row blocks of exactly ``4_000_000 // distinct
-    centroids`` vectors, into one reused buffer: the matmul's last bits depend
-    on the block's shape, so that block size is part of which centroid a
-    near-tied vector gets, and of the index bytes. ``vectors`` is a 2-d array
+    Distances are taken in ``_row_blocks`` blocks (distinct centroids wide),
+    into one reused buffer. A row's distances have the same bits in a block
+    of 32 rows or more as in the whole product, so the block height moves
+    no assignment, and no index byte. ``vectors`` is a 2-d array
     or a row source such as ``data.BlockRows``: only its ``shape`` and one
     block slice at a time are read, so an embedding block's rows are read
     from its file on demand, once here and once more by ``build_index``'s
@@ -226,13 +250,13 @@ def nearest_centroid_ids(vectors, centroids: np.ndarray) -> np.ndarray:
     lowest = first[order]
     cc = (uniq * uniq).sum(axis=1)
     out = np.empty(vectors.shape[0], dtype=np.int64)
-    chunk = max(1, int(4_000_000 // max(1, uniq.shape[0])))
-    buf = np.empty((min(chunk, vectors.shape[0]), uniq.shape[0]))
-    for start in range(0, vectors.shape[0], chunk):
-        block = np.asarray(vectors[start : start + chunk], dtype=np.float64)
+    blocks = _row_blocks(vectors.shape[0], uniq.shape[0])
+    buf = np.empty((blocks[0].stop, uniq.shape[0]))
+    for rows in blocks:
+        block = np.asarray(vectors[rows], dtype=np.float64)
         d2 = _squared_distances(block, uniq, cc=cc, out=buf[: block.shape[0]])
         # argmin takes the first minimum; rows are in lowest-original-id order
-        out[start : start + chunk] = lowest[np.argmin(d2, axis=1)]
+        out[rows] = lowest[np.argmin(d2, axis=1)]
     return out
 
 
@@ -518,9 +542,10 @@ def build_index(
     ``nearest_centroid_ids`` and each ``_UNIT_BLOCK``-row block of residuals.
     An embedding block's ``BlockRows`` reads each block from the file, so a
     build reads the sampled passages once and every row twice. Widening
-    float32 is exact and encoding is element-wise, so together with the fixed
-    assignment blocks the index files are byte-identical to those of a build
-    over a float64 copy of the whole table. Each assignment block is checked
+    float32 is exact and encoding is element-wise, so together with the
+    assignment blocks, which depend only on the row and centroid counts, the
+    index files are byte-identical to those of a build over a float64 copy
+    of the whole table. Each assignment block is checked
     for non-finite values as it is read, and the sample before it is fitted
     (a non-finite sample has every row checked first); the error names the
     first passage, in id order, that holds one.

@@ -500,6 +500,30 @@ class TestSearchCmd:
         assert run_path.read_text() == "q Q0 p 1 1.000000 modir\n"
 
     @pytest.mark.parametrize("exact", [False, True], ids=["search", "exact"])
+    def test_a_query_id_a_run_file_cannot_hold_fails_before_any_search(
+        self, tmp_path, small_config, capsys, monkeypatch, exact
+    ):
+        config_path, _ = small_config
+        rng = np.random.default_rng(0)
+        idx_dir = tmp_path / "idx"
+        save_index(build_index({f"p{i}": rng.normal(size=(4, 8)) for i in range(10)}, seed=0), idx_dir)
+        path = tmp_path / "queries.mveb"
+        qids = [f"q{i:02d}" for i in range(19)] + ["q 19"]
+        write_embedding_block({qid: rng.normal(size=(2, 8)) for qid in qids}, path)
+        calls = []
+        for owner, name in ((index_mod, "search"), (evaluation, "brute_force_search")):
+            monkeypatch.setattr(owner, name, lambda *a, name=name, **k: calls.append(name))
+        run_path = tmp_path / "q.run"
+        run_path.write_text("q Q0 p 1 1.000000 modir\n")
+        code = run_cli("search", "--index", idx_dir, "--queries", path, "--out", run_path,
+                       "--config", config_path, *(["--exact"] if exact else []))
+        assert code == 2
+        err = read_stderr(capsys).splitlines()
+        assert err == ["error[invalid-config]: id 'q 19' is empty or holds whitespace; a run file cannot hold it"]
+        assert calls == []
+        assert run_path.read_text() == "q Q0 p 1 1.000000 modir\n"
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["search", "exact"])
     def test_query_without_rows_is_one_error_and_no_run_file(self, tmp_path, small_config, capsys, exact):
         config_path, _ = small_config
         rng = np.random.default_rng(0)

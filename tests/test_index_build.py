@@ -3,12 +3,13 @@
 The references below are the straightforward forms the build used before
 its distance, k-means++, Lloyd and residual-encoding steps were rewritten to
 run in place: k-means++ seeding by direct squared differences, Lloyd means
-by one boolean mask per cluster, the distance expression in one line, and
-assignment with a fresh distance matrix per row block. The build must give
-the same bits (``np.array_equal``), so index bytes do not depend on which
-form built them.
+by one boolean mask per cluster over one whole distance matrix, the distance
+expression in one line, and assignment with a fresh distance matrix per row
+block. The build must give the same bits (``np.array_equal``), so index bytes
+do not depend on which form built them.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,13 +69,10 @@ def ref_nearest_centroid_ids(vectors: np.ndarray, centroids: np.ndarray) -> np.n
     order = np.argsort(first, kind="stable")
     uniq = uniq[order]
     lowest = first[order]
-    out = np.empty(vectors.shape[0], dtype=np.int64)
-    chunk = max(1, int(4_000_000 // max(1, uniq.shape[0])))
-    for start in range(0, vectors.shape[0], chunk):
-        block = vectors[start : start + chunk]
-        d2 = ref_squared_distances(block, uniq)
-        out[start : start + chunk] = lowest[np.argmin(d2, axis=1)]
-    return out
+    # near-equal row blocks of at most 1,000,000 // distinct centroids rows
+    count = max(1, -(-vectors.shape[0] // max(1, 1_000_000 // uniq.shape[0])))
+    blocks = np.array_split(vectors, count)
+    return np.concatenate([lowest[np.argmin(ref_squared_distances(block, uniq), axis=1)] for block in blocks])
 
 
 def ref_build_arrays(corpus, seed, sample_passages=256):
@@ -137,6 +135,28 @@ class TestSquaredDistances:
         assert np.array_equal(out, expect)
 
 
+class TestBlockedDistancesKeepBits:
+    """The premise of blocked distances: for the shapes a build uses, each
+    row of a row block's distances has the bits of the same row of the whole
+    product, for every block of 32 rows or more (smaller blocks can differ,
+    and nothing is asserted for them). A numpy or BLAS change that breaks
+    this fails here, not as index bytes that no longer match."""
+
+    @pytest.mark.parametrize("dim", [4, 6, 128])
+    @pytest.mark.parametrize("k", [64, 256, 512, 1024])
+    def test_each_row_of_a_block_equals_the_whole_product(self, k, dim):
+        rng = np.random.default_rng(k * 1000 + dim)
+        cap = index._DISTANCE_FLOATS // k  # the tallest block the rule makes
+        x, c = rng.standard_normal((cap + 7, dim)), rng.standard_normal((k, dim))
+        whole = index._squared_distances(x, c)
+        buf = np.empty((cap, k))
+        heights = {*range(32, 65), 100, 127, 128, 129, 255, 256, 257, 1000, 2047, cap // 2, cap // 2 + 1, cap - 1, cap}
+        for height in sorted(h for h in heights if 32 <= h <= cap):
+            for lo in (0, 7):
+                got = index._squared_distances(x[lo : lo + height], c, out=buf[:height])
+                assert np.array_equal(got, whole[lo : lo + height]), (height, lo)
+
+
 class TestSelectCentroidsReference:
     @pytest.mark.parametrize("seed", range(40))
     def test_duplicated_points_fewer_distinct_than_k(self, seed):
@@ -189,6 +209,65 @@ class TestSelectCentroidsReference:
         assert np.array_equal(select_quietly(points, k, seed), ref_select_centroids(points, k, seed))
 
 
+class TestMultiBlockReference:
+    """Lloyd samples and corpora that span three or more distance blocks
+    give the bits of the whole-matrix references."""
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_select_centroids_over_several_blocks(self, duplicates):
+        # 512 centroids allow blocks of 1,953 rows: the 6,000-row sample takes 4
+        rng = np.random.default_rng(31)
+        points = duplicated_points(rng, 400, 6000, 6) if duplicates else rng.standard_normal((6000, 6))
+        assert len(index._row_blocks(6000, 512)) == 4
+        assert np.array_equal(select_quietly(points, 512, 9), ref_select_centroids(points, 512, 9))
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_build_over_several_blocks(self, duplicates):
+        # 300 passages of 64 rows make 256 centroids and blocks of at most 3,906 rows:
+        # the 16,384-row sample and the 19,200-row assignment take 5 blocks each
+        rng = np.random.default_rng(32)
+        n = 300 * 64
+        rows = duplicated_points(rng, 100, n, 4) if duplicates else rng.standard_normal((n, 4))
+        corpus = {f"p{i:03d}": rows[64 * i : 64 * (i + 1)] for i in range(300)}
+        assert index.centroid_count_for(n) == 256
+        assert len(index._row_blocks(256 * 64, 256)) == len(index._row_blocks(n, 256)) == 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", index.DuplicateCentroidWarning)
+            assert_same_arrays(build_index(corpus, seed=5), ref_build_arrays(corpus, 5))
+
+
+def traced_peak(call, *args, **kwargs) -> int:
+    """Peak bytes that ``tracemalloc`` sees while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDistanceBlocksBoundMemory:
+    """The build holds a few distance blocks (``_DISTANCE_FLOATS`` float64s,
+    8 MB), not a (rows x centroids) matrix."""
+
+    BLOCK = 8 * index._DISTANCE_FLOATS
+
+    def test_lloyd_holds_a_few_blocks(self):
+        # the whole 8,000 x 512 matrix is 32.8 MB; a blocked Lloyd peaks near 25 MB in all
+        sample = np.random.default_rng(5).standard_normal((8000, 128))
+        peak = traced_peak(select_centroids, sample, 8000, 3, centroid_count=512)
+        assert peak < 4 * self.BLOCK, f"select_centroids peaked at {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("blocks", [2, 3.5, 6])
+    def test_assignment_holds_a_few_blocks(self, blocks):
+        # about 13 MB in all: one 8 MB distance block and the block's float64 rows
+        rng = np.random.default_rng(6)
+        centroids = rng.standard_normal((512, 128)).astype(np.float32)
+        vectors = rng.standard_normal((int(blocks * (index._DISTANCE_FLOATS // 512)), 128)).astype(np.float32)
+        peak = traced_peak(nearest_centroid_ids, vectors, centroids)
+        assert peak < 2 * self.BLOCK, f"nearest_centroid_ids peaked at {peak / 1e6:.1f} MB"
+
+
 class TestNearestCentroidReference:
     def test_exactly_tied_and_duplicate_centroids(self):
         rng = np.random.default_rng(3)
@@ -199,19 +278,32 @@ class TestNearestCentroidReference:
         assert np.array_equal(got, ref_nearest_centroid_ids(points, centroids))
         assert not np.isin(got, np.arange(10, 15)).any()  # duplicates map to the lowest id
 
-    def test_row_blocks_with_a_partial_last_block(self, monkeypatch):
-        # 4,000 distinct centroids: blocks of 1,000 rows, the last one of 500
+    def test_near_equal_row_blocks(self, monkeypatch):
+        # 4,000 distinct centroids allow blocks of 250 rows: 2,600 rows take 11 blocks
+        # of 236-237 rows, none a short remainder
         rng = np.random.default_rng(4)
         centroids = rng.standard_normal((4000, 6)).astype(np.float32)
-        vectors = np.vstack([rng.standard_normal((2000, 6)), centroids[:500]])
+        vectors = np.vstack([rng.standard_normal((2100, 6)), centroids[:500]])
         blocks = []
         original = index._squared_distances
         spy = lambda x, c, *a, **k: blocks.append(x.shape) or original(x, c, *a, **k)  # noqa: E731
         monkeypatch.setattr(index, "_squared_distances", spy)
         got = nearest_centroid_ids(vectors, centroids)
-        assert blocks == [(1000, 6), (1000, 6), (500, 6)]  # the product's bits depend on its shape
+        assert len(blocks) == 11 and blocks[0] == (237, 6) and {b[0] for b in blocks} == {236, 237}
+        assert sum(b[0] for b in blocks) == 2600
         assert np.array_equal(got, ref_nearest_centroid_ids(vectors, centroids))
-        assert np.array_equal(got[2000:], np.arange(500))
+        assert np.array_equal(got[2100:], np.arange(500))
+
+    @pytest.mark.parametrize("rows", [0, 1, 5, 975, 976, 977, 1953, 2929, 100_000])
+    @pytest.mark.parametrize("centroids", [1, 1024, 2_000_000])
+    def test_row_blocks_cover_the_rows_in_near_equal_blocks(self, rows, centroids):
+        blocks = index._row_blocks(rows, centroids)
+        cap = max(1, index._DISTANCE_FLOATS // centroids)
+        heights = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == rows
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks) == max(1, -(-rows // cap)) and max(heights) == heights[0] <= cap
+        assert max(heights) - min(heights) <= 1
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), k=st.integers(1, 20), distinct=st.integers(1, 20))

@@ -162,7 +162,7 @@ class RowSpy:
 
 
 def test_build_asks_for_one_block_of_rows_at_a_time(tmp_path):
-    # 30,000 rows of dim 8 make 256 centroids and assignment blocks of 15,625 rows
+    # 30,000 rows of dim 8 make 256 centroids and 8 assignment blocks of 3,750 rows
     rng = np.random.default_rng(2)
     n_passages, terms, dim = 10_000, 3, 8
     rows = (rng.normal(size=(64, dim))[rng.integers(64, size=n_passages * terms)]
@@ -170,7 +170,7 @@ def test_build_asks_for_one_block_of_rows_at_a_time(tmp_path):
     ids, offsets = [f"p{i:05d}" for i in range(n_passages)], np.arange(0, rows.shape[0] + 1, terms)
     spy = RowSpy(rows)
     idx = build_index(TermTable(ids, spy, offsets), seed=3)
-    assignment_block = 4_000_000 // np.unique(idx.centroids, axis=0).shape[0]
+    assignment_block = index._row_blocks(rows.shape[0], np.unique(idx.centroids, axis=0).shape[0])[0].stop
     sample = index._SAMPLE_PASSAGES * terms
     assert max(spy.requests) <= max(assignment_block, index._UNIT_BLOCK, sample) < rows.shape[0]
     assert sum(spy.requests) == sample + 2 * rows.shape[0]  # the sample once, then every row twice
@@ -179,7 +179,7 @@ def test_build_asks_for_one_block_of_rows_at_a_time(tmp_path):
 
 
 def test_float32_assignment_blocks_equal_float64_blocks():
-    # 2,000 distinct centroids make blocks of 2,000 rows: three blocks, the last partial
+    # 2,000 distinct centroids make blocks of at most 500 rows: nine blocks of 500
     rng = np.random.default_rng(21)
     vectors = rng.normal(size=(4_500, 3)).astype(np.float32)
     centroids = rng.normal(size=(2_000, 3)).astype(np.float32)
@@ -189,7 +189,7 @@ def test_float32_assignment_blocks_equal_float64_blocks():
 
 def test_build_never_holds_a_float64_copy_of_a_float32_table():
     # 30,000 passages of 4 rows, dim 64: the float64 copy is 61 MB. The build's own
-    # buffers (a 32 MB assignment distance block, one float64 row block, the codes)
+    # buffers (an 8 MB distance block, one float64 row block, the codes)
     # stay below it; stacking the table in float64 would not.
     rng = np.random.default_rng(1)
     n_passages, terms, dim = 30_000, 4, 64
