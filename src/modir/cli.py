@@ -213,6 +213,8 @@ def cmd_index(args) -> int:
     params = encoder.load_checkpoint(args.checkpoint) if args.checkpoint else None
     table = _term_table(records, params, cfg)
     del records  # JSONL matrices have been stacked into the table
+    for pid in table.ids:  # a search could not write these ids to a run file
+        evaluation.check_run_id(pid)
     idx = index_mod.build_index(table, seed=cfg.seed)
     del table  # the index holds its own codes; saving it does not need the corpus
     index_mod.save_index(idx, args.out)

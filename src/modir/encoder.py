@@ -69,7 +69,7 @@ from .errors import (
     StageError,
     UnknownLanguageError,
 )
-from .scoring import MASK_ID, PreparedSequence, normalize_rows
+from .scoring import MASK_ID, NUM_SPECIAL, PreparedSequence, normalize_rows
 
 STAGES = ("pretrain", "finetune", "zeroshot", "extend")
 
@@ -272,8 +272,10 @@ def init_params(
         raise InvalidConfigError("at least one language must be registered")
     if len(set(languages)) != len(languages):
         raise InvalidConfigError("duplicate language ids")
-    if min(vocab, d, d_out, n_layers, bottleneck) < 1:
+    if min(d, d_out, n_layers, bottleneck) < 1:
         raise InvalidConfigError("all encoder dimensions must be >= 1")
+    if vocab <= NUM_SPECIAL:  # the reserved ids, [M] among them, are rows of the table
+        raise InvalidConfigError(f"vocab must exceed {NUM_SPECIAL}, got {vocab}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     core = _uniform(rng, _floats(_core_shapes(vocab, d, d_out, n_layers)))
@@ -806,6 +808,8 @@ def load_checkpoint(path) -> ModularEncoderParams:
             post_hoc.add(name)
     if min(vocab, d, d_out, n_layers, bottleneck, n_langs) < 1 or len(set(langs)) != n_langs:
         raise FormatError(f"{path} names a zero encoder dimension, no language or a language twice")
+    if vocab <= NUM_SPECIAL:
+        raise FormatError(f"{path} has vocab {vocab}; it must exceed {NUM_SPECIAL}")
     core_floats = _floats(_core_shapes(vocab, d, d_out, n_layers))
     adapter_floats = _floats(_adapter_shapes(d, bottleneck, n_layers))
     values = np.frombuffer(reader.take(8 * (core_floats + n_langs * adapter_floats)), dtype="<f8")

@@ -12,6 +12,7 @@ File formats are the standard whitespace layouts, split by
 order, and a qrels file judges each (query, passage) pair once.
 """
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -186,8 +187,8 @@ class HardwareProfile:
 
     def __post_init__(self):
         for name in ("device_count", "tdp_watts", "train_hours", "carbon_efficiency"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfigError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:  # False for NaN too
+                raise InvalidConfigError(f"{name} must be finite and > 0")
 
 
 def estimate_energy_emissions(profile: HardwareProfile):

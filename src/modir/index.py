@@ -119,41 +119,30 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, xx: np
     return centers
 
 
-def select_centroids(
-    sample,
-    total_estimate: int,
-    seed,
-    *,
-    centroid_count: int | None = None,
-) -> np.ndarray:
-    """Seeded k-means++ plus Lloyd iterations over the sampled term embeddings.
+def select_centroids(sample, k: int, seed) -> np.ndarray:
+    """Seeded k-means++ plus Lloyd iterations: ``k`` centroids of the sampled
+    term embeddings.
 
-    ``sample`` is one (rows, dim) matrix with at least one row. The centroid
-    count is the power of two at or above sqrt(total_estimate) unless
-    overridden. When there are fewer distinct sample vectors than centroids,
-    the sample is cycled and duplicate centroids are kept with a warning.
+    ``sample`` is one (rows, dim) matrix with at least one row. When there
+    are fewer distinct sample vectors than centroids, the sample is cycled
+    and duplicate centroids are kept with a warning.
 
-    The result is bit-identical to seeding with direct squared differences
-    and taking each Lloyd mean as ``points[assign == j].mean(axis=0)``, on
-    all but measure-zero inputs: k-means++ draws from distances by norm
-    expansion, which move only in the last bits (and are exactly 0 for
-    copies of a chosen point, as the direct form gives), and the means are
-    one ``np.add.at`` sum, which adds each cluster's rows in the same order
-    as that ``mean`` (``np.add.reduceat`` does not). A one-column sample is
-    the exception: numpy sums a contiguous column pairwise, so its clusters
-    are summed one at a time. Empty clusters keep their previous centroid.
-
-    Each Lloyd iteration assigns the sample one ``_row_blocks`` block at a
-    time through one reused distance buffer, with ``np.argmin``'s first
-    minimum (no duplicate-centroid collapse), so the build never holds a
-    (sample rows x centroids) matrix. A row's distances have the same bits
-    in a block of 32 rows or more as in the whole product (the premise that
-    ``tests/test_index_build.py`` checks), so blocking moves no assignment.
+    Each Lloyd iteration assigns the sample with ``nearest_centroid_ids``,
+    the one assignment routine of a build, so ties go to the lowest id among
+    the distinct centroids here as everywhere else. The result is
+    bit-identical to seeding with direct squared differences and taking each
+    Lloyd mean as ``points[assign == j].mean(axis=0)``, on all but
+    measure-zero inputs: k-means++ draws from distances by norm expansion,
+    which move only in the last bits (and are exactly 0 for copies of a
+    chosen point, as the direct form gives), and the means are one
+    ``np.add.at`` sum, which adds each cluster's rows in the same order as
+    that ``mean`` (``np.add.reduceat`` does not). A one-column sample is the
+    exception: numpy sums a contiguous column pairwise, so its clusters are
+    summed one at a time. Empty clusters keep their previous centroid.
     """
     points = np.asarray(sample, dtype=np.float64)
     if points.shape[0] == 0:
         raise EmptyInputError("centroid selection needs at least one sample vector")
-    k = centroid_count if centroid_count is not None else centroid_count_for(total_estimate)
     if k < 1:
         raise InvalidConfigError(f"centroid count must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
@@ -168,17 +157,11 @@ def select_centroids(
     if k >= n:
         reps = -(-k // n)  # ceil
         return np.tile(points, (reps, 1))[:k]
-    xx = (points * points).sum(axis=1)
-    centroids = _kmeans_pp_init(points, k, rng, xx, inverse.reshape(-1))
-    blocks = _row_blocks(n, k)
-    d2 = np.empty((blocks[0].stop, k))
-    assign = np.empty(n, dtype=np.intp)
+    centroids = _kmeans_pp_init(points, k, rng, (points * points).sum(axis=1), inverse.reshape(-1))
     sums = np.empty_like(centroids)
     columns = np.arange(points.shape[1])
     for _ in range(_LLOYD_ITERATIONS):
-        for rows in blocks:
-            dist = _squared_distances(points[rows], centroids, xx[rows], out=d2[: rows.stop - rows.start])
-            np.argmin(dist, axis=1, out=assign[rows])
+        assign = nearest_centroid_ids(points, centroids)
         sums[:] = 0.0
         if points.shape[1] == 1:  # a one-column mean is a contiguous reduction, which sums pairwise
             for j in np.unique(assign):
@@ -220,8 +203,9 @@ def _row_blocks(rows: int, centroids: int) -> list:
     // centroids`` rows (at least one), as few as that allows, of heights
     that differ by at most one row, the first the tallest: no block is a
     short remainder. With several blocks each is at least half that cap,
-    so 32 rows or more up to 15,625 centroids. Every (rows x centroids)
-    distance matrix of a build is taken in these blocks."""
+    so 32 rows or more up to 15,625 centroids. ``nearest_centroid_ids``,
+    which takes every (rows x centroids) distance matrix of a build, reads
+    its rows in these blocks."""
     count = max(1, -(-rows // max(1, _DISTANCE_FLOATS // centroids)))
     return [slice(-(-i * rows // count), -(-(i + 1) * rows // count)) for i in range(count)]  # ceil(i rows / count)
 
@@ -229,6 +213,8 @@ def _row_blocks(rows: int, centroids: int) -> list:
 def nearest_centroid_ids(vectors, centroids: np.ndarray) -> np.ndarray:
     """Nearest centroid per vector; any tie resolves to the lowest centroid id.
 
+    The one assignment routine of a build: each Lloyd iteration of
+    ``select_centroids`` and the corpus pass of ``build_index`` call it.
     Duplicate centroid rows are collapsed before the distance computation and
     mapped back to the lowest original id, so ties are exact, not float-luck.
     Distances are taken in ``_row_blocks`` blocks (distinct centroids wide),
@@ -486,11 +472,17 @@ class CompressedIndex:
         """The positions in ``unit_rows`` of these passages' rows, passage
         after passage in stored row order, and each passage's offsets into
         those positions."""
-        lo = self.passage_offsets[internals]
-        counts = self.passage_offsets[internals + 1] - lo
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        emb_ids = np.repeat(lo - offsets[:-1], counts) + np.arange(offsets[-1])
+        emb_ids, offsets = _passage_rows(self.passage_offsets, internals)
         return self._csr_position[emb_ids], offsets
+
+
+def _passage_rows(offsets: np.ndarray, passages: np.ndarray):
+    """The row numbers of these passages under ``offsets``, passage after
+    passage in stored row order, and each passage's offsets into them."""
+    lo = offsets[passages]
+    counts = offsets[passages + 1] - lo
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    return np.repeat(lo - starts[:-1], counts) + np.arange(starts[-1]), starts
 
 
 def _check_finite(table: TermTable, lo: int, rows: np.ndarray):
@@ -533,9 +525,12 @@ def build_index(
     ``TermTable``. Passages are ingested in the order of their ``str`` ids,
     the ids the index stores and the order in which the brute-force oracle
     breaks ties, so a rebuild from the same corpus and seed is
-    byte-identical. Centroids and the codec are fitted on a seeded sample of
-    at most ``_SAMPLE_PASSAGES`` passages, stored as float32, and all
-    assignments/codes are computed against the stored float32 values.
+    byte-identical. The centroid count is decided once, before the sample is
+    drawn: ``centroid_count`` if given, else ``centroid_count_for`` of the
+    embedding count. Centroids and the codec are fitted on a seeded sample
+    of at most ``_SAMPLE_PASSAGES`` passages, stored as float32, and all
+    assignments/codes are computed against the stored float32 values, by
+    ``nearest_centroid_ids`` as in each Lloyd iteration.
 
     The table is never read whole. Its rows are asked for, and widened to
     float64, one block at a time: the sample, each assignment block of
@@ -562,16 +557,16 @@ def build_index(
     if dim == 0:
         raise InvalidConfigError("term embeddings must have at least one column")
 
+    k = centroid_count if centroid_count is not None else centroid_count_for(total)
     sample_rng = np.random.default_rng((seed, 0))
     n_sample = min(len(ids), _SAMPLE_PASSAGES)
-    sample_idx = np.sort(sample_rng.choice(len(ids), size=n_sample, replace=False))
-    sample_rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in sample_idx])
+    sample_rows, _ = _passage_rows(offsets, np.sort(sample_rng.choice(len(ids), size=n_sample, replace=False)))
     sample = np.asarray(rows[sample_rows], dtype=np.float64)
     if not np.isfinite(sample).all():  # an unsampled passage before the sample's may hold one too
         for lo in range(0, total, _UNIT_BLOCK):
             _check_finite(table, lo, rows[lo : lo + _UNIT_BLOCK])
 
-    centroids = select_centroids(sample, total, (seed, 1), centroid_count=centroid_count).astype(np.float32)
+    centroids = select_centroids(sample, k, (seed, 1)).astype(np.float32)
 
     assignments = nearest_centroid_ids(_FiniteRows(table), centroids)
     cents64 = centroids.astype(np.float64)

@@ -9,7 +9,7 @@ from modir.cli import main
 from modir.config import RunConfig
 from modir.data import write_embedding_block
 from modir.encoder import load_checkpoint
-from modir.errors import NonFiniteError
+from modir.errors import InvalidConfigError, NonFiniteError
 from modir.index import build_index, save_index
 from tests.conftest import build_language_files, build_triples
 
@@ -271,6 +271,30 @@ class TestIndexCmd:
         assert run_cli("index", "--corpus", block, "--out", tmp_path / "idx", "--config", config_path) == 2
         err = read_stderr(capsys)
         assert err.startswith("error[format]") and "corpus.emb" in err and "\n" not in err
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "mveb"])
+    def test_a_passage_id_a_run_file_cannot_hold_fails_before_the_build(
+        self, tmp_path, small_config, capsys, monkeypatch, suffix
+    ):
+        # "doc 0" and "z 9" would not read back from a run line; the first in id order is named
+        config_path, _ = small_config
+        rng = np.random.default_rng(0)
+        out = tmp_path / "idx"
+        save_index(build_index({f"p{i}": rng.normal(size=(4, 8)) for i in range(10)}, seed=0), out)
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        corpus = {pid: rng.normal(size=(4, 8)).astype(np.float32) for pid in ["z 9", "p1", "doc 0", "p0"]}
+        path = tmp_path / f"corpus.{suffix}"
+        if suffix == "mveb":
+            write_embedding_block(corpus, path)
+        else:
+            path.write_text("".join(json.dumps({"id": pid, "embeddings": m.tolist()}) + "\n" for pid, m in corpus.items()))
+        calls = []
+        monkeypatch.setattr(index_mod, "build_index", lambda *a, **k: calls.append(a))
+        assert run_cli("index", "--corpus", path, "--out", out, "--config", config_path) == 2
+        err = read_stderr(capsys).splitlines()
+        assert err == ["error[invalid-config]: id 'doc 0' is empty or holds whitespace; a run file cannot hold it"]
+        assert calls == []
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
     def test_ragged_embedding_rows_are_a_parse_error(self, tmp_path, small_config, capsys):
         config_path, _ = small_config
@@ -722,6 +746,14 @@ class TestEvalCmd:
         assert run_cli(*argv) == 2
         assert read_stderr(capsys) == "error[invalid-config]: seed must be >= 0, got -1"
         assert not out.exists()
+
+    @pytest.mark.parametrize("vocab", [1, 4])
+    def test_a_vocab_without_a_text_token_is_refused(self, vocab):
+        # the reserved ids 0-3 ([M] among them) leave no row for a text token below 5
+        with pytest.raises(InvalidConfigError) as exc:
+            RunConfig(vocab=vocab)
+        assert exc.value.message == f"vocab must be >= 5, got {vocab}"
+        assert RunConfig(vocab=5).vocab == 5
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = run_cli("eval", "--run", tmp_path / "none.run", "--qrels", tmp_path / "none.qrels")

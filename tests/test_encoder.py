@@ -1090,6 +1090,13 @@ class TestInitParams:
             tiny_params(seed=-1)
         assert exc.value.message == "seed must be >= 0, got -1"
 
+    @pytest.mark.parametrize("vocab", [1, 3, 4])
+    def test_a_vocab_without_a_text_token_is_a_typed_error(self, vocab):
+        # [M] (id 3) and the other reserved ids must be rows of the table
+        with pytest.raises(InvalidConfigError) as exc:
+            init_params(["en"], vocab=vocab)
+        assert exc.value.message == f"vocab must exceed 4, got {vocab}"
+
 
 class TestAddLanguage:
     def test_existing_encodings_unchanged(self):
@@ -1244,6 +1251,19 @@ class TestCheckpoint:
             save_checkpoint(params, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_a_vocab_without_a_text_token_is_format_error_naming_the_file(self, tmp_path):
+        # a well-formed file for a 4-row table: the header's vocab and the embedding rows cut to 4
+        params = tiny_params(seed=26)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<I", raw, 8) == (24,)  # the first u32 after the 8-byte magic
+        start = len(raw) - 8 * (params.core.size + sum(flat.size for flat in params.flat_adapters.values()))
+        cut = 8 * (24 - 4) * params.d
+        path.write_bytes(raw[:8] + struct.pack("<I", 4) + raw[12:start] + raw[start + cut :])
+        with pytest.raises(FormatError, match=r"model\.ckpt has vocab 4; it must exceed 4"):
+            load_checkpoint(path)
 
     def test_a_bad_stage_byte_is_format_error_naming_the_file(self, tmp_path):
         path = tmp_path / "model.ckpt"

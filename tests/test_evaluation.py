@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +254,16 @@ class TestEnergy:
             HardwareProfile(0, 300.0, 24.0, 0.432)
         with pytest.raises(InvalidConfigError):
             HardwareProfile(1, 300.0, -1.0, 0.432)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", range(4))
+    def test_a_non_finite_field_is_refused_by_name(self, field, value):
+        fields = [1, 300.0, 24.0, 0.432]
+        fields[field] = value
+        name = ("device_count", "tdp_watts", "train_hours", "carbon_efficiency")[field]
+        with pytest.raises(InvalidConfigError) as exc:
+            HardwareProfile(*fields)
+        assert exc.value.message == f"{name} must be finite and > 0"
 
 
 class TestTrecIO:

@@ -74,7 +74,7 @@ class TestSelectCentroids:
     def test_single_centroid_is_sample_mean(self):
         rng = np.random.default_rng(0)
         sample = np.vstack([rng.normal(size=(10, 4)), rng.normal(size=(6, 4))])
-        cents = select_centroids(sample, total_estimate=1, seed=1)
+        cents = select_centroids(sample, centroid_count_for(1), seed=1)
         assert cents.shape == (1, 4)
         np.testing.assert_allclose(cents[0], sample.mean(axis=0), atol=1e-12)
 
@@ -82,7 +82,7 @@ class TestSelectCentroids:
         rng = np.random.default_rng(2)
         true_means = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0], [0.0, -10.0]])
         points = np.vstack([m + 0.01 * rng.normal(size=(50, 2)) for m in true_means])
-        cents = select_centroids(points, total_estimate=16, seed=3)
+        cents = select_centroids(points, centroid_count_for(16), seed=3)
         assert cents.shape == (4, 2)
         # each true mean recovered by some centroid
         empirical = np.array([points[i * 50 : (i + 1) * 50].mean(axis=0) for i in range(4)])
@@ -93,19 +93,19 @@ class TestSelectCentroids:
     def test_duplicates_with_warning_when_sample_small(self):
         sample = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.warns(DuplicateCentroidWarning):
-            cents = select_centroids(sample, total_estimate=64, seed=0)
+            cents = select_centroids(sample, centroid_count_for(64), seed=0)
         assert cents.shape == (8, 2)
         assert np.unique(cents, axis=0).shape[0] == 3
 
     def test_empty_sample_rejected(self):
         with pytest.raises(EmptyInputError):
-            select_centroids(np.empty((0, 4)), total_estimate=4, seed=0)
+            select_centroids(np.empty((0, 4)), centroid_count_for(4), seed=0)
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(4)
         sample = rng.normal(size=(100, 3))
-        a = select_centroids(sample, total_estimate=64, seed=9)
-        b = select_centroids(sample, total_estimate=64, seed=9)
+        a = select_centroids(sample, centroid_count_for(64), seed=9)
+        b = select_centroids(sample, centroid_count_for(64), seed=9)
         np.testing.assert_array_equal(a, b)
 
 

@@ -45,8 +45,7 @@ def ref_select_centroids(points, k, seed, max_iter=25, tol=1e-6):
         return np.tile(points, (reps, 1))[:k]
     centroids = ref_kmeans_pp_init(points, k, rng)
     for _ in range(max_iter):
-        d2 = ref_squared_distances(points, centroids)
-        assign = np.argmin(d2, axis=1)
+        assign = ref_nearest_in_one_product(points, centroids)
         new = centroids.copy()  # empty clusters keep their previous centroid
         for j in np.unique(assign):
             new[j] = points[assign == j].mean(axis=0)
@@ -62,17 +61,20 @@ def ref_squared_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
+def ref_nearest_in_one_product(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid from one whole distance matrix over the distinct
+    centroids: ties go to the lowest id among equal centroids."""
+    uniq, first = np.unique(np.asarray(centroids, dtype=np.float64), axis=0, return_index=True)
+    order = np.argsort(first, kind="stable")
+    return first[order][np.argmin(ref_squared_distances(vectors, uniq[order]), axis=1)]
+
+
 def ref_nearest_centroid_ids(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
-    cents = np.asarray(centroids, dtype=np.float64)
-    uniq, first = np.unique(cents, axis=0, return_index=True)
-    order = np.argsort(first, kind="stable")
-    uniq = uniq[order]
-    lowest = first[order]
+    distinct = np.unique(np.asarray(centroids, dtype=np.float64), axis=0).shape[0]
     # near-equal row blocks of at most 1,000,000 // distinct centroids rows
-    count = max(1, -(-vectors.shape[0] // max(1, 1_000_000 // uniq.shape[0])))
-    blocks = np.array_split(vectors, count)
-    return np.concatenate([lowest[np.argmin(ref_squared_distances(block, uniq), axis=1)] for block in blocks])
+    count = max(1, -(-vectors.shape[0] // max(1, 1_000_000 // distinct)))
+    return np.concatenate([ref_nearest_in_one_product(block, centroids) for block in np.array_split(vectors, count)])
 
 
 def ref_build_arrays(corpus, seed, sample_passages=256):
@@ -105,7 +107,7 @@ def duplicated_points(rng, distinct, n, dim):
 def select_quietly(points, k, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", index.DuplicateCentroidWarning)
-        return select_centroids(points, points.shape[0], seed, centroid_count=k)
+        return select_centroids(points, k, seed)
 
 
 def assert_same_arrays(built, ref):
@@ -255,7 +257,7 @@ class TestDistanceBlocksBoundMemory:
     def test_lloyd_holds_a_few_blocks(self):
         # the whole 8,000 x 512 matrix is 32.8 MB; a blocked Lloyd peaks near 25 MB in all
         sample = np.random.default_rng(5).standard_normal((8000, 128))
-        peak = traced_peak(select_centroids, sample, 8000, 3, centroid_count=512)
+        peak = traced_peak(select_centroids, sample, 512, 3)
         assert peak < 4 * self.BLOCK, f"select_centroids peaked at {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("blocks", [2, 3.5, 6])
