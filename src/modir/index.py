@@ -130,17 +130,23 @@ def select_centroids(sample, k: int, seed) -> np.ndarray:
     Each Lloyd iteration assigns the sample with ``nearest_centroid_ids``,
     the one assignment routine of a build, so ties go to the lowest id among
     the distinct centroids here as everywhere else. The result is
-    bit-identical to seeding with direct squared differences and taking each
-    Lloyd mean as ``points[assign == j].mean(axis=0)``, on all but
-    measure-zero inputs: k-means++ draws from distances by norm expansion,
-    which move only in the last bits (and are exactly 0 for copies of a
-    chosen point, as the direct form gives), and the means are one
-    ``np.add.at`` sum, which adds each cluster's rows in the same order as
-    that ``mean`` (``np.add.reduceat`` does not). A one-column sample is the
-    exception: numpy sums a contiguous column pairwise, so its clusters are
-    summed one at a time. Empty clusters keep their previous centroid.
+    bit-identical to seeding with direct squared differences, assigning by
+    full squared distances and taking each Lloyd mean as
+    ``points[assign == j].mean(axis=0)``, on all but measure-zero inputs:
+    k-means++ draws from distances by norm expansion, which move only in the
+    last bits (and are exactly 0 for copies of a chosen point, as the direct
+    form gives); an assignment by ``nearest_centroid_ids``' score parts from
+    one by full distances only at ties within rounding; and the means are
+    one ``np.add.at`` sum, which adds each cluster's rows in the same order
+    as that ``mean`` (``np.add.reduceat`` does not). A one-column sample is
+    the exception: numpy sums a contiguous column pairwise, so its clusters
+    are summed one at a time. Empty clusters keep their previous centroid.
+    A sample that is not 2-d is InvalidConfigError, before any work or
+    warning.
     """
     points = np.asarray(sample, dtype=np.float64)
+    if points.ndim != 2:
+        raise InvalidConfigError(f"centroid selection needs a 2-d sample, got {points.ndim}-d")
     if points.shape[0] == 0:
         raise EmptyInputError("centroid selection needs at least one sample vector")
     if k < 1:
@@ -181,13 +187,15 @@ def _squared_distances(x: np.ndarray, c: np.ndarray, xx=None, cc=None, out=None)
     """(len(x), len(c)) squared Euclidean distances ``|x|^2 - 2 x.c + |c|^2``,
     clipped at zero, written into ``out`` when given.
 
+    It serves the two callers that need true distances: k-means++, which
+    draws from them, and ``approximate_candidates``' probe, which ranks a
+    query's centroids by them. Assignment needs only an argmin and scores
+    without ``|x|^2`` or the clip (``nearest_centroid_ids``).
+
     ``xx`` and ``cc`` are the rows' squared norms, ``(x * x).sum(axis=1)``,
     for callers that reuse them. The product goes into ``out`` and every
     later step runs in place, with the same bits as the expression above:
-    scaling by -2 is exact and ``a - b`` equals ``a + (-b)``. A row's bits
-    are the same in any product of 32 rows or more, but can differ in a
-    shorter one (BLAS picks its kernels by shape), so a build takes its rows
-    in ``_row_blocks``.
+    scaling by -2 is exact and ``a - b`` equals ``a + (-b)``.
     """
     xx = (x * x).sum(axis=1) if xx is None else xx
     cc = (c * c).sum(axis=1) if cc is None else cc
@@ -204,8 +212,10 @@ def _row_blocks(rows: int, centroids: int) -> list:
     that differ by at most one row, the first the tallest: no block is a
     short remainder. With several blocks each is at least half that cap,
     so 32 rows or more up to 15,625 centroids. ``nearest_centroid_ids``,
-    which takes every (rows x centroids) distance matrix of a build, reads
-    its rows in these blocks."""
+    which takes every (rows x centroids) score matrix of a build, reads its
+    rows in these blocks: a row of a product has the same bits in any
+    product of 32 rows or more, but can differ in a shorter one (BLAS picks
+    its kernels by shape)."""
     count = max(1, -(-rows // max(1, _DISTANCE_FLOATS // centroids)))
     return [slice(-(-i * rows // count), -(-(i + 1) * rows // count)) for i in range(count)]  # ceil(i rows / count)
 
@@ -215,19 +225,37 @@ def nearest_centroid_ids(vectors, centroids: np.ndarray) -> np.ndarray:
 
     The one assignment routine of a build: each Lloyd iteration of
     ``select_centroids`` and the corpus pass of ``build_index`` call it.
-    Duplicate centroid rows are collapsed before the distance computation and
-    mapped back to the lowest original id, so ties are exact, not float-luck.
-    Distances are taken in ``_row_blocks`` blocks (distinct centroids wide),
-    into one reused buffer. A row's distances have the same bits in a block
-    of 32 rows or more as in the whole product, so the block height moves
-    no assignment, and no index byte. ``vectors`` is a 2-d array
-    or a row source such as ``data.BlockRows``: only its ``shape`` and one
-    block slice at a time are read, so an embedding block's rows are read
-    from its file on demand, once here and once more by ``build_index``'s
-    residual pass. Float32 vectors are widened to float64 one block at a
-    time, which is exact.
+    Duplicate centroid rows are collapsed before scoring and mapped back to
+    the lowest original id, so ties are exact, not float-luck.
+
+    Each row takes the argmin of ``|c|^2 - 2 x.c`` over the distinct
+    centroids: its squared distance less ``|x|^2``. That term is the same
+    for every centroid of a row, and the clip at zero of
+    ``_squared_distances`` only makes ties of distances that rounded below
+    zero, so an argmin needs neither: the score is one product with the
+    centroids scaled by -2, which is exact, and one add of ``|c|^2``. Its
+    argmin can differ from that of the full clipped distance only where two
+    centroids tie within the rounding that adding ``|x|^2`` makes, or where
+    the clip made a tie.
+
+    Scores are taken in ``_row_blocks`` blocks (distinct centroids wide),
+    into one reused buffer. A row's scores have the same bits in a block of
+    32 rows or more as in the whole product, so the block height moves no
+    assignment, and no index byte. ``vectors`` is a 2-d array or a row
+    source such as ``data.BlockRows``: only its ``shape`` and one block
+    slice at a time are read, so an embedding block's rows are read from its
+    file on demand, once here and once more by ``build_index``'s residual
+    pass. Float32 vectors are widened to float64 one block at a time, which
+    is exact. Vectors or centroids that are not 2-d are InvalidConfigError,
+    and no centroids EmptyInputError, before any work.
     """
     cents = np.asarray(centroids, dtype=np.float64)
+    if len(vectors.shape) != 2 or cents.ndim != 2:
+        raise InvalidConfigError(
+            f"assignment needs 2-d vectors and centroids, got {len(vectors.shape)}-d and {cents.ndim}-d"
+        )
+    if cents.shape[0] == 0:
+        raise EmptyInputError("assignment needs at least one centroid")
     if vectors.shape[1] != cents.shape[1]:
         raise DimensionMismatchError(f"vector dim {vectors.shape[1]} != centroid dim {cents.shape[1]}")
     uniq, first = np.unique(cents, axis=0, return_index=True)
@@ -235,14 +263,16 @@ def nearest_centroid_ids(vectors, centroids: np.ndarray) -> np.ndarray:
     uniq = uniq[order]  # unique rows, ordered by first appearance (= lowest id)
     lowest = first[order]
     cc = (uniq * uniq).sum(axis=1)
+    uniq *= -2.0  # exact, and uniq is a private copy: the product below is -2 x.c
     out = np.empty(vectors.shape[0], dtype=np.int64)
     blocks = _row_blocks(vectors.shape[0], uniq.shape[0])
     buf = np.empty((blocks[0].stop, uniq.shape[0]))
     for rows in blocks:
         block = np.asarray(vectors[rows], dtype=np.float64)
-        d2 = _squared_distances(block, uniq, cc=cc, out=buf[: block.shape[0]])
+        score = np.matmul(block, uniq.T, out=buf[: block.shape[0]])
+        score += cc
         # argmin takes the first minimum; rows are in lowest-original-id order
-        out[rows] = lowest[np.argmin(d2, axis=1)]
+        out[rows] = lowest[np.argmin(score, axis=1)]
     return out
 
 
@@ -530,7 +560,8 @@ def build_index(
     embedding count. Centroids and the codec are fitted on a seeded sample
     of at most ``_SAMPLE_PASSAGES`` passages, stored as float32, and all
     assignments/codes are computed against the stored float32 values, by
-    ``nearest_centroid_ids`` as in each Lloyd iteration.
+    ``nearest_centroid_ids`` (the argmin of ``|c|^2 - 2 x.c``) as in each
+    Lloyd iteration.
 
     The table is never read whole. Its rows are asked for, and widened to
     float64, one block at a time: the sample, each assignment block of

@@ -101,6 +101,13 @@ class TestSelectCentroids:
         with pytest.raises(EmptyInputError):
             select_centroids(np.empty((0, 4)), centroid_count_for(4), seed=0)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_a_sample_that_is_not_2d_is_refused_before_any_warning(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError, match="2-d sample"):
+                select_centroids(np.ones(shape), 2, seed=0)
+
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(4)
         sample = rng.normal(size=(100, 3))
@@ -127,6 +134,20 @@ class TestNearestCentroid:
         centroids = np.array([[5.0, 5.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         vec = np.array([[1.1, 0.0]])
         assert nearest_centroid_ids(vec, centroids)[0] == 1
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_no_centroids_is_empty_input(self, rows):
+        with pytest.raises(EmptyInputError, match="at least one centroid"):
+            nearest_centroid_ids(np.ones((rows, 2)), np.empty((0, 2)))
+
+    @pytest.mark.parametrize("vectors,centroids", [
+        (np.ones(2), np.ones((3, 2))),
+        (np.ones((4, 2, 1)), np.ones((3, 2))),
+        (np.ones((4, 2)), np.ones(2)),
+    ])
+    def test_input_that_is_not_2d_is_invalid_config(self, vectors, centroids):
+        with pytest.raises(InvalidConfigError, match="2-d vectors and centroids"):
+            nearest_centroid_ids(vectors, centroids)
 
 
 class TestCodec:

@@ -1,14 +1,18 @@
 """The index build's in-place hot paths against plain reference versions.
 
 The references below are the straightforward forms the build used before
-its distance, k-means++, Lloyd and residual-encoding steps were rewritten to
-run in place: k-means++ seeding by direct squared differences, Lloyd means
-by one boolean mask per cluster over one whole distance matrix, the distance
-expression in one line, and assignment with a fresh distance matrix per row
-block. The build must give the same bits (``np.array_equal``), so index bytes
-do not depend on which form built them.
+its distance, k-means++, Lloyd, assignment and residual-encoding steps were
+rewritten to run in place: k-means++ seeding by direct squared differences,
+Lloyd means by one boolean mask per cluster over one whole distance matrix,
+the distance expression in one line, and assignment by the argmin of the
+full clipped squared distance, with a fresh distance matrix per row block.
+The build assigns by ``|c|^2 - 2 x.c`` alone, so the references are also the
+independent check on that shortcut. The build must give the same bits
+(``np.array_equal``), so index bytes do not depend on which form built them.
 """
 
+import os
+import sys
 import tracemalloc
 import warnings
 
@@ -19,6 +23,10 @@ from hypothesis import strategies as st
 
 from modir import index
 from modir.index import ResidualCodec, build_index, fit_codec, nearest_centroid_ids, select_centroids
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+
+import bench_gen  # noqa: E402
 
 
 def ref_kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,6 +167,31 @@ class TestBlockedDistancesKeepBits:
                 assert np.array_equal(got, whole[lo : lo + height]), (height, lo)
 
 
+class TestBlockedScoresKeepBits:
+    """The premise of ``nearest_centroid_ids``' blocked score ``|c|^2 - 2 x.c``,
+    one product with the centroids scaled by -2 and one add, at the shapes a
+    build uses: each row of a row block's scores has the bits of the same
+    row of the whole product, for every block of 32 rows or more, and
+    scaling the centroids by -2 gives the bits of scaling the product."""
+
+    @pytest.mark.parametrize("dim", [4, 6, 128])
+    @pytest.mark.parametrize("k", [64, 256, 512, 1024])
+    def test_each_row_of_a_block_equals_the_whole_product(self, k, dim):
+        rng = np.random.default_rng(k * 1000 + dim + 1)
+        cap = index._DISTANCE_FLOATS // k
+        x, c = rng.standard_normal((cap + 7, dim)), rng.standard_normal((k, dim))
+        cc, scaled = (c * c).sum(axis=1), -2.0 * c
+        assert np.array_equal(x @ scaled.T, -2.0 * (x @ c.T))
+        whole = x @ scaled.T + cc
+        buf = np.empty((cap, k))
+        heights = {*range(32, 65), 100, 127, 128, 129, 255, 256, 257, 1000, 2047, cap // 2, cap // 2 + 1, cap - 1, cap}
+        for height in sorted(h for h in heights if 32 <= h <= cap):
+            for lo in (0, 7):
+                got = np.matmul(x[lo : lo + height], scaled.T, out=buf[:height])
+                got += cc
+                assert np.array_equal(got, whole[lo : lo + height]), (height, lo)
+
+
 class TestSelectCentroidsReference:
     @pytest.mark.parametrize("seed", range(40))
     def test_duplicated_points_fewer_distinct_than_k(self, seed):
@@ -270,6 +303,18 @@ class TestDistanceBlocksBoundMemory:
         assert peak < 2 * self.BLOCK, f"nearest_centroid_ids peaked at {peak / 1e6:.1f} MB"
 
 
+class BlockSpy:
+    """A row source that records the shape of each block asked of it."""
+
+    def __init__(self, rows):
+        self.rows, self.shape, self.blocks = rows, rows.shape, []
+
+    def __getitem__(self, key):
+        out = self.rows[key]
+        self.blocks.append(out.shape)
+        return out
+
+
 class TestNearestCentroidReference:
     def test_exactly_tied_and_duplicate_centroids(self):
         rng = np.random.default_rng(3)
@@ -280,17 +325,15 @@ class TestNearestCentroidReference:
         assert np.array_equal(got, ref_nearest_centroid_ids(points, centroids))
         assert not np.isin(got, np.arange(10, 15)).any()  # duplicates map to the lowest id
 
-    def test_near_equal_row_blocks(self, monkeypatch):
+    def test_near_equal_row_blocks(self):
         # 4,000 distinct centroids allow blocks of 250 rows: 2,600 rows take 11 blocks
         # of 236-237 rows, none a short remainder
         rng = np.random.default_rng(4)
         centroids = rng.standard_normal((4000, 6)).astype(np.float32)
         vectors = np.vstack([rng.standard_normal((2100, 6)), centroids[:500]])
-        blocks = []
-        original = index._squared_distances
-        spy = lambda x, c, *a, **k: blocks.append(x.shape) or original(x, c, *a, **k)  # noqa: E731
-        monkeypatch.setattr(index, "_squared_distances", spy)
-        got = nearest_centroid_ids(vectors, centroids)
+        source = BlockSpy(vectors)
+        got = nearest_centroid_ids(source, centroids)
+        blocks = source.blocks
         assert len(blocks) == 11 and blocks[0] == (237, 6) and {b[0] for b in blocks} == {236, 237}
         assert sum(b[0] for b in blocks) == 2600
         assert np.array_equal(got, ref_nearest_centroid_ids(vectors, centroids))
@@ -339,6 +382,16 @@ class TestBuildReference:
         assert chunked.embedding_count > 2 * block
         assert np.array_equal(chunked.residual_codes, whole.residual_codes)
         assert_same_arrays(chunked, ref_build_arrays(corpus, 3))
+
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_overlapping_topics(self, seed):
+        # the benchmark's corpus shape at small scale: 128-d unit rows on 64 topics
+        # in 8 groups, with near-ties that normal draws rarely make
+        spec = bench_gen.RetrievalSpec(passages=1500, min_terms=4, max_terms=12, topics=64, topic_groups=8, mix=0.3)
+        rows, offsets, _ = bench_gen.retrieval_corpus(spec, seed)
+        ids = bench_gen.passage_ids(spec.passages)
+        corpus = {pid: rows[offsets[i] : offsets[i + 1]] for i, pid in enumerate(ids)}
+        assert_same_arrays(build_index(corpus, seed=seed), ref_build_arrays(corpus, seed))
 
     def test_duplicate_rows_in_the_corpus(self):
         rng = np.random.default_rng(8)
