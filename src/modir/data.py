@@ -164,24 +164,62 @@ def read_jsonl_records(path) -> list[CorpusRecord]:
     return records
 
 
+def short_text_bytes(text: str, what: str) -> bytes:
+    """``text`` as UTF-8 for a field with a u16 byte length, as the embedding
+    block stores ids and the encoder checkpoint language names:
+    InvalidConfigError naming the ``what`` (its first 40 characters) when it
+    is over 65,535 bytes or holds a lone surrogate, which UTF-8 cannot
+    encode."""
+    name = f"{what} {text[:40]!r}{'...' if len(text) > 40 else ''}"
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InvalidConfigError(f"{name} is not encodable as UTF-8") from None
+    if len(raw) > 0xFFFF:
+        raise InvalidConfigError(f"{name} is {len(raw)} UTF-8 bytes; a u16 length field holds at most 65535")
+    return raw
+
+
 def write_embedding_block(records: dict, path):
-    """Serialize ``{id: (rows, dim) array}`` to the binary block format."""
-    items = list(records.items())
-    if not items:
+    """Serialize ``{id: (rows, dim) array}`` to the binary block format.
+
+    Every record is checked before the file is opened, so nothing that
+    ``read_embedding_block`` refuses is written and ``path`` keeps what it
+    held. InvalidConfigError names the first record whose rows are not a
+    2-d matrix as wide as the first record's, at least one column; whose id,
+    as text, repeats an earlier one or is not ``short_text_bytes``; or that
+    holds a finite value beyond float32's range. NaN and infinities are
+    written as they are.
+    """
+    if not records:
         raise InvalidConfigError("cannot write an empty embedding block")
-    dim = np.asarray(items[0][1]).shape[1]
+    dim = None
+    keys = {}  # id text -> the record key it came from
+    blocks = []
+    for rid, rows in records.items():
+        mat = np.asarray(rows)
+        if dim is None and mat.ndim == 2 and mat.shape[1] > 0:
+            dim = mat.shape[1]
+        if mat.ndim != 2 or mat.shape[1] != dim:
+            raise InvalidConfigError(f"record {rid!r} rows must be (count, {dim or 'dim >= 1'})")
+        key = str(rid)
+        if key in keys:
+            raise InvalidConfigError(f"record {rid!r} repeats the id {key!r} of record {keys[key]!r}")
+        keys[key] = rid
+        raw = short_text_bytes(key, "record id")
+        with np.errstate(over="ignore"):
+            narrow = mat.astype("<f4", copy=False)
+        if not np.array_equal(np.isfinite(narrow), np.isfinite(mat)):
+            raise InvalidConfigError(f"record {rid!r} holds a finite value beyond float32's range")
+        blocks.append((raw, narrow))
     with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<III", 1, dim, len(items)))
-        for rid, rows in items:
-            mat = np.asarray(rows, dtype=np.float32)
-            if mat.ndim != 2 or mat.shape[1] != dim:
-                raise InvalidConfigError(f"record {rid!r} rows must be (count, {dim})")
-            raw = str(rid).encode("utf-8")
+        fh.write(struct.pack("<III", 1, dim, len(blocks)))
+        for raw, mat in blocks:
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<I", mat.shape[0]))
-            fh.write(np.ascontiguousarray(mat, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(mat).tobytes())
 
 
 def encode_varints(values) -> bytes:

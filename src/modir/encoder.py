@@ -61,7 +61,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .data import ByteReader, atomic_write, check_seed
+from .data import ByteReader, atomic_write, check_seed, short_text_bytes
 from .errors import (
     FormatError,
     InvalidConfigError,
@@ -266,12 +266,17 @@ def init_params(
     bottleneck: int = 8,
     seed: int = 0,
 ) -> ModularEncoderParams:
-    """Seeded uniform(-0.05, 0.05) initialization: the core, then each language's buffer."""
+    """Seeded uniform(-0.05, 0.05) initialization: the core, then each language's buffer.
+
+    A language name that the checkpoint cannot hold (``data.short_text_bytes``)
+    is InvalidConfigError, before any training."""
     languages = list(languages)
     if not languages:
         raise InvalidConfigError("at least one language must be registered")
     if len(set(languages)) != len(languages):
         raise InvalidConfigError("duplicate language ids")
+    for lang in languages:
+        short_text_bytes(lang, "language name")
     if min(d, d_out, n_layers, bottleneck) < 1:
         raise InvalidConfigError("all encoder dimensions must be >= 1")
     if vocab <= NUM_SPECIAL:  # the reserved ids, [M] among them, are rows of the table
@@ -288,10 +293,12 @@ def add_language(params: ModularEncoderParams, new_lang: str, init_seed) -> Modu
     """Register fresh adapters for a post-hoc language; nothing else changes.
 
     Enters the extend stage: subsequent masked-token steps may train only
-    post-hoc languages' adapters.
+    post-hoc languages' adapters. A name that the checkpoint cannot hold
+    (``data.short_text_bytes``) is InvalidConfigError.
     """
     if new_lang in params.adapters:
         raise UnknownLanguageError(f"language {new_lang!r} is already registered")
+    short_text_bytes(new_lang, "language name")
     check_seed(init_seed)
     size = _floats(_adapter_shapes(params.d, params.bottleneck, params.n_layers))
     params.add_adapters(new_lang, _uniform(np.random.default_rng(init_seed), size))
@@ -407,16 +414,15 @@ def encode(seq: PreparedSequence, params: ModularEncoderParams) -> np.ndarray:
     return state @ params.w_out
 
 
-def _buckets(seqs, params: ModularEncoderParams, check_languages: bool = False):
+def _buckets(seqs, params: ModularEncoderParams):
     """Each sequence's checked token array, and the sequence indices grouped
     by (language, token count), buckets in first-seen order. The sequences are
-    checked in order; with ``check_languages`` each one's language must have
-    adapters too, so the first bad sequence raises what ``encode`` would."""
+    checked in order, tokens and then the language's adapters, so the first
+    bad sequence raises what ``encode`` would."""
     ids_list, buckets = [], {}
     for k, seq in enumerate(seqs):
         ids_list.append(_token_array(seq, params.vocab_size))
-        if check_languages:
-            params.adapter_stack(seq.language)
+        params.adapter_stack(seq.language)
         buckets.setdefault((seq.language, ids_list[k].size), []).append(k)
     return ids_list, buckets
 
@@ -429,7 +435,7 @@ def encode_batch(seqs, params: ModularEncoderParams) -> list[np.ndarray]:
     once per (language, token count) bucket, on the stacked ids of up to
     ``_ENCODE_ROWS`` token rows at a time. The sequences are checked in order
     first (``_buckets``), so the first bad one raises what ``encode`` would."""
-    ids_list, buckets = _buckets(seqs, params, check_languages=True)
+    ids_list, buckets = _buckets(seqs, params)
     out = [None] * len(ids_list)
     for (lang, length), members in buckets.items():
         per_call = max(1, _ENCODE_ROWS // length)
@@ -521,9 +527,14 @@ def total_loss_and_grads(batch: Batch, params: ModularEncoderParams):
 
     The encoder runs once per (language, token count) bucket of the batch,
     and the loss and every gradient keep the bits of running the sequences
-    one at a time (``_contrastive_loss``). Returns a fresh accumulator.
+    one at a time (``_contrastive_loss``). Returns a fresh accumulator, which
+    holds the batch's languages' adapters; an unregistered batch language is
+    UnknownLanguageError before any sequence is checked.
     """
-    return _contrastive_loss(batch, params, _EVERY)
+    langs = sorted({t.language for t in batch.triples})
+    for lang in langs:
+        params.adapter_stack(lang)  # fail early on an unknown language
+    return _contrastive_loss(batch, params, _EVERY, params.zeros(langs))
 
 
 @dataclass
@@ -545,9 +556,10 @@ def _stack_grads(params: ModularEncoderParams, lang: str, rows: np.ndarray, trai
     return _StackGrads(_shared_layers(blocks[: len(layer_shapes)]), adapters)
 
 
-def _contrastive_loss(batch: Batch, params: ModularEncoderParams, trains: _Trains, grads=None):
+def _contrastive_loss(batch: Batch, params: ModularEncoderParams, trains: _Trains, grads):
     """``total_loss_and_grads``' loss and gradient for the parts in ``trains``,
-    added into ``grads``, or into a fresh full accumulator when it is None.
+    added into ``grads``, an accumulator that holds the batch's languages'
+    adapters if adapters train.
     Each bucket's states land at their sequences' offsets of one (rows, d)
     array; the embedding table's gradient is one ``np.add.at`` over the
     batch's ids in sequence order, as the sequences one at a time add it."""
@@ -601,8 +613,6 @@ def _contrastive_loss(batch: Batch, params: ModularEncoderParams, trains: _Train
     d_tangent = d_units - units * (units * d_units).sum(axis=1, keepdims=True)
     d_embs = np.divide(d_tangent, norms, out=np.zeros_like(units), where=norms > 0.0)
 
-    if grads is None:
-        grads = params.zeros(sorted({s.language for s in seqs}))
     grads.w_out += states.T @ d_embs
     d_states = d_embs @ params.w_out.T
     # each stack adds its items' weight gradients into rows of its own; the

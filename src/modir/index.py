@@ -1,17 +1,20 @@
 """Centroid/residual-quantized inverted-file index with two-stage search.
 
-Every term embedding is stored as the id of its nearest centroid (Euclidean,
-ties to the lowest id) plus a 2-bit-per-dimension quantized residual, so one
-vector costs 2*dim + ceil(log2 |C|) bits. Both search stages read one table
-of unit-norm decompressed rows, in inverted-list order, built whole by the
-first search. For each query term the n_probe nearest centroids' lists are
-scored by cosine. Per-term maxima go into a compact table with one row per
-passage that the probed lists hold, and each row is summed across query terms
-(an unfetched passage/term pair adds 0: a lower bound of decompressed MaxSim
-for nonnegative maxima). Re-ranking reads the top candidate_k passages' rows,
-scores those passages in blocks of rows (one matmul per block), and scores the
-few whose blocked score is within rounding distance of the final_k-th best
-again with the oracle's exact MaxSim kernel, which gives the scores it reports.
+Every term embedding is stored as the id of its nearest centroid plus a
+2-bit-per-dimension quantized residual, so one vector costs 2*dim +
+ceil(log2 |C|) bits. "Nearest" is the smallest ``|c|^2 - 2 x.c``
+(``_centroid_scores``: Euclidean up to rounding, ties to the lowest id), for
+the build's assignment and the query probe alike. Both search stages read
+one table of unit-norm decompressed rows, in inverted-list order, built whole
+by the first search. For each query term the lists of the n_probe centroids
+nearest by that score are scored by cosine. Per-term maxima go into a
+compact table with one row per passage that the probed lists hold, and each
+row is summed across query terms (an unfetched passage/term pair adds 0: a
+lower bound of decompressed MaxSim for nonnegative maxima). Re-ranking reads
+the top candidate_k passages' rows, scores those passages in blocks of rows
+(one matmul per block), and scores the few whose blocked score is within
+rounding distance of the final_k-th best again with the oracle's exact
+MaxSim kernel, which gives the scores it reports.
 Both stages, like the oracle, accept a query that ``scoring.check_query``
 accepts at the index's width: a finite float (terms, dim) matrix with rows.
 
@@ -93,11 +96,29 @@ def centroid_count_for(total_estimate: int) -> int:
     return 1 << math.ceil(math.log2(math.sqrt(total_estimate))) if total_estimate > 1 else 1
 
 
+def _centroid_scores(rows: np.ndarray, scaled: np.ndarray, cc: np.ndarray, out=None) -> np.ndarray:
+    """The one centroid score of the index, ``|c|^2 - 2 x.c`` for each row x
+    and centroid c: one product with ``scaled``, the centroid table times -2
+    (exact), and one add of ``cc``, its squared norms ``(c * c).sum(axis=1)``;
+    written into ``out`` when given.
+
+    It is a row's squared distance less ``|x|^2``, a term the same for every
+    centroid of the row, so build and search rank a row's centroids by it
+    alike: assignment (``nearest_centroid_ids``) and the query probe
+    (``approximate_candidates``) take its smallest. k-means++ adds ``|x|^2``
+    and clips at zero, for the true squared distances it draws from.
+    """
+    score = np.matmul(rows, scaled.T, out=out)
+    score += cc
+    return score
+
+
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, xx: np.ndarray, inverse: np.ndarray):
     """k-means++ seeding. ``xx`` holds the points' squared norms and
     ``inverse`` each point's distinct-row id (``np.unique(..., axis=0)``).
 
-    Each pick costs one matvec (norm expansion) instead of a pass over a
+    Each pick costs one matvec: the chosen point's ``_centroid_scores`` plus
+    ``|x|^2``, clipped at zero (norm expansion), instead of a pass over a
     difference matrix. Copies of a chosen point get exactly 0, as a direct
     ``((p - c) ** 2).sum()`` gives them: the expansion can leave a few ulps
     there, and once every distinct point is chosen the ``total == 0`` branch
@@ -113,7 +134,9 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, xx: np
             total = d2.sum()
             idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
         centers[j] = points[idx]
-        _squared_distances(points, centers[j : j + 1], xx, xx[idx : idx + 1], out=col)
+        _centroid_scores(points, -2.0 * centers[j : j + 1], xx[idx : idx + 1], out=col)
+        col += xx[:, None]
+        np.maximum(col, 0.0, out=col)
         col[inverse == inverse[idx]] = 0.0
         np.minimum(d2, col[:, 0], out=d2)
     return centers
@@ -133,12 +156,13 @@ def select_centroids(sample, k: int, seed) -> np.ndarray:
     bit-identical to seeding with direct squared differences, assigning by
     full squared distances and taking each Lloyd mean as
     ``points[assign == j].mean(axis=0)``, on all but measure-zero inputs:
-    k-means++ draws from distances by norm expansion, which move only in the
-    last bits (and are exactly 0 for copies of a chosen point, as the direct
-    form gives); an assignment by ``nearest_centroid_ids``' score parts from
-    one by full distances only at ties within rounding; and the means are
-    one ``np.add.at`` sum, which adds each cluster's rows in the same order
-    as that ``mean`` (``np.add.reduceat`` does not). A one-column sample is
+    k-means++ draws from distances by norm expansion (``_centroid_scores``
+    plus ``|x|^2``, clipped), which move only in the last bits (and are
+    exactly 0 for copies of a chosen point, as the direct form gives); an
+    assignment by ``_centroid_scores`` parts from one by full distances only
+    at ties within rounding; and the means are one ``np.add.at`` sum, which
+    adds each cluster's rows in the same order as that ``mean``
+    (``np.add.reduceat`` does not). A one-column sample is
     the exception: numpy sums a contiguous column pairwise, so its clusters
     are summed one at a time. Empty clusters keep their previous centroid.
     A sample that is not 2-d is InvalidConfigError, before any work or
@@ -183,29 +207,6 @@ def select_centroids(sample, k: int, seed) -> np.ndarray:
     return centroids
 
 
-def _squared_distances(x: np.ndarray, c: np.ndarray, xx=None, cc=None, out=None) -> np.ndarray:
-    """(len(x), len(c)) squared Euclidean distances ``|x|^2 - 2 x.c + |c|^2``,
-    clipped at zero, written into ``out`` when given.
-
-    It serves the two callers that need true distances: k-means++, which
-    draws from them, and ``approximate_candidates``' probe, which ranks a
-    query's centroids by them. Assignment needs only an argmin and scores
-    without ``|x|^2`` or the clip (``nearest_centroid_ids``).
-
-    ``xx`` and ``cc`` are the rows' squared norms, ``(x * x).sum(axis=1)``,
-    for callers that reuse them. The product goes into ``out`` and every
-    later step runs in place, with the same bits as the expression above:
-    scaling by -2 is exact and ``a - b`` equals ``a + (-b)``.
-    """
-    xx = (x * x).sum(axis=1) if xx is None else xx
-    cc = (c * c).sum(axis=1) if cc is None else cc
-    d2 = np.matmul(x, c.T, out=out)
-    d2 *= -2.0
-    d2 += xx[:, None]
-    d2 += cc
-    return np.maximum(d2, 0.0, out=d2)
-
-
 def _row_blocks(rows: int, centroids: int) -> list:
     """Slices that cover ``rows`` rows in blocks of at most ``_DISTANCE_FLOATS
     // centroids`` rows (at least one), as few as that allows, of heights
@@ -228,15 +229,13 @@ def nearest_centroid_ids(vectors, centroids: np.ndarray) -> np.ndarray:
     Duplicate centroid rows are collapsed before scoring and mapped back to
     the lowest original id, so ties are exact, not float-luck.
 
-    Each row takes the argmin of ``|c|^2 - 2 x.c`` over the distinct
-    centroids: its squared distance less ``|x|^2``. That term is the same
-    for every centroid of a row, and the clip at zero of
-    ``_squared_distances`` only makes ties of distances that rounded below
-    zero, so an argmin needs neither: the score is one product with the
-    centroids scaled by -2, which is exact, and one add of ``|c|^2``. Its
-    argmin can differ from that of the full clipped distance only where two
-    centroids tie within the rounding that adding ``|x|^2`` makes, or where
-    the clip made a tie.
+    Each row takes the argmin of ``_centroid_scores`` over the distinct
+    centroids, the score by which the query probe ranks centroids too, so a
+    query row equal to an indexed row probes that row's list first. The
+    score leaves out ``|x|^2`` and a clip at zero, which an argmin does not
+    need: its argmin can differ from that of the full clipped squared
+    distance only where two centroids tie within the rounding that adding
+    ``|x|^2`` makes, or where the clip made a tie.
 
     Scores are taken in ``_row_blocks`` blocks (distinct centroids wide),
     into one reused buffer. A row's scores have the same bits in a block of
@@ -269,8 +268,7 @@ def nearest_centroid_ids(vectors, centroids: np.ndarray) -> np.ndarray:
     buf = np.empty((blocks[0].stop, uniq.shape[0]))
     for rows in blocks:
         block = np.asarray(vectors[rows], dtype=np.float64)
-        score = np.matmul(block, uniq.T, out=buf[: block.shape[0]])
-        score += cc
+        score = _centroid_scores(block, uniq, cc, out=buf[: block.shape[0]])
         # argmin takes the first minimum; rows are in lowest-original-id order
         out[rows] = lowest[np.argmin(score, axis=1)]
     return out
@@ -429,7 +427,6 @@ class CompressedIndex:
     def __post_init__(self):
         self._by_external = {pid: i for i, pid in enumerate(self.passage_ids)}
         self._centroids64 = self.centroids.astype(np.float64)
-        self._centroid_sq = (self._centroids64 * self._centroids64).sum(axis=1)  # for the query probe
         sizes = np.bincount(self.centroid_ids, minlength=self.centroid_count)
         self.list_offsets = np.concatenate(([0], np.cumsum(sizes)))
         self.list_members = np.argsort(self.centroid_ids, kind="stable")
@@ -491,6 +488,12 @@ class CompressedIndex:
         passage equals ``normalize_rows`` of its ``decompress_passage``."""
         rows = self._normalized_rows(np.arange(self.embedding_count))
         return UnitCorpus(self.passage_ids, rows, self.passage_offsets)
+
+    @cached_property
+    def _probe_table(self) -> tuple:
+        """The centroid table times -2 and its squared norms, with which the
+        query probe takes ``_centroid_scores``; built at the first search."""
+        return -2.0 * self._centroids64, (self._centroids64 * self._centroids64).sum(axis=1)
 
     @cached_property
     def unit_rows(self) -> np.ndarray:
@@ -560,7 +563,7 @@ def build_index(
     embedding count. Centroids and the codec are fitted on a seeded sample
     of at most ``_SAMPLE_PASSAGES`` passages, stored as float32, and all
     assignments/codes are computed against the stored float32 values, by
-    ``nearest_centroid_ids`` (the argmin of ``|c|^2 - 2 x.c``) as in each
+    ``nearest_centroid_ids`` (the argmin of ``_centroid_scores``) as in each
     Lloyd iteration.
 
     The table is never read whole. Its rows are asked for, and widened to
@@ -634,6 +637,12 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     """First-stage scores: per term, max cosine over embeddings fetched from the
     probed centroids, summed across terms; unfetched passage/term pairs add 0.
 
+    Each term probes the lists of its n_probe smallest ``_centroid_scores``,
+    ties to the lower centroid id: the score by which ``nearest_centroid_ids``
+    filed the rows, so with n_probe 1 and distinct centroids a term reads
+    exactly the list its own row would be filed under. The probe's
+    ``_probe_table`` is built at the first search.
+
     Only passages with a row in a probed list get a row of the per-term maxima
     table, which is passage-major (hit passages x query terms). Each passage's
     sum runs along its contiguous row, the same pairwise order as a column of
@@ -647,7 +656,7 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     qn = scoring.normalize_rows(q)
     n_terms = q.shape[0]
     # each term's n_probe nearest centroids, grouped by centroid with terms ascending
-    probes = scoring.rank(-_squared_distances(q, index._centroids64, cc=index._centroid_sq), params.n_probe).ravel()
+    probes = scoring.rank(-_centroid_scores(q, *index._probe_table), params.n_probe).ravel()
     by_list = np.argsort(probes, kind="stable")
     cids, starts = np.unique(probes[by_list], return_index=True)
 

@@ -55,6 +55,31 @@ def pipeline(tmp_path, small_config):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("stage", ["pretrain", "extend"])
+    def test_a_language_name_a_checkpoint_cannot_hold_is_one_error_before_any_step(
+        self, tmp_path, small_config, capsys, monkeypatch, stage
+    ):
+        config_path, cfg = small_config
+        name = "x" * 70_000
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"id": "p0", "language": name, "text": "alpha beta gamma"}) + "\n")
+        extend = []
+        if stage == "extend":
+            dims = {key: cfg[key] for key in ("vocab", "d", "d_out", "n_layers", "bottleneck")}
+            encoder.save_checkpoint(encoder.init_params(["aa"], **dims), tmp_path / "in.ckpt")
+            extend = ["--checkpoint-in", tmp_path / "in.ckpt", "--lang", name]
+        steps = []
+        monkeypatch.setattr(encoder, "mlm_step", lambda *args: steps.append(args))
+        out = tmp_path / "out.ckpt"
+        code = run_cli("train", "--stage", stage, "--corpus", corpus, *extend, "--checkpoint-out", out,
+                       "--config", config_path)
+        assert code == 2
+        err = read_stderr(capsys).splitlines()
+        assert len(err) == 1
+        assert err[0] == f"error[invalid-config]: language name {'x' * 40!r}... is 70000 UTF-8 bytes; " \
+                         "a u16 length field holds at most 65535"
+        assert not steps and not out.exists()
+
     def test_pretrain_writes_checkpoint_and_report(self, pipeline):
         ck = load_checkpoint(pipeline["ck_pre"])
         assert ck.stage == "pretrain"

@@ -155,6 +155,40 @@ class TestEmbeddingBlock:
             read_embedding_block(path)
 
 
+_ROWS = np.ones((2, 3), dtype=np.float32)
+_REFUSED_BLOCKS = {
+    "1-d first record": ({"p0": np.ones(3), "p1": _ROWS}, "record 'p0' rows must be (count, dim >= 1)"),
+    "no columns": ({"p0": np.ones((2, 0))}, "record 'p0' rows must be (count, dim >= 1)"),
+    "same id as text": ({1: _ROWS, "1": _ROWS}, "record '1' repeats the id '1' of record 1"),
+    "id over 65,535 bytes": ({"p0": _ROWS, "\u00e9" * 32_768: _ROWS},
+                             f"record id {'é' * 40!r}... is 65536 UTF-8 bytes; a u16 length field holds at most 65535"),
+    "beyond float32": ({"p0": _ROWS, "p1": np.array([[1.0, 1e39, 2.0]])},
+                       "record 'p1' holds a finite value beyond float32's range"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_BLOCKS))
+def test_a_block_the_reader_would_refuse_is_not_written(tmp_path, case):
+    records, message = _REFUSED_BLOCKS[case]
+    path = tmp_path / "corpus.emb"
+    path.write_bytes(b"an earlier block")
+    with pytest.raises(InvalidConfigError) as exc:
+        write_embedding_block(records, path)
+    assert exc.value.message == message
+    assert path.read_bytes() == b"an earlier block"
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.emb"]
+
+
+def test_non_finite_values_and_the_longest_id_are_written_as_they_are(tmp_path):
+    rows = np.array([[np.nan, np.inf, -np.inf], [1.0, -2.0, 3.0]])
+    long_id = "x" * 65_535
+    path = tmp_path / "corpus.emb"
+    write_embedding_block({"p0": rows, long_id: np.zeros((0, 3))}, path)
+    block = read_embedding_block(path)
+    assert [r.id for r in block] == ["p0", long_id]
+    assert block[0].embeddings.tobytes() == rows.astype(np.float32).tobytes()
+
+
 def _small_block(path):
     write_embedding_block({"p1": np.ones((3, 4), dtype=np.float32), "p2": np.zeros((2, 4), dtype=np.float32)}, path)
     return path.read_bytes()

@@ -328,6 +328,20 @@ class TestTotalLoss:
         with pytest.raises(UnknownLanguageError, match="'zz'"):
             total_loss_and_grads(random_batch(np.random.default_rng(13), 2, lang="zz"), tiny_params())
 
+    def test_an_unregistered_language_is_named_before_a_later_bad_token(self):
+        # the first sequence's language fails before the last sequence's token is read
+        rng = np.random.default_rng(14)
+        triples = list(random_batch(rng, 2, lang="zz").triples)
+        last = triples[-1]
+        bad = PreparedSequence(last.hard_negative.token_ids + (24,), language="zz")  # vocab is 24
+        triples[-1] = TrainingTriple(last.query, last.positive, bad)
+        params = tiny_params()
+        with pytest.raises(UnknownLanguageError, match="'zz'"):
+            total_loss_and_grads(Batch(tuple(triples)), params)
+        params.set_stage("finetune")
+        with pytest.raises(UnknownLanguageError, match="'zz'"):
+            finetune_step(Batch(tuple(triples)), params, lr=0.1)
+
     def test_zero_projection_scores_zero_with_zero_gradients(self):
         # every embedding row has zero norm: all MaxSim scores are 0
         params = tiny_params(seed=4)
@@ -1096,6 +1110,31 @@ class TestInitParams:
         with pytest.raises(InvalidConfigError) as exc:
             init_params(["en"], vocab=vocab)
         assert exc.value.message == f"vocab must exceed 4, got {vocab}"
+
+
+_LONG_NAME = "x" * 65_536  # one UTF-8 byte over the checkpoint's u16 length field
+
+
+class TestLanguageNames:
+    @pytest.mark.parametrize("name", ["\u00e9" * 32_768, _LONG_NAME, "\ud800"], ids=["2-byte", "ascii", "surrogate"])
+    def test_init_params_refuses_a_name_a_checkpoint_cannot_hold(self, name):
+        with pytest.raises(InvalidConfigError, match="^language name "):
+            init_params(["aa", name])
+
+    @pytest.mark.parametrize("name", [_LONG_NAME, "\ud800"], ids=["long", "surrogate"])
+    def test_add_language_refuses_it_before_anything_changes(self, name):
+        params = tiny_params()
+        before = param_bytes(params)
+        with pytest.raises(InvalidConfigError, match="^language name "):
+            add_language(params, name, init_seed=1)
+        assert params.languages() == list(LANGS) and params.stage == "pretrain" and not params.post_hoc
+        assert param_bytes(params) == before
+
+    def test_the_longest_name_round_trips(self, tmp_path):
+        name = "\u00e9" * 32_767 + "x"  # 65,535 UTF-8 bytes
+        params = init_params(["aa", name], vocab=8, d=2, d_out=2, n_layers=1, bottleneck=1)
+        save_checkpoint(params, tmp_path / "model.ckpt")
+        assert load_checkpoint(tmp_path / "model.ckpt").languages() == ["aa", name]
 
 
 class TestAddLanguage:

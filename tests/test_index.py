@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from modir.errors import (
@@ -403,6 +403,19 @@ def small_index(seed=13, n_passages=60, dim=6):
     return corpus, idx, query
 
 
+def coded_index(centroids, centroid_ids, passage_ids, passage_offsets):
+    """An index whose rows are their centroids: every residual decodes to 0."""
+    dim = centroids.shape[1]
+    return CompressedIndex(
+        centroids=centroids,
+        codec=ResidualCodec(cuts=np.zeros((3, dim), np.float32), reps=np.zeros((4, dim), np.float32)),
+        centroid_ids=np.asarray(centroid_ids, dtype=np.int64),
+        residual_codes=np.zeros((len(centroid_ids), dim), np.uint8),
+        passage_ids=passage_ids,
+        passage_offsets=np.asarray(passage_offsets, dtype=np.int64),
+    )
+
+
 class TestApproximate:
     def test_full_probe_matches_exact_on_fetched(self):
         _, idx, query = small_index()
@@ -483,6 +496,35 @@ class TestApproximate:
             two = idx.internal_passage("two-lists")
             assert len(set(idx.centroid_ids[idx.passage_offsets[two] : idx.passage_offsets[two + 1]])) == 2
             assert min(best["opposite"]) < 0.0
+
+    def test_a_near_tie_probes_the_list_its_row_is_filed_under(self):
+        # |x|^2 = 1e12 swamps the centroids' 2e-5 gap in |c|^2: the full squared
+        # distances both round to 1e12 + 1, while the score files the row under centroid 1
+        centroids = np.array([[0.0, 1.0], [0.0, 0.99999]], dtype=np.float32)
+        row = np.array([[1e6, 0.0]])
+        filed = nearest_centroid_ids(row, centroids)
+        assert filed.tolist() == [1]
+        idx = coded_index(centroids, np.array([filed[0], 0]), ["a", "b"], [0, 1, 2])
+        got = approximate_candidates(row, idx, SearchParams(n_probe=1, candidate_k=10, final_k=1))
+        assert "a" in [pid for pid, _ in got]
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), dim=st.integers(1, 6), terms=st.integers(1, 8),
+           scale=st.sampled_from([1e-3, 1.0, 1e6]))
+    def test_n_probe_one_reads_the_lists_that_assignment_names(self, seed, k, dim, terms, scale):
+        rng = np.random.default_rng(seed)
+        centroids = rng.normal(size=(k, dim)).astype(np.float32)
+        assume(np.unique(centroids, axis=0).shape[0] == k)
+        n = int(rng.integers(1, 4 * k + 2))
+        cuts = np.unique(rng.integers(1, n, size=min(n - 1, 10))) if n > 1 else np.array([], dtype=np.int64)
+        offsets = np.concatenate(([0], cuts, [n]))
+        idx = coded_index(centroids, rng.integers(0, k, size=n), [f"p{i:03d}" for i in range(offsets.size - 1)], offsets)
+        query = scale * rng.normal(size=(terms, dim))
+        lists = set(nearest_centroid_ids(query, idx.centroids).tolist())
+        expect = [pid for i, pid in enumerate(idx.passage_ids)
+                  if lists & set(idx.centroid_ids[offsets[i] : offsets[i + 1]].tolist())]
+        got = approximate_candidates(query, idx, SearchParams(n_probe=1, candidate_k=n, final_k=1))
+        assert sorted(pid for pid, _ in got) == expect
 
     def test_query_dim_mismatch(self):
         _, idx, _ = small_index()

@@ -6,9 +6,10 @@ rewritten to run in place: k-means++ seeding by direct squared differences,
 Lloyd means by one boolean mask per cluster over one whole distance matrix,
 the distance expression in one line, and assignment by the argmin of the
 full clipped squared distance, with a fresh distance matrix per row block.
-The build assigns by ``|c|^2 - 2 x.c`` alone, so the references are also the
-independent check on that shortcut. The build must give the same bits
-(``np.array_equal``), so index bytes do not depend on which form built them.
+The build ranks centroids by ``index._centroid_scores``, ``|c|^2 - 2 x.c``
+alone, so the references are also the independent check on that shortcut.
+The build must give the same bits (``np.array_equal``), so index bytes do
+not depend on which form built them.
 """
 
 import os
@@ -126,53 +127,15 @@ def assert_same_arrays(built, ref):
     assert np.array_equal(built.residual_codes, residual_codes)
 
 
-class TestSquaredDistances:
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.integers(1, 12), dim=st.integers(1, 9),
-           scale=st.sampled_from([1e-3, 1.0, 1e3]))
-    def test_every_form_equals_the_reference(self, seed, n, k, dim, scale):
-        rng = np.random.default_rng(seed)
-        x = scale * rng.standard_normal((n, dim))
-        c = scale * rng.standard_normal((k, dim))
-        m = min(n, k // 2)
-        c[:m] = x[:m]  # some pairs at distance 0
-        expect = ref_squared_distances(x, c)
-        xx, cc = (x * x).sum(axis=1), (c * c).sum(axis=1)
-        out = np.full((n, k), np.nan)
-        assert np.array_equal(index._squared_distances(x, c), expect)
-        assert np.array_equal(index._squared_distances(x, c, xx, cc), expect)
-        assert index._squared_distances(x, c, xx, cc, out=out) is out
-        assert np.array_equal(out, expect)
-
-
-class TestBlockedDistancesKeepBits:
-    """The premise of blocked distances: for the shapes a build uses, each
-    row of a row block's distances has the bits of the same row of the whole
-    product, for every block of 32 rows or more (smaller blocks can differ,
-    and nothing is asserted for them). A numpy or BLAS change that breaks
-    this fails here, not as index bytes that no longer match."""
-
-    @pytest.mark.parametrize("dim", [4, 6, 128])
-    @pytest.mark.parametrize("k", [64, 256, 512, 1024])
-    def test_each_row_of_a_block_equals_the_whole_product(self, k, dim):
-        rng = np.random.default_rng(k * 1000 + dim)
-        cap = index._DISTANCE_FLOATS // k  # the tallest block the rule makes
-        x, c = rng.standard_normal((cap + 7, dim)), rng.standard_normal((k, dim))
-        whole = index._squared_distances(x, c)
-        buf = np.empty((cap, k))
-        heights = {*range(32, 65), 100, 127, 128, 129, 255, 256, 257, 1000, 2047, cap // 2, cap // 2 + 1, cap - 1, cap}
-        for height in sorted(h for h in heights if 32 <= h <= cap):
-            for lo in (0, 7):
-                got = index._squared_distances(x[lo : lo + height], c, out=buf[:height])
-                assert np.array_equal(got, whole[lo : lo + height]), (height, lo)
-
-
 class TestBlockedScoresKeepBits:
-    """The premise of ``nearest_centroid_ids``' blocked score ``|c|^2 - 2 x.c``,
-    one product with the centroids scaled by -2 and one add, at the shapes a
-    build uses: each row of a row block's scores has the bits of the same
-    row of the whole product, for every block of 32 rows or more, and
-    scaling the centroids by -2 gives the bits of scaling the product."""
+    """The premise of ``nearest_centroid_ids``' blocked ``_centroid_scores``,
+    ``|c|^2 - 2 x.c`` as one product with the centroids scaled by -2 and one
+    add, at the shapes a build uses: each row of a row block's scores has
+    the bits of the same row of the whole product, for every block of 32
+    rows or more (smaller blocks can differ, and nothing is asserted for
+    them), and scaling the centroids by -2 gives the bits of scaling the
+    product. A numpy or BLAS change that breaks this fails here, not as
+    index bytes that no longer match."""
 
     @pytest.mark.parametrize("dim", [4, 6, 128])
     @pytest.mark.parametrize("k", [64, 256, 512, 1024])
@@ -182,13 +145,13 @@ class TestBlockedScoresKeepBits:
         x, c = rng.standard_normal((cap + 7, dim)), rng.standard_normal((k, dim))
         cc, scaled = (c * c).sum(axis=1), -2.0 * c
         assert np.array_equal(x @ scaled.T, -2.0 * (x @ c.T))
-        whole = x @ scaled.T + cc
+        whole = index._centroid_scores(x, scaled, cc)
+        assert np.array_equal(whole, x @ scaled.T + cc)
         buf = np.empty((cap, k))
         heights = {*range(32, 65), 100, 127, 128, 129, 255, 256, 257, 1000, 2047, cap // 2, cap // 2 + 1, cap - 1, cap}
         for height in sorted(h for h in heights if 32 <= h <= cap):
             for lo in (0, 7):
-                got = np.matmul(x[lo : lo + height], scaled.T, out=buf[:height])
-                got += cc
+                got = index._centroid_scores(x[lo : lo + height], scaled, cc, out=buf[:height])
                 assert np.array_equal(got, whole[lo : lo + height]), (height, lo)
 
 
@@ -242,6 +205,20 @@ class TestSelectCentroidsReference:
     def test_random_duplicated_samples(self, seed, distinct, extra, k, dim):
         points = duplicated_points(np.random.default_rng(seed), distinct, distinct + extra, dim)
         assert np.array_equal(select_quietly(points, k, seed), ref_select_centroids(points, k, seed))
+
+
+class TestKmeansPPClip:
+    def test_near_copies_far_from_the_origin_draw_from_nonnegative_distances(self):
+        # 1e8 from the origin, the expanded squared distance of two points 1e-3
+        # apart can round below zero; unclipped, it is a negative draw probability
+        rng = np.random.default_rng(1)
+        base = 1e8 * rng.normal(size=(16, 3))
+        points = np.concatenate([base, base + 1e-3 * rng.normal(size=(16, 3))])
+        xx = (points * points).sum(axis=1)
+        assert (index._centroid_scores(points, -2.0 * points, xx) + xx[:, None] < 0.0).any()
+        for seed in range(5):
+            got = select_centroids(points, 8, seed)
+            assert got.shape == (8, 3) and np.isfinite(got).all()
 
 
 class TestMultiBlockReference:
