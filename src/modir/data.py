@@ -142,6 +142,10 @@ def read_jsonl_records(path) -> list[CorpusRecord]:
             if not isinstance(raw.get(key, ""), str):
                 raise ParseError(f"{key!r} must be a string", line=lineno)
         rid = str(raw["id"])
+        try:  # a JSON-escaped lone surrogate reads, but no index or run file could hold it
+            rid.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"'id' {rid!r} is not encodable as UTF-8", line=lineno) from None
         if rid in seen:
             raise ParseError(f"duplicate record id {rid!r}", line=lineno)
         seen.add(rid)

@@ -18,6 +18,13 @@ MaxSim kernel, which gives the scores it reports.
 Both stages, like the oracle, accept a query that ``scoring.check_query``
 accepts at the index's width: a finite float (terms, dim) matrix with rows.
 
+In memory the residual codes stay packed four per byte, (n, ceil(dim/4))
+uint8 with the first dimension in a byte's top two bits (``pack_residuals``),
+the bit order of codes.bin's residual field, through build, save, load and
+search: the build packs each block as it encodes it, save and load convert
+each chunk between the two with one bit unpack or pack, and decompression
+reads a byte's four representatives from a 256-entry table per byte column.
+
 On-disk layout (directory; all integers little-endian; varint = unsigned
 LEB128, written by ``data.encode_varints`` and read by
 ``data.ByteReader.varints`` and ``.texts``). centroids.f32, codec.f32,
@@ -315,6 +322,13 @@ def fit_codec(residual_sample) -> ResidualCodec:
 
     Empty inner buckets fall back to the midpoint of their cut interval;
     empty outer buckets collapse onto the adjacent cut point.
+
+    A bucket's sums skip the rows outside it (``where=``) instead of adding
+    a 0.0 for each from a sample-sized masked copy. With two or more columns
+    the rows add in order from a +0.0 start, so a partial sum is never -0.0
+    and the skipped +0.0 terms never changed a bit, signed zeros included.
+    One column is the exception: numpy sums it pairwise, which the zeros'
+    places change, so it keeps its masked copy, one float per row.
     """
     r = np.atleast_2d(np.asarray(residual_sample, dtype=np.float64))
     if r.shape[0] == 0:
@@ -326,7 +340,10 @@ def fit_codec(residual_sample) -> ResidualCodec:
     for bucket in range(4):
         mask = codes == bucket
         counts = mask.sum(axis=0)
-        sums = np.where(mask, r, 0.0).sum(axis=0)
+        if r.shape[1] == 1:
+            sums = np.where(mask, r, 0.0).sum(axis=0)
+        else:
+            sums = np.add.reduce(r, axis=0, where=mask)
         codec.reps[bucket] = np.where(counts > 0, sums / np.maximum(counts, 1), fallback[bucket])
     return codec
 
@@ -345,9 +362,26 @@ def id_bit_width(centroid_count: int) -> int:
     return math.ceil(math.log2(centroid_count)) if centroid_count > 1 else 0
 
 
-def pack_codes(centroid_ids: np.ndarray, residual_codes: np.ndarray, id_bits: int) -> bytes:
+_CODE_SHIFTS = np.array([6, 4, 2, 0], dtype=np.uint8)  # bit offsets of a byte's four codes, first dimension on top
+
+
+def pack_residuals(codes: np.ndarray) -> np.ndarray:
+    """(rows, dim) residual codes 0..3 -> (rows, ceil(dim / 4)) uint8, the
+    index's in-memory layout: four codes per byte, dimension 4j + i in bits
+    7 - 2i and 6 - 2i of byte j (the first in the top two bits, as in
+    codes.bin's residual field), the last byte of a row zero-padded."""
+    rows, dim = codes.shape
+    width = -(-dim // 4)
+    quads = np.zeros((rows, width, 4), dtype=np.uint8)
+    quads.reshape(rows, 4 * width)[:, :dim] = codes
+    return (quads[..., 0] << 6) | (quads[..., 1] << 4) | (quads[..., 2] << 2) | quads[..., 3]
+
+
+def pack_codes(centroid_ids: np.ndarray, residual_codes: np.ndarray, dim: int, id_bits: int) -> bytes:
     """One MSB-first bitstream: per embedding the centroid id then 2 bits/dim,
-    zero-padded to a byte at the end.
+    zero-padded to a byte at the end. ``residual_codes`` is packed
+    (``pack_residuals``): its first ``2 * dim`` bits per row are the field,
+    in the stream's bit order.
 
     The embeddings are unpacked into one bit per byte, so a caller bounds
     that temporary by the rows it passes. ``save_index`` passes
@@ -355,28 +389,28 @@ def pack_codes(centroid_ids: np.ndarray, residual_codes: np.ndarray, id_bits: in
     on a byte boundary, so the chunks' bytes join into the stream of one call
     over all embeddings.
     """
-    n, d = residual_codes.shape
     shifts = np.arange(id_bits - 1, -1, -1, dtype=np.uint64)
-    bits = np.empty((n, id_bits + 2 * d), dtype=np.uint8)
+    bits = np.empty((residual_codes.shape[0], id_bits + 2 * dim), dtype=np.uint8)
     bits[:, :id_bits] = (centroid_ids.astype(np.uint64)[:, None] >> shifts) & 1
-    bits[:, id_bits::2] = (residual_codes >> 1) & 1
-    bits[:, id_bits + 1 :: 2] = residual_codes & 1
+    bits[:, id_bits:] = np.unpackbits(residual_codes, axis=1, count=2 * dim)
     return np.packbits(bits).tobytes()
 
 
 def unpack_codes(blob: bytes, count: int, dim: int, id_bits: int):
     """The inverse of ``pack_codes``, ``_PACK_ROWS`` embeddings at a time
-    into preallocated arrays: every chunk starts on a byte."""
+    into preallocated arrays (every chunk starts on a byte): the centroid
+    ids, and the residual codes packed, one ``np.packbits`` of each chunk's
+    residual bit columns."""
     width = id_bits + 2 * dim
     raw = np.frombuffer(blob, dtype=np.uint8)
     weights = 1 << np.arange(id_bits - 1, -1, -1, dtype=np.int64)  # most significant bit first
     centroid_ids = np.empty(count, dtype=np.int64)
-    residual_codes = np.empty((count, dim), dtype=np.uint8)
+    residual_codes = np.empty((count, -(-dim // 4)), dtype=np.uint8)
     for lo in range(0, count, _PACK_ROWS):
         rows = min(_PACK_ROWS, count - lo)
         bits = np.unpackbits(raw[lo * width // 8 :], count=rows * width).reshape(rows, width)
         centroid_ids[lo : lo + rows] = bits[:, :id_bits] @ weights
-        residual_codes[lo : lo + rows] = (bits[:, id_bits::2] << 1) | bits[:, id_bits + 1 :: 2]
+        residual_codes[lo : lo + rows] = np.packbits(bits[:, id_bits:], axis=1)
     return centroid_ids, residual_codes
 
 
@@ -413,18 +447,25 @@ class CompressedIndex:
     passage in the same order. Both search stages read unit-norm rows from
     one CSR-ordered float64 table, ``unit_rows``, built whole the first time
     a search reads it, so building, saving and loading an index never hold
-    it.
+    it. The residual codes are held packed, four per byte, and never
+    unpacked whole: decompression decodes the bytes it reads through
+    ``_decode_table``.
     """
 
     centroids: np.ndarray  # (C, dim) float32
     codec: ResidualCodec  # float32 cuts / reps
     centroid_ids: np.ndarray  # (n,) int64, per embedding
-    residual_codes: np.ndarray  # (n, dim) uint8 in 0..3
+    residual_codes: np.ndarray  # (n, ceil(dim / 4)) uint8, four 2-bit codes per byte (``pack_residuals``)
     passage_ids: list  # external ids (strings), internal order
     passage_offsets: np.ndarray  # (P+1,) int64
     seed: int = 0
 
     def __post_init__(self):
+        if self.residual_codes.shape != (self.embedding_count, -(-self.dim // 4)):
+            raise InvalidConfigError(
+                f"residual codes of shape {self.residual_codes.shape} are not {self.embedding_count} rows "
+                f"of {-(-self.dim // 4)} packed bytes"
+            )
         self._by_external = {pid: i for i, pid in enumerate(self.passage_ids)}
         self._centroids64 = self.centroids.astype(np.float64)
         sizes = np.bincount(self.centroid_ids, minlength=self.centroid_count)
@@ -461,10 +502,27 @@ class CompressedIndex:
             raise UnknownPassageError(f"unknown passage id {external_id!r}")
         return self._by_external[key]
 
+    @cached_property
+    def _decode_table(self) -> np.ndarray:
+        """(ceil(dim / 4) * 256, 4) float64: row ``256 j + b`` holds the four
+        representatives that byte value b stands for in byte j of a packed
+        row, from ``codec.decode``, so the one for dimension d is
+        ``reps[code, d]`` exactly (padding dimensions hold 0). Built at the
+        first decompression."""
+        width = self.residual_codes.shape[1]
+        codes = np.tile((np.arange(256, dtype=np.uint8)[:, None] >> _CODE_SHIFTS) & 3, width)  # (256, 4 width)
+        table = np.zeros((256, 4 * width))
+        table[:, : self.dim] = self.codec.decode(codes[:, : self.dim])
+        return np.ascontiguousarray(table.reshape(256, width, 4).transpose(1, 0, 2)).reshape(-1, 4)
+
     def decompress_embeddings(self, emb_ids: np.ndarray) -> np.ndarray:
         """Centroid plus the codec's representative per dimension: the one
-        decompression path of the index."""
-        return self._centroids64[self.centroid_ids[emb_ids]] + self.codec.decode(self.residual_codes[emb_ids])
+        decompression path of the index. The representatives come four at a
+        time from ``_decode_table``, one row per packed byte."""
+        packed = self.residual_codes[emb_ids]
+        width = packed.shape[1]
+        residuals = np.take(self._decode_table, packed + 256 * np.arange(width), axis=0)
+        return self._centroids64[self.centroid_ids[emb_ids]] + residuals.reshape(-1, 4 * width)[:, : self.dim]
 
     def decompress_passage(self, internal: int) -> np.ndarray:
         lo, hi = self.passage_offsets[internal], self.passage_offsets[internal + 1]
@@ -568,9 +626,11 @@ def build_index(
 
     The table is never read whole. Its rows are asked for, and widened to
     float64, one block at a time: the sample, each assignment block of
-    ``nearest_centroid_ids`` and each ``_UNIT_BLOCK``-row block of residuals.
-    An embedding block's ``BlockRows`` reads each block from the file, so a
-    build reads the sampled passages once and every row twice. Widening
+    ``nearest_centroid_ids`` and each ``_UNIT_BLOCK``-row block of residuals,
+    whose codes are packed (``pack_residuals``) as the block is encoded, so
+    no (n, dim) code array is ever allocated. An embedding block's
+    ``BlockRows`` reads each block from the file, so a build reads the
+    sampled passages once and every row twice. Widening
     float32 is exact and encoding is element-wise, so together with the
     assignment blocks, which depend only on the row and centroid counts, the
     index files are byte-identical to those of a build over a float64 copy
@@ -604,14 +664,15 @@ def build_index(
 
     assignments = nearest_centroid_ids(_FiniteRows(table), centroids)
     cents64 = centroids.astype(np.float64)
-    codec64 = fit_codec(sample - cents64[assignments[sample_rows]])
+    sample -= cents64[assignments[sample_rows]]  # in place: the sample is a private copy, now its residuals
+    codec64 = fit_codec(sample)
     del sample
     codec = ResidualCodec(cuts=codec64.cuts.astype(np.float32), reps=codec64.reps.astype(np.float32))
-    residual_codes = np.empty((total, dim), dtype=np.uint8)
+    residual_codes = np.empty((total, -(-dim // 4)), dtype=np.uint8)
     for lo in range(0, total, _UNIT_BLOCK):  # element-wise, so chunking keeps every bit
         residuals = cents64[assignments[lo : lo + _UNIT_BLOCK]]
         np.subtract(rows[lo : lo + _UNIT_BLOCK], residuals, out=residuals)  # float32 rows are widened exactly
-        residual_codes[lo : lo + _UNIT_BLOCK] = codec.encode(residuals)
+        residual_codes[lo : lo + _UNIT_BLOCK] = pack_residuals(codec.encode(residuals))
     return CompressedIndex(
         centroids=centroids,
         codec=codec,
@@ -777,7 +838,7 @@ def _write_index_files(index: CompressedIndex, directory: Path):
     with open(directory / "codes.bin", "wb") as fh:  # a chunk at a time: the stream is never held whole
         for lo in range(0, index.embedding_count, _PACK_ROWS):
             chunk = slice(lo, lo + _PACK_ROWS)
-            fh.write(pack_codes(index.centroid_ids[chunk], index.residual_codes[chunk], id_bits))
+            fh.write(pack_codes(index.centroid_ids[chunk], index.residual_codes[chunk], index.dim, id_bits))
     (directory / "invlists.bin").write_bytes(_invlists_bytes(np.diff(index.list_offsets)))
 
     passages = bytearray()

@@ -321,6 +321,15 @@ class TestIndexCmd:
         assert calls == []
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
+    def test_a_lone_surrogate_id_is_a_parse_error_naming_the_line(self, tmp_path, small_config, capsys):
+        # JSON can escape a lone surrogate, which UTF-8 (and so passages.bin) cannot hold
+        config_path, _ = small_config
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a", "embeddings": [[1, 2]]}\n{"id": "\\ud800", "embeddings": [[3, 4]]}\n')
+        assert run_cli("index", "--corpus", corpus, "--out", tmp_path / "idx", "--config", config_path) == 2
+        assert read_stderr(capsys).splitlines() == ["error[parse]: line 2: 'id' '\\ud800' is not encodable as UTF-8"]
+        assert not (tmp_path / "idx").exists()
+
     def test_ragged_embedding_rows_are_a_parse_error(self, tmp_path, small_config, capsys):
         config_path, _ = small_config
         corpus = tmp_path / "ragged.jsonl"
@@ -522,6 +531,29 @@ class TestSearchCmd:
         err = read_stderr(capsys).splitlines()
         assert len(err) == 1 and err[0].startswith("error[invalid-config]")
         assert not run_path.exists()
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["search", "exact"])
+    def test_a_lone_surrogate_query_id_is_a_parse_error_before_any_search(
+        self, tmp_path, small_config, capsys, monkeypatch, exact
+    ):
+        config_path, _ = small_config
+        rng = np.random.default_rng(0)
+        idx_dir = tmp_path / "idx"
+        save_index(build_index({f"p{i}": rng.normal(size=(4, 8)) for i in range(10)}, seed=0), idx_dir)
+        path = tmp_path / "queries.jsonl"
+        path.write_text("".join(json.dumps({"id": q, "embeddings": rng.normal(size=(2, 8)).tolist()}) + "\n"
+                                for q in ("q0", "q\udfff")))
+        calls = []
+        for owner, name in ((index_mod, "search"), (evaluation, "brute_force_search")):
+            monkeypatch.setattr(owner, name, lambda *a, name=name, **k: calls.append(name))
+        run_path = tmp_path / "q.run"
+        run_path.write_text("q Q0 p 1 1.000000 modir\n")
+        code = run_cli("search", "--index", idx_dir, "--queries", path, "--out", run_path,
+                       "--config", config_path, *(["--exact"] if exact else []))
+        assert code == 2
+        assert read_stderr(capsys).splitlines() == ["error[parse]: line 2: 'id' 'q\\udfff' is not encodable as UTF-8"]
+        assert calls == []
+        assert run_path.read_text() == "q Q0 p 1 1.000000 modir\n"
 
     @pytest.mark.parametrize("exact", [False, True], ids=["search", "exact"])
     @pytest.mark.parametrize("bad", ["query", "passage"])

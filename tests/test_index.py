@@ -39,6 +39,7 @@ from modir.index import (
     load_index,
     nearest_centroid_ids,
     pack_codes,
+    pack_residuals,
     save_index,
     search,
     select_centroids,
@@ -235,14 +236,31 @@ def random_codes(rng, n, dim, id_bits):
     return rng.integers(0, 1 << id_bits, size=n), rng.integers(0, 4, size=(n, dim)).astype(np.uint8)
 
 
+def ref_pack_codes(centroid_ids, codes, id_bits):
+    """codes.bin from (n, dim) codes, one bit per byte, as the stream was
+    packed before the index held its codes packed four per byte."""
+    n, d = codes.shape
+    shifts = np.arange(id_bits - 1, -1, -1, dtype=np.uint64)
+    bits = np.empty((n, id_bits + 2 * d), dtype=np.uint8)
+    bits[:, :id_bits] = (centroid_ids.astype(np.uint64)[:, None] >> shifts) & 1
+    bits[:, id_bits::2] = (codes >> 1) & 1
+    bits[:, id_bits + 1 :: 2] = codes & 1
+    return np.packbits(bits).tobytes()
+
+
+def ref_unpack_residuals(packed, dim):
+    """(n, dim) codes from packed bytes: code i of a byte in bits 7 - 2i and 6 - 2i."""
+    return ((packed[:, :, None] >> np.array([6, 4, 2, 0], dtype=np.uint8)) & 3).reshape(packed.shape[0], 4 * packed.shape[1])[:, :dim]
+
+
 class TestBitPacking:
     @pytest.mark.parametrize("n,dim,c_count", [(1, 4, 1), (5, 3, 2), (17, 8, 128), (10, 128, 2**18)])
     def test_round_trip_and_exact_size(self, n, dim, c_count):
         rng = np.random.default_rng(n)
         id_bits = id_bit_width(c_count)
         ids = rng.integers(0, c_count, size=n)
-        codes = rng.integers(0, 4, size=(n, dim)).astype(np.uint8)
-        blob = pack_codes(ids, codes, id_bits)
+        codes = pack_residuals(rng.integers(0, 4, size=(n, dim)).astype(np.uint8))
+        blob = pack_codes(ids, codes, dim, id_bits)
         expected_bits = n * bits_per_embedding(dim, c_count)
         assert len(blob) == -(-expected_bits // 8)  # ceil
         back_ids, back_codes = unpack_codes(blob, n, dim, id_bits)
@@ -268,12 +286,12 @@ class TestBitPacking:
         bits = [((ids.astype(np.uint64)[:, None] >> np.arange(id_bits - 1, -1, -1, dtype=np.uint64)) & 1)]
         bits.append(np.stack([(codes >> 1) & 1, codes & 1], axis=2).reshape(n, 2 * dim))
         one_shot = np.packbits(np.concatenate(bits, axis=1).astype(np.uint8).ravel()).tobytes()
-        assert pack_codes(ids, codes, id_bits) == one_shot
+        assert pack_codes(ids, pack_residuals(codes), dim, id_bits) == one_shot
         with mock.patch("modir.index._PACK_ROWS", chunk):
             back_ids, back_codes = unpack_codes(one_shot, n, dim, id_bits)
         assert back_ids.dtype == np.int64 and back_codes.dtype == np.uint8
         np.testing.assert_array_equal(back_ids, ids)
-        np.testing.assert_array_equal(back_codes, codes)
+        np.testing.assert_array_equal(back_codes, pack_residuals(codes))
 
     @settings(max_examples=100, deadline=None)
     @example(n=13, dim=1, id_bits=0, chunk=8, seed=0)
@@ -293,18 +311,99 @@ class TestBitPacking:
             centroids=np.zeros((c_count, dim), np.float32),
             codec=ResidualCodec(cuts=np.zeros((3, dim), np.float32), reps=np.zeros((4, dim), np.float32)),
             centroid_ids=ids,
-            residual_codes=codes,
+            residual_codes=pack_residuals(codes),
             passage_ids=["p"],
             passage_offsets=np.array([0, n]),
         )
         assert id_bit_width(idx.centroid_count) == id_bits
         with tempfile.TemporaryDirectory() as tmp, mock.patch("modir.index._PACK_ROWS", chunk):
             save_index(idx, Path(tmp) / "idx")
-            assert (Path(tmp) / "idx" / "codes.bin").read_bytes() == pack_codes(ids, codes, id_bits)
+            assert (Path(tmp) / "idx" / "codes.bin").read_bytes() == pack_codes(ids, pack_residuals(codes), dim, id_bits)
 
     def test_headline_bit_arithmetic(self):
         assert bits_per_embedding(128, 2**18) == 274
         assert 2048 / bits_per_embedding(128, 2**18) == pytest.approx(7.47, abs=0.01)
+
+
+def index_of_codes(rng, codes, id_bits=0, reps=None, passages=1):
+    """An index over these (n, dim) codes, with random centroids and codec."""
+    n, dim = codes.shape
+    reps = rng.normal(size=(4, dim)).astype(np.float32) if reps is None else reps
+    return CompressedIndex(
+        centroids=rng.normal(size=(1 << id_bits, dim)).astype(np.float32),
+        codec=ResidualCodec(cuts=np.sort(rng.normal(size=(3, dim)), axis=0).astype(np.float32), reps=reps),
+        centroid_ids=rng.integers(0, 1 << id_bits, size=n),
+        residual_codes=pack_residuals(codes),
+        passage_ids=[f"p{i}" for i in range(passages)],
+        passage_offsets=np.linspace(0, n, passages + 1).astype(np.int64),
+    )
+
+
+class TestPackedResiduals:
+    """The index holds its residual codes four per byte, (n, ceil(dim/4))
+    uint8, and decodes them through one 256-entry table per byte column."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.one_of(st.integers(1, 9), st.just(128)),
+        n=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pack_round_trips_with_zero_padding(self, dim, n, seed):
+        codes = np.random.default_rng(seed).integers(0, 4, size=(n, dim), dtype=np.uint8)
+        packed = pack_residuals(codes)
+        assert packed.dtype == np.uint8 and packed.shape == (n, -(-dim // 4))
+        assert np.array_equal(ref_unpack_residuals(packed, dim), codes)
+        assert not (np.unpackbits(packed, axis=1)[:, 2 * dim :]).any()  # padding bits are zero
+        assert np.array_equal(packed, np.packbits(np.stack([codes >> 1, codes & 1], axis=2).reshape(n, 2 * dim), axis=1))
+
+    @pytest.mark.parametrize("dim", [*range(1, 10), 128])
+    def test_decode_equals_the_representatives_bit_for_bit(self, dim):
+        # every code in every dimension, with representatives over a wide range of exponents
+        rng = np.random.default_rng(dim)
+        codes = np.concatenate([np.tile(np.arange(4, dtype=np.uint8)[:, None], dim),
+                                rng.integers(0, 4, size=(60, dim), dtype=np.uint8)])
+        reps = (rng.normal(size=(4, dim)) * 10.0 ** rng.integers(-30, 30, size=(4, dim))).astype(np.float32)
+        reps[0, 0] = -0.0
+        idx = index_of_codes(rng, codes, id_bits=3, reps=reps, passages=4)
+        expect = idx.centroids.astype(np.float64)[idx.centroid_ids] + reps.astype(np.float64)[codes, np.arange(dim)]
+        order = rng.permutation(len(codes))
+        got = idx.decompress_embeddings(order)
+        assert got.dtype == np.float64 and got.shape == (len(codes), dim)
+        assert got.tobytes() == expect[order].tobytes()
+        assert idx.decompress_embeddings(np.arange(0)).shape == (0, dim)
+        table = idx._decode_table.reshape(-1, 256, 4)  # (byte column, byte value, code in the byte)
+        byte_codes = ref_unpack_residuals(np.arange(256, dtype=np.uint8)[:, None], 4)
+        for d in range(dim):
+            lane = table[d // 4, :, d % 4]
+            assert lane.tobytes() == reps.astype(np.float64)[byte_codes[:, d % 4], d].tobytes()
+        assert not table[-1, :, dim - 4 * (table.shape[0] - 1) :].any()  # padding dimensions decode to 0
+
+    @pytest.mark.parametrize("dim", [1, 3, 6, 128])
+    @pytest.mark.parametrize("id_bits", [0, 1, 9])
+    def test_saved_codes_equal_the_one_bit_per_byte_stream(self, tmp_path, id_bits, dim):
+        rng = np.random.default_rng(dim * 16 + id_bits)
+        codes = rng.integers(0, 4, size=(37, dim), dtype=np.uint8)
+        idx = index_of_codes(rng, codes, id_bits=id_bits)
+        with mock.patch("modir.index._PACK_ROWS", 16):
+            save_index(idx, tmp_path / "idx")
+        assert (tmp_path / "idx" / "codes.bin").read_bytes() == ref_pack_codes(idx.centroid_ids, codes, id_bits)
+        loaded = load_index(tmp_path / "idx")
+        assert np.array_equal(loaded.residual_codes, idx.residual_codes)
+        assert loaded.decompress_embeddings(np.arange(37)).tobytes() == idx.decompress_embeddings(np.arange(37)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(10, 6), (10, 1), (9, 2)], ids=["unpacked", "narrow", "short"])
+    def test_codes_not_in_the_packed_layout_are_refused(self, shape):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidConfigError, match="packed bytes"):
+            CompressedIndex(
+                centroids=np.zeros((1, 6), np.float32),
+                codec=ResidualCodec(cuts=np.zeros((3, 6), np.float32), reps=np.zeros((4, 6), np.float32)),
+                centroid_ids=np.zeros(10, np.int64),
+                residual_codes=rng.integers(0, 4, size=shape, dtype=np.uint8),
+                passage_ids=["p"],
+                passage_offsets=np.array([0, 10]),
+            )
 
 
 class TestBuildIndex:
@@ -410,7 +509,7 @@ def coded_index(centroids, centroid_ids, passage_ids, passage_offsets):
         centroids=centroids,
         codec=ResidualCodec(cuts=np.zeros((3, dim), np.float32), reps=np.zeros((4, dim), np.float32)),
         centroid_ids=np.asarray(centroid_ids, dtype=np.int64),
-        residual_codes=np.zeros((len(centroid_ids), dim), np.uint8),
+        residual_codes=pack_residuals(np.zeros((len(centroid_ids), dim), np.uint8)),
         passage_ids=passage_ids,
         passage_offsets=np.asarray(passage_offsets, dtype=np.int64),
     )
@@ -735,7 +834,7 @@ class TestSearch:
             centroids=rng.normal(size=(c_count, dim)).astype(np.float32),
             codec=ResidualCodec(cuts=np.zeros((3, dim), np.float32), reps=np.ones((4, dim), np.float32)),
             centroid_ids=rng.integers(0, c_count, size=n),
-            residual_codes=rng.integers(0, 4, size=(n, dim)).astype(np.uint8),
+            residual_codes=pack_residuals(rng.integers(0, 4, size=(n, dim)).astype(np.uint8)),
             passage_ids=[f"p{i:05d}" for i in range(n // per_passage)],
             passage_offsets=np.arange(0, n + 1, per_passage),
         )
@@ -934,6 +1033,7 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.codec.cuts, idx.codec.cuts)
         np.testing.assert_array_equal(loaded.codec.reps, idx.codec.reps)
         np.testing.assert_array_equal(loaded.centroid_ids, idx.centroid_ids)
+        assert idx.residual_codes.shape == (idx.embedding_count, -(-idx.dim // 4))
         np.testing.assert_array_equal(loaded.residual_codes, idx.residual_codes)
         np.testing.assert_array_equal(loaded.passage_offsets, idx.passage_offsets)
         assert loaded.passage_ids == idx.passage_ids

@@ -23,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modir import index
-from modir.index import ResidualCodec, build_index, fit_codec, nearest_centroid_ids, select_centroids
+from modir.data import TermTable
+from modir.index import ResidualCodec, build_index, fit_codec, nearest_centroid_ids, pack_residuals, select_centroids
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 
@@ -86,8 +87,23 @@ def ref_nearest_centroid_ids(vectors: np.ndarray, centroids: np.ndarray) -> np.n
     return np.concatenate([ref_nearest_in_one_product(block, centroids) for block in np.array_split(vectors, count)])
 
 
+def ref_fit_codec(r: np.ndarray) -> ResidualCodec:
+    """Quantile codec with each bucket's sums taken over a masked copy of
+    the sample, a 0.0 for every row outside the bucket."""
+    cuts = np.percentile(r, [25.0, 50.0, 75.0], axis=0)
+    codes = (r >= cuts[0]).astype(np.uint8) + (r >= cuts[1]) + (r >= cuts[2])
+    fallback = np.stack([cuts[0], 0.5 * (cuts[0] + cuts[1]), 0.5 * (cuts[1] + cuts[2]), cuts[2]])
+    reps = np.empty((4, r.shape[1]))
+    for bucket in range(4):
+        mask = codes == bucket
+        counts = mask.sum(axis=0)
+        reps[bucket] = np.where(counts > 0, np.where(mask, r, 0.0).sum(axis=0) / np.maximum(counts, 1), fallback[bucket])
+    return ResidualCodec(cuts=cuts, reps=reps)
+
+
 def ref_build_arrays(corpus, seed, sample_passages=256):
-    """build_index's arrays, from the references and one whole-corpus encode."""
+    """build_index's arrays, from the references and one whole-corpus encode
+    whose (n, dim) codes are then packed four per byte."""
     keys = sorted(corpus, key=str)
     matrices = [np.asarray(corpus[key], dtype=np.float64) for key in keys]
     offsets = np.concatenate(([0], np.cumsum([m.shape[0] for m in matrices])))
@@ -100,9 +116,9 @@ def ref_build_arrays(corpus, seed, sample_passages=256):
     centroids = ref_select_centroids(all_emb[sample_rows], k, (seed, 1)).astype(np.float32)
     assignments = ref_nearest_centroid_ids(all_emb, centroids)
     sample_residuals = all_emb[sample_rows] - centroids.astype(np.float64)[assignments[sample_rows]]
-    codec64 = fit_codec(sample_residuals)
+    codec64 = ref_fit_codec(sample_residuals)
     codec = ResidualCodec(cuts=codec64.cuts.astype(np.float32), reps=codec64.reps.astype(np.float32))
-    residual_codes = codec.encode(all_emb - centroids.astype(np.float64)[assignments])
+    residual_codes = pack_residuals(codec.encode(all_emb - centroids.astype(np.float64)[assignments]))
     return centroids, codec, assignments, residual_codes
 
 
@@ -248,6 +264,37 @@ class TestMultiBlockReference:
             assert_same_arrays(build_index(corpus, seed=5), ref_build_arrays(corpus, 5))
 
 
+class TestFitCodecReference:
+    """``fit_codec`` sums each bucket with ``where=`` instead of over a
+    masked copy; the codec keeps every bit, signed zeros included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        dim=st.integers(1, 9),
+        zeros=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_codec_equals_the_masked_copy_reference(self, n, dim, zeros, seed):
+        # many exact zeros of both signs, so some buckets hold only -0.0 or only zeros
+        rng = np.random.default_rng(seed)
+        r = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 3, size=(n, dim))
+        zero = rng.random((n, dim)) < zeros
+        r[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+        got, ref = fit_codec(r), ref_fit_codec(r)
+        assert got.cuts.tobytes() == ref.cuts.tobytes() and got.reps.tobytes() == ref.reps.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_a_bucket_of_negative_zeros_sums_to_positive_zero(self, dim):
+        # cuts -1, -0.0 and 1 put the four -0.0 rows, and only them, in bucket 2;
+        # the masked copy's sum is +0.0, so the representative is +0.0
+        r = np.repeat(np.array([[-5.0], [-4.0], [-0.0], [-0.0], [-0.0], [-0.0], [4.0], [5.0]]), dim, axis=1)
+        got, ref = fit_codec(r), ref_fit_codec(r)
+        assert got.cuts.tobytes() == ref.cuts.tobytes() and got.reps.tobytes() == ref.reps.tobytes()
+        assert np.array_equal(got.encode(r)[:, 0], [0, 0, 2, 2, 2, 2, 3, 3])
+        assert got.reps[2].tobytes() == np.zeros(dim).tobytes()
+
+
 def traced_peak(call, *args, **kwargs) -> int:
     """Peak bytes that ``tracemalloc`` sees while ``call`` runs."""
     tracemalloc.start()
@@ -278,6 +325,24 @@ class TestDistanceBlocksBoundMemory:
         vectors = rng.standard_normal((int(blocks * (index._DISTANCE_FLOATS // 512)), 128)).astype(np.float32)
         peak = traced_peak(nearest_centroid_ids, vectors, centroids)
         assert peak < 2 * self.BLOCK, f"nearest_centroid_ids peaked at {peak / 1e6:.1f} MB"
+
+
+class TestPackedCodesBoundMemory:
+    def test_build_never_holds_a_byte_per_code(self, monkeypatch):
+        # 80,000 rows of dim 128: codes at one byte each would take 10.24 MB on their own;
+        # packed they take 2.56 MB, and the build peaks near 8.7 MB, mostly the index's own arrays
+        n_passages, per, dim = 20_000, 4, 128
+        rows = np.random.default_rng(9).standard_normal((n_passages * per, dim)).astype(np.float32)
+        table = TermTable([f"p{i:05d}" for i in range(n_passages)], rows, np.arange(0, rows.shape[0] + 1, per))
+        monkeypatch.setattr(index, "_DISTANCE_FLOATS", 50_000)  # 400 KB distance blocks, well below the codes
+        tracemalloc.start()
+        try:
+            built = build_index(table, seed=0, centroid_count=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built.residual_codes.nbytes == rows.shape[0] * -(-dim // 4)
+        assert peak < rows.shape[0] * dim, f"build_index peaked at {peak / 1e6:.2f} MB"
 
 
 class BlockSpy:
@@ -357,6 +422,7 @@ class TestBuildReference:
         monkeypatch.setattr(index, "_UNIT_BLOCK", block)
         chunked = build_index(corpus, seed=3)
         assert chunked.embedding_count > 2 * block
+        assert chunked.residual_codes.shape == (chunked.embedding_count, 2)  # dim 5: two packed bytes per row
         assert np.array_equal(chunked.residual_codes, whole.residual_codes)
         assert_same_arrays(chunked, ref_build_arrays(corpus, 3))
 
