@@ -1,7 +1,8 @@
 """Batch command-line surface: train, index, search, eval.
 
-Every command is deterministic: train, index and search for a fixed --seed
-(eval has no seed and no config). Operational failures exit
+Every command is deterministic: train and index for a fixed --seed, search
+and eval for fixed inputs (search reads a config but uses no seed; eval has
+no seed and no config). Operational failures exit
 nonzero after printing a single ``error[<code>]: message`` line to stderr.
 Log verbosity comes from the MODIR_LOG environment variable (debug, info,
 warning, error).
@@ -36,7 +37,7 @@ _LOG_LEVELS = ("debug", "info", "warning", "error")
 
 def _load_config(args) -> RunConfig:
     overrides = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # search takes no --seed
         overrides["seed"] = args.seed
     if args.config:
         return RunConfig.from_file(args.config, **overrides)
@@ -222,7 +223,7 @@ def cmd_index(args) -> int:
         f"embeddings={idx.embedding_count} centroids={idx.centroid_count} "
         f"bits_per_embedding={idx.bits_per_embedding}"
     )
-    sizes = np.diff(idx.list_offsets)
+    sizes = idx.list_sizes
     print(f"list_size max={sizes.max()} mean={sizes.mean():.2f} empty_centroids={int((sizes == 0).sum())}")
     print(f"index={args.out}")
     return 0
@@ -350,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (train, index_p, search_p):
         p.add_argument("--config", help="JSON file of RunConfig overrides")
+    for p in (train, index_p):
         p.add_argument("--seed", type=int, help="overrides the config seed")
     return parser
 

@@ -40,9 +40,9 @@ def evaluable_queries(run: dict, qrels: dict):
 
 def _judged_mean(run: dict, qrels: dict, k: int, per_query) -> float:
     """Mean over the judged queries, in run order, of ``per_query(top k pids,
-    relevant pids)``; 0.0 when no query is judged."""
-    if k < 1:
-        raise InvalidConfigError(f"cutoff k must be >= 1, got {k}")
+    relevant pids)``; 0.0 when no query is judged. The cutoff is checked
+    by ``scoring.check_count``."""
+    scoring.check_count(k, "cutoff k")
     qids, _ = evaluable_queries(run, qrels)
     if not qids:
         return 0.0

@@ -4,9 +4,12 @@ Every term embedding is stored as the id of its nearest centroid plus a
 2-bit-per-dimension quantized residual, so one vector costs 2*dim +
 ceil(log2 |C|) bits. "Nearest" is the smallest ``|c|^2 - 2 x.c``
 (``_centroid_scores``: Euclidean up to rounding, ties to the lowest id), for
-the build's assignment and the query probe alike. Both search stages read
-one table of unit-norm decompressed rows, in inverted-list order, built whole
-by the first search. For each query term the lists of the n_probe centroids
+the build's assignment and the query probe alike. Construction keeps the
+stored facts and derives only the external-id map, the float64 centroids and
+each list's size; the first search derives, in one step
+(``CompressedIndex.search_state``), everything both search stages read: the
+inverted lists, the probe table and one table of unit-norm decompressed rows
+in inverted-list order. For each query term the lists of the n_probe centroids
 nearest by that score are scored by cosine. Per-term maxima go into a
 compact table with one row per passage that the probed lists hold, and each
 row is summed across query terms (an unfetched passage/term pair adds 0: a
@@ -48,8 +51,8 @@ bytes:
                     id): varint centroid-id gap, varint length. Memberships
                     are not duplicated on disk: every embedding id belongs to
                     exactly the list named by its centroid-id field in
-                    codes.bin, so the loader derives the lists (ascending ids)
-                    from the codes, and the file is their sizes.
+                    codes.bin, so the file is the lists' sizes, and the first
+                    search derives the lists (ascending ids) from the codes.
     passages.bin    u32 passage count, varint embeddings-per-passage, u8 id
                     mode (0 = ids are decimal positions, 1 = explicit), then
                     per passage varint byte length + UTF-8 id when explicit
@@ -61,6 +64,7 @@ import os
 import shutil
 import struct
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -420,19 +424,24 @@ def unpack_codes(blob: bytes, count: int, dim: int, id_bits: int):
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Knobs for the two-stage search."""
+    """Knobs for the two-stage search: each an integer of at least 1
+    (``scoring.check_count``), and candidate_k at least final_k."""
 
     n_probe: int
     candidate_k: int = 1000
     final_k: int = 10
 
     def __post_init__(self):
-        if self.n_probe < 1:
-            raise InvalidConfigError(f"n_probe must be >= 1, got {self.n_probe}")
-        if self.final_k < 1 or self.candidate_k < self.final_k:
+        for name in ("n_probe", "candidate_k", "final_k"):
+            scoring.check_count(getattr(self, name), name)
+        if self.candidate_k < self.final_k:
             raise InvalidConfigError(
-                f"need candidate_k >= final_k >= 1, got candidate_k={self.candidate_k} final_k={self.final_k}"
+                f"need candidate_k >= final_k, got candidate_k={self.candidate_k} final_k={self.final_k}"
             )
+
+
+# What the search stages read (``CompressedIndex.search_state``)
+SearchState = namedtuple("SearchState", "list_offsets member_passages positions probe unit_rows")
 
 
 @dataclass
@@ -440,16 +449,15 @@ class CompressedIndex:
     """Compressed corpus: centroid table, codec, per-embedding codes and the
     passage map. These stored facts are the constructor's only arguments.
 
-    The inverted file is derived from ``centroid_ids`` once, in CSR
-    (compressed sparse row) form: the members of centroid c's list are
-    ``list_members[list_offsets[c] : list_offsets[c + 1]]``, ascending
-    embedding ids, and ``member_passages`` holds each member's internal
-    passage in the same order. Both search stages read unit-norm rows from
-    one CSR-ordered float64 table, ``unit_rows``, built whole the first time
-    a search reads it, so building, saving and loading an index never hold
-    it. The residual codes are held packed, four per byte, and never
-    unpacked whole: decompression decodes the bytes it reads through
-    ``_decode_table``.
+    Construction derives only what is per passage or per centroid: the
+    external-id map, the float64 centroids and ``list_sizes``, each
+    centroid's list size (the counts invlists.bin stores). Everything the
+    two search stages read, the inverted lists included, is ``search_state``,
+    derived in one step by the first search, so building, saving and
+    loading an index, and the oracle's ``unit_corpus``, hold no per-embedding
+    array besides ``centroid_ids`` and ``residual_codes``. The residual
+    codes are held packed, four per byte, and never unpacked whole:
+    decompression decodes the bytes it reads through ``_decode_table``.
     """
 
     centroids: np.ndarray  # (C, dim) float32
@@ -468,13 +476,7 @@ class CompressedIndex:
             )
         self._by_external = {pid: i for i, pid in enumerate(self.passage_ids)}
         self._centroids64 = self.centroids.astype(np.float64)
-        sizes = np.bincount(self.centroid_ids, minlength=self.centroid_count)
-        self.list_offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self.list_members = np.argsort(self.centroid_ids, kind="stable")
-        emb_passage = np.repeat(np.arange(self.passage_count, dtype=np.int64), np.diff(self.passage_offsets))
-        self.member_passages = emb_passage[self.list_members]
-        self._csr_position = np.empty_like(self.list_members)  # inverse of list_members
-        self._csr_position[self.list_members] = np.arange(self.embedding_count)
+        self.list_sizes = np.bincount(self.centroid_ids, minlength=self.centroid_count)
 
     @property
     def dim(self) -> int:
@@ -548,23 +550,28 @@ class CompressedIndex:
         return UnitCorpus(self.passage_ids, rows, self.passage_offsets)
 
     @cached_property
-    def _probe_table(self) -> tuple:
-        """The centroid table times -2 and its squared norms, with which the
-        query probe takes ``_centroid_scores``; built at the first search."""
-        return -2.0 * self._centroids64, (self._centroids64 * self._centroids64).sum(axis=1)
+    def search_state(self) -> SearchState:
+        """What both search stages read, derived in one step from the stored
+        facts by the first search that reads it (``approximate_candidates``
+        or ``exact_rerank``).
 
-    @cached_property
-    def unit_rows(self) -> np.ndarray:
-        """The search table, built whole at first use: row i is the unit row
-        of embedding ``list_members[i]``, in inverted-list order."""
-        return self._normalized_rows(self.list_members)
-
-    def unit_row_positions(self, internals: np.ndarray):
-        """The positions in ``unit_rows`` of these passages' rows, passage
-        after passage in stored row order, and each passage's offsets into
-        those positions."""
-        emb_ids, offsets = _passage_rows(self.passage_offsets, internals)
-        return self._csr_position[emb_ids], offsets
+        One stable argsort of ``centroid_ids`` puts the embeddings in
+        inverted-list order, CSR (compressed sparse row) form: list c is
+        list rows ``list_offsets[c]`` to ``list_offsets[c + 1]``, its
+        members' embedding ids ascending. ``member_passages`` holds each
+        list row's internal passage, ``positions`` each embedding's list
+        row, ``probe`` the centroid table times -2 and its squared norms
+        (the query probe's ``_centroid_scores``), and ``unit_rows`` each list
+        row's unit-norm decompressed row, as float64. The argsort itself is
+        not kept: no search step reads it.
+        """
+        members = np.argsort(self.centroid_ids, kind="stable")
+        positions = np.empty_like(members)
+        positions[members] = np.arange(self.embedding_count)
+        offsets = np.concatenate(([0], np.cumsum(self.list_sizes)))
+        passages = np.repeat(np.arange(self.passage_count), np.diff(self.passage_offsets))[members]
+        probe = (-2.0 * self._centroids64, (self._centroids64 * self._centroids64).sum(axis=1))
+        return SearchState(offsets, passages, positions, probe, self._normalized_rows(members))
 
 
 def _passage_rows(offsets: np.ndarray, passages: np.ndarray):
@@ -701,8 +708,8 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     Each term probes the lists of its n_probe smallest ``_centroid_scores``,
     ties to the lower centroid id: the score by which ``nearest_centroid_ids``
     filed the rows, so with n_probe 1 and distinct centroids a term reads
-    exactly the list its own row would be filed under. The probe's
-    ``_probe_table`` is built at the first search.
+    exactly the list its own row would be filed under. The probe table, the
+    lists and their unit rows come from ``index.search_state``.
 
     Only passages with a row in a probed list get a row of the per-term maxima
     table, which is passage-major (hit passages x query terms). Each passage's
@@ -716,15 +723,16 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     check_n_probe(params, index)
     qn = scoring.normalize_rows(q)
     n_terms = q.shape[0]
+    state = index.search_state
     # each term's n_probe nearest centroids, grouped by centroid with terms ascending
-    probes = scoring.rank(-_centroid_scores(q, *index._probe_table), params.n_probe).ravel()
+    probes = scoring.rank(-_centroid_scores(q, *state.probe), params.n_probe).ravel()
     by_list = np.argsort(probes, kind="stable")
     cids, starts = np.unique(probes[by_list], return_index=True)
 
-    spans = [slice(index.list_offsets[cid], index.list_offsets[cid + 1]) for cid in cids]
+    spans = [slice(state.list_offsets[cid], state.list_offsets[cid + 1]) for cid in cids]
     hit = np.zeros(index.passage_count, dtype=bool)
     for s in spans:
-        hit[index.member_passages[s]] = True
+        hit[state.member_passages[s]] = True
     passages = np.flatnonzero(hit)
     if passages.size == 0:
         return []
@@ -733,8 +741,8 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     best = np.full((passages.size, n_terms), -np.inf)
     flat_best = best.reshape(-1)
     for s, term_rows in zip(spans, np.split(by_list // params.n_probe, starts[1:])):
-        sims = qn[term_rows] @ index.unit_rows[s].T
-        flat_idx = (row_of[index.member_passages[s]][None, :] * n_terms + term_rows[:, None]).reshape(-1)
+        sims = qn[term_rows] @ state.unit_rows[s].T
+        flat_idx = (row_of[state.member_passages[s]][None, :] * n_terms + term_rows[:, None]).reshape(-1)
         np.maximum.at(flat_best, flat_idx, sims.reshape(-1))
     approx = np.where(best > -np.inf, best, 0.0).sum(axis=1)
     return [(index.passage_ids[passages[i]], float(approx[i])) for i in scoring.rank(approx, params.candidate_k)]
@@ -745,7 +753,8 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
     the k best (all when k is None), descending with ties toward the lower
     passage id. A passage listed more than once is ranked once.
 
-    The candidates' rows are read from the unit-row table by position, in
+    The candidates' rows, passage after passage in stored row order, are
+    read from ``index.search_state``'s unit rows at their list rows, in
     blocks of whole passages (``scoring.maxsim_top_k``). With k set, only the
     passages whose blocked score is within rounding distance of the k-th best
     are scored again with ``maxsim_unit``, so the result is the first k of
@@ -753,8 +762,9 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
     """
     q_unit = scoring.normalize_rows(scoring.check_query(query, index.dim))
     internal = np.unique(np.array([index.internal_passage(pid) for pid in candidates], dtype=np.int64))
-    positions, offsets = index.unit_row_positions(internal)
-    order, scores = scoring.maxsim_top_k(q_unit, index.unit_rows, positions, offsets, k)
+    state = index.search_state
+    emb_ids, offsets = _passage_rows(index.passage_offsets, internal)
+    order, scores = scoring.maxsim_top_k(q_unit, state.unit_rows, state.positions[emb_ids], offsets, k)
     return [(index.passage_ids[internal[i]], float(s)) for i, s in zip(order, scores)]
 
 
@@ -839,7 +849,7 @@ def _write_index_files(index: CompressedIndex, directory: Path):
         for lo in range(0, index.embedding_count, _PACK_ROWS):
             chunk = slice(lo, lo + _PACK_ROWS)
             fh.write(pack_codes(index.centroid_ids[chunk], index.residual_codes[chunk], index.dim, id_bits))
-    (directory / "invlists.bin").write_bytes(_invlists_bytes(np.diff(index.list_offsets)))
+    (directory / "invlists.bin").write_bytes(_invlists_bytes(index.list_sizes))
 
     passages = bytearray()
     passages += struct.pack("<I", index.passage_count)

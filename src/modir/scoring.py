@@ -5,10 +5,12 @@ contextualized positions take part in scoring (query augmentation);
 passages are only truncated.  Relevance between two bags of term
 embeddings is the sum of per-query-term maximum cosines (MaxSim).
 ``check_query`` is the one rule for a valid query matrix, shared by both
-search stages, the oracle and ``modir search``.
+search stages, the oracle and ``modir search``, and ``check_count`` the one
+rule for a cutoff or a search knob, an integer of at least 1.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -83,6 +85,21 @@ def check_query(query, dim: int, name: str = "query") -> np.ndarray:
     return q
 
 
+def check_count(value, name: str, none_means_all: bool = False):
+    """InvalidConfigError naming ``name`` unless ``value`` is an integer of
+    at least 1, or None when ``none_means_all``. A bool is not an integer
+    here (True would run as 1), nor is a float, even 20.0 (numpy refuses it
+    as a partition index, deep inside a search). This is the one rule for
+    every ranking cutoff (``rank``, ``maxsim_top_k``, the metrics' k) and
+    every ``SearchParams`` knob."""
+    if value is None and none_means_all:
+        return
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidConfigError(f"{name} must be {'None (all) or ' if none_means_all else ''}>= 1, got {value}")
+
+
 def maxsim_score(hq, hp) -> float:
     """Sum over query rows of the maximum cosine against any passage row.
 
@@ -150,7 +167,7 @@ def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | 
     top k and every exact tie at the cut, in ascending passage order. A
     non-finite blocked score sends every passage to ``maxsim_unit``.
     """
-    _check_cutoff(k)
+    check_count(k, "cutoff k", none_means_all=True)
     n = len(offsets) - 1
     survivors = np.arange(n)
     if k is not None and k < n:
@@ -178,15 +195,11 @@ def _blocked_maxsim(q_unit: np.ndarray, table: np.ndarray, rows, offsets) -> np.
     return out
 
 
-def _check_cutoff(k: int | None):
-    if k is not None and k < 1:
-        raise InvalidConfigError(f"cutoff k must be None (all) or >= 1, got {k}")
-
-
 def rank(scores, k: int | None = None) -> np.ndarray:
     """Indices of the k best (all when k is None) along the last axis, best
     first; ties keep input order, so ids listed ascending tie to the lower.
-    Any other k below 1 is InvalidConfigError.
+    Any other k, one below 1 or not an integer, is InvalidConfigError
+    (``check_count``).
 
     The result is always the first k of a stable descending argsort. When
     k < n, ``np.partition`` finds the k-th best value, and only the entries
@@ -194,7 +207,7 @@ def rank(scores, k: int | None = None) -> np.ndarray:
     A cut that leaves fewer than k entries (NaN scores) or, in a matrix,
     unequal counts per row falls back to sorting everything.
     """
-    _check_cutoff(k)
+    check_count(k, "cutoff k", none_means_all=True)
     neg = -np.asarray(scores)
     if k is not None and k < neg.shape[-1]:
         keep = neg <= np.partition(neg, k - 1, axis=-1)[..., k - 1 : k]

@@ -112,3 +112,8 @@ def small_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
+
+
+def per_embedding_attributes(idx) -> set:
+    """The names of the index's attributes that hold one entry per embedding."""
+    return {name for name, value in vars(idx).items() if np.ndim(value) and len(value) == idx.embedding_count}

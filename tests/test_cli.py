@@ -11,7 +11,7 @@ from modir.data import write_embedding_block
 from modir.encoder import load_checkpoint
 from modir.errors import InvalidConfigError, NonFiniteError
 from modir.index import build_index, save_index
-from tests.conftest import build_language_files, build_triples
+from tests.conftest import build_language_files, build_triples, per_embedding_attributes
 
 
 def run_cli(*argv):
@@ -671,8 +671,32 @@ class TestSearchCmd:
         for r in runs:
             assert run_cli("search", "--index", indexed["index"], "--queries", indexed["queries_a"],
                            "--checkpoint", indexed["ck_ft"], "--out", r,
-                           "--config", indexed["config"], "--seed", 5) == 0
+                           "--config", indexed["config"]) == 0
         assert runs[0].read_bytes() == runs[1].read_bytes()
+
+    def test_search_takes_no_seed(self, tmp_path, capsys):
+        # a search uses no seed, so a --seed would be accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            run_cli("search", "--index", tmp_path / "idx", "--queries", tmp_path / "q.emb",
+                    "--out", tmp_path / "t.run", "--seed", 1)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in read_stderr(capsys)
+
+    def test_exact_search_never_builds_the_search_state(self, tmp_path, small_config, monkeypatch):
+        config_path, _ = small_config
+        rng = np.random.default_rng(0)
+        idx_dir = tmp_path / "idx"
+        save_index(build_index({f"p{i}": rng.normal(size=(4, 8)) for i in range(10)}, seed=0), idx_dir)
+        queries = tmp_path / "queries.emb"
+        write_embedding_block({"q": rng.normal(size=(2, 8)).astype(np.float32)}, queries)
+        loaded = []
+        load_index = index_mod.load_index
+        monkeypatch.setattr(index_mod, "load_index", lambda path: loaded.append(load_index(path)) or loaded[-1])
+        assert run_cli("search", "--index", idx_dir, "--queries", queries, "--exact",
+                       "--out", tmp_path / "t.run", "--config", config_path) == 0
+        (idx,) = loaded
+        assert "search_state" not in vars(idx)
+        assert per_embedding_attributes(idx) == {"centroid_ids", "residual_codes"}
 
 
 class TestEvalCmd:
@@ -784,8 +808,10 @@ class TestEvalCmd:
         err = read_stderr(capsys)
         assert err.startswith(f"error[{code}]") and "\n" not in err
 
-    @pytest.mark.parametrize("given", ["flag", "config"])
-    @pytest.mark.parametrize("command", ["train", "index", "search"])
+    @pytest.mark.parametrize(  # search takes no --seed, but its config's seed is checked too
+        "command,given", [("train", "flag"), ("train", "config"), ("index", "flag"), ("index", "config"),
+                          ("search", "config")],
+    )
     def test_a_negative_seed_is_one_error_line_before_any_work(
         self, tmp_path, small_config, capsys, command, given
     ):

@@ -21,13 +21,14 @@ from modir.errors import (
     UnknownPassageError,
 )
 from modir import scoring
-from modir.evaluation import UnitCorpus, brute_force_search
+from modir.evaluation import UnitCorpus, brute_force_search, mrr_at_k, recall_at_k
 from modir.index import (
     INDEX_FILES,
     CompressedIndex,
     DuplicateCentroidWarning,
     ResidualCodec,
     SearchParams,
+    _passage_rows,
     approximate_candidates,
     bits_per_embedding,
     check_n_probe,
@@ -46,6 +47,7 @@ from modir.index import (
     unpack_codes,
 )
 from modir.scoring import maxsim_score, maxsim_unit, normalize_rows, rank
+from tests.conftest import per_embedding_attributes
 
 
 def clustered_corpus(rng, n_passages, dim, max_terms=8, spread=0.15):
@@ -416,16 +418,19 @@ class TestBuildIndex:
     def test_single_vector_corpus(self):
         idx = build_index({"p": [[1.0, 2.0, 3.0]]}, seed=0)
         assert idx.centroid_count == 1
-        np.testing.assert_array_equal(idx.list_offsets, [0, 1])
+        np.testing.assert_array_equal(idx.list_sizes, [1])
+        np.testing.assert_array_equal(idx.search_state.list_offsets, [0, 1])
         assert idx.bits_per_embedding == 2 * 3 + 0
 
     def test_inverted_lists_partition_embeddings(self):
         rng = np.random.default_rng(10)
         corpus = clustered_corpus(rng, 100, 8)
         idx = build_index(corpus, seed=1)
-        assert idx.list_offsets.shape == (idx.centroid_count + 1,)
-        assert idx.list_offsets[-1] == idx.embedding_count
-        np.testing.assert_array_equal(np.sort(idx.list_members), np.arange(idx.embedding_count))
+        state = idx.search_state
+        assert state.list_offsets.shape == (idx.centroid_count + 1,)
+        assert state.list_offsets[-1] == idx.embedding_count
+        np.testing.assert_array_equal(np.diff(state.list_offsets), idx.list_sizes)
+        np.testing.assert_array_equal(np.sort(state.positions), np.arange(idx.embedding_count))
 
     def test_list_membership_matches_nearest_centroid(self):
         rng = np.random.default_rng(11)
@@ -434,10 +439,12 @@ class TestBuildIndex:
         flat = np.vstack([np.asarray(corpus[k], dtype=np.float64) for k in sorted(corpus, key=str)])
         expected = nearest_centroid_ids(flat, idx.centroids)
         np.testing.assert_array_equal(idx.centroid_ids, expected)
+        state = idx.search_state
+        list_members = np.argsort(state.positions)  # the embedding at each list row
         emb_passage = np.repeat(np.arange(idx.passage_count), np.diff(idx.passage_offsets))
-        np.testing.assert_array_equal(idx.member_passages, emb_passage[idx.list_members])
+        np.testing.assert_array_equal(state.member_passages, emb_passage[list_members])
         for cid in range(idx.centroid_count):
-            members = idx.list_members[idx.list_offsets[cid] : idx.list_offsets[cid + 1]]
+            members = list_members[state.list_offsets[cid] : state.list_offsets[cid + 1]]
             assert np.all(expected[members] == cid)
             assert np.all(np.diff(members) > 0)
 
@@ -646,6 +653,39 @@ class TestApproximate:
                 call(SearchParams(n_probe=count + 1), idx)
 
 
+# Each call takes one knob value; the error names the knob.
+KNOB_CALLS = {
+    "n_probe": ("n_probe", lambda v, idx, q: SearchParams(n_probe=v)),
+    "candidate_k": ("candidate_k", lambda v, idx, q: SearchParams(n_probe=1, candidate_k=v, final_k=1)),
+    "final_k": ("final_k", lambda v, idx, q: SearchParams(n_probe=1, candidate_k=50, final_k=v)),
+    "rank": ("cutoff k", lambda v, idx, q: rank([3.0, 1.0, 2.0], v)),
+    "maxsim_top_k": ("cutoff k", lambda v, idx, q: scoring.maxsim_top_k(
+        normalize_rows(q), idx.unit_corpus().rows, np.arange(idx.embedding_count), idx.passage_offsets, v)),
+    "exact_rerank": ("cutoff k", lambda v, idx, q: exact_rerank(q, ["17", "3", "41", "0"], idx, k=v)),
+    "brute_force_search": ("cutoff k", lambda v, idx, q: brute_force_search(q, idx.unit_corpus(), v)),
+    "mrr_at_k": ("cutoff k", lambda v, idx, q: mrr_at_k({"q": [("a", 1.0)]}, {"q": {"a": 1}}, v)),
+    "recall_at_k": ("cutoff k", lambda v, idx, q: recall_at_k({"q": [("a", 1.0)]}, {"q": {"a": 1}}, v)),
+}
+
+
+class TestIntegerKnobs:
+    @pytest.mark.parametrize(
+        "value", [2.5, 20.0, float("nan"), True, "3"], ids=["half", "whole-float", "nan", "bool", "str"]
+    )
+    @pytest.mark.parametrize("knob", list(KNOB_CALLS))
+    def test_a_knob_that_is_not_an_integer_is_refused_by_name(self, knob, value):
+        name, call = KNOB_CALLS[knob]
+        _, idx, query = small_index()
+        with pytest.raises(InvalidConfigError) as exc:
+            call(value, idx, query)
+        assert exc.value.message == f"{name} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("knob", list(KNOB_CALLS))
+    def test_a_numpy_integer_is_an_integer(self, knob):
+        _, idx, query = small_index()
+        KNOB_CALLS[knob][1](np.int64(2), idx, query)
+
+
 class TestRerank:
     def test_single_candidate_exact_value(self):
         _, idx, query = small_index()
@@ -812,15 +852,18 @@ class TestSearch:
         _, idx, _ = small_index()
         save_index(idx, tmp_path / "idx")
         for fresh in (idx, load_index(tmp_path / "idx")):  # the first search builds it, not build or load
-            assert "unit_rows" not in vars(fresh)
-        table = idx.unit_rows
+            assert "search_state" not in vars(fresh)
+        state = idx.search_state
+        table = state.unit_rows
         assert table.shape == (idx.embedding_count, idx.dim)
+        list_members = np.argsort(state.positions)
         for cid in range(idx.centroid_count):
-            span = slice(idx.list_offsets[cid], idx.list_offsets[cid + 1])
-            expect = normalize_rows(idx.decompress_embeddings(idx.list_members[span]))
+            span = slice(state.list_offsets[cid], state.list_offsets[cid + 1])
+            expect = normalize_rows(idx.decompress_embeddings(list_members[span]))
             assert table[span].tobytes() == expect.tobytes()
-        assert idx.unit_corpus().rows.tobytes() == table[idx._csr_position].tobytes()
-        positions, offsets = idx.unit_row_positions(np.array([5, 2]))
+        assert idx.unit_corpus().rows.tobytes() == table[state.positions].tobytes()
+        emb_ids, offsets = _passage_rows(idx.passage_offsets, np.array([5, 2]))  # as exact_rerank reads them
+        positions = state.positions[emb_ids]
         for i, internal in enumerate((5, 2)):
             rows = table[positions[offsets[i] : offsets[i + 1]]]
             assert rows.tobytes() == normalize_rows(idx.decompress_passage(internal)).tobytes()
@@ -839,14 +882,18 @@ class TestSearch:
             passage_offsets=np.arange(0, n + 1, per_passage),
         )
         table_bytes, block_bytes = n * dim * 8, 2048 * dim * 8  # blocks of 2,048 rows bound search's peak memory
+        # the same step keeps two int64 arrays of one entry per embedding, and holds the list order while it
+        # builds the table: three such arrays
+        index_bytes = 3 * n * 8
         tracemalloc.start()
         try:
-            table = idx.unit_rows
+            table = idx.search_state.unit_rows
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert table.nbytes == table_bytes
-        assert peak < table_bytes + 8 * block_bytes, f"peak {peak / 1e6:.2f} MB, table {table_bytes / 1e6:.2f} MB"
+        bound = table_bytes + index_bytes + 8 * block_bytes
+        assert peak < bound, f"peak {peak / 1e6:.2f} MB, table {table_bytes / 1e6:.2f} MB"
 
 
 def assert_same_ranking(got, expect):
@@ -1018,6 +1065,13 @@ class TestBlockedTopK:
 
 
 class TestSerialization:
+    def test_build_and_load_hold_no_other_per_embedding_array(self, tmp_path):
+        _, idx, _ = small_index()
+        assert idx.embedding_count not in (idx.passage_count, idx.passage_count + 1, idx.centroid_count)
+        save_index(idx, tmp_path / "idx")
+        for fresh in (idx, load_index(tmp_path / "idx")):
+            assert per_embedding_attributes(fresh) == {"centroid_ids", "residual_codes"}
+
     def test_round_trip_preserves_search_results(self, tmp_path):
         _, idx, query = small_index()
         save_index(idx, tmp_path / "idx")
@@ -1037,9 +1091,9 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.residual_codes, idx.residual_codes)
         np.testing.assert_array_equal(loaded.passage_offsets, idx.passage_offsets)
         assert loaded.passage_ids == idx.passage_ids
-        np.testing.assert_array_equal(loaded.list_offsets, idx.list_offsets)
-        np.testing.assert_array_equal(loaded.list_members, idx.list_members)
-        np.testing.assert_array_equal(loaded.member_passages, idx.member_passages)
+        np.testing.assert_array_equal(loaded.list_sizes, idx.list_sizes)
+        for name in ("list_offsets", "member_passages", "positions"):
+            np.testing.assert_array_equal(getattr(loaded.search_state, name), getattr(idx.search_state, name))
 
     def test_code_section_size_is_exact(self, tmp_path):
         _, idx, _ = small_index()
