@@ -407,12 +407,6 @@ class TermTable(Mapping):
         return cls(ids, np.vstack(matrices) if matrices else np.empty((0, 0)), offsets)
 
     @cached_property
-    def passages(self) -> list:
-        """Every passage's rows, as views of an in-memory table, in id order."""
-        bounds = self.offsets.tolist()
-        return [self.rows[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    @cached_property
     def _position(self) -> dict:
         return {pid: i for i, pid in enumerate(self.ids)}
 

@@ -15,6 +15,7 @@ order, and a qrels file judges each (query, passage) pair once.
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -71,37 +72,43 @@ class UnitCorpus(TermTable):
     """A ``TermTable`` whose rows are already ``normalize_rows`` output, in
     an index's passage order (``CompressedIndex.unit_corpus``).
 
-    ``brute_force_search`` scores each passage with ``maxsim_unit`` and
+    ``brute_force_search`` scores every passage of it with
+    ``scoring.maxsim_exact``, the kernel re-rank's scores come from, and
     neither normalizes nor sorts per query, which gives the same bits as
     scoring the raw matrices: normalization works row by row.
     """
 
 
 def brute_force_search(query, corpus: Mapping, k: int | None):
-    """Exact MaxSim against every passage, one passage at a time; the k best
-    (all when k is None), descending score, ties to lower id.
+    """Exact MaxSim against every passage; the k best (all when k is None),
+    descending score, ties to lower id.
 
     The oracle counterpart of the compressed two-stage search. A plain
     mapping is put in the order of its ``str`` ids by ``TermTable.stack``, as
     ``build_index`` orders it, so insertion order never matters, ties break
     in that order and ids come back as the index stores them; each passage
-    is scored with ``maxsim_score``. A ``UnitCorpus`` is already normalized
-    and in that order and is scored with ``maxsim_unit``. The oracle does not
-    use re-ranking's blocked selection (``scoring.maxsim_top_k``), so
-    comparing search with it checks that selection as well. The query must
-    pass ``scoring.check_query`` at the corpus's width, as on both search
-    stages; an empty corpus gives ``[]``. The cutoff follows ``scoring.rank``.
+    is scored alone with ``maxsim_score``, the independent per-passage
+    reference. A ``UnitCorpus`` is already normalized and in that order, and
+    every passage of it is scored with ``scoring.maxsim_exact``, which gives
+    each passage its own ``maxsim_unit`` product. The oracle does not use
+    re-ranking's blocked selection (``scoring.maxsim_top_k``, whose blocked
+    matmuls only choose which passages to score), so comparing search with
+    it checks that selection as well. The cutoff follows ``scoring.rank``
+    and is checked first; the query must then pass ``scoring.check_query``
+    at the corpus's width, as on both search stages, and an empty corpus
+    gives ``[]``.
     """
+    scoring.check_count(k, "cutoff k", none_means_all=True)
     table = corpus if isinstance(corpus, UnitCorpus) else TermTable.stack(corpus)
     if not table.ids:
         return []
     q = scoring.check_query(query, table.rows.shape[1])
     if isinstance(corpus, UnitCorpus):
-        q_unit = scoring.normalize_rows(q)
-        scores = [scoring.maxsim_unit(q_unit, rows) for rows in table.passages]
+        rows = np.arange(table.rows.shape[0])
+        scores = scoring.maxsim_exact(scoring.normalize_rows(q), table.rows, rows, table.offsets)
     else:
-        scores = [scoring.maxsim_score(q, rows) for rows in table.passages]
-    return [(table.ids[i], scores[i]) for i in scoring.rank(scores, k)]
+        scores = [scoring.maxsim_score(q, table.rows[a:b]) for a, b in pairwise(table.offsets.tolist())]
+    return [(table.ids[i], float(scores[i])) for i in scoring.rank(scores, k)]
 
 
 # ---------------------------------------------------------------------------

@@ -755,10 +755,11 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
 
     The candidates' rows, passage after passage in stored row order, are
     read from ``index.search_state``'s unit rows at their list rows, in
-    blocks of whole passages (``scoring.maxsim_top_k``). With k set, only the
-    passages whose blocked score is within rounding distance of the k-th best
-    are scored again with ``maxsim_unit``, so the result is the first k of
-    the k=None ranking, bit for bit.
+    blocks of whole passages (``scoring.maxsim_top_k``). Those blocked scores
+    only choose which passages to score: with k set, only the passages whose
+    blocked score is within rounding distance of the k-th best are scored,
+    with every score from the oracle's exact kernel ``scoring.maxsim_exact``,
+    so the result is the first k of the k=None ranking, bit for bit.
     """
     q_unit = scoring.normalize_rows(scoring.check_query(query, index.dim))
     internal = np.unique(np.array([index.internal_passage(pid) for pid in candidates], dtype=np.int64))

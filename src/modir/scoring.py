@@ -3,7 +3,9 @@
 Queries are padded to a fixed length with mask tokens so the extra
 contextualized positions take part in scoring (query augmentation);
 passages are only truncated.  Relevance between two bags of term
-embeddings is the sum of per-query-term maximum cosines (MaxSim).
+embeddings is the sum of per-query-term maximum cosines (MaxSim);
+``maxsim_exact`` is the one kernel every reported score of many passages
+comes from, with each passage's bits from its own product.
 ``check_query`` is the one rule for a valid query matrix, shared by both
 search stages, the oracle and ``modir search``, and ``check_count`` the one
 rule for a cutoff or a search knob, an integer of at least 1.
@@ -23,7 +25,7 @@ P_MARKER_ID = 2
 MASK_ID = 3
 NUM_SPECIAL = 4
 
-_MAXSIM_BLOCK = 1024  # rows per blocked MaxSim matmul in maxsim_top_k: about 1 MB of rows
+_MAXSIM_BLOCK = 1024  # rows gathered per MaxSim matmul or stack (maxsim_top_k, maxsim_exact): about 1 MB
 
 
 @dataclass(frozen=True)
@@ -117,11 +119,45 @@ def maxsim_score(hq, hp) -> float:
 
 
 def maxsim_unit(q_unit: np.ndarray, p_unit: np.ndarray) -> float:
-    """MaxSim of rows already unit-norm, one passage per call. This is the
-    score every ranking reports: BLAS bits can change with the matrix shape,
-    so ``maxsim_top_k`` scores blocks of passages only to choose which
-    passages go through this kernel."""
+    """MaxSim of rows already unit-norm, one passage: the definition of the
+    score every ranking reports. BLAS bits can change with the matrix shape,
+    so ``maxsim_exact`` gives each passage this very product, and
+    ``maxsim_top_k`` scores blocks of passages only to choose which
+    passages to score exactly."""
     return float((q_unit @ p_unit.T).max(axis=1).sum())
+
+
+def maxsim_exact(q_unit: np.ndarray, table: np.ndarray, rows, offsets, passages=None) -> np.ndarray:
+    """``maxsim_unit`` of each of ``passages`` (all when None), bit for bit.
+
+    Passage i's unit rows are ``table[rows[offsets[i]:offsets[i + 1]]]``,
+    and every passage has at least one (EmptyInputError otherwise). The
+    passages are grouped by row count L and stacked, at most
+    ``_MAXSIM_BLOCK // L`` of them (one if L is larger), into one (items, L,
+    dim) gather. ``np.matmul(q_unit, P.transpose(0, 2, 1))`` makes one BLAS
+    call per item with the shape and strides of ``q_unit @ p_unit.T``
+    (``tests/test_scoring.py::TestStackedMaxSimKeepsBits``), so each passage
+    keeps its own product. A maximum is exact, so the per-term maxima are
+    taken over a contiguous (L, items, terms) copy, which is fast; the term
+    sum runs along each passage's contiguous term row, as ``maxsim_unit``'s
+    ``.sum()`` does.
+    """
+    passages = np.arange(len(offsets) - 1) if passages is None else np.asarray(passages)
+    starts = offsets[passages]
+    lengths = offsets[passages + 1] - starts
+    out = np.empty(lengths.size)
+    for n_rows in np.unique(lengths).tolist():
+        if n_rows < 1:
+            raise EmptyInputError("a passage has no rows")
+        group = np.flatnonzero(lengths == n_rows)
+        steps = np.arange(n_rows)
+        per = max(1, _MAXSIM_BLOCK // n_rows)
+        for lo in range(0, group.size, per):
+            items = group[lo : lo + per]
+            stack = table[rows[(starts[items, None] + steps).reshape(-1)]].reshape(items.size, n_rows, -1)
+            sims = np.matmul(q_unit, stack.transpose(0, 2, 1))  # items x terms x rows
+            out[items] = sims.transpose(2, 0, 1).copy().max(axis=0).sum(axis=-1)
+    return out
 
 
 def maxsim_rounding_gap(n_terms: int, dim: int) -> float:
@@ -151,21 +187,22 @@ def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | 
 
     Passage i's unit rows are ``table[rows[offsets[i]:offsets[i + 1]]]``:
     ``rows`` holds positions in ``table``, and every passage has at least
-    one. The result is bit-identical to ranking ``maxsim_unit`` of every
-    passage, for any k.
+    one. Every score reported comes from ``maxsim_exact``, so the result is
+    bit-identical to ranking ``maxsim_unit`` of every passage, for any k.
 
     When k is below the passage count, whole passages are first scored in
     blocks of about ``_MAXSIM_BLOCK`` rows: one ``q_unit @ block.T``, then
     per-term maxima by ``np.maximum.reduceat`` at the passage starts, then a
-    sum per passage. Let gap be ``maxsim_rounding_gap``, the most a blocked
+    sum per passage. These blocked scores only choose which passages to
+    score exactly. Let gap be ``maxsim_rounding_gap``, the most a blocked
     score can differ from the passage's ``maxsim_unit`` score, and t the k-th
     best blocked score. At least k passages score t or more blocked, so at
     least k score t - gap or more exactly, and the k-th best exact score is
     at least t - gap. Every passage that scores that much exactly therefore
     has a blocked score of at least t - 2 gap. Only those passages are scored
-    again with ``maxsim_unit`` and ranked by ``rank``: they hold the exact
+    again with ``maxsim_exact`` and ranked by ``rank``: they hold the exact
     top k and every exact tie at the cut, in ascending passage order. A
-    non-finite blocked score sends every passage to ``maxsim_unit``.
+    non-finite blocked score sends every passage to ``maxsim_exact``.
     """
     check_count(k, "cutoff k", none_means_all=True)
     n = len(offsets) - 1
@@ -175,7 +212,7 @@ def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | 
         if np.isfinite(blocked).all():
             cut = np.partition(blocked, n - k)[n - k]
             survivors = np.flatnonzero(blocked >= cut - 2.0 * maxsim_rounding_gap(*q_unit.shape))
-    exact = np.array([maxsim_unit(q_unit, table[rows[offsets[i] : offsets[i + 1]]]) for i in survivors])
+    exact = maxsim_exact(q_unit, table, rows, offsets, survivors)
     order = rank(exact, k)
     return survivors[order], exact[order]
 

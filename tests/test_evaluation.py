@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from modir.errors import EmptyInputError, InvalidConfigError, ParseError
 from modir.evaluation import (
     HardwareProfile,
+    UnitCorpus,
     brute_force_search,
     estimate_energy_emissions,
     evaluable_queries,
@@ -217,6 +218,14 @@ class TestBruteForce:
     def test_cutoff_below_one_rejected(self, k):
         with pytest.raises(InvalidConfigError, match=f"got {k}"):
             brute_force_search(np.eye(2), {"a": np.eye(2), "b": np.ones((1, 2))}, k)
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, 3.0, True], ids=["zero", "negative", "float", "whole-float", "bool"])
+    @pytest.mark.parametrize("empty", [{}, UnitCorpus([], np.empty((0, 2)), [0])], ids=["mapping", "unit-corpus"])
+    def test_a_bad_cutoff_is_refused_over_an_empty_corpus_too(self, empty, k):
+        # the cutoff is checked before the empty corpus returns []
+        with pytest.raises(InvalidConfigError, match="cutoff k"):
+            brute_force_search(np.eye(2), empty, k)
+        assert brute_force_search(np.eye(2), empty, 1) == brute_force_search(np.eye(2), empty, None) == []
 
     def test_scores_are_exact_maxsim(self):
         rng = np.random.default_rng(3)

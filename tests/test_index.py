@@ -917,6 +917,21 @@ def table_top_k(query, unit, k):
     return [(unit.ids[i], float(s)) for i, s in zip(order, scores)]
 
 
+def count_exact_passages(monkeypatch) -> list:
+    """Patch ``scoring.maxsim_exact`` to record how many passages each call
+    scores, in the returned list."""
+    exact = scoring.maxsim_exact
+    counts = []
+
+    def counting(*args):
+        scores = exact(*args)
+        counts.append(scores.size)
+        return scores
+
+    monkeypatch.setattr(scoring, "maxsim_exact", counting)
+    return counts
+
+
 def corpus_with_copies(rng, n_passages=20, n_distinct=8, dim=5):
     """Passages drawn from a few distinct matrices, so many tie exactly."""
     distinct = [rng.normal(size=(int(rng.integers(1, 7)), dim)) for _ in range(n_distinct)]
@@ -1023,11 +1038,10 @@ class TestBlockedTopK:
 
     def test_only_the_near_top_is_scored_again(self, monkeypatch):
         _, idx, query = small_index()
-        calls = []
-        monkeypatch.setattr(scoring, "maxsim_unit", lambda q, p: calls.append(len(p)) or maxsim_unit(q, p))
+        scored = count_exact_passages(monkeypatch)
         exact_rerank(query, list(idx.passage_ids), idx, k=3)
         table_top_k(query, idx.unit_corpus(), 3)
-        assert len(calls) == 6  # three each: the scores are distinct
+        assert scored == [3, 3]  # three each: the scores are distinct
 
     def test_a_nan_query_row_sends_every_passage_to_the_exact_path(self, monkeypatch):
         # re-rank and the oracle refuse the query (check_query); maxsim_top_k itself still takes it
@@ -1039,10 +1053,9 @@ class TestBlockedTopK:
         with pytest.raises(InvalidConfigError):
             brute_force_search(query, unit, 3)
         expect = per_passage_oracle(query, unit, 3)
-        calls = []
-        monkeypatch.setattr(scoring, "maxsim_unit", lambda q, p: calls.append(len(p)) or maxsim_unit(q, p))
+        scored = count_exact_passages(monkeypatch)
         got = table_top_k(query, unit, 3)
-        assert len(calls) == idx.passage_count and all(np.isnan(s) for _, s in got)
+        assert scored == [idx.passage_count] and all(np.isnan(s) for _, s in got)
         assert_same_ranking(got, expect)
 
     @pytest.mark.filterwarnings("ignore::modir.index.DuplicateCentroidWarning")

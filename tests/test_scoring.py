@@ -13,6 +13,7 @@ from modir.scoring import (
     MASK_ID,
     P_MARKER_ID,
     Q_MARKER_ID,
+    maxsim_exact,
     maxsim_score,
     maxsim_top_k,
     maxsim_unit,
@@ -233,7 +234,7 @@ class TestMaxsimTopK:
         q_unit = normalize_rows(np.eye(2))
         table = normalize_rows(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         with mock.patch("modir.scoring._blocked_maxsim", side_effect=AssertionError("blocked pass ran")):
-            with mock.patch("modir.scoring.maxsim_unit", side_effect=AssertionError("passage scored")):
+            with mock.patch("modir.scoring.maxsim_exact", side_effect=AssertionError("passage scored")):
                 with pytest.raises(InvalidConfigError, match=f"got {k}"):
                     maxsim_top_k(q_unit, table, np.arange(3), np.array([0, 1, 2, 3]), k)
 
@@ -268,3 +269,115 @@ class TestMaxsimTopK:
             order, got = maxsim_top_k(q_unit, table, rows, offsets, k)
         assert np.array_equal(order, expect)
         assert got.tobytes() == scores[expect].tobytes()
+
+
+def per_passage_maxsim(q_unit, table, rows, offsets, passages):
+    """Each listed passage's MaxSim, one 2-d product per passage."""
+    return np.array([(q_unit @ table[rows[offsets[i] : offsets[i + 1]]].T).max(axis=1).sum() for i in passages])
+
+
+class RowsAskedFor:
+    """A row table that records how many rows each read asks for."""
+
+    def __init__(self, table):
+        self.table, self.reads = table, []
+
+    def __getitem__(self, picked):
+        self.reads.append(len(picked))
+        return self.table[picked]
+
+
+class TestStackedMaxSimKeepsBits:
+    """The premise of ``maxsim_exact``: at MaxSim shapes, each item of a
+    stacked ``np.matmul`` has the bits of the same 2-d product, and the
+    kernel's per-term maxima and term sum give ``.max(axis=1).sum()`` of that
+    product. The one-term and one-row shapes take numpy's matrix-vector
+    path. A numpy or BLAS change that breaks this fails here, not as a
+    changed run file."""
+
+    @pytest.mark.parametrize("items", [1, 8])
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 64, 1024, 1025])
+    @pytest.mark.parametrize("dim", [1, 5, 128])
+    @pytest.mark.parametrize("terms", [1, 3, 32])
+    def test_each_item_has_the_bits_of_its_own_product(self, terms, dim, n_rows, items):
+        rng = np.random.default_rng([terms, dim, n_rows, items])
+        q_unit = normalize_rows(rng.normal(size=(terms, dim)))
+        stack = normalize_rows(rng.normal(size=(items * n_rows, dim))).reshape(items, n_rows, dim)
+        sims = np.matmul(q_unit, stack.transpose(0, 2, 1))
+        scores = sims.transpose(2, 0, 1).copy().max(axis=0).sum(axis=-1)
+        for i in range(items):
+            alone = q_unit @ stack[i].T
+            assert sims[i].tobytes() == alone.tobytes()
+            assert scores[i].tobytes() == alone.max(axis=1).sum().tobytes()
+
+
+class TestMaxsimExact:
+    LAYOUTS = {
+        "no-passages": [],
+        "one-row": [1] * 5,
+        "equal": [4] * 6,
+        "distinct": [1, 2, 3, 4, 5, 6],
+        "longer-than-a-block": [9, 2, 9, 1],
+    }
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 1024])
+    @pytest.mark.parametrize("lengths", LAYOUTS.values(), ids=LAYOUTS)
+    def test_each_layout_equals_the_per_passage_formula(self, monkeypatch, lengths, block):
+        monkeypatch.setattr("modir.scoring._MAXSIM_BLOCK", block)
+        rng = np.random.default_rng(len(lengths) + block)
+        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        table = normalize_rows(rng.normal(size=(offsets[-1], 5)))
+        table[::4] = 0.0
+        q_unit = normalize_rows(rng.normal(size=(3, 5)))
+        rows = np.arange(offsets[-1])
+        recorder = RowsAskedFor(table)
+        got = maxsim_exact(q_unit, recorder, rows, offsets)
+        assert got.tobytes() == per_passage_maxsim(q_unit, table, rows, offsets, range(len(lengths))).tobytes()
+        # every row is read once, in reads of at most a block of rows or one passage
+        assert sum(recorder.reads) == offsets[-1]
+        assert all(n <= block or n in lengths for n in recorder.reads)
+
+    def test_a_nan_query_row_scores_every_passage_nan(self):
+        rng = np.random.default_rng(5)
+        offsets = np.array([0, 2, 5, 6])
+        table = normalize_rows(rng.normal(size=(6, 4)))
+        q_unit = normalize_rows(rng.normal(size=(3, 4)))
+        q_unit[1] = np.nan
+        got = maxsim_exact(q_unit, table, np.arange(6), offsets)
+        assert np.isnan(got).all()
+        assert got.tobytes() == per_passage_maxsim(q_unit, table, np.arange(6), offsets, range(3)).tobytes()
+
+    def test_a_passage_without_rows_is_refused(self):
+        with pytest.raises(EmptyInputError, match="no rows"):
+            maxsim_exact(np.eye(2), np.eye(2), np.arange(2), np.array([0, 2, 2]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 9), max_size=14),
+        dim=st.sampled_from([1, 3, 5, 128]),
+        terms=st.integers(1, 5),
+        block=st.sampled_from([1, 3, 7, 1024]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_equals_the_per_passage_formula(self, lengths, dim, terms, block, seed, data):
+        # Lengths repeat often (equal lengths share a stack); rows may be zero
+        # or repeated, a query row zero or NaN, the table shuffled, and only
+        # some passages asked for, in any order.
+        rng = np.random.default_rng(seed)
+        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        distinct = normalize_rows(rng.normal(size=(3, dim)))
+        table = np.vstack([normalize_rows(rng.normal(size=(offsets[-1], dim))), distinct, np.zeros((1, dim))])
+        rows = rng.permutation(table.shape[0])[: offsets[-1]]
+        if data.draw(st.booleans()):  # rows drawn from three distinct ones and a zero row
+            rows = table.shape[0] - 1 - rng.integers(0, 4, size=offsets[-1])
+        q_unit = normalize_rows(rng.normal(size=(terms, dim)))
+        q_unit[rng.random(terms) < 0.2] = data.draw(st.sampled_from([0.0, np.nan]))
+        passages = None
+        listed = range(len(lengths))
+        if data.draw(st.booleans()):
+            passages = rng.permutation(len(lengths))[: data.draw(st.integers(0, len(lengths)))]
+            listed = passages
+        with mock.patch("modir.scoring._MAXSIM_BLOCK", block):
+            got = maxsim_exact(q_unit, table, rows, offsets, passages)
+        assert got.tobytes() == per_passage_maxsim(q_unit, table, rows, offsets, listed).tobytes()
