@@ -8,16 +8,18 @@ the build's assignment and the query probe alike. Construction keeps the
 stored facts and derives only the external-id map, the float64 centroids and
 each list's size; the first search derives, in one step
 (``CompressedIndex.search_state``), everything both search stages read: the
-inverted lists, the probe table and one table of unit-norm decompressed rows
-in inverted-list order. For each query term the lists of the n_probe centroids
-nearest by that score are scored by cosine. Per-term maxima go into a
-compact table with one row per passage that the probed lists hold, and each
-row is summed across query terms (an unfetched passage/term pair adds 0: a
+inverted lists, the probe table and one float32 table of unit-norm
+decompressed rows in inverted-list order. For each query term the lists of
+the n_probe centroids nearest by that score are scored by cosine, in float32.
+Per-term maxima go into a compact table with one row per passage that the
+probed lists hold, and each row is summed across query terms in float64, less
+a proven float32 rounding bound (an unfetched passage/term pair adds 0: a
 lower bound of decompressed MaxSim for nonnegative maxima). Re-ranking reads
-the top candidate_k passages' rows, scores those passages in blocks of rows
-(one matmul per block), and scores the few whose blocked score is within
-rounding distance of the final_k-th best again with the oracle's exact
-MaxSim kernel, which gives the scores it reports.
+the top candidate_k passages' float32 rows, scores those passages in blocks
+of rows (one matmul per block), decodes the rows of the few whose blocked
+score is within rounding distance of the final_k-th best again in float64,
+and scores those with the oracle's exact MaxSim kernel, which gives the
+scores it reports.
 Both stages, like the oracle, accept a query that ``scoring.check_query``
 accepts at the index's width: a finite float (terms, dim) matrix with rows.
 
@@ -534,10 +536,11 @@ class CompressedIndex:
         """External id -> decompressed term matrix, for oracle comparisons."""
         return {pid: self.decompress_passage(i) for i, pid in enumerate(self.passage_ids)}
 
-    def _normalized_rows(self, ids: np.ndarray) -> np.ndarray:
+    def _normalized_rows(self, ids: np.ndarray, dtype=np.float64) -> np.ndarray:
         """``normalize_rows(decompress_embeddings(ids))``, ``_UNIT_BLOCK`` rows
-        at a time; both work row by row, so blocking keeps every bit."""
-        rows = np.empty((ids.shape[0], self.dim))
+        at a time, as ``dtype``; all three work row by row (float32 rounds
+        each float64 value to nearest), so blocking keeps every bit."""
+        rows = np.empty((ids.shape[0], self.dim), dtype=dtype)
         for lo in range(0, ids.shape[0], _UNIT_BLOCK):
             rows[lo : lo + _UNIT_BLOCK] = scoring.normalize_rows(self.decompress_embeddings(ids[lo : lo + _UNIT_BLOCK]))
         return rows
@@ -562,16 +565,26 @@ class CompressedIndex:
         list row's internal passage, ``positions`` each embedding's list
         row, ``probe`` the centroid table times -2 and its squared norms
         (the query probe's ``_centroid_scores``), and ``unit_rows`` each list
-        row's unit-norm decompressed row, as float64. The argsort itself is
-        not kept: no search step reads it.
+        row's unit-norm decompressed row, the float64 row rounded to float32,
+        built a block at a time, so no corpus-sized float64 array exists.
+        Both stages only select from it; re-rank decodes its survivors' rows
+        again in float64 for the scores it reports. ``member_passages`` and
+        ``positions`` are int32 when every embedding and passage number fits.
+        The argsort itself is not kept: no search step reads it.
         """
+        numbers = _number_type(max(self.embedding_count, self.passage_count))
         members = np.argsort(self.centroid_ids, kind="stable")
-        positions = np.empty_like(members)
-        positions[members] = np.arange(self.embedding_count)
+        positions = np.empty(self.embedding_count, dtype=numbers)
+        positions[members] = np.arange(self.embedding_count, dtype=numbers)
         offsets = np.concatenate(([0], np.cumsum(self.list_sizes)))
-        passages = np.repeat(np.arange(self.passage_count), np.diff(self.passage_offsets))[members]
+        passages = np.repeat(np.arange(self.passage_count, dtype=numbers), np.diff(self.passage_offsets))[members]
         probe = (-2.0 * self._centroids64, (self._centroids64 * self._centroids64).sum(axis=1))
-        return SearchState(offsets, passages, positions, probe, self._normalized_rows(members))
+        return SearchState(offsets, passages, positions, probe, self._normalized_rows(members, np.float32))
+
+
+def _number_type(count: int):
+    """The integer type for numbers 0 to ``count`` - 1: int32 below 2**31."""
+    return np.int32 if count < 2**31 else np.int64
 
 
 def _passage_rows(offsets: np.ndarray, passages: np.ndarray):
@@ -701,7 +714,19 @@ def check_n_probe(params: SearchParams, index: CompressedIndex):
         raise InvalidConfigError(f"n_probe {params.n_probe} exceeds centroid count {index.centroid_count}")
 
 
-def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
+class Candidates(list):
+    """``approximate_candidates``' result: (external passage id, approximate
+    score) pairs, best first, that also hold ``passages``, the same
+    passages' internal numbers in the same order. ``exact_rerank`` reads
+    those numbers instead of looking each id up, which is how ``search``
+    hands the first stage's passages to re-rank."""
+
+    def __init__(self, pairs, passages: np.ndarray):
+        super().__init__(pairs)
+        self.passages = passages
+
+
+def approximate_candidates(query, index: CompressedIndex, params: SearchParams) -> Candidates:
     """First-stage scores: per term, max cosine over embeddings fetched from the
     probed centroids, summed across terms; unfetched passage/term pairs add 0.
 
@@ -709,19 +734,29 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
     ties to the lower centroid id: the score by which ``nearest_centroid_ids``
     filed the rows, so with n_probe 1 and distinct centroids a term reads
     exactly the list its own row would be filed under. The probe table, the
-    lists and their unit rows come from ``index.search_state``.
+    lists and their float32 unit rows come from ``index.search_state``.
 
-    Only passages with a row in a probed list get a row of the per-term maxima
-    table, which is passage-major (hit passages x query terms). Each passage's
-    sum runs along its contiguous row, the same pairwise order as a column of
-    a term-major table, so the scores do not depend on the table's layout.
+    The query's unit rows are rounded to float32 and each probed list is
+    multiplied in float32. Only passages with a row in a probed list get a
+    row of the per-term maxima table, which is passage-major (hit passages x
+    query terms) and float32, like the products, so ``np.maximum.at`` takes
+    its fast same-type path. Each passage's row is summed in float64, along
+    the contiguous row, the same pairwise order as a column of a term-major
+    table, so the sums do not depend on the table's layout.
+
+    The passages are ranked by those sums, and each score reported is its
+    sum less ``scoring.maxsim_rounding_gap(terms, dim, np.float32)``, the
+    most a float32 evaluation can differ from the float64 one. So a reported
+    score is never above the float64 MaxSim over the same fetched rows, nor
+    more than twice that gap below it; one uniform subtraction, after the
+    ranking, moves no candidate.
 
     Returns at most candidate_k (external passage id, approximate score) pairs,
-    best first, score ties broken toward the lower passage id.
+    best first, sum ties broken toward the lower passage id, as ``Candidates``.
     """
     q = scoring.check_query(query, index.dim)
     check_n_probe(params, index)
-    qn = scoring.normalize_rows(q)
+    q32 = scoring.normalize_rows(q).astype(np.float32)
     n_terms = q.shape[0]
     state = index.search_state
     # each term's n_probe nearest centroids, grouped by centroid with terms ascending
@@ -735,17 +770,21 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams):
         hit[state.member_passages[s]] = True
     passages = np.flatnonzero(hit)
     if passages.size == 0:
-        return []
+        return Candidates([], passages)
     row_of = np.empty(index.passage_count, dtype=np.int64)  # passage -> its row in best
     row_of[passages] = np.arange(passages.size)
-    best = np.full((passages.size, n_terms), -np.inf)
+    best = np.full((passages.size, n_terms), -np.inf, dtype=np.float32)
     flat_best = best.reshape(-1)
     for s, term_rows in zip(spans, np.split(by_list // params.n_probe, starts[1:])):
-        sims = qn[term_rows] @ state.unit_rows[s].T
+        sims = q32[term_rows] @ state.unit_rows[s].T
         flat_idx = (row_of[state.member_passages[s]][None, :] * n_terms + term_rows[:, None]).reshape(-1)
         np.maximum.at(flat_best, flat_idx, sims.reshape(-1))
-    approx = np.where(best > -np.inf, best, 0.0).sum(axis=1)
-    return [(index.passage_ids[passages[i]], float(approx[i])) for i in scoring.rank(approx, params.candidate_k)]
+    best[best == -np.inf] = 0.0
+    sums = best.sum(axis=1, dtype=np.float64)
+    order = scoring.rank(sums, params.candidate_k)
+    ranked = passages[order]
+    scores = (sums[order] - scoring.maxsim_rounding_gap(n_terms, index.dim, np.float32)).tolist()
+    return Candidates(zip(map(index.passage_ids.__getitem__, ranked.tolist()), scores), ranked)
 
 
 def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None):
@@ -753,27 +792,38 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
     the k best (all when k is None), descending with ties toward the lower
     passage id. A passage listed more than once is ranked once.
 
+    ``candidates`` are external passage ids, or ``approximate_candidates``'
+    result, whose internal passage numbers are read as they are.
+
     The candidates' rows, passage after passage in stored row order, are
-    read from ``index.search_state``'s unit rows at their list rows, in
-    blocks of whole passages (``scoring.maxsim_top_k``). Those blocked scores
-    only choose which passages to score: with k set, only the passages whose
-    blocked score is within rounding distance of the k-th best are scored,
-    with every score from the oracle's exact kernel ``scoring.maxsim_exact``,
-    so the result is the first k of the k=None ranking, bit for bit.
+    read from ``index.search_state``'s float32 unit rows at their list rows,
+    in blocks of whole passages (``scoring.maxsim_top_k``). Those blocked
+    scores only choose which passages to score: with k set, only the
+    passages whose blocked score is within float32 rounding distance of the
+    k-th best survive, and only their rows are decoded again, in float64,
+    by ``_normalized_rows``, for ``scoring.maxsim_exact``, the oracle's
+    exact kernel. Every score therefore has the oracle's bits, and the
+    result is the first k of the k=None ranking, bit for bit.
     """
     q_unit = scoring.normalize_rows(scoring.check_query(query, index.dim))
-    internal = np.unique(np.array([index.internal_passage(pid) for pid in candidates], dtype=np.int64))
+    if isinstance(candidates, Candidates):
+        internal = np.sort(candidates.passages)
+    else:
+        internal = np.unique(np.array([index.internal_passage(pid) for pid in candidates], dtype=np.int64))
     state = index.search_state
     emb_ids, offsets = _passage_rows(index.passage_offsets, internal)
-    order, scores = scoring.maxsim_top_k(q_unit, state.unit_rows, state.positions[emb_ids], offsets, k)
+
+    def exact_rows(survivors):
+        return index._normalized_rows(_passage_rows(index.passage_offsets, internal[survivors])[0])
+
+    order, scores = scoring.maxsim_top_k(q_unit, state.unit_rows, state.positions[emb_ids], offsets, k, exact_rows)
     return [(index.passage_ids[internal[i]], float(s)) for i, s in zip(order, scores)]
 
 
 def search(query, index: CompressedIndex, params: SearchParams):
     """Approximate candidate generation followed by exact re-ranking of the
-    final_k best."""
-    candidates = approximate_candidates(query, index, params)
-    return exact_rerank(query, [pid for pid, _ in candidates], index, k=params.final_k)
+    final_k best; the candidates go to re-rank as internal numbers."""
+    return exact_rerank(query, approximate_candidates(query, index, params), index, k=params.final_k)
 
 
 # ---------------------------------------------------------------------------

@@ -160,49 +160,73 @@ def maxsim_exact(q_unit: np.ndarray, table: np.ndarray, rows, offsets, passages=
     return out
 
 
-def maxsim_rounding_gap(n_terms: int, dim: int) -> float:
-    """Bound on how far two evaluations of one MaxSim over unit rows (say a
-    blocked matmul and ``maxsim_unit``) can differ.
+def maxsim_rounding_gap(n_terms: int, dim: int, dtype=np.float64) -> float:
+    """Bound on how far an evaluation of one MaxSim over unit rows in
+    ``dtype`` (say a blocked matmul) can differ from ``maxsim_unit``'s
+    float64 one: ``4 n_terms (dim + n_terms) u``, with u the unit roundoff
+    of ``dtype`` (2**-53 for float64, 2**-24 for float32).
 
-    With u = 2**-53 and g(m) = m u / (1 - m u), a dot product of two rows of
-    width ``dim``, summed in any order with or without fused multiply-adds,
-    is within g(dim) |q| |p| of the real value (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 3.1). A maximum adds no
-    rounding and moves by at most the largest error of its arguments. The
-    sum of ``n_terms`` maxima, each at most 1 + g(dim) in magnitude, adds at
-    most g(n_terms - 1) n_terms (1 + g(dim)). So each evaluation is within
-    about n_terms (dim + n_terms) u of the real MaxSim, and two evaluations
-    are within 2 n_terms (dim + n_terms) u of each other. The bound returned
-    is twice that: rows from ``normalize_rows`` have norms of
+    With g(m) = m u / (1 - m u), a dot product of two rows of width ``dim``,
+    summed in ``dtype`` in any order with or without fused multiply-adds, is
+    within g(dim) |q| |p| of the real product of its operands (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 3.1). A maximum
+    adds no rounding and moves by at most the largest error of its
+    arguments. The sum of ``n_terms`` maxima, each at most 1 + g(dim) in
+    magnitude, adds at most g(n_terms - 1) n_terms (1 + g(dim)). So a float64
+    evaluation is within about n_terms (dim + n_terms) u of the real MaxSim,
+    and two of them are within 2 n_terms (dim + n_terms) u of each other. The
+    bound returned is twice that: rows from ``normalize_rows`` have norms of
     1 +- (dim / 2 + 2) u rather than 1, and g(m) exceeds m u, both by far
     less than the factor 2 allows.
+
+    For float32, the operands are float64 unit rows rounded to float32, each
+    element within a relative u of its float64 value (or within 2**-150 of
+    it, when it rounds to a subnormal, a term far below the factor 2's room),
+    so each product of two elements is within 2u + u**2 of the float64
+    operands' product, and a cosine within (2u + u**2) |q| |p| before it is
+    summed. Summing in float32 adds g(dim) |q~| |p~|, with |q~| <= (1 + u) |q|.
+    Each cosine is therefore within (dim + 2) u, about, of the float64 rows'
+    real cosine, and the MaxSim within n_terms (dim + 2) u, plus the sum's
+    rounding: at most g(n_terms - 1) n_terms (1 + g(dim)) when the maxima are
+    summed in float32, far less in float64. The float64 evaluation it is
+    compared against adds n_terms (dim + n_terms) 2**-53, about 2**-29 of
+    the float32 terms. Together they stay below 2 n_terms (dim + n_terms) u,
+    half of the bound returned. ``tests/test_scoring.py::TestFloat32Cosines``
+    checks the per-cosine step at search shapes against an exact sum.
     """
-    return 2.0 * 2.0 * n_terms * (dim + n_terms) * 2.0**-53
+    u = float(np.finfo(dtype).eps) / 2.0
+    return 4.0 * n_terms * (dim + n_terms) * u
 
 
-def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | None = None):
+def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | None = None, exact_rows=None):
     """The k best passages by ``maxsim_unit`` (all when k is None), best
     first with ties to the lower passage index, and their scores. A k that
     ``rank`` rejects is rejected before any passage is scored.
 
     Passage i's unit rows are ``table[rows[offsets[i]:offsets[i + 1]]]``:
     ``rows`` holds positions in ``table``, and every passage has at least
-    one. Every score reported comes from ``maxsim_exact``, so the result is
-    bit-identical to ranking ``maxsim_unit`` of every passage, for any k.
+    one. ``table`` is float64, or a float32 copy of float64 unit rows, which
+    then serves only the selection below: ``exact_rows(passages)`` gives
+    those passages' float64 unit rows, passage after passage, each in its
+    order in ``rows`` (when None, they are read from ``table``). Every score
+    reported comes from ``maxsim_exact`` over the float64 rows, so the result
+    is bit-identical to ranking ``maxsim_unit`` of every passage, for any k.
 
     When k is below the passage count, whole passages are first scored in
-    blocks of about ``_MAXSIM_BLOCK`` rows: one ``q_unit @ block.T``, then
-    per-term maxima by ``np.maximum.reduceat`` at the passage starts, then a
-    sum per passage. These blocked scores only choose which passages to
-    score exactly. Let gap be ``maxsim_rounding_gap``, the most a blocked
-    score can differ from the passage's ``maxsim_unit`` score, and t the k-th
-    best blocked score. At least k passages score t or more blocked, so at
-    least k score t - gap or more exactly, and the k-th best exact score is
-    at least t - gap. Every passage that scores that much exactly therefore
-    has a blocked score of at least t - 2 gap. Only those passages are scored
-    again with ``maxsim_exact`` and ranked by ``rank``: they hold the exact
-    top k and every exact tie at the cut, in ascending passage order. A
-    non-finite blocked score sends every passage to ``maxsim_exact``.
+    blocks of about ``_MAXSIM_BLOCK`` rows: one ``q_unit @ block.T`` in the
+    table's dtype (the query rounded to it), then per-term maxima by
+    ``np.maximum.reduceat`` at the passage starts, then a float64 sum per
+    passage. These blocked scores only choose which passages to score
+    exactly. Let gap be ``maxsim_rounding_gap`` for the table's dtype, the
+    most a blocked score can differ from the passage's ``maxsim_unit``
+    score, and t the k-th best blocked score. At least k passages score t or
+    more blocked, so at least k score t - gap or more exactly, and the k-th
+    best exact score is at least t - gap. Every passage that scores that much
+    exactly therefore has a blocked score of at least t - 2 gap. Only those
+    passages are scored again with ``maxsim_exact`` and ranked by ``rank``:
+    they hold the exact top k and every exact tie at the cut, in ascending
+    passage order. A non-finite blocked score sends every passage to
+    ``maxsim_exact``.
     """
     check_count(k, "cutoff k", none_means_all=True)
     n = len(offsets) - 1
@@ -211,23 +235,29 @@ def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | 
         blocked = _blocked_maxsim(q_unit, table, rows, offsets)
         if np.isfinite(blocked).all():
             cut = np.partition(blocked, n - k)[n - k]
-            survivors = np.flatnonzero(blocked >= cut - 2.0 * maxsim_rounding_gap(*q_unit.shape))
-    exact = maxsim_exact(q_unit, table, rows, offsets, survivors)
+            survivors = np.flatnonzero(blocked >= cut - 2.0 * maxsim_rounding_gap(*q_unit.shape, table.dtype))
+    if exact_rows is None:
+        exact = maxsim_exact(q_unit, table, rows, offsets, survivors)
+    else:
+        starts = np.concatenate(([0], np.cumsum(offsets[survivors + 1] - offsets[survivors])))
+        exact = maxsim_exact(q_unit, exact_rows(survivors), np.arange(starts[-1]), starts)
     order = rank(exact, k)
     return survivors[order], exact[order]
 
 
 def _blocked_maxsim(q_unit: np.ndarray, table: np.ndarray, rows, offsets) -> np.ndarray:
     """Approximate MaxSim per passage, whole passages in blocks of at most
-    ``_MAXSIM_BLOCK`` rows (a longer passage is a block of its own)."""
+    ``_MAXSIM_BLOCK`` rows (a longer passage is a block of its own), each
+    product in the table's dtype and each passage's sum in float64."""
     n = len(offsets) - 1
     out = np.empty(n)
+    q = q_unit.astype(table.dtype, copy=False)
     first = 0
     while first < n:
         last = max(first + 1, int(np.searchsorted(offsets, offsets[first] + _MAXSIM_BLOCK, side="right")) - 1)
         lo, hi = offsets[first], offsets[last]
-        sims = q_unit @ table[rows[lo:hi]].T  # terms x rows
-        out[first:last] = np.maximum.reduceat(sims, offsets[first:last] - lo, axis=1).sum(axis=0)
+        sims = q @ table[rows[lo:hi]].T  # terms x rows
+        out[first:last] = np.maximum.reduceat(sims, offsets[first:last] - lo, axis=1).sum(axis=0, dtype=np.float64)
         first = last
     return out
 

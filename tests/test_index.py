@@ -20,6 +20,7 @@ from modir.errors import (
     ModirError,
     UnknownPassageError,
 )
+from modir import index as index_module
 from modir import scoring
 from modir.evaluation import UnitCorpus, brute_force_search, mrr_at_k, recall_at_k
 from modir.index import (
@@ -524,13 +525,15 @@ def coded_index(centroids, centroid_ids, passage_ids, passage_offsets):
 
 class TestApproximate:
     def test_full_probe_matches_exact_on_fetched(self):
+        # a float32 score less its gap is within two gaps below the float64 one, and never above it
         _, idx, query = small_index()
         params = SearchParams(n_probe=idx.centroid_count, candidate_k=10_000, final_k=10)
         approx = dict(approximate_candidates(query, idx, params))
         assert len(approx) == idx.passage_count  # full probe fetches everyone
         exact = dict(exact_rerank(query, list(approx), idx))
+        gap = scoring.maxsim_rounding_gap(*query.shape, np.float32)
         for pid, a in approx.items():
-            assert a == pytest.approx(exact[pid], abs=1e-9)
+            assert exact[pid] - 2.0 * gap <= a <= exact[pid]
 
     def test_passage_in_unprobed_centroids_is_absent(self):
         # two tight clusters far apart; probing one centroid cannot fetch the other cluster
@@ -560,6 +563,35 @@ class TestApproximate:
                 for pid, a in approx:
                     assert a <= exact[pid] + 1e-6
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([*range(1, 9), 128]), terms=st.integers(1, 32),
+           kind=st.sampled_from(["mixed-signs", "zero-rows", "nearly-parallel"]))
+    def test_no_first_stage_score_exceeds_its_exact_score(self, seed, dim, terms, kind):
+        # Every row its own centroid, so the decompressed rows are exactly these, and a full probe
+        # fetches every (passage, term) pair: the float32 sum less its gap is never above the float64 MaxSim.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        rows = rng.normal(size=(n, dim))
+        query = rng.normal(size=(terms, dim))
+        if kind == "zero-rows":
+            rows[rng.random(n) < 0.4] = 0.0
+            query[rng.random(terms) < 0.4] = 0.0
+        elif kind == "nearly-parallel":  # all positive, every cosine within about 1e-6 of 1
+            base = 1.0 + np.abs(rng.normal(size=dim))
+            rows = base + 1e-6 * rng.normal(size=(n, dim))
+            query = base + 1e-6 * rng.normal(size=(terms, dim))
+        cuts = np.unique(rng.integers(1, n, size=min(n - 1, 8))) if n > 1 else np.array([], dtype=np.int64)
+        offsets = np.concatenate(([0], cuts, [n]))
+        ids = [f"p{i:02d}" for i in range(offsets.size - 1)]
+        idx = coded_index(rows.astype(np.float32), np.arange(n), ids, offsets)
+        params = SearchParams(n_probe=n, candidate_k=len(ids), final_k=1)
+        approx = approximate_candidates(query, idx, params)
+        exact = dict(exact_rerank(query, ids, idx))
+        assert sorted(pid for pid, _ in approx) == ids
+        gap = scoring.maxsim_rounding_gap(terms, dim, np.float32)
+        for pid, a in approx:
+            assert exact[pid] - 2.0 * gap <= a <= exact[pid]
+
     def test_candidate_k_truncates_with_id_tiebreak(self):
         _, idx, query = small_index()
         full = approximate_candidates(query, idx, SearchParams(n_probe=idx.centroid_count, candidate_k=10_000, final_k=1))
@@ -581,12 +613,12 @@ class TestApproximate:
 
         cents = idx.centroids.astype(np.float64)
         probed = [set(np.argsort(((cents - t) ** 2).sum(axis=1), kind="stable")[:n_probe]) for t in query]
-        best = {}  # passage -> per-term best cosine over fetched rows, None when nothing was fetched
+        best = {}  # passage -> per-term best float32 cosine over fetched rows, None when nothing was fetched
         for i, pid in enumerate(idx.passage_ids):
-            rows = normalize_rows(idx.decompress_passage(i))
+            rows = normalize_rows(idx.decompress_passage(i)).astype(np.float32)
             cids = idx.centroid_ids[idx.passage_offsets[i] : idx.passage_offsets[i + 1]]
             per_term = []
-            for t, term in enumerate(normalize_rows(query)):
+            for t, term in enumerate(normalize_rows(query).astype(np.float32)):
                 sims = [float(term @ row) for row, cid in zip(rows, cids) if cid in probed[t]]
                 per_term.append(max(sims) if sims else None)
             if any(s is not None for s in per_term):
@@ -596,8 +628,10 @@ class TestApproximate:
 
         got = approximate_candidates(query, idx, SearchParams(n_probe=n_probe, candidate_k=1000, final_k=1))
         assert [pid for pid, _ in got] == [pid for _, pid in reference]
+        # each reported score is the float32 sum less one gap; two float32 evaluations differ by at most a gap
+        gap = scoring.maxsim_rounding_gap(*query.shape, np.float32)
         for (_, score), (expect, _) in zip(got, reference):
-            assert score == pytest.approx(expect, abs=1e-12)
+            assert abs(score - (expect - gap)) <= gap
         if full_probe:  # the cases the table must get right are really exercised
             two = idx.internal_passage("two-lists")
             assert len(set(idx.centroid_ids[idx.passage_offsets[two] : idx.passage_offsets[two + 1]])) == 2
@@ -835,17 +869,24 @@ class TestSearch:
         out = search(query, idx, SearchParams(n_probe=idx.centroid_count, candidate_k=100, final_k=100))
         assert len(out) == 7
 
-    def test_repeated_query_decompresses_nothing(self, monkeypatch):
+    def test_repeated_query_decompresses_only_its_survivors_rows(self, monkeypatch):
         _, idx, query = small_index()
         params = SearchParams(n_probe=2, candidate_k=20, final_k=10)
         first = search(query, idx, params)
         calls = []
         original = CompressedIndex.decompress_embeddings
         monkeypatch.setattr(
-            CompressedIndex, "decompress_embeddings", lambda self, ids: calls.append(len(ids)) or original(self, ids)
+            CompressedIndex, "decompress_embeddings", lambda self, ids: calls.append(ids) or original(self, ids)
         )
         assert search(query, idx, params) == first
-        assert calls == []
+        emb_passage = np.repeat(np.arange(idx.passage_count), np.diff(idx.passage_offsets))
+        decoded = emb_passage[np.concatenate(calls)]
+        survivors = np.unique(decoded)
+        candidates = [idx.internal_passage(pid) for pid, _ in approximate_candidates(query, idx, params)]
+        # whole passages, each once: the final_k returned and the few within rounding of the cut, never the rest
+        assert decoded.size == np.diff(idx.passage_offsets)[survivors].sum()
+        assert {idx.internal_passage(pid) for pid, _ in first} <= set(survivors.tolist()) < set(candidates)
+        assert survivors.size < len(candidates)
 
     def test_unit_row_table_holds_each_lists_normalized_rows(self, monkeypatch, tmp_path):
         monkeypatch.setattr("modir.index._UNIT_BLOCK", 7)  # blocks that cut lists and passages apart
@@ -855,25 +896,25 @@ class TestSearch:
             assert "search_state" not in vars(fresh)
         state = idx.search_state
         table = state.unit_rows
-        assert table.shape == (idx.embedding_count, idx.dim)
+        assert table.shape == (idx.embedding_count, idx.dim) and table.dtype == np.float32
         list_members = np.argsort(state.positions)
         for cid in range(idx.centroid_count):
             span = slice(state.list_offsets[cid], state.list_offsets[cid + 1])
-            expect = normalize_rows(idx.decompress_embeddings(list_members[span]))
+            expect = normalize_rows(idx.decompress_embeddings(list_members[span])).astype(np.float32)
             assert table[span].tobytes() == expect.tobytes()
-        assert idx.unit_corpus().rows.tobytes() == table[state.positions].tobytes()
+        assert idx.unit_corpus().rows.astype(np.float32).tobytes() == table[state.positions].tobytes()
         emb_ids, offsets = _passage_rows(idx.passage_offsets, np.array([5, 2]))  # as exact_rerank reads them
         positions = state.positions[emb_ids]
         for i, internal in enumerate((5, 2)):
             rows = table[positions[offsets[i] : offsets[i + 1]]]
-            assert rows.tobytes() == normalize_rows(idx.decompress_passage(internal)).tobytes()
+            assert rows.tobytes() == normalize_rows(idx.decompress_passage(internal)).astype(np.float32).tobytes()
 
-    def test_unit_row_table_build_peaks_below_the_table_plus_eight_blocks(self):
-        # Random codes stand in for a build: 100,000 rows of dim 8 make a 6.4 MB table,
-        # and computing it in one piece would add several table-sized temporaries.
+    @staticmethod
+    def random_code_index(n=100_000, dim=8, c_count=64, per_passage=20):
+        """Random codes standing in for a build: 100,000 rows of dim 8 make a 3.2 MB float32
+        table, and computing it in one piece would add several float64 table-sized temporaries."""
         rng = np.random.default_rng(3)
-        n, dim, c_count, per_passage = 100_000, 8, 64, 20
-        idx = CompressedIndex(
+        return CompressedIndex(
             centroids=rng.normal(size=(c_count, dim)).astype(np.float32),
             codec=ResidualCodec(cuts=np.zeros((3, dim), np.float32), reps=np.ones((4, dim), np.float32)),
             centroid_ids=rng.integers(0, c_count, size=n),
@@ -881,19 +922,47 @@ class TestSearch:
             passage_ids=[f"p{i:05d}" for i in range(n // per_passage)],
             passage_offsets=np.arange(0, n + 1, per_passage),
         )
-        table_bytes, block_bytes = n * dim * 8, 2048 * dim * 8  # blocks of 2,048 rows bound search's peak memory
-        # the same step keeps two int64 arrays of one entry per embedding, and holds the list order while it
-        # builds the table: three such arrays
-        index_bytes = 3 * n * 8
+
+    @staticmethod
+    def first_search_bound(idx) -> int:
+        """The float32 table, the arrays of one entry per embedding that the state step holds while it builds
+        the table (the int64 list order, and each list row's passage and each embedding's list row as int32),
+        and eight float64 blocks of 2,048 rows, which bound search's temporaries."""
+        n, dim = idx.embedding_count, idx.dim
+        return n * dim * 4 + n * (8 + 4 + 4) + 8 * 2048 * dim * 8
+
+    def test_unit_row_table_build_peaks_below_the_table_plus_eight_blocks(self):
+        idx = self.random_code_index()
         tracemalloc.start()
         try:
-            table = idx.search_state.unit_rows
+            state = idx.search_state
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.nbytes == table_bytes
-        bound = table_bytes + index_bytes + 8 * block_bytes
-        assert peak < bound, f"peak {peak / 1e6:.2f} MB, table {table_bytes / 1e6:.2f} MB"
+        assert state.unit_rows.nbytes == idx.embedding_count * idx.dim * 4
+        bound = self.first_search_bound(idx)
+        assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+    def test_a_first_search_holds_no_float64_array_of_corpus_size(self):
+        idx = self.random_code_index()
+        query = np.random.default_rng(4).normal(size=(32, idx.dim))
+        tracemalloc.start()
+        try:
+            ranked = search(query, idx, SearchParams(n_probe=2, candidate_k=1000, final_k=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ranked) == 10
+        bound = self.first_search_bound(idx)
+        assert bound < idx.embedding_count * idx.dim * 8  # room for no float64 copy of every row
+        assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+    def test_integer_arrays_are_int32_below_two_to_the_31(self):
+        assert index_module._number_type(2**31 - 1) is np.int32
+        assert index_module._number_type(2**31) is np.int64
+        _, idx, _ = small_index()
+        state = idx.search_state
+        assert state.member_passages.dtype == state.positions.dtype == np.int32
 
 
 def assert_same_ranking(got, expect):
@@ -1018,6 +1087,28 @@ class TestBlockedTopK:
         expect = per_passage_oracle(query, unit, 1)
         assert expect[0][0] == "a"
         assert_same_ranking(table_top_k(query, unit, 1), expect)
+
+    def test_float32_blocked_scores_off_by_most_of_the_gap_still_rank_exactly(self, monkeypatch):
+        # re-rank's blocked scores come from the float32 table; push two exact copies apart by 0.9
+        # of the float32 gap, and the exact ranking still comes back
+        blocked = scoring._blocked_maxsim
+
+        def skewed(q_unit, table, rows, offsets):
+            assert table.dtype == np.float32
+            out = blocked(q_unit, table, rows, offsets)
+            shift = 0.45 * scoring.maxsim_rounding_gap(*q_unit.shape, np.float32)
+            out[0] -= shift
+            out[1] += shift
+            return out
+
+        rng = np.random.default_rng(6)
+        copy = rng.normal(size=(2, 3))
+        idx = build_index({"a": copy, "b": copy.copy(), "c": rng.normal(size=(2, 3))}, seed=0)
+        query = copy + 0.01 * rng.normal(size=copy.shape)
+        expect = per_passage_oracle(query, idx.unit_corpus(), 1)
+        assert expect[0][0] == "a"
+        monkeypatch.setattr(scoring, "_blocked_maxsim", skewed)
+        assert_same_ranking(exact_rerank(query, ["c", "b", "a"], idx, k=1), expect)
 
     def test_all_zero_rows(self):
         rng = np.random.default_rng(4)

@@ -14,6 +14,7 @@ from modir.scoring import (
     P_MARKER_ID,
     Q_MARKER_ID,
     maxsim_exact,
+    maxsim_rounding_gap,
     maxsim_score,
     maxsim_top_k,
     maxsim_unit,
@@ -265,8 +266,12 @@ class TestMaxsimTopK:
             passages = [table[rows[offsets[i] : offsets[i + 1]]] for i in range(len(passages))]
         scores = np.array([maxsim_unit(q_unit, p) for p in passages])
         expect = rank(scores)[:k]
+        exact_rows = None
+        if data.draw(st.booleans()):  # select from a float32 copy; score the survivors' float64 rows
+            exact_rows = lambda survivors: np.vstack([passages[i] for i in survivors])  # noqa: E731
+            table = table.astype(np.float32)
         with mock.patch("modir.scoring._MAXSIM_BLOCK", block):
-            order, got = maxsim_top_k(q_unit, table, rows, offsets, k)
+            order, got = maxsim_top_k(q_unit, table, rows, offsets, k, exact_rows)
         assert np.array_equal(order, expect)
         assert got.tobytes() == scores[expect].tobytes()
 
@@ -285,6 +290,55 @@ class RowsAskedFor:
     def __getitem__(self, picked):
         self.reads.append(len(picked))
         return self.table[picked]
+
+
+class TestFloat32Cosines:
+    """The per-cosine step of ``maxsim_rounding_gap``'s float32 proof, on
+    this BLAS: a float32 product of float64 unit rows rounded to float32,
+    at the search stages' shapes (query terms x a run of table rows), is
+    within (g(dim) (1 + u)**2 + 2u + u**2) |q| |r| of the float64 rows' real
+    cosine, g(m) = m u / (1 - m u), u = 2**-24. The reference is each
+    product's ``math.fsum`` (each float64 product within 2**-53 of its real
+    value, which the bound also allows). A BLAS that accumulates in a way
+    the proof does not cover fails here, not as a first-stage score above
+    its exact one."""
+
+    @staticmethod
+    def per_cosine_bound(dim: int) -> float:
+        u = 2.0**-24
+        return dim * u / (1 - dim * u) * (1 + u) ** 2 + 2 * u + u * u + 2.0**-52
+
+    @pytest.mark.parametrize("kind", ["random", "all-positive", "nearly-parallel"])
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 64, 1024, 1025])
+    @pytest.mark.parametrize("dim", [1, 5, 128])
+    @pytest.mark.parametrize("terms", [1, 32])
+    def test_float32_products_stay_within_the_per_cosine_bound(self, terms, dim, n_rows, kind):
+        rng = np.random.default_rng([terms, dim, n_rows, len(kind)])
+        q = rng.normal(size=(terms, dim))
+        rows = rng.normal(size=(n_rows + 1, dim))
+        if kind != "random":
+            q, rows = np.abs(q), np.abs(rows)
+        if kind == "nearly-parallel":
+            q = q[:1] + 1e-7 * rng.normal(size=(terms, dim))
+            rows = q[:1] + 1e-7 * rng.normal(size=(n_rows + 1, dim))
+        q_unit, unit = normalize_rows(q), normalize_rows(rows)
+        table = unit.astype(np.float32)[1:]  # a run of rows that starts past the table's first, as a list does
+        sims = q_unit.astype(np.float32) @ table.T
+        assert sims.dtype == np.float32
+        bound = self.per_cosine_bound(dim) * (1 + (dim / 2 + 2) * 2.0**-53) ** 2  # unit rows' norms, at most
+        for t in range(terms):
+            exact = np.array([math.fsum(q_unit[t] * r) for r in unit[1:]])
+            assert np.all(np.abs(sims[t].astype(np.float64) - exact) <= bound)
+
+    @pytest.mark.parametrize("dim", [1, 5, 128])
+    @pytest.mark.parametrize("terms", [1, 32])
+    def test_a_maxsim_of_such_cosines_stays_within_half_the_float32_gap(self, terms, dim):
+        # n cosines' errors, a float64 sum's rounding of n maxima, and the float64 evaluation's own error
+        per = self.per_cosine_bound(dim) * (1 + (dim / 2 + 2) * 2.0**-53) ** 2
+        g64 = lambda m: m * 2.0**-53 / (1 - m * 2.0**-53)  # noqa: E731
+        float32_side = terms * per + g64(terms - 1) * terms * (1 + per)
+        float64_side = terms * (g64(dim) + g64(terms - 1) * (1 + g64(dim))) * (1 + (dim / 2 + 2) * 2.0**-53) ** 2
+        assert float32_side + float64_side <= maxsim_rounding_gap(terms, dim, np.float32) / 2
 
 
 class TestStackedMaxSimKeepsBits:
