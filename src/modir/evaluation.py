@@ -21,7 +21,7 @@ import numpy as np
 
 from . import scoring
 from .data import TermTable, atomic_write, text_fields
-from .errors import InvalidConfigError, ParseError
+from .errors import EmptyInputError, InvalidConfigError, ParseError
 
 # ---------------------------------------------------------------------------
 # Metrics
@@ -72,11 +72,26 @@ class UnitCorpus(TermTable):
     """A ``TermTable`` whose rows are already ``normalize_rows`` output, in
     an index's passage order (``CompressedIndex.unit_corpus``).
 
-    ``brute_force_search`` scores every passage of it with
-    ``scoring.maxsim_exact``, the kernel re-rank's scores come from, and
-    neither normalizes nor sorts per query, which gives the same bits as
-    scoring the raw matrices: normalization works row by row.
+    The rows are float64, or those float64 rows rounded to float32, which
+    then serve ``brute_force_search`` only to choose which passages to score
+    (``scoring.maxsim_top_k``): ``exact_rows(passages)`` gives those
+    passages' float64 unit rows, passage after passage, and ``unit[pid]``
+    returns them too. A float32 table without ``exact_rows`` is
+    InvalidConfigError, and a passage without rows EmptyInputError.
     """
+
+    def __init__(self, ids, rows, offsets, exact_rows=None):
+        super().__init__(ids, rows, offsets)
+        if rows.dtype != np.float64 and exact_rows is None:
+            raise InvalidConfigError(f"a {rows.dtype} UnitCorpus needs exact_rows, the float64 rows it scores")
+        if np.any(self.offsets[1:] == self.offsets[:-1]):
+            raise EmptyInputError("a passage has no rows")
+        self.exact_rows = exact_rows
+
+    def __getitem__(self, pid):
+        if self.exact_rows is None:
+            return super().__getitem__(pid)
+        return self.exact_rows(np.array([self._position[pid]]))
 
 
 def brute_force_search(query, corpus: Mapping, k: int | None):
@@ -87,16 +102,16 @@ def brute_force_search(query, corpus: Mapping, k: int | None):
     mapping is put in the order of its ``str`` ids by ``TermTable.stack``, as
     ``build_index`` orders it, so insertion order never matters, ties break
     in that order and ids come back as the index stores them; each passage
-    is scored alone with ``maxsim_score``, the independent per-passage
-    reference. A ``UnitCorpus`` is already normalized and in that order, and
-    every passage of it is scored with ``scoring.maxsim_exact``, which gives
-    each passage its own ``maxsim_unit`` product. The oracle does not use
-    re-ranking's blocked selection (``scoring.maxsim_top_k``, whose blocked
-    matmuls only choose which passages to score), so comparing search with
-    it checks that selection as well. The cutoff follows ``scoring.rank``
-    and is checked first; the query must then pass ``scoring.check_query``
-    at the corpus's width, as on both search stages, and an empty corpus
-    gives ``[]``.
+    is scored alone with ``maxsim_score``: this dict path is the
+    independent per-passage reference. A ``UnitCorpus`` is already
+    normalized and in that order, and is ranked by ``scoring.maxsim_top_k``
+    over its table in stored order, the selection re-rank uses: blocked
+    scores choose the passages that could still make the top k, and only
+    those are scored, on their float64 rows, with ``scoring.maxsim_exact``,
+    so every score has ``maxsim_unit``'s bits. The cutoff follows
+    ``scoring.rank`` and is checked first; the query must then pass
+    ``scoring.check_query`` at the corpus's width, as on both search stages,
+    and an empty corpus gives ``[]``.
     """
     scoring.check_count(k, "cutoff k", none_means_all=True)
     table = corpus if isinstance(corpus, UnitCorpus) else TermTable.stack(corpus)
@@ -104,10 +119,10 @@ def brute_force_search(query, corpus: Mapping, k: int | None):
         return []
     q = scoring.check_query(query, table.rows.shape[1])
     if isinstance(corpus, UnitCorpus):
-        rows = np.arange(table.rows.shape[0])
-        scores = scoring.maxsim_exact(scoring.normalize_rows(q), table.rows, rows, table.offsets)
-    else:
-        scores = [scoring.maxsim_score(q, table.rows[a:b]) for a, b in pairwise(table.offsets.tolist())]
+        q_unit = scoring.normalize_rows(q)
+        order, scores = scoring.maxsim_top_k(q_unit, table.rows, None, table.offsets, k, table.exact_rows)
+        return [(table.ids[i], float(s)) for i, s in zip(order, scores)]
+    scores = [scoring.maxsim_score(q, table.rows[a:b]) for a, b in pairwise(table.offsets.tolist())]
     return [(table.ids[i], float(scores[i])) for i in scoring.rank(scores, k)]
 
 

@@ -546,11 +546,20 @@ class CompressedIndex:
         return rows
 
     def unit_corpus(self) -> UnitCorpus:
-        """External id -> unit-norm decompressed term matrix, for the oracle:
-        the rows in stored order, split at the passage offsets, so each
-        passage equals ``normalize_rows`` of its ``decompress_passage``."""
-        rows = self._normalized_rows(np.arange(self.embedding_count))
-        return UnitCorpus(self.passage_ids, rows, self.passage_offsets)
+        """The oracle's corpus: the unit-norm decompressed rows in stored
+        order, split at the passage offsets, each float64 row of
+        ``normalize_rows`` of its ``decompress_passage`` rounded to float32
+        and built a block at a time, so no corpus-sized float64 array
+        exists. The oracle only selects from that table; its
+        ``exact_rows``, like ``unit[pid]``, decodes the passages asked for
+        again in float64 (``_passage_unit_rows``)."""
+        rows = self._normalized_rows(np.arange(self.embedding_count), np.float32)
+        return UnitCorpus(self.passage_ids, rows, self.passage_offsets, self._passage_unit_rows)
+
+    def _passage_unit_rows(self, passages: np.ndarray) -> np.ndarray:
+        """The float64 unit rows of these internal passages, passage after
+        passage: what re-rank and the oracle score exactly."""
+        return self._normalized_rows(_passage_rows(self.passage_offsets, passages)[0])
 
     @cached_property
     def search_state(self) -> SearchState:
@@ -801,7 +810,7 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
     scores only choose which passages to score: with k set, only the
     passages whose blocked score is within float32 rounding distance of the
     k-th best survive, and only their rows are decoded again, in float64,
-    by ``_normalized_rows``, for ``scoring.maxsim_exact``, the oracle's
+    by ``_passage_unit_rows``, for ``scoring.maxsim_exact``, the oracle's
     exact kernel. Every score therefore has the oracle's bits, and the
     result is the first k of the k=None ranking, bit for bit.
     """
@@ -814,7 +823,7 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
     emb_ids, offsets = _passage_rows(index.passage_offsets, internal)
 
     def exact_rows(survivors):
-        return index._normalized_rows(_passage_rows(index.passage_offsets, internal[survivors])[0])
+        return index._passage_unit_rows(internal[survivors])
 
     order, scores = scoring.maxsim_top_k(q_unit, state.unit_rows, state.positions[emb_ids], offsets, k, exact_rows)
     return [(index.passage_ids[internal[i]], float(s)) for i, s in zip(order, scores)]

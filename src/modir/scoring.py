@@ -130,9 +130,10 @@ def maxsim_unit(q_unit: np.ndarray, p_unit: np.ndarray) -> float:
 def maxsim_exact(q_unit: np.ndarray, table: np.ndarray, rows, offsets, passages=None) -> np.ndarray:
     """``maxsim_unit`` of each of ``passages`` (all when None), bit for bit.
 
-    Passage i's unit rows are ``table[rows[offsets[i]:offsets[i + 1]]]``,
-    and every passage has at least one (EmptyInputError otherwise). The
-    passages are grouped by row count L and stacked, at most
+    Passage i's unit rows are ``table[rows[offsets[i]:offsets[i + 1]]]``
+    (``table[offsets[i]:offsets[i + 1]]`` when ``rows`` is None, the table's
+    own order), and every passage has at least one (EmptyInputError
+    otherwise). The passages are grouped by row count L and stacked, at most
     ``_MAXSIM_BLOCK // L`` of them (one if L is larger), into one (items, L,
     dim) gather. ``np.matmul(q_unit, P.transpose(0, 2, 1))`` makes one BLAS
     call per item with the shape and strides of ``q_unit @ p_unit.T``
@@ -154,7 +155,8 @@ def maxsim_exact(q_unit: np.ndarray, table: np.ndarray, rows, offsets, passages=
         per = max(1, _MAXSIM_BLOCK // n_rows)
         for lo in range(0, group.size, per):
             items = group[lo : lo + per]
-            stack = table[rows[(starts[items, None] + steps).reshape(-1)]].reshape(items.size, n_rows, -1)
+            picked = (starts[items, None] + steps).reshape(-1)
+            stack = table[picked if rows is None else rows[picked]].reshape(items.size, n_rows, -1)
             sims = np.matmul(q_unit, stack.transpose(0, 2, 1))  # items x terms x rows
             out[items] = sims.transpose(2, 0, 1).copy().max(axis=0).sum(axis=-1)
     return out
@@ -204,29 +206,30 @@ def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | 
     ``rank`` rejects is rejected before any passage is scored.
 
     Passage i's unit rows are ``table[rows[offsets[i]:offsets[i + 1]]]``:
-    ``rows`` holds positions in ``table``, and every passage has at least
+    ``rows`` holds positions in ``table`` (None: the table's own order, as
+    the oracle's ``UnitCorpus`` holds it), and every passage has at least
     one. ``table`` is float64, or a float32 copy of float64 unit rows, which
     then serves only the selection below: ``exact_rows(passages)`` gives
     those passages' float64 unit rows, passage after passage, each in its
-    order in ``rows`` (when None, they are read from ``table``). Every score
+    order in ``rows`` (when None, they are read from ``table``); it is asked
+    for at most 16 blocks of rows at a time, so no float64 copy of a large
+    table is made. Every score
     reported comes from ``maxsim_exact`` over the float64 rows, so the result
     is bit-identical to ranking ``maxsim_unit`` of every passage, for any k.
+    Re-rank and the ``UnitCorpus`` oracle both rank this way.
 
     When k is below the passage count, whole passages are first scored in
-    blocks of about ``_MAXSIM_BLOCK`` rows: one ``q_unit @ block.T`` in the
-    table's dtype (the query rounded to it), then per-term maxima by
-    ``np.maximum.reduceat`` at the passage starts, then a float64 sum per
-    passage. These blocked scores only choose which passages to score
-    exactly. Let gap be ``maxsim_rounding_gap`` for the table's dtype, the
-    most a blocked score can differ from the passage's ``maxsim_unit``
-    score, and t the k-th best blocked score. At least k passages score t or
-    more blocked, so at least k score t - gap or more exactly, and the k-th
-    best exact score is at least t - gap. Every passage that scores that much
-    exactly therefore has a blocked score of at least t - 2 gap. Only those
-    passages are scored again with ``maxsim_exact`` and ranked by ``rank``:
-    they hold the exact top k and every exact tie at the cut, in ascending
-    passage order. A non-finite blocked score sends every passage to
-    ``maxsim_exact``.
+    blocks of about ``_MAXSIM_BLOCK`` rows (``_blocked_maxsim``). These
+    blocked scores only choose which passages to score exactly. Let gap be
+    ``maxsim_rounding_gap`` for the table's dtype, the most a blocked score
+    can differ from the passage's ``maxsim_unit`` score, and t the k-th best
+    blocked score. At least k passages score t or more blocked, so at least
+    k score t - gap or more exactly, and the k-th best exact score is at
+    least t - gap. Every passage that scores that much exactly therefore has
+    a blocked score of at least t - 2 gap. Only those passages are scored
+    again with ``maxsim_exact`` and ranked by ``rank``: they hold the exact
+    top k and every exact tie at the cut, in ascending passage order. A
+    non-finite blocked score sends every passage to ``maxsim_exact``.
     """
     check_count(k, "cutoff k", none_means_all=True)
     n = len(offsets) - 1
@@ -238,27 +241,43 @@ def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | 
             survivors = np.flatnonzero(blocked >= cut - 2.0 * maxsim_rounding_gap(*q_unit.shape, table.dtype))
     if exact_rows is None:
         exact = maxsim_exact(q_unit, table, rows, offsets, survivors)
-    else:
+    else:  # the survivors' float64 rows, decoded 16 blocks of rows at a time
         starts = np.concatenate(([0], np.cumsum(offsets[survivors + 1] - offsets[survivors])))
-        exact = maxsim_exact(q_unit, exact_rows(survivors), np.arange(starts[-1]), starts)
+        exact = np.empty(survivors.size)
+        for first, last in _passage_blocks(starts, 16 * _MAXSIM_BLOCK):
+            part = exact_rows(survivors[first:last])
+            exact[first:last] = maxsim_exact(q_unit, part, None, starts[first : last + 1] - starts[first])
     order = rank(exact, k)
     return survivors[order], exact[order]
 
 
+def _passage_blocks(offsets, limit: int):
+    """Consecutive (first, last) passage ranges under ``offsets``, each of
+    whole passages holding at most ``limit`` rows (a longer passage is a
+    range of its own)."""
+    n, first = len(offsets) - 1, 0
+    while first < n:
+        last = max(first + 1, int(np.searchsorted(offsets, offsets[first] + limit, side="right")) - 1)
+        yield first, last
+        first = last
+
+
 def _blocked_maxsim(q_unit: np.ndarray, table: np.ndarray, rows, offsets) -> np.ndarray:
     """Approximate MaxSim per passage, whole passages in blocks of at most
-    ``_MAXSIM_BLOCK`` rows (a longer passage is a block of its own), each
-    product in the table's dtype and each passage's sum in float64."""
-    n = len(offsets) - 1
-    out = np.empty(n)
+    ``_MAXSIM_BLOCK`` rows (a longer passage is a block of its own): a
+    contiguous slice of ``table`` when ``rows`` is None, else a gather. Each
+    block is one (rows x terms) product ``block @ q.T`` in the table's dtype
+    (the query rounded to it), then per-term maxima by
+    ``np.maximum.reduceat`` at the passage starts, then a float64 sum along
+    each passage's term row. The summation order is free: the rounding gap
+    covers any."""
+    out = np.empty(len(offsets) - 1)
     q = q_unit.astype(table.dtype, copy=False)
-    first = 0
-    while first < n:
-        last = max(first + 1, int(np.searchsorted(offsets, offsets[first] + _MAXSIM_BLOCK, side="right")) - 1)
+    for first, last in _passage_blocks(offsets, _MAXSIM_BLOCK):
         lo, hi = offsets[first], offsets[last]
-        sims = q @ table[rows[lo:hi]].T  # terms x rows
-        out[first:last] = np.maximum.reduceat(sims, offsets[first:last] - lo, axis=1).sum(axis=0, dtype=np.float64)
-        first = last
+        block = table[lo:hi] if rows is None else table[rows[lo:hi]]
+        sims = block @ q.T  # rows x terms
+        out[first:last] = np.maximum.reduceat(sims, offsets[first:last] - lo, axis=0).sum(axis=1, dtype=np.float64)
     return out
 
 

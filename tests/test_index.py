@@ -694,7 +694,7 @@ KNOB_CALLS = {
     "final_k": ("final_k", lambda v, idx, q: SearchParams(n_probe=1, candidate_k=50, final_k=v)),
     "rank": ("cutoff k", lambda v, idx, q: rank([3.0, 1.0, 2.0], v)),
     "maxsim_top_k": ("cutoff k", lambda v, idx, q: scoring.maxsim_top_k(
-        normalize_rows(q), idx.unit_corpus().rows, np.arange(idx.embedding_count), idx.passage_offsets, v)),
+        normalize_rows(q), (unit := idx.unit_corpus()).rows, None, unit.offsets, v, unit.exact_rows)),
     "exact_rerank": ("cutoff k", lambda v, idx, q: exact_rerank(q, ["17", "3", "41", "0"], idx, k=v)),
     "brute_force_search": ("cutoff k", lambda v, idx, q: brute_force_search(q, idx.unit_corpus(), v)),
     "mrr_at_k": ("cutoff k", lambda v, idx, q: mrr_at_k({"q": [("a", 1.0)]}, {"q": {"a": 1}}, v)),
@@ -864,6 +864,17 @@ class TestSearch:
         with pytest.raises(InvalidConfigError, match="ascending"):
             UnitCorpus(["b", "a"], np.eye(2), np.array([0, 1, 2]))
 
+    def test_a_float32_unit_corpus_needs_its_float64_rows(self):
+        rows = np.eye(2)
+        with pytest.raises(InvalidConfigError, match="float32 UnitCorpus needs exact_rows"):
+            UnitCorpus(["a", "b"], rows.astype(np.float32), np.array([0, 1, 2]))
+        unit = UnitCorpus(["a", "b"], rows.astype(np.float32), np.array([0, 1, 2]), lambda passages: rows[passages])
+        assert unit["b"].dtype == np.float64 and unit["b"].tolist() == [[0.0, 1.0]]
+
+    def test_a_unit_corpus_passage_without_rows_is_refused(self):
+        with pytest.raises(EmptyInputError, match="a passage has no rows"):
+            UnitCorpus(["a", "b"], np.eye(2), np.array([0, 2, 2]))
+
     def test_final_k_larger_than_corpus_returns_all_without_padding(self):
         _, idx, query = small_index(n_passages=7)
         out = search(query, idx, SearchParams(n_probe=idx.centroid_count, candidate_k=100, final_k=100))
@@ -902,7 +913,7 @@ class TestSearch:
             span = slice(state.list_offsets[cid], state.list_offsets[cid + 1])
             expect = normalize_rows(idx.decompress_embeddings(list_members[span])).astype(np.float32)
             assert table[span].tobytes() == expect.tobytes()
-        assert idx.unit_corpus().rows.astype(np.float32).tobytes() == table[state.positions].tobytes()
+        assert idx.unit_corpus().rows.tobytes() == table[state.positions].tobytes()
         emb_ids, offsets = _passage_rows(idx.passage_offsets, np.array([5, 2]))  # as exact_rerank reads them
         positions = state.positions[emb_ids]
         for i, internal in enumerate((5, 2)):
@@ -957,6 +968,53 @@ class TestSearch:
         assert bound < idx.embedding_count * idx.dim * 8  # room for no float64 copy of every row
         assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
+    def test_unit_corpus_build_peaks_below_the_table_plus_eight_blocks(self):
+        idx = self.random_code_index()
+        tracemalloc.start()
+        try:
+            unit = idx.unit_corpus()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, dim = idx.embedding_count, idx.dim
+        assert unit.rows.dtype == np.float32 and unit.rows.nbytes == n * dim * 4
+        bound = n * dim * 4 + n * 8 + 8 * 2048 * dim * 8  # the table, the int64 row ids, eight float64 blocks
+        assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("k", [10, 4999, None], ids=["k10", "all-but-one", "all"])
+    def test_an_oracle_query_holds_no_float64_array_of_corpus_size(self, k):
+        idx = self.random_code_index(dim=32)
+        unit = idx.unit_corpus()
+        query = np.random.default_rng(4).normal(size=(32, idx.dim))
+        tracemalloc.start()
+        try:
+            ranked = brute_force_search(query, unit, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ranked) == (k or idx.passage_count)
+        float64_table = idx.embedding_count * idx.dim * 8
+        assert peak < float64_table / 2, f"peak {peak / 1e6:.2f} MB, a float64 table {float64_table / 1e6:.2f} MB"
+
+    def test_an_oracle_query_decodes_only_its_survivors_rows(self, monkeypatch):
+        _, idx, query = small_index()
+        unit = idx.unit_corpus()
+        expect = brute_force_search(query, idx.decompressed_corpus(), 3)
+        calls = []
+        original = CompressedIndex.decompress_embeddings
+        monkeypatch.setattr(
+            CompressedIndex, "decompress_embeddings", lambda self, ids: calls.append(ids) or original(self, ids)
+        )
+        got = brute_force_search(query, unit, 3)
+        assert got == expect
+        emb_passage = np.repeat(np.arange(idx.passage_count), np.diff(idx.passage_offsets))
+        decoded = np.concatenate(calls)
+        survivors = np.unique(emb_passage[decoded])
+        # whole passages, each once: the three returned and the few within rounding of the cut
+        assert decoded.size == np.diff(idx.passage_offsets)[survivors].sum()
+        assert {idx.internal_passage(pid) for pid, _ in got} <= set(survivors.tolist())
+        assert decoded.size < idx.embedding_count / 4
+
     def test_integer_arrays_are_int32_below_two_to_the_31(self):
         assert index_module._number_type(2**31 - 1) is np.int32
         assert index_module._number_type(2**31) is np.int64
@@ -980,9 +1038,10 @@ def per_passage_oracle(query, unit, k):
 
 
 def table_top_k(query, unit, k):
-    """``maxsim_top_k`` over a UnitCorpus's row table, its rows in table order."""
+    """``maxsim_top_k`` over a UnitCorpus's row table, its rows gathered by position in table order, and
+    the survivors scored on the corpus's ``exact_rows``."""
     positions = np.arange(len(unit.rows))
-    order, scores = scoring.maxsim_top_k(normalize_rows(query), unit.rows, positions, unit.offsets, k)
+    order, scores = scoring.maxsim_top_k(normalize_rows(query), unit.rows, positions, unit.offsets, k, unit.exact_rows)
     return [(unit.ids[i], float(s)) for i, s in zip(order, scores)]
 
 
@@ -1166,6 +1225,22 @@ class TestBlockedTopK:
             assert_same_ranking(search(query, idx, params), exact_rerank(query, candidates, idx)[:k])
             assert_same_ranking(brute_force_search(query, unit, k), per_passage_oracle(query, unit, k))
             assert_same_ranking(table_top_k(query, unit, k), per_passage_oracle(query, unit, k))
+
+    @pytest.mark.filterwarnings("ignore::modir.index.DuplicateCentroidWarning")
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**16), block=st.integers(1, 12), data=st.data())
+    def test_unit_corpus_oracle_equals_the_dict_oracle(self, seed, block, data):
+        # The dict path scores each passage alone with maxsim_score, the independent reference. Exact
+        # copies of 1-6 rows each straddle blocks of 1-12 rows; some query rows are zero.
+        rng = np.random.default_rng(seed)
+        idx = build_index(corpus_with_copies(rng), seed=seed)
+        k = data.draw(st.none() | st.integers(1, idx.passage_count))
+        query = rng.normal(size=(int(rng.integers(1, 5)), idx.dim))
+        query[rng.random(query.shape[0]) < 0.3] = 0.0
+        unit = idx.unit_corpus()
+        with mock.patch("modir.scoring._MAXSIM_BLOCK", block):
+            got = brute_force_search(query, unit, k)
+        assert_same_ranking(got, brute_force_search(query, idx.decompressed_corpus(), k))
 
 
 class TestSerialization:

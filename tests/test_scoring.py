@@ -264,6 +264,8 @@ class TestMaxsimTopK:
             shuffled[rows] = table
             table = shuffled
             passages = [table[rows[offsets[i] : offsets[i + 1]]] for i in range(len(passages))]
+        elif data.draw(st.booleans()):  # the table's own order, read in contiguous slices
+            rows = None
         scores = np.array([maxsim_unit(q_unit, p) for p in passages])
         expect = rank(scores)[:k]
         exact_rows = None
@@ -274,6 +276,23 @@ class TestMaxsimTopK:
             order, got = maxsim_top_k(q_unit, table, rows, offsets, k, exact_rows)
         assert np.array_equal(order, expect)
         assert got.tobytes() == scores[expect].tobytes()
+
+    def test_survivors_are_decoded_sixteen_blocks_of_rows_at_a_time(self, monkeypatch):
+        monkeypatch.setattr("modir.scoring._MAXSIM_BLOCK", 2)
+        rng = np.random.default_rng(8)
+        table = normalize_rows(rng.normal(size=(40, 3)))
+        offsets = np.arange(41)
+        q_unit = normalize_rows(rng.normal(size=(2, 3)))
+        asked = []
+
+        def exact_rows(passages):
+            asked.append(passages.size)
+            return table[passages]
+
+        order, got = maxsim_top_k(q_unit, table.astype(np.float32), None, offsets, None, exact_rows)
+        scores = per_passage_maxsim(q_unit, table, np.arange(40), offsets, range(40))
+        assert asked == [32, 8]
+        assert np.array_equal(order, rank(scores)) and got.tobytes() == scores[order].tobytes()
 
 
 def per_passage_maxsim(q_unit, table, rows, offsets, passages):
@@ -295,24 +314,24 @@ class RowsAskedFor:
 class TestFloat32Cosines:
     """The per-cosine step of ``maxsim_rounding_gap``'s float32 proof, on
     this BLAS: a float32 product of float64 unit rows rounded to float32,
-    at the search stages' shapes (query terms x a run of table rows), is
+    at the search stages' shapes and in both their orientations, is
     within (g(dim) (1 + u)**2 + 2u + u**2) |q| |r| of the float64 rows' real
     cosine, g(m) = m u / (1 - m u), u = 2**-24. The reference is each
     product's ``math.fsum`` (each float64 product within 2**-53 of its real
     value, which the bound also allows). A BLAS that accumulates in a way
     the proof does not cover fails here, not as a first-stage score above
-    its exact one."""
+    its exact one. The first stage multiplies query terms x a run of a
+    list's rows; the blocked selection of re-rank and the oracle
+    (``scoring._blocked_maxsim``) multiplies a block of up to
+    ``_MAXSIM_BLOCK`` rows x query terms, ``block @ q.T``."""
 
     @staticmethod
     def per_cosine_bound(dim: int) -> float:
         u = 2.0**-24
         return dim * u / (1 - dim * u) * (1 + u) ** 2 + 2 * u + u * u + 2.0**-52
 
-    @pytest.mark.parametrize("kind", ["random", "all-positive", "nearly-parallel"])
-    @pytest.mark.parametrize("n_rows", [1, 2, 7, 64, 1024, 1025])
-    @pytest.mark.parametrize("dim", [1, 5, 128])
-    @pytest.mark.parametrize("terms", [1, 32])
-    def test_float32_products_stay_within_the_per_cosine_bound(self, terms, dim, n_rows, kind):
+    def check_products(self, terms, dim, n_rows, kind, product):
+        """``product(query terms, table rows)``, both float32, as (terms x rows) cosines within the bound."""
         rng = np.random.default_rng([terms, dim, n_rows, len(kind)])
         q = rng.normal(size=(terms, dim))
         rows = rng.normal(size=(n_rows + 1, dim))
@@ -322,13 +341,28 @@ class TestFloat32Cosines:
             q = q[:1] + 1e-7 * rng.normal(size=(terms, dim))
             rows = q[:1] + 1e-7 * rng.normal(size=(n_rows + 1, dim))
         q_unit, unit = normalize_rows(q), normalize_rows(rows)
-        table = unit.astype(np.float32)[1:]  # a run of rows that starts past the table's first, as a list does
-        sims = q_unit.astype(np.float32) @ table.T
+        table = unit.astype(np.float32)[1:]  # a contiguous run of rows past the table's first, as a list or block
+        sims = product(q_unit.astype(np.float32), table)
         assert sims.dtype == np.float32
         bound = self.per_cosine_bound(dim) * (1 + (dim / 2 + 2) * 2.0**-53) ** 2  # unit rows' norms, at most
         for t in range(terms):
             exact = np.array([math.fsum(q_unit[t] * r) for r in unit[1:]])
             assert np.all(np.abs(sims[t].astype(np.float64) - exact) <= bound)
+
+    @pytest.mark.parametrize("kind", ["random", "all-positive", "nearly-parallel"])
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 64, 1024, 1025])
+    @pytest.mark.parametrize("dim", [1, 5, 128])
+    @pytest.mark.parametrize("terms", [1, 32])
+    def test_float32_products_stay_within_the_per_cosine_bound(self, terms, dim, n_rows, kind):
+        self.check_products(terms, dim, n_rows, kind, lambda q32, table: q32 @ table.T)
+
+    @pytest.mark.parametrize("kind", ["random", "all-positive", "nearly-parallel"])
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 64, 1024, 1025])
+    @pytest.mark.parametrize("dim", [1, 5, 128])
+    @pytest.mark.parametrize("terms", [1, 32])
+    def test_block_by_terms_products_stay_within_the_per_cosine_bound(self, terms, dim, n_rows, kind):
+        # the blocked selection's layout: a contiguous block of rows times the query's transpose
+        self.check_products(terms, dim, n_rows, kind, lambda q32, table: (table @ q32.T).T)
 
     @pytest.mark.parametrize("dim", [1, 5, 128])
     @pytest.mark.parametrize("terms", [1, 32])
@@ -425,6 +459,8 @@ class TestMaxsimExact:
         rows = rng.permutation(table.shape[0])[: offsets[-1]]
         if data.draw(st.booleans()):  # rows drawn from three distinct ones and a zero row
             rows = table.shape[0] - 1 - rng.integers(0, 4, size=offsets[-1])
+        elif data.draw(st.booleans()):  # the table's own order, no gather by position
+            rows = None
         q_unit = normalize_rows(rng.normal(size=(terms, dim)))
         q_unit[rng.random(terms) < 0.2] = data.draw(st.sampled_from([0.0, np.nan]))
         passages = None
@@ -434,4 +470,5 @@ class TestMaxsimExact:
             listed = passages
         with mock.patch("modir.scoring._MAXSIM_BLOCK", block):
             got = maxsim_exact(q_unit, table, rows, offsets, passages)
-        assert got.tobytes() == per_passage_maxsim(q_unit, table, rows, offsets, listed).tobytes()
+        in_order = np.arange(offsets[-1]) if rows is None else rows
+        assert got.tobytes() == per_passage_maxsim(q_unit, table, in_order, offsets, listed).tobytes()
