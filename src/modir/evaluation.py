@@ -72,25 +72,21 @@ class UnitCorpus(TermTable):
     """A ``TermTable`` whose rows are already ``normalize_rows`` output, in
     an index's passage order (``CompressedIndex.unit_corpus``).
 
-    The rows are float64, or those float64 rows rounded to float32, which
-    then serve ``brute_force_search`` only to choose which passages to score
-    (``scoring.maxsim_top_k``): ``exact_rows(passages)`` gives those
-    passages' float64 unit rows, passage after passage, and ``unit[pid]``
-    returns them too. A float32 table without ``exact_rows`` is
-    InvalidConfigError, and a passage without rows EmptyInputError.
+    The rows are float64 unit rows rounded to float32 (or those float64 rows
+    themselves) and serve ``brute_force_search`` only to choose which
+    passages to score (``scoring.maxsim_top_k``): ``exact_rows(passages)``
+    gives those passages' float64 unit rows, passage after passage, and
+    ``unit[pid]`` returns them too. A passage without rows is
+    EmptyInputError.
     """
 
-    def __init__(self, ids, rows, offsets, exact_rows=None):
+    def __init__(self, ids, rows, offsets, exact_rows):
         super().__init__(ids, rows, offsets)
-        if rows.dtype != np.float64 and exact_rows is None:
-            raise InvalidConfigError(f"a {rows.dtype} UnitCorpus needs exact_rows, the float64 rows it scores")
         if np.any(self.offsets[1:] == self.offsets[:-1]):
             raise EmptyInputError("a passage has no rows")
         self.exact_rows = exact_rows
 
     def __getitem__(self, pid):
-        if self.exact_rows is None:
-            return super().__getitem__(pid)
         return self.exact_rows(np.array([self._position[pid]]))
 
 
@@ -107,8 +103,9 @@ def brute_force_search(query, corpus: Mapping, k: int | None):
     normalized and in that order, and is ranked by ``scoring.maxsim_top_k``
     over its table in stored order, the selection re-rank uses: blocked
     scores choose the passages that could still make the top k, and only
-    those are scored, on their float64 rows, with ``scoring.maxsim_exact``,
-    so every score has ``maxsim_unit``'s bits. The cutoff follows
+    those are scored, on the float64 rows its ``exact_rows`` decodes for
+    them, with ``scoring.maxsim_exact``, so every score has
+    ``maxsim_unit``'s bits. The cutoff follows
     ``scoring.rank`` and is checked first; the query must then pass
     ``scoring.check_query`` at the corpus's width, as on both search stages,
     and an empty corpus gives ``[]``.

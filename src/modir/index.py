@@ -89,6 +89,7 @@ INDEX_FILES = ("meta.json", "centroids.f32", "codec.f32", "codes.bin", "invlists
 _UNIT_BLOCK = 2048  # rows per block of unit rows and of the build's checks and encoding; bounds temporaries
 _PACK_ROWS = 8192  # embeddings per codes.bin chunk packed or unpacked; a multiple of 8, so each ends on a byte
 _SAMPLE_PASSAGES = 256  # passages sampled to fit the centroids and the codec
+_FLOAT32_LIMIT = 2.0**128 - 2.0**103  # half an ulp past float32's largest value: float64 from here rounds to inf
 _LLOYD_ITERATIONS = 25  # at most this many Lloyd iterations after k-means++
 _LLOYD_TOL = 1e-6  # Lloyd stops once no centroid moves farther than this
 _DISTANCE_FLOATS = 1_000_000  # float64s in one (rows x centroids) distance block of a build: 8 MB
@@ -605,13 +606,32 @@ def _passage_rows(offsets: np.ndarray, passages: np.ndarray):
     return np.repeat(lo - starts[:-1], counts) + np.arange(starts[-1]), starts
 
 
+def _fits_float32(values: np.ndarray) -> bool:
+    """Whether float32 holds every one of ``values`` as a finite number: no
+    NaN or infinity, and no finite value so large that it rounds to an
+    infinity (``_FLOAT32_LIMIT``). Two reductions, no copy."""
+    return -_FLOAT32_LIMIT < float(values.min()) and float(values.max()) < _FLOAT32_LIMIT
+
+
+def _stored_float32(values: np.ndarray, what: str) -> np.ndarray:
+    """A fitted float64 table as the float32 the index stores, checked
+    first: InvalidConfigError naming ``what`` when a value does not fit,
+    since ``load_index`` refuses a non-finite float."""
+    if not _fits_float32(values):
+        raise InvalidConfigError(f"the fitted {what} holds a value beyond float32's range: corpus values too large")
+    return values.astype(np.float32)
+
+
 def _check_finite(table: TermTable, lo: int, rows: np.ndarray):
-    """InvalidConfigError naming the first passage that holds a non-finite
-    value among ``rows``, the table's rows from ``lo`` on."""
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        first = table.ids[int(np.searchsorted(table.offsets, lo + np.argmin(finite), side="right")) - 1]
-        raise InvalidConfigError(f"passage {first!r} contains non-finite values")
+    """InvalidConfigError naming the first passage among ``rows``, the
+    table's rows from ``lo`` on, that holds a value float32 cannot store
+    (``_fits_float32``): NaN, an infinity, or a finite value beyond
+    float32's range, the rule of ``write_embedding_block``."""
+    if not _fits_float32(rows):
+        bad = [_fits_float32(row) for row in rows].index(False)
+        first = table.ids[int(np.searchsorted(table.offsets, lo + bad, side="right")) - 1]
+        what = "non-finite values" if not np.isfinite(rows[bad]).all() else "a finite value beyond float32's range"
+        raise InvalidConfigError(f"passage {first!r} contains {what}")
 
 
 class _FiniteRows:
@@ -664,9 +684,11 @@ def build_index(
     assignment blocks, which depend only on the row and centroid counts, the
     index files are byte-identical to those of a build over a float64 copy
     of the whole table. Each assignment block is checked
-    for non-finite values as it is read, and the sample before it is fitted
-    (a non-finite sample has every row checked first); the error names the
-    first passage, in id order, that holds one.
+    for values that float32 cannot store (``_check_finite``) as it is read,
+    and the sample before it is fitted (a sample holding one has every row
+    checked first); the error names the first passage, in id order, that
+    holds one. A fitted centroid or codec value beyond float32's range is
+    InvalidConfigError too, so ``load_index`` accepts every index returned.
     """
     check_seed(seed)
     table = corpus if isinstance(corpus, TermTable) else TermTable.stack(corpus)
@@ -685,18 +707,18 @@ def build_index(
     n_sample = min(len(ids), _SAMPLE_PASSAGES)
     sample_rows, _ = _passage_rows(offsets, np.sort(sample_rng.choice(len(ids), size=n_sample, replace=False)))
     sample = np.asarray(rows[sample_rows], dtype=np.float64)
-    if not np.isfinite(sample).all():  # an unsampled passage before the sample's may hold one too
+    if not _fits_float32(sample):  # an unsampled passage before the sample's may hold one too
         for lo in range(0, total, _UNIT_BLOCK):
             _check_finite(table, lo, rows[lo : lo + _UNIT_BLOCK])
 
-    centroids = select_centroids(sample, k, (seed, 1)).astype(np.float32)
+    centroids = _stored_float32(select_centroids(sample, k, (seed, 1)), "centroid table")
 
     assignments = nearest_centroid_ids(_FiniteRows(table), centroids)
     cents64 = centroids.astype(np.float64)
     sample -= cents64[assignments[sample_rows]]  # in place: the sample is a private copy, now its residuals
     codec64 = fit_codec(sample)
     del sample
-    codec = ResidualCodec(cuts=codec64.cuts.astype(np.float32), reps=codec64.reps.astype(np.float32))
+    codec = ResidualCodec(cuts=_stored_float32(codec64.cuts, "codec"), reps=_stored_float32(codec64.reps, "codec"))
     residual_codes = np.empty((total, -(-dim // 4)), dtype=np.uint8)
     for lo in range(0, total, _UNIT_BLOCK):  # element-wise, so chunking keeps every bit
         residuals = cents64[assignments[lo : lo + _UNIT_BLOCK]]

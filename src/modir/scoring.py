@@ -127,13 +127,12 @@ def maxsim_unit(q_unit: np.ndarray, p_unit: np.ndarray) -> float:
     return float((q_unit @ p_unit.T).max(axis=1).sum())
 
 
-def maxsim_exact(q_unit: np.ndarray, table: np.ndarray, rows, offsets, passages=None) -> np.ndarray:
-    """``maxsim_unit`` of each of ``passages`` (all when None), bit for bit.
+def maxsim_exact(q_unit: np.ndarray, rows: np.ndarray, offsets) -> np.ndarray:
+    """``maxsim_unit`` of every passage, bit for bit.
 
-    Passage i's unit rows are ``table[rows[offsets[i]:offsets[i + 1]]]``
-    (``table[offsets[i]:offsets[i + 1]]`` when ``rows`` is None, the table's
-    own order), and every passage has at least one (EmptyInputError
-    otherwise). The passages are grouped by row count L and stacked, at most
+    Passage i's unit rows are ``rows[offsets[i]:offsets[i + 1]]``, float64,
+    and every passage has at least one (EmptyInputError otherwise). The
+    passages are grouped by row count L and stacked, at most
     ``_MAXSIM_BLOCK // L`` of them (one if L is larger), into one (items, L,
     dim) gather. ``np.matmul(q_unit, P.transpose(0, 2, 1))`` makes one BLAS
     call per item with the shape and strides of ``q_unit @ p_unit.T``
@@ -143,9 +142,7 @@ def maxsim_exact(q_unit: np.ndarray, table: np.ndarray, rows, offsets, passages=
     sum runs along each passage's contiguous term row, as ``maxsim_unit``'s
     ``.sum()`` does.
     """
-    passages = np.arange(len(offsets) - 1) if passages is None else np.asarray(passages)
-    starts = offsets[passages]
-    lengths = offsets[passages + 1] - starts
+    lengths = np.diff(offsets)
     out = np.empty(lengths.size)
     for n_rows in np.unique(lengths).tolist():
         if n_rows < 1:
@@ -155,8 +152,7 @@ def maxsim_exact(q_unit: np.ndarray, table: np.ndarray, rows, offsets, passages=
         per = max(1, _MAXSIM_BLOCK // n_rows)
         for lo in range(0, group.size, per):
             items = group[lo : lo + per]
-            picked = (starts[items, None] + steps).reshape(-1)
-            stack = table[picked if rows is None else rows[picked]].reshape(items.size, n_rows, -1)
+            stack = rows[(offsets[items, None] + steps).reshape(-1)].reshape(items.size, n_rows, -1)
             sims = np.matmul(q_unit, stack.transpose(0, 2, 1))  # items x terms x rows
             out[items] = sims.transpose(2, 0, 1).copy().max(axis=0).sum(axis=-1)
     return out
@@ -200,23 +196,23 @@ def maxsim_rounding_gap(n_terms: int, dim: int, dtype=np.float64) -> float:
     return 4.0 * n_terms * (dim + n_terms) * u
 
 
-def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | None = None, exact_rows=None):
+def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | None, exact_rows):
     """The k best passages by ``maxsim_unit`` (all when k is None), best
     first with ties to the lower passage index, and their scores. A k that
     ``rank`` rejects is rejected before any passage is scored.
 
-    Passage i's unit rows are ``table[rows[offsets[i]:offsets[i + 1]]]``:
-    ``rows`` holds positions in ``table`` (None: the table's own order, as
-    the oracle's ``UnitCorpus`` holds it), and every passage has at least
-    one. ``table`` is float64, or a float32 copy of float64 unit rows, which
-    then serves only the selection below: ``exact_rows(passages)`` gives
-    those passages' float64 unit rows, passage after passage, each in its
-    order in ``rows`` (when None, they are read from ``table``); it is asked
-    for at most 16 blocks of rows at a time, so no float64 copy of a large
-    table is made. Every score
-    reported comes from ``maxsim_exact`` over the float64 rows, so the result
-    is bit-identical to ranking ``maxsim_unit`` of every passage, for any k.
-    Re-rank and the ``UnitCorpus`` oracle both rank this way.
+    Passage i's unit rows, as the selection reads them, are
+    ``table[rows[offsets[i]:offsets[i + 1]]]``: ``rows`` holds positions in
+    ``table`` (None: the table's own order, as the oracle's ``UnitCorpus``
+    holds it), and every passage has at least one. ``table`` is a float32
+    copy of float64 unit rows (or those rows themselves) and serves only the
+    selection below: ``exact_rows(passages)`` gives those passages' float64
+    unit rows, passage after passage, each in its order in ``rows``; it is
+    asked for at most 16 blocks of rows at a time, so no float64 copy of a
+    large table is made. Every score reported comes from ``maxsim_exact``
+    over those rows, so the result is bit-identical to ranking
+    ``maxsim_unit`` of every passage, for any k. Re-rank and the
+    ``UnitCorpus`` oracle both rank this way.
 
     When k is below the passage count, whole passages are first scored in
     blocks of about ``_MAXSIM_BLOCK`` rows (``_blocked_maxsim``). These
@@ -239,14 +235,11 @@ def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | 
         if np.isfinite(blocked).all():
             cut = np.partition(blocked, n - k)[n - k]
             survivors = np.flatnonzero(blocked >= cut - 2.0 * maxsim_rounding_gap(*q_unit.shape, table.dtype))
-    if exact_rows is None:
-        exact = maxsim_exact(q_unit, table, rows, offsets, survivors)
-    else:  # the survivors' float64 rows, decoded 16 blocks of rows at a time
-        starts = np.concatenate(([0], np.cumsum(offsets[survivors + 1] - offsets[survivors])))
-        exact = np.empty(survivors.size)
-        for first, last in _passage_blocks(starts, 16 * _MAXSIM_BLOCK):
-            part = exact_rows(survivors[first:last])
-            exact[first:last] = maxsim_exact(q_unit, part, None, starts[first : last + 1] - starts[first])
+    starts = np.concatenate(([0], np.cumsum(offsets[survivors + 1] - offsets[survivors])))
+    exact = np.empty(survivors.size)
+    for first, last in _passage_blocks(starts, 16 * _MAXSIM_BLOCK):  # the survivors' float64 rows
+        part = exact_rows(survivors[first:last])
+        exact[first:last] = maxsim_exact(q_unit, part, starts[first : last + 1] - starts[first])
     order = rank(exact, k)
     return survivors[order], exact[order]
 

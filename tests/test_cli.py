@@ -1,5 +1,6 @@
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,22 @@ class TestIndexCmd:
         corpus.write_text('{"id": "a", "embeddings": [[]]}\n')
         assert run_cli("index", "--corpus", corpus, "--out", tmp_path / "idx", "--config", config_path) == 2
         assert read_stderr(capsys).startswith("error[parse]: line 1:")
+        assert not (tmp_path / "idx").exists()
+
+    def test_a_value_beyond_float32_is_one_error_and_no_index(self, tmp_path, small_config, capsys):
+        # 1e39 is finite in JSON and float64, but the index stores float32, where it is inf
+        config_path, _ = small_config
+        rng = np.random.default_rng(0)
+        corpus = {f"p{i}": rng.normal(size=(3, 4)) for i in range(6)}
+        corpus["p2"][1, 3] = 1e39
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps({"id": pid, "embeddings": m.tolist()}) + "\n" for pid, m in corpus.items()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("index", "--corpus", path, "--out", tmp_path / "idx", "--config", config_path) == 2
+        assert read_stderr(capsys).splitlines() == [
+            "error[invalid-config]: passage 'p2' contains a finite value beyond float32's range"
+        ]
         assert not (tmp_path / "idx").exists()
 
     def test_dim_zero_embedding_block_is_a_format_error(self, tmp_path, small_config, capsys):

@@ -220,7 +220,9 @@ class TestBruteForce:
             brute_force_search(np.eye(2), {"a": np.eye(2), "b": np.ones((1, 2))}, k)
 
     @pytest.mark.parametrize("k", [0, -1, 2.5, 3.0, True], ids=["zero", "negative", "float", "whole-float", "bool"])
-    @pytest.mark.parametrize("empty", [{}, UnitCorpus([], np.empty((0, 2)), [0])], ids=["mapping", "unit-corpus"])
+    @pytest.mark.parametrize(
+        "empty", [{}, UnitCorpus([], np.empty((0, 2)), [0], lambda passages: np.empty((0, 2)))], ids=["mapping", "unit-corpus"]
+    )
     def test_a_bad_cutoff_is_refused_over_an_empty_corpus_too(self, empty, k):
         # the cutoff is checked before the empty corpus returns []
         with pytest.raises(InvalidConfigError, match="cutoff k"):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modir.errors import (
     DimensionMismatchError,
@@ -501,6 +502,26 @@ class TestBuildIndex:
         with pytest.raises(InvalidConfigError, match=r"^passage 'd' contains non-finite values$"):
             build_index(corpus, seed=0)
 
+    def test_a_value_beyond_float32_names_the_first_passage_holding_one(self):
+        # 1e39 is finite in float64, but the index stores float32, where it is inf
+        corpus = {f"p{i}": np.arange(12.0).reshape(3, 4) + i for i in range(6)}
+        corpus["p3"][1, 2] = 1e39
+        corpus["p4"][0, 0] = -1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidConfigError, match=r"^passage 'p3' contains a finite value beyond float32's range$"):
+                build_index(corpus, seed=0)
+            corpus["p3"][1, 2] = np.nan  # in the same block, NaN keeps its message
+            with pytest.raises(InvalidConfigError, match=r"^passage 'p3' contains non-finite values$"):
+                build_index(corpus, seed=0)
+
+    def test_a_fitted_codec_beyond_float32_is_refused(self):
+        # every row fits float32, but around the one centroid, 1e38, a residual reaches -4e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidConfigError, match=r"^the fitted codec holds a value beyond float32's range"):
+                build_index({"a": [[3e38]], "b": [[3e38]], "c": [[-3e38]]}, centroid_count=1)
+
 
 def small_index(seed=13, n_passages=60, dim=6):
     rng = np.random.default_rng(seed)
@@ -862,18 +883,16 @@ class TestSearch:
 
     def test_unit_corpus_ids_must_ascend(self):
         with pytest.raises(InvalidConfigError, match="ascending"):
-            UnitCorpus(["b", "a"], np.eye(2), np.array([0, 1, 2]))
+            float64_unit_corpus(["b", "a"], np.eye(2), np.array([0, 1, 2]))
 
     def test_a_float32_unit_corpus_needs_its_float64_rows(self):
         rows = np.eye(2)
-        with pytest.raises(InvalidConfigError, match="float32 UnitCorpus needs exact_rows"):
-            UnitCorpus(["a", "b"], rows.astype(np.float32), np.array([0, 1, 2]))
         unit = UnitCorpus(["a", "b"], rows.astype(np.float32), np.array([0, 1, 2]), lambda passages: rows[passages])
         assert unit["b"].dtype == np.float64 and unit["b"].tolist() == [[0.0, 1.0]]
 
     def test_a_unit_corpus_passage_without_rows_is_refused(self):
         with pytest.raises(EmptyInputError, match="a passage has no rows"):
-            UnitCorpus(["a", "b"], np.eye(2), np.array([0, 2, 2]))
+            float64_unit_corpus(["a", "b"], np.eye(2), np.array([0, 2, 2]))
 
     def test_final_k_larger_than_corpus_returns_all_without_padding(self):
         _, idx, query = small_index(n_passages=7)
@@ -1037,6 +1056,15 @@ def per_passage_oracle(query, unit, k):
     return [(ids[i], float(scores[i])) for i in rank(scores)[:k]]
 
 
+def float64_unit_corpus(ids, rows, offsets):
+    """A ``UnitCorpus`` that selects on float64 unit rows and whose
+    ``exact_rows`` hands back those same rows, passage after passage."""
+    def exact_rows(passages):
+        return np.vstack([rows[offsets[i] : offsets[i + 1]] for i in passages])
+
+    return UnitCorpus(ids, rows, offsets, exact_rows)
+
+
 def table_top_k(query, unit, k):
     """``maxsim_top_k`` over a UnitCorpus's row table, its rows gathered by position in table order, and
     the survivors scored on the corpus's ``exact_rows``."""
@@ -1140,8 +1168,8 @@ class TestBlockedTopK:
         monkeypatch.setattr(scoring, "_blocked_maxsim", skewed)
         rng = np.random.default_rng(6)
         copy = normalize_rows(rng.normal(size=(2, 3)))
-        unit = UnitCorpus(["a", "b", "c"], np.vstack([copy, copy, normalize_rows(rng.normal(size=(2, 3)))]),
-                          np.array([0, 2, 4, 6]))
+        rows = np.vstack([copy, copy, normalize_rows(rng.normal(size=(2, 3)))])
+        unit = float64_unit_corpus(["a", "b", "c"], rows, np.array([0, 2, 4, 6]))
         query = copy + 0.01 * rng.normal(size=copy.shape)
         expect = per_passage_oracle(query, unit, 1)
         assert expect[0][0] == "a"
@@ -1174,7 +1202,7 @@ class TestBlockedTopK:
         rows = normalize_rows(rng.normal(size=(12, 3)))
         rows[3:6] = 0.0  # passage "b" is all zeros
         rows[8] = 0.0  # and "d" has one zero row
-        unit = UnitCorpus(["a", "b", "c", "d"], rows, np.array([0, 3, 6, 8, 12]))
+        unit = float64_unit_corpus(["a", "b", "c", "d"], rows, np.array([0, 3, 6, 8, 12]))
         query = rng.normal(size=(3, 3))
         query[1] = 0.0
         for k in (1, 2, 4, 5):
@@ -1273,6 +1301,45 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.list_sizes, idx.list_sizes)
         for name in ("list_offsets", "member_passages", "positions"):
             np.testing.assert_array_equal(getattr(loaded.search_state, name), getattr(idx.search_state, name))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+        dim=st.integers(1, 4),
+        centroid_count=st.none() | st.integers(1, 4),
+        seed=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_every_index_built_loads_back_equal(self, lengths, dim, centroid_count, seed, data):
+        # Magnitudes reach float32's largest value, the midpoint past it (the
+        # smallest float64 that rounds to inf) and beyond. A corpus is refused
+        # only with InvalidConfigError, and only when some value exceeds half
+        # float32's largest: below that no residual or codec value can overflow.
+        top = float(np.finfo(np.float32).max)
+        beyond = 2.0**128 - 2.0**103
+        special = st.sampled_from([0.0, 1.0, -1.0, top / 2, top, -top, np.nextafter(beyond, 0.0), beyond, -beyond, 1e39])
+        value = special | st.floats(-1e39, 1e39) | st.floats(-4.0, 4.0)
+        rows = data.draw(arrays(np.float64, (sum(lengths), dim), elements=value))
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        corpus = {f"p{i}": rows[offsets[i] : offsets[i + 1]] for i in range(len(lengths))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", DuplicateCentroidWarning)
+            try:
+                idx = build_index(corpus, seed=seed, centroid_count=centroid_count)
+            except InvalidConfigError:
+                assert np.abs(rows).max() > top / 2
+                return
+            with tempfile.TemporaryDirectory() as tmp:
+                save_index(idx, Path(tmp) / "idx")
+                loaded = load_index(Path(tmp) / "idx")
+        assert loaded.centroids.tobytes() == idx.centroids.tobytes()
+        assert loaded.codec.cuts.tobytes() == idx.codec.cuts.tobytes()
+        assert loaded.codec.reps.tobytes() == idx.codec.reps.tobytes()
+        assert np.array_equal(loaded.centroid_ids, idx.centroid_ids)
+        assert np.array_equal(loaded.residual_codes, idx.residual_codes)
+        assert np.array_equal(loaded.passage_offsets, idx.passage_offsets)
+        assert loaded.passage_ids == idx.passage_ids and loaded.seed == idx.seed
 
     def test_code_section_size_is_exact(self, tmp_path):
         _, idx, _ = small_index()

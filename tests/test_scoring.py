@@ -234,10 +234,12 @@ class TestMaxsimTopK:
     def test_cutoff_below_one_is_rejected_before_any_passage_is_scored(self, k):
         q_unit = normalize_rows(np.eye(2))
         table = normalize_rows(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        exact_rows = mock.Mock(side_effect=AssertionError("rows decoded"))
         with mock.patch("modir.scoring._blocked_maxsim", side_effect=AssertionError("blocked pass ran")):
             with mock.patch("modir.scoring.maxsim_exact", side_effect=AssertionError("passage scored")):
                 with pytest.raises(InvalidConfigError, match=f"got {k}"):
-                    maxsim_top_k(q_unit, table, np.arange(3), np.array([0, 1, 2, 3]), k)
+                    maxsim_top_k(q_unit, table, np.arange(3), np.array([0, 1, 2, 3]), k, exact_rows)
+        exact_rows.assert_not_called()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -268,9 +270,8 @@ class TestMaxsimTopK:
             rows = None
         scores = np.array([maxsim_unit(q_unit, p) for p in passages])
         expect = rank(scores)[:k]
-        exact_rows = None
-        if data.draw(st.booleans()):  # select from a float32 copy; score the survivors' float64 rows
-            exact_rows = lambda survivors: np.vstack([passages[i] for i in survivors])  # noqa: E731
+        exact_rows = lambda survivors: np.vstack([passages[i] for i in survivors])  # noqa: E731
+        if data.draw(st.booleans()):  # select from a float32 copy, as re-rank and the oracle do
             table = table.astype(np.float32)
         with mock.patch("modir.scoring._MAXSIM_BLOCK", block):
             order, got = maxsim_top_k(q_unit, table, rows, offsets, k, exact_rows)
@@ -290,14 +291,14 @@ class TestMaxsimTopK:
             return table[passages]
 
         order, got = maxsim_top_k(q_unit, table.astype(np.float32), None, offsets, None, exact_rows)
-        scores = per_passage_maxsim(q_unit, table, np.arange(40), offsets, range(40))
+        scores = per_passage_maxsim(q_unit, table, offsets)
         assert asked == [32, 8]
         assert np.array_equal(order, rank(scores)) and got.tobytes() == scores[order].tobytes()
 
 
-def per_passage_maxsim(q_unit, table, rows, offsets, passages):
-    """Each listed passage's MaxSim, one 2-d product per passage."""
-    return np.array([(q_unit @ table[rows[offsets[i] : offsets[i + 1]]].T).max(axis=1).sum() for i in passages])
+def per_passage_maxsim(q_unit, table, offsets):
+    """Each passage's MaxSim, one 2-d product per passage."""
+    return np.array([(q_unit @ table[a:b].T).max(axis=1).sum() for a, b in zip(offsets[:-1], offsets[1:])])
 
 
 class RowsAskedFor:
@@ -417,10 +418,9 @@ class TestMaxsimExact:
         table = normalize_rows(rng.normal(size=(offsets[-1], 5)))
         table[::4] = 0.0
         q_unit = normalize_rows(rng.normal(size=(3, 5)))
-        rows = np.arange(offsets[-1])
         recorder = RowsAskedFor(table)
-        got = maxsim_exact(q_unit, recorder, rows, offsets)
-        assert got.tobytes() == per_passage_maxsim(q_unit, table, rows, offsets, range(len(lengths))).tobytes()
+        got = maxsim_exact(q_unit, recorder, offsets)
+        assert got.tobytes() == per_passage_maxsim(q_unit, table, offsets).tobytes()
         # every row is read once, in reads of at most a block of rows or one passage
         assert sum(recorder.reads) == offsets[-1]
         assert all(n <= block or n in lengths for n in recorder.reads)
@@ -431,13 +431,13 @@ class TestMaxsimExact:
         table = normalize_rows(rng.normal(size=(6, 4)))
         q_unit = normalize_rows(rng.normal(size=(3, 4)))
         q_unit[1] = np.nan
-        got = maxsim_exact(q_unit, table, np.arange(6), offsets)
+        got = maxsim_exact(q_unit, table, offsets)
         assert np.isnan(got).all()
-        assert got.tobytes() == per_passage_maxsim(q_unit, table, np.arange(6), offsets, range(3)).tobytes()
+        assert got.tobytes() == per_passage_maxsim(q_unit, table, offsets).tobytes()
 
     def test_a_passage_without_rows_is_refused(self):
         with pytest.raises(EmptyInputError, match="no rows"):
-            maxsim_exact(np.eye(2), np.eye(2), np.arange(2), np.array([0, 2, 2]))
+            maxsim_exact(np.eye(2), np.eye(2), np.array([0, 2, 2]))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -450,25 +450,15 @@ class TestMaxsimExact:
     )
     def test_equals_the_per_passage_formula(self, lengths, dim, terms, block, seed, data):
         # Lengths repeat often (equal lengths share a stack); rows may be zero
-        # or repeated, a query row zero or NaN, the table shuffled, and only
-        # some passages asked for, in any order.
+        # or repeated, and a query row zero or NaN.
         rng = np.random.default_rng(seed)
         offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-        distinct = normalize_rows(rng.normal(size=(3, dim)))
-        table = np.vstack([normalize_rows(rng.normal(size=(offsets[-1], dim))), distinct, np.zeros((1, dim))])
-        rows = rng.permutation(table.shape[0])[: offsets[-1]]
+        table = normalize_rows(rng.normal(size=(offsets[-1], dim)))
         if data.draw(st.booleans()):  # rows drawn from three distinct ones and a zero row
-            rows = table.shape[0] - 1 - rng.integers(0, 4, size=offsets[-1])
-        elif data.draw(st.booleans()):  # the table's own order, no gather by position
-            rows = None
+            pool = np.vstack([normalize_rows(rng.normal(size=(3, dim))), np.zeros((1, dim))])
+            table = pool[rng.integers(0, 4, size=offsets[-1])]
         q_unit = normalize_rows(rng.normal(size=(terms, dim)))
         q_unit[rng.random(terms) < 0.2] = data.draw(st.sampled_from([0.0, np.nan]))
-        passages = None
-        listed = range(len(lengths))
-        if data.draw(st.booleans()):
-            passages = rng.permutation(len(lengths))[: data.draw(st.integers(0, len(lengths)))]
-            listed = passages
         with mock.patch("modir.scoring._MAXSIM_BLOCK", block):
-            got = maxsim_exact(q_unit, table, rows, offsets, passages)
-        in_order = np.arange(offsets[-1]) if rows is None else rows
-        assert got.tobytes() == per_passage_maxsim(q_unit, table, in_order, offsets, listed).tobytes()
+            got = maxsim_exact(q_unit, table, offsets)
+        assert got.tobytes() == per_passage_maxsim(q_unit, table, offsets).tobytes()
