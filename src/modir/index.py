@@ -625,8 +625,9 @@ def _stored_float32(values: np.ndarray, what: str) -> np.ndarray:
 def _check_finite(table: TermTable, lo: int, rows: np.ndarray):
     """InvalidConfigError naming the first passage among ``rows``, the
     table's rows from ``lo`` on, that holds a value float32 cannot store
-    (``_fits_float32``): NaN, an infinity, or a finite value beyond
-    float32's range, the rule of ``write_embedding_block``."""
+    (``_fits_float32``): NaN, an infinity, or a finite value that float32
+    rounds to an infinity (|x| >= 2**128 - 2**103). ``write_embedding_block``
+    refuses that last kind too, but writes NaN and infinities as they are."""
     if not _fits_float32(rows):
         bad = [_fits_float32(row) for row in rows].index(False)
         first = table.ids[int(np.searchsorted(table.offsets, lo + bad, side="right")) - 1]
@@ -745,19 +746,7 @@ def check_n_probe(params: SearchParams, index: CompressedIndex):
         raise InvalidConfigError(f"n_probe {params.n_probe} exceeds centroid count {index.centroid_count}")
 
 
-class Candidates(list):
-    """``approximate_candidates``' result: (external passage id, approximate
-    score) pairs, best first, that also hold ``passages``, the same
-    passages' internal numbers in the same order. ``exact_rerank`` reads
-    those numbers instead of looking each id up, which is how ``search``
-    hands the first stage's passages to re-rank."""
-
-    def __init__(self, pairs, passages: np.ndarray):
-        super().__init__(pairs)
-        self.passages = passages
-
-
-def approximate_candidates(query, index: CompressedIndex, params: SearchParams) -> Candidates:
+def approximate_candidates(query, index: CompressedIndex, params: SearchParams) -> list:
     """First-stage scores: per term, max cosine over embeddings fetched from the
     probed centroids, summed across terms; unfetched passage/term pairs add 0.
 
@@ -783,7 +772,8 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams) 
     ranking, moves no candidate.
 
     Returns at most candidate_k (external passage id, approximate score) pairs,
-    best first, sum ties broken toward the lower passage id, as ``Candidates``.
+    best first, sum ties broken toward the lower passage id; none when no
+    probed list holds a row.
     """
     q = scoring.check_query(query, index.dim)
     check_n_probe(params, index)
@@ -801,7 +791,7 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams) 
         hit[state.member_passages[s]] = True
     passages = np.flatnonzero(hit)
     if passages.size == 0:
-        return Candidates([], passages)
+        return []
     row_of = np.empty(index.passage_count, dtype=np.int64)  # passage -> its row in best
     row_of[passages] = np.arange(passages.size)
     best = np.full((passages.size, n_terms), -np.inf, dtype=np.float32)
@@ -815,7 +805,7 @@ def approximate_candidates(query, index: CompressedIndex, params: SearchParams) 
     order = scoring.rank(sums, params.candidate_k)
     ranked = passages[order]
     scores = (sums[order] - scoring.maxsim_rounding_gap(n_terms, index.dim, np.float32)).tolist()
-    return Candidates(zip(map(index.passage_ids.__getitem__, ranked.tolist()), scores), ranked)
+    return list(zip(map(index.passage_ids.__getitem__, ranked.tolist()), scores))
 
 
 def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None):
@@ -823,8 +813,9 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
     the k best (all when k is None), descending with ties toward the lower
     passage id. A passage listed more than once is ranked once.
 
-    ``candidates`` are external passage ids, or ``approximate_candidates``'
-    result, whose internal passage numbers are read as they are.
+    ``candidates`` are external passage ids, each looked up as ``str`` of
+    itself when it is not one, as ``internal_passage`` does; the first the
+    index lacks is UnknownPassageError.
 
     The candidates' rows, passage after passage in stored row order, are
     read from ``index.search_state``'s float32 unit rows at their list rows,
@@ -837,10 +828,11 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
     result is the first k of the k=None ranking, bit for bit.
     """
     q_unit = scoring.normalize_rows(scoring.check_query(query, index.dim))
-    if isinstance(candidates, Candidates):
-        internal = np.sort(candidates.passages)
-    else:
-        internal = np.unique(np.array([index.internal_passage(pid) for pid in candidates], dtype=np.int64))
+    ids = list(candidates)
+    numbers = [index._by_external.get(pid if isinstance(pid, str) else str(pid), -1) for pid in ids]
+    if -1 in numbers:
+        raise UnknownPassageError(f"unknown passage id {ids[numbers.index(-1)]!r}")
+    internal = np.sort(np.fromiter(set(numbers), dtype=np.int64))  # half np.unique's time at 1,000 ids
     state = index.search_state
     emb_ids, offsets = _passage_rows(index.passage_offsets, internal)
 
@@ -853,8 +845,9 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
 
 def search(query, index: CompressedIndex, params: SearchParams):
     """Approximate candidate generation followed by exact re-ranking of the
-    final_k best; the candidates go to re-rank as internal numbers."""
-    return exact_rerank(query, approximate_candidates(query, index, params), index, k=params.final_k)
+    final_k best: the first stage's external ids, in its order, are all
+    that re-rank receives."""
+    return exact_rerank(query, [pid for pid, _ in approximate_candidates(query, index, params)], index, k=params.final_k)
 
 
 # ---------------------------------------------------------------------------

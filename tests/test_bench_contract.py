@@ -12,7 +12,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import bench_child  # noqa: E402
 import run as bench_run  # noqa: E402
 
-from modir import cli, encoder  # noqa: E402
+from modir import cli, encoder, index  # noqa: E402
 from modir.index import build_index  # noqa: E402
 
 
@@ -26,6 +26,33 @@ def test_index_attributes_read_by_the_checks():
     assert idx.centroid_ids.shape == (1,)
     assert idx.centroid_count == 1
     assert idx.internal_passage("p") == 0
+
+
+def test_search_calls_each_stage_once_per_query_through_the_module(monkeypatch):
+    # the traced benchmark wraps both stages on modir.index and counts
+    # index.candidates and index.reranked from their calls
+    rng = np.random.default_rng(5)
+    idx = build_index({f"p{i:02d}": rng.normal(size=(3, 4)) for i in range(40)}, seed=0)
+    params = index.SearchParams(n_probe=2, candidate_k=12, final_k=4)
+    firsts, reranked = [], []
+    first, rerank = index.approximate_candidates, index.exact_rerank
+
+    def counted_first(*args, **kwargs):
+        firsts.append(first(*args, **kwargs))
+        return firsts[-1]
+
+    def counted_rerank(query, candidates, *args, **kwargs):
+        reranked.append(list(candidates))
+        return rerank(query, candidates, *args, **kwargs)
+
+    monkeypatch.setattr(index, "approximate_candidates", counted_first)
+    monkeypatch.setattr(index, "exact_rerank", counted_rerank)
+    queries = rng.normal(size=(3, 2, 4))
+    for query in queries:
+        index.search(query, idx, params)
+    assert len(firsts) == len(reranked) == len(queries)
+    for candidates, ids in zip(firsts, reranked):
+        assert candidates and ids == [pid for pid, _ in candidates]
 
 
 def test_checkpoint_facts_read_by_the_checks(tmp_path):

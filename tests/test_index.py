@@ -793,6 +793,61 @@ class TestRerank:
         for pid, score in ranked:
             assert score == maxsim_score(query, idx.decompress_passage(idx.internal_passage(pid)))
 
+    def test_ids_are_looked_up_as_strings_and_the_first_unknown_is_named(self):
+        _, idx, query = small_index()
+        assert exact_rerank(query, [17, "3", np.int64(41)], idx) == exact_rerank(query, ["17", "3", "41"], idx)
+        assert exact_rerank(query, iter(["17", "3"]), idx) == exact_rerank(query, ["3", "17"], idx)
+        for candidates, named in ((["3", "x", 99], "'x'"), (["3", 99, "x"], "99")):
+            with pytest.raises(UnknownPassageError) as exc:
+                exact_rerank(query, candidates, idx)
+            assert exc.value.message == f"unknown passage id {named}"
+
+    @pytest.mark.parametrize("trim", ["assign", "del"])
+    def test_a_candidate_list_filtered_in_place_ranks_exactly_what_it_lists(self, monkeypatch, trim):
+        # a first stage whose list is cut down in place, as a caller's filter would
+        _, idx, query = small_index()
+        params = SearchParams(n_probe=idx.centroid_count, candidate_k=20, final_k=10)
+        first = approximate_candidates
+
+        def filtered(*args):
+            candidates = first(*args)
+            assert len(candidates) == 20
+            if trim == "assign":
+                candidates[:] = candidates[::3]
+            else:
+                del candidates[7:]
+            return candidates
+
+        monkeypatch.setattr(index_module, "approximate_candidates", filtered)
+        kept = [pid for pid, _ in filtered(query, idx, params)]
+        assert len(kept) == 7
+        ranked = search(query, idx, params)
+        assert sorted(pid for pid, _ in ranked) == sorted(kept)
+        assert ranked == exact_rerank(query, kept, idx)
+
+    def test_candidates_from_another_index_rank_this_indexs_passages_under_their_ids(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        corpus = {f"doc{i:03d}": m for i, m in enumerate(clustered_corpus(rng, 70, 6).values())}
+        query = rng.normal(size=(4, 6))
+        a = build_index({pid: m for pid, m in corpus.items() if pid < "doc060"}, seed=13)
+        params = SearchParams(n_probe=1, candidate_k=30, final_k=30)
+        first = approximate_candidates
+
+        def candidates_from(hi):  # the first stage, run on an index over doc030 up to hi
+            b = build_index({pid: m for pid, m in corpus.items() if "doc030" <= pid < hi}, seed=13)
+            full = SearchParams(n_probe=b.centroid_count, candidate_k=30, final_k=30)
+            monkeypatch.setattr(index_module, "approximate_candidates", lambda q, _, p: first(q, b, full))
+            return [pid for pid, _ in first(query, b, full)]
+
+        ids = candidates_from("doc060")
+        ranked = search(query, a, params)
+        assert sorted(pid for pid, _ in ranked) == sorted(ids) == [f"doc{i:03d}" for i in range(30, 60)]
+        for pid, score in ranked:
+            assert score == maxsim_score(query, a.decompress_passage(a.internal_passage(pid)))
+        lacking = next(pid for pid in candidates_from("doc070") if pid >= "doc060")
+        with pytest.raises(UnknownPassageError, match=f"unknown passage id '{lacking}'"):
+            search(query, a, params)
+
 
 class TestSearch:
     def test_single_passage_corpus(self):
