@@ -161,6 +161,8 @@ def _losses(stage: str, steps: int, step_loss) -> list[float]:
 
 
 def _run_mlm(params, records, cfg: RunConfig, steps: int, stage: str):
+    for lang in dict.fromkeys(rec.language for rec in records):  # every record, before the first step
+        encoder.check_mlm_language(params, lang)
     rng = np.random.default_rng((cfg.seed, _STAGE_STREAM[stage]))
 
     def step_loss(step):
@@ -196,6 +198,8 @@ def _run_finetune(params, text_records, cfg: RunConfig, args):
         encoder.Batch(tuple(triples[i : i + cfg.batch_size]))
         for i in range(0, len(triples), cfg.batch_size)
     ]
+    for batch in batches:  # every batch, before the first step
+        encoder.check_finetune_batch(batch, params)
     return _losses(
         "finetune", cfg.finetune_steps,
         lambda step: encoder.finetune_step(batches[step % len(batches)], params, cfg.learning_rate)[1],
@@ -236,6 +240,8 @@ def cmd_index(args) -> int:
 def cmd_search(args) -> int:
     cfg = _load_config(args)
     idx = index_mod.load_index(args.index)
+    for pid in idx.passage_ids:  # an index saved by the library may hold ids a run file cannot
+        evaluation.check_run_id(pid)
     final_k = args.k if args.k is not None else cfg.final_k
     search_params = index_mod.SearchParams(
         n_probe=args.nprobe if args.nprobe is not None else min(cfg.n_probe, idx.centroid_count),

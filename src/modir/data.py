@@ -1,6 +1,8 @@
 """Corpus/query ingestion: hash tokenizer, JSONL records, the binary
 embedding block format, and ``TermTable``, the one ragged table a corpus
-travels in from the reader to the index.
+travels in from the reader to the index. A table is read by its offsets:
+passage ``ids[i]`` is ``rows[offsets[i]:offsets[i + 1]]``, and no id
+lookup exists.
 
 A JSONL record is ``{"id": ..., "language": ..., "text": ...}`` or
 ``{"id": ..., "embeddings": [[...], ...]}`` (exactly one of text/embeddings).
@@ -43,7 +45,6 @@ import zlib
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -351,11 +352,13 @@ class FileReader(ByteReader):
         return raw
 
 
-class TermTable(Mapping):
-    """Passage id -> term matrix, held as one ragged row table: the ids are
-    strings in strictly ascending order, and passage ``ids[i]`` is
-    ``rows[offsets[i]:offsets[i + 1]]``. ColBERTv2 and PLAID hold a corpus
-    the same way, as one flat embedding tensor plus per-passage lengths.
+class TermTable:
+    """A corpus of per-passage term matrices as one ragged row table: the
+    ids are strings in strictly ascending order, and the rows of passage
+    ``ids[i]`` are ``rows[offsets[i]:offsets[i + 1]]``, the one way to a
+    passage's rows (the table is not a mapping, so no id lookup exists).
+    ColBERTv2 and PLAID hold a corpus the same way, as one flat embedding
+    tensor plus per-passage lengths.
 
     ``rows`` is a 2-d array or an embedding block's ``BlockRows``, which
     reads the rows asked for from the file on demand; either has ``shape``,
@@ -405,20 +408,6 @@ class TermTable(Mapping):
             matrices.append(mat)
         offsets = np.concatenate(([0], np.cumsum([m.shape[0] for m in matrices], dtype=np.int64)))
         return cls(ids, np.vstack(matrices) if matrices else np.empty((0, 0)), offsets)
-
-    @cached_property
-    def _position(self) -> dict:
-        return {pid: i for i, pid in enumerate(self.ids)}
-
-    def __getitem__(self, pid):
-        i = self._position[pid]
-        return self.rows[self.offsets[i] : self.offsets[i + 1]]
-
-    def __iter__(self):
-        return iter(self.ids)
-
-    def __len__(self):
-        return len(self.ids)
 
 
 def _file_stamp(fh) -> tuple:
@@ -497,7 +486,7 @@ class BlockRecords(Sequence):
     read, with its rows read from the file by ``table``, which holds the
     same passages in id order."""
 
-    def __init__(self, table: TermTable, positions: list):
+    def __init__(self, table: TermTable, positions: np.ndarray):
         self.table = table
         self._positions = positions  # each record's passage index in the table, in file order
 
@@ -507,8 +496,9 @@ class BlockRecords(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        pid = self.table.ids[self._positions[i]]
-        return CorpusRecord(id=pid, embeddings=self.table[pid])
+        p = self._positions[i]
+        rows = self.table.rows[self.table.offsets[p] : self.table.offsets[p + 1]]
+        return CorpusRecord(id=self.table.ids[p], embeddings=rows)
 
 
 def read_embedding_block(path) -> BlockRecords:
@@ -548,13 +538,10 @@ def read_embedding_block(path) -> BlockRecords:
             reader.skip(4 * rows * dim)
         reader.finish()
 
-    order = sorted(range(count), key=ids.__getitem__)
-    offsets = np.concatenate(([0], np.cumsum([counts[i] for i in order], dtype=np.int64)))
-    positions = [0] * count
-    for p, i in enumerate(order):
-        positions[i] = p
-    block_rows = BlockRows(path, stamp, dim, offsets, np.array(order, dtype=np.int64), ids, starts)
-    return BlockRecords(TermTable([ids[i] for i in order], block_rows, offsets), positions)
+    order = np.array(sorted(range(count), key=ids.__getitem__), dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(np.array(counts, dtype=np.int64)[order])))
+    block_rows = BlockRows(path, stamp, dim, offsets, order, ids, starts)
+    return BlockRecords(TermTable([ids[i] for i in order], block_rows, offsets), np.argsort(order))
 
 
 def read_records(path) -> Sequence[CorpusRecord]:

@@ -659,16 +659,25 @@ def _sgd_update(p: np.ndarray, g: np.ndarray, lr: float):
     np.subtract(p, g, out=p)
 
 
+def check_finetune_batch(batch: Batch, params: ModularEncoderParams):
+    """The language rule of a finetune batch: its triples share one
+    language (InvalidConfigError otherwise), and that language has
+    registered adapters (UnknownLanguageError otherwise)."""
+    langs = {t.language for t in batch.triples}
+    if len(langs) != 1:
+        raise InvalidConfigError(f"finetune batch mixes languages {sorted(langs)}")
+    params.adapter_stack(langs.pop())
+
+
 def finetune_step(batch: Batch, params: ModularEncoderParams, lr: float):
     """One SGD step on the contrastive loss, updating shared layers and the
     output projection only; adapters and the embedding table stay untouched.
     Only those parts' gradients are computed, into the model's private
-    workspace (``_step_accumulator``), which is never returned."""
+    workspace (``_step_accumulator``), which is never returned. The batch
+    must pass ``check_finetune_batch``."""
     if params.stage != "finetune":
         raise StageError(f"finetune_step requires stage 'finetune', found {params.stage!r}")
-    langs = {t.language for t in batch.triples}
-    if len(langs) != 1:
-        raise InvalidConfigError(f"finetune batch mixes languages {sorted(langs)}")
+    check_finetune_batch(batch, params)
     loss, grads = _contrastive_loss(batch, params, _TRAINS["finetune"], params._step_accumulator())
     if lr != 0.0:
         trained = params._core_trained()
@@ -724,6 +733,15 @@ def mlm_loss_and_grads(token_ids, lang: str, mask, params: ModularEncoderParams)
     return _mlm_loss_into(ids, lang, mask, params, grads, _EVERY), grads
 
 
+def check_mlm_language(params: ModularEncoderParams, lang: str):
+    """The language rule of a masked-token step: ``lang`` has registered
+    adapters (UnknownLanguageError otherwise) and, in the extend stage, is
+    a post-hoc language (StageError otherwise)."""
+    params.adapter_stack(lang)
+    if params.stage == "extend" and lang not in params.post_hoc:
+        raise StageError(f"extend stage only trains post-hoc languages, not {lang!r}")
+
+
 def mlm_step(params: ModularEncoderParams, token_ids, lang: str, mask_rate: float, lr: float, rng: np.random.Generator):
     """One masked-language-model SGD step.
 
@@ -736,9 +754,7 @@ def mlm_step(params: ModularEncoderParams, token_ids, lang: str, mask_rate: floa
     """
     if params.stage not in ("pretrain", "extend"):
         raise StageError(f"mlm_step requires stage 'pretrain' or 'extend', found {params.stage!r}")
-    params.adapter_stack(lang)  # fail early on an unknown language
-    if params.stage == "extend" and lang not in params.post_hoc:
-        raise StageError(f"extend stage only trains post-hoc languages, not {lang!r}")
+    check_mlm_language(params, lang)
     if not 0.0 <= mask_rate <= 1.0:
         raise InvalidConfigError(f"mask_rate must lie in [0, 1], got {mask_rate}")
     ids = _token_array(token_ids, params.vocab_size)

@@ -6,6 +6,11 @@ into judged and skipped queries (``evaluable_queries``, which logs nothing;
 ``modir eval`` reports the skipped ones) and the mean in run order are
 written once, and each metric adds only its per-query formula.
 
+The oracle, ``brute_force_search``, reads its corpus as one
+``data.TermTable``, each passage by its offsets. Over an index's
+``UnitCorpus`` it selects on the table's rows and scores only the passages
+chosen, on the float64 rows that ``UnitCorpus.exact_rows`` decodes for them.
+
 File formats are the standard whitespace layouts, split by
 ``data.text_fields``: qrels ``qid 0 pid grade`` and run
 ``qid Q0 pid rank score tag``. A run is ranked by its scores, not by its line
@@ -13,7 +18,6 @@ order, and a qrels file judges each (query, passage) pair once.
 """
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -74,9 +78,9 @@ class UnitCorpus(TermTable):
 
     The rows are float64 unit rows rounded to float32 (or those float64 rows
     themselves) and serve ``brute_force_search`` only to choose which
-    passages to score (``scoring.maxsim_top_k``): ``exact_rows(passages)``
-    gives those passages' float64 unit rows, passage after passage, and
-    ``unit[pid]`` returns them too. A passage without rows is
+    passages to score (``scoring.maxsim_top_k``). ``exact_rows(passages)``,
+    for an array of passage positions, is the one way to float64 unit rows:
+    those passages' rows, passage after passage. A passage without rows is
     EmptyInputError.
     """
 
@@ -86,36 +90,34 @@ class UnitCorpus(TermTable):
             raise EmptyInputError("a passage has no rows")
         self.exact_rows = exact_rows
 
-    def __getitem__(self, pid):
-        return self.exact_rows(np.array([self._position[pid]]))
 
-
-def brute_force_search(query, corpus: Mapping, k: int | None):
+def brute_force_search(query, corpus, k: int | None):
     """Exact MaxSim against every passage; the k best (all when k is None),
     descending score, ties to lower id.
 
-    The oracle counterpart of the compressed two-stage search. A plain
-    mapping is put in the order of its ``str`` ids by ``TermTable.stack``, as
-    ``build_index`` orders it, so insertion order never matters, ties break
-    in that order and ids come back as the index stores them; each passage
-    is scored alone with ``maxsim_score``: this dict path is the
-    independent per-passage reference. A ``UnitCorpus`` is already
-    normalized and in that order, and is ranked by ``scoring.maxsim_top_k``
-    over its table in stored order, the selection re-rank uses: blocked
-    scores choose the passages that could still make the top k, and only
-    those are scored, on the float64 rows its ``exact_rows`` decodes for
-    them, with ``scoring.maxsim_exact``, so every score has
-    ``maxsim_unit``'s bits. The cutoff follows
-    ``scoring.rank`` and is checked first; the query must then pass
-    ``scoring.check_query`` at the corpus's width, as on both search stages,
-    and an empty corpus gives ``[]``.
+    The oracle counterpart of the compressed two-stage search. ``corpus`` is
+    a ``TermTable``, taken as it is, or a mapping of id -> matrix, put in
+    the order of its ``str`` ids by ``TermTable.stack``, as ``build_index``
+    orders it, so insertion order never matters, ties break in that order
+    and ids come back as the index stores them. Each passage of a plain
+    table or a mapping is scored alone with ``maxsim_score`` on its offset
+    slice: this path is the independent per-passage reference. A
+    ``UnitCorpus`` is already normalized and in that order, and is ranked by
+    ``scoring.maxsim_top_k`` over its table in stored order, the selection
+    re-rank uses: blocked scores choose the passages that could still make
+    the top k, and only those are scored, on the float64 rows its
+    ``exact_rows`` decodes for them, with ``scoring.maxsim_exact``, so every
+    score has ``maxsim_unit``'s bits. The cutoff follows ``scoring.rank``
+    and is checked first; the query must then pass ``scoring.check_query``
+    at the corpus's width, as on both search stages, and an empty corpus
+    gives ``[]``.
     """
     scoring.check_count(k, "cutoff k", none_means_all=True)
-    table = corpus if isinstance(corpus, UnitCorpus) else TermTable.stack(corpus)
+    table = corpus if isinstance(corpus, TermTable) else TermTable.stack(corpus)
     if not table.ids:
         return []
     q = scoring.check_query(query, table.rows.shape[1])
-    if isinstance(corpus, UnitCorpus):
+    if isinstance(table, UnitCorpus):
         q_unit = scoring.normalize_rows(q)
         order, scores = scoring.maxsim_top_k(q_unit, table.rows, None, table.offsets, k, table.exact_rows)
         return [(table.ids[i], float(s)) for i, s in zip(order, scores)]

@@ -548,12 +548,12 @@ class CompressedIndex:
 
     def unit_corpus(self) -> UnitCorpus:
         """The oracle's corpus: the unit-norm decompressed rows in stored
-        order, split at the passage offsets, each float64 row of
+        order, read by the passage offsets, each float64 row of
         ``normalize_rows`` of its ``decompress_passage`` rounded to float32
         and built a block at a time, so no corpus-sized float64 array
         exists. The oracle only selects from that table; its
-        ``exact_rows``, like ``unit[pid]``, decodes the passages asked for
-        again in float64 (``_passage_unit_rows``)."""
+        ``exact_rows``, the one way to float64 rows, decodes the passages
+        asked for again (``_passage_unit_rows``)."""
         rows = self._normalized_rows(np.arange(self.embedding_count), np.float32)
         return UnitCorpus(self.passage_ids, rows, self.passage_offsets, self._passage_unit_rows)
 
@@ -693,7 +693,7 @@ def build_index(
     """
     check_seed(seed)
     table = corpus if isinstance(corpus, TermTable) else TermTable.stack(corpus)
-    if not table:
+    if not table.ids:
         raise EmptyInputError("cannot index an empty corpus")
     rows, offsets, ids = table.rows, table.offsets, table.ids
     empty = np.flatnonzero(np.diff(offsets) == 0)

@@ -10,9 +10,10 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 
 import bench_child  # noqa: E402
+import bench_gen  # noqa: E402
 import run as bench_run  # noqa: E402
 
-from modir import cli, encoder, index  # noqa: E402
+from modir import cli, data, encoder, index  # noqa: E402
 from modir.index import build_index  # noqa: E402
 
 
@@ -64,6 +65,25 @@ def test_checkpoint_facts_read_by_the_checks(tmp_path):
     assert encoder.load_checkpoint(ckpt).vocab_size == 40
     encoder.save_checkpoint(encoder.load_checkpoint(ckpt), again)
     assert again.read_bytes() == ckpt.read_bytes()
+
+
+def test_the_record_slices_the_benchmark_takes(tmp_path):
+    # the index phase's check reads read_records(queries block)[:n] and each encode chunk
+    # read_records(text jsonl)[chunk::chunks]; records come in file order, not id order
+    rng = np.random.default_rng(3)
+    ids = [f"q{i:02d}" for i in (7, 2, 9, 0, 5, 1, 8)]
+    matrices = [rng.normal(size=(int(rng.integers(1, 5)), 6)) for _ in ids]
+    bench_gen.write_mveb(tmp_path / "queries.mveb", ids, matrices, 6)
+    head = data.read_records(tmp_path / "queries.mveb")[: bench_run.CHECK_QUERIES]
+    assert [rec.id for rec in head] == ids[: bench_run.CHECK_QUERIES]
+    for rec, mat in zip(head, matrices):
+        assert rec.embeddings.dtype == np.float32 and rec.embeddings.tobytes() == mat.astype("<f4").tobytes()
+    texts = [(f"p{i:02d}", ("en", "fr", "de")[i % 3], f"word{i} other{i}") for i in (4, 0, 3, 1, 6, 2, 5)]
+    bench_gen.write_text_records(tmp_path / "text.jsonl", texts)
+    records = data.read_records(tmp_path / "text.jsonl")
+    for chunk, chunks in ((0, 3), (1, 3), (2, 3), (0, 1)):
+        got = [(rec.id, rec.language, rec.text) for rec in records[chunk::chunks]]
+        assert got == texts[chunk::chunks]
 
 
 class _InputPaths(dict):

@@ -81,6 +81,54 @@ class TestTrain:
                          "a u16 length field holds at most 65535"
         assert not steps and not out.exists()
 
+    def test_a_resumed_pretrain_refuses_a_language_its_checkpoint_lacks_before_any_step(
+        self, tmp_path, small_config, capsys, monkeypatch
+    ):
+        # the 31st record is "bb", which the checkpoint has no adapters for; 60 steps would reach it at step 31
+        config_path, cfg = small_config
+        dims = {key: cfg[key] for key in ("vocab", "d", "d_out", "n_layers", "bottleneck")}
+        encoder.save_checkpoint(encoder.init_params(["aa"], **dims), tmp_path / "in.ckpt")
+        corpus = tmp_path / "corpus.jsonl"
+        records = [{"id": f"p{i:02d}", "language": "aa" if i < 30 else "bb", "text": "alda arbo"} for i in range(32)]
+        corpus.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        steps, original = [], encoder.mlm_step
+        monkeypatch.setattr(encoder, "mlm_step", lambda *args: steps.append(args) or original(*args))
+        out = tmp_path / "out.ckpt"
+        code = run_cli("train", "--stage", "pretrain", "--corpus", corpus, "--checkpoint-in", tmp_path / "in.ckpt",
+                       "--checkpoint-out", out, "--config", config_path)
+        assert code == 2
+        assert read_stderr(capsys) == "error[unknown-language]: language 'bb' has no registered adapters"
+        assert not steps and not out.exists() and not (tmp_path / "out.ckpt.losses.csv").exists()
+
+    @pytest.mark.parametrize("case", ["mixed", "unregistered"])
+    def test_finetune_refuses_a_later_batch_before_any_step(self, pipeline, tmp_path, capsys, monkeypatch, case):
+        # batches of two triples: the fourth holds a "bb" triple, beside an "aa" one or beside another "bb" one
+        # under a checkpoint that has no "bb" adapters; 40 steps would reach it at step 4
+        ckpt = pipeline["ck_pre"]
+        if case == "unregistered":
+            dims = {key: pipeline["cfg"][key] for key in ("vocab", "d", "d_out", "n_layers", "bottleneck")}
+            ckpt = tmp_path / "aa.ckpt"
+            encoder.save_checkpoint(encoder.init_params(["aa"], **dims), ckpt)
+        queries = tmp_path / "queries_both.jsonl"
+        queries.write_text(pipeline["queries_a"].read_text() + (pipeline["tmp"] / "queries_bb.jsonl").read_text())
+        aa = pipeline["triples_a"].read_text().splitlines()
+        bb = ["bb-q0-0 bb-p0-0 bb-p1-0", "bb-q1-0 bb-p1-1 bb-p2-0"]
+        triples = tmp_path / "triples.tsv"
+        triples.write_text("\n".join(aa[:7] + bb[:1] if case == "mixed" else aa[:6] + bb) + "\n")
+        steps, original = [], encoder.finetune_step
+        monkeypatch.setattr(encoder, "finetune_step", lambda *args: steps.append(args) or original(*args))
+        out = tmp_path / "out.ckpt"
+        code = run_cli("train", "--stage", "finetune", "--corpus", pipeline["corpus_all"], "--queries", queries,
+                       "--triples", triples, "--checkpoint-in", ckpt, "--checkpoint-out", out,
+                       "--config", pipeline["config"])
+        assert code == 2
+        assert read_stderr(capsys) == (
+            "error[invalid-config]: finetune batch mixes languages ['aa', 'bb']"
+            if case == "mixed"
+            else "error[unknown-language]: language 'bb' has no registered adapters"
+        )
+        assert not steps and not out.exists() and not (tmp_path / "out.ckpt.losses.csv").exists()
+
     def test_pretrain_writes_checkpoint_and_report(self, pipeline):
         ck = load_checkpoint(pipeline["ck_pre"])
         assert ck.stage == "pretrain"
@@ -618,6 +666,33 @@ class TestSearchCmd:
         assert code == 2
         err = read_stderr(capsys).splitlines()
         assert err == ["error[invalid-config]: id 'q 19' is empty or holds whitespace; a run file cannot hold it"]
+        assert calls == []
+        assert run_path.read_text() == "q Q0 p 1 1.000000 modir\n"
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["search", "exact"])
+    def test_a_passage_id_a_run_file_cannot_hold_fails_before_any_search(
+        self, tmp_path, small_config, capsys, monkeypatch, exact
+    ):
+        # the library saves what modir index refuses; modir search checks the ids when it loads the index
+        config_path, _ = small_config
+        rng = np.random.default_rng(0)
+        idx_dir = tmp_path / "idx"
+        pids = [f"p{i:02d}" for i in range(49)] + ["p 49"]
+        save_index(build_index({pid: rng.normal(size=(4, 8)) for pid in pids}, seed=0), idx_dir)
+        path = tmp_path / "queries.mveb"
+        write_embedding_block({f"q{i}": rng.normal(size=(2, 8)) for i in range(5)}, path)
+        calls = []
+        for owner, name in ((index_mod, "search"), (evaluation, "brute_force_search")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, name=name, original=original, **k: calls.append(name)
+                                or original(*a, **k))
+        run_path = tmp_path / "q.run"
+        run_path.write_text("q Q0 p 1 1.000000 modir\n")
+        code = run_cli("search", "--index", idx_dir, "--queries", path, "--out", run_path,
+                       "--config", config_path, *(["--exact"] if exact else []))
+        assert code == 2
+        err = read_stderr(capsys).splitlines()
+        assert err == ["error[invalid-config]: id 'p 49' is empty or holds whitespace; a run file cannot hold it"]
         assert calls == []
         assert run_path.read_text() == "q Q0 p 1 1.000000 modir\n"
 

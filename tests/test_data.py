@@ -2,6 +2,7 @@ import json
 import re
 import struct
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -25,6 +26,12 @@ from modir.data import (
 from modir.errors import DimensionMismatchError, FormatError, InvalidConfigError, ParseError
 from modir.index import build_index
 from modir.scoring import NUM_SPECIAL
+
+
+def passage_rows(table, pid):
+    """The rows of passage ``pid``: its offset slice of the table's rows."""
+    i = table.ids.index(pid)
+    return table.rows[table.offsets[i] : table.offsets[i + 1]]
 
 
 class TestTokenizer:
@@ -351,7 +358,7 @@ class TestBlockTable:
         assert table.offsets.tolist() == [0, 2, 2, 5]
         for rec in records:
             assert np.array_equal(rec.embeddings, _SMALL_BLOCK[rec.id])
-            assert np.array_equal(rec.embeddings, table[rec.id])
+            assert np.array_equal(rec.embeddings, passage_rows(table, rec.id))
             assert rec.text is None and rec.language == ""
         assert [r.id for r in records[1:]] == ["p1", "p0"]
         assert records[-1].id == "p0"
@@ -418,7 +425,8 @@ class TestBlockRows:
         for got, expect in ((table.rows[lo:hi], reference[lo:hi]), (table.rows[idx], reference[idx])):
             assert got.dtype == np.float32 and got.shape == expect.shape and got.tobytes() == expect.tobytes()
         for pid, rows in corpus.items():
-            assert table[pid].shape == rows.shape and table[pid].tobytes() == rows.tobytes()
+            got = passage_rows(table, pid)
+            assert got.shape == rows.shape and got.tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("key", [[True, False, True], [[0]], [3], [-1], [0.5]],
                              ids=["mask", "2-d", "past-the-end", "negative", "float"])
@@ -478,12 +486,14 @@ class TestBlockRows:
 
 
 class TestTermTable:
-    def test_mapping_over_views(self):
+    def test_passages_are_offset_slices_of_the_rows(self):
         rows = np.arange(10.0).reshape(5, 2)
         table = TermTable(["a", "b", "c"], rows, [0, 2, 2, 5])
-        assert list(table) == ["a", "b", "c"] and len(table) == 3
-        assert np.array_equal(table["c"], rows[2:]) and table["b"].shape == (0, 2)
-        assert "b" in table and "d" not in table
+        assert table.ids == ["a", "b", "c"] and len(table.ids) == 3
+        assert np.array_equal(passage_rows(table, "c"), rows[2:]) and passage_rows(table, "b").shape == (0, 2)
+        assert "b" in table.ids and "d" not in table.ids
+        # the offsets are the one way to a passage's rows: no id lookup
+        assert not isinstance(table, Mapping) and not hasattr(table, "__getitem__")
 
     @pytest.mark.parametrize("ids,offsets,match", [
         (["b", "a"], [0, 1, 2], "ascending"),
@@ -504,7 +514,7 @@ class TestTermTable:
         assert table.ids == ["10", "2", "a"]
         assert table.rows.dtype == np.float64
         assert table.offsets.tolist() == [0, 1, 3, 4]
-        assert np.array_equal(table["2"], [[0.5, 1.5], [2.5, 3.5]])
+        assert np.array_equal(passage_rows(table, "2"), [[0.5, 1.5], [2.5, 3.5]])
 
     def test_stack_rejects_what_build_index_rejects(self):
         with pytest.raises(InvalidConfigError, match="same string form"):

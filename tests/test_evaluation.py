@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modir.data import TermTable, read_embedding_block, write_embedding_block
 from modir.errors import EmptyInputError, InvalidConfigError, ParseError
 from modir.evaluation import (
     HardwareProfile,
@@ -228,6 +229,23 @@ class TestBruteForce:
         with pytest.raises(InvalidConfigError, match="cutoff k"):
             brute_force_search(np.eye(2), empty, k)
         assert brute_force_search(np.eye(2), empty, 1) == brute_force_search(np.eye(2), empty, None) == []
+
+    @pytest.mark.parametrize("rows", ["stacked", "embedding-block"])
+    def test_a_plain_term_table_ranks_as_the_same_mapping(self, tmp_path, rows):
+        # a TermTable is taken as it is, each passage read as its offset slice
+        rng = np.random.default_rng(8)
+        corpus = {f"p{i:02d}": rng.normal(size=(int(rng.integers(1, 5)), 4)) for i in range(12)}
+        corpus["p11"] = corpus["p03"].copy()  # a tie, broken toward the lower id
+        if rows == "stacked":
+            table = TermTable.stack(corpus)
+        else:  # float32 rows read from the file, against the same float32 values in a dict
+            write_embedding_block(corpus, tmp_path / "corpus.emb")
+            table = read_embedding_block(tmp_path / "corpus.emb").table
+            corpus = {pid: mat.astype(np.float32) for pid, mat in corpus.items()}
+        query = rng.normal(size=(3, 4)) + corpus["p03"][0]
+        for k in (1, 5, None):
+            assert brute_force_search(query, table, k) == brute_force_search(query, corpus, k)
+        assert [pid for pid, _ in brute_force_search(query, table, 2)] == ["p03", "p11"]
 
     def test_scores_are_exact_maxsim(self):
         rng = np.random.default_rng(3)

@@ -870,9 +870,9 @@ class TestSearch:
         monkeypatch.setattr("modir.index._UNIT_BLOCK", 7)  # blocks that cut passages apart
         _, idx, query = small_index()
         unit, raw = idx.unit_corpus(), idx.decompressed_corpus()
-        assert list(unit) == list(raw)
-        for pid in raw:
-            assert np.array_equal(unit[pid], normalize_rows(raw[pid]))
+        assert unit.ids == list(raw)
+        for i, pid in enumerate(raw):
+            assert np.array_equal(unit.exact_rows(np.array([i])), normalize_rows(raw[pid]))
         assert brute_force_search(query, unit, idx.passage_count) == brute_force_search(query, raw, idx.passage_count)
         with pytest.raises(DimensionMismatchError):
             brute_force_search(np.zeros((2, idx.dim + 1)), unit, 3)
@@ -943,7 +943,8 @@ class TestSearch:
     def test_a_float32_unit_corpus_needs_its_float64_rows(self):
         rows = np.eye(2)
         unit = UnitCorpus(["a", "b"], rows.astype(np.float32), np.array([0, 1, 2]), lambda passages: rows[passages])
-        assert unit["b"].dtype == np.float64 and unit["b"].tolist() == [[0.0, 1.0]]
+        b = unit.exact_rows(np.array([1]))
+        assert b.dtype == np.float64 and b.tolist() == [[0.0, 1.0]]
 
     def test_a_unit_corpus_passage_without_rows_is_refused(self):
         with pytest.raises(EmptyInputError, match="a passage has no rows"):
@@ -1106,8 +1107,8 @@ def assert_same_ranking(got, expect):
 def per_passage_oracle(query, unit, k):
     """``maxsim_unit`` of every passage, in id order, ranked, first k."""
     q_unit = normalize_rows(query)
-    ids = sorted(unit)
-    scores = np.array([maxsim_unit(q_unit, unit[pid]) for pid in ids])
+    ids = unit.ids
+    scores = np.array([maxsim_unit(q_unit, unit.exact_rows(np.array([i]))) for i in range(len(ids))])
     return [(ids[i], float(scores[i])) for i in rank(scores)[:k]]
 
 
