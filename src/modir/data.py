@@ -352,6 +352,28 @@ class FileReader(ByteReader):
         return raw
 
 
+def check_layout(name: str, ids, rows, offsets):
+    """A ragged table's ids as a list and offsets as int64, checked: string
+    ids in strictly ascending order, 2-d ``rows``, and offsets that rise
+    from 0 to the row count, one per passage and one more; otherwise
+    InvalidConfigError naming ``name``."""
+    ids = list(ids)
+    if not all(isinstance(pid, str) for pid in ids):
+        raise InvalidConfigError(f"{name} ids must be strings")
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise InvalidConfigError(f"{name} ids must be strictly ascending")
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if (
+        rows.ndim != 2
+        or offsets.shape != (len(ids) + 1,)
+        or offsets[0] != 0
+        or offsets[-1] != rows.shape[0]
+        or np.any(np.diff(offsets) < 0)
+    ):
+        raise InvalidConfigError(f"{name} offsets must rise from 0 to the row count, one per passage and one more")
+    return ids, offsets
+
+
 class TermTable:
     """A corpus of per-passage term matrices as one ragged row table: the
     ids are strings in strictly ascending order, and the rows of passage
@@ -370,22 +392,8 @@ class TermTable:
     """
 
     def __init__(self, ids, rows, offsets):
-        name = type(self).__name__
-        self.ids = list(ids)
-        if not all(isinstance(pid, str) for pid in self.ids):
-            raise InvalidConfigError(f"{name} ids must be strings")
-        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
-            raise InvalidConfigError(f"{name} ids must be strictly ascending")
+        self.ids, self.offsets = check_layout(type(self).__name__, ids, rows, offsets)
         self.rows = rows
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        if (
-            rows.ndim != 2
-            or self.offsets.shape != (len(self.ids) + 1,)
-            or self.offsets[0] != 0
-            or self.offsets[-1] != rows.shape[0]
-            or np.any(np.diff(self.offsets) < 0)
-        ):
-            raise InvalidConfigError(f"{name} offsets must rise from 0 to the row count, one per passage and one more")
 
     @classmethod
     def stack(cls, corpus: Mapping) -> "TermTable":

@@ -6,10 +6,12 @@ into judged and skipped queries (``evaluable_queries``, which logs nothing;
 ``modir eval`` reports the skipped ones) and the mean in run order are
 written once, and each metric adds only its per-query formula.
 
-The oracle, ``brute_force_search``, reads its corpus as one
+The oracle, ``brute_force_search``, reads a plain corpus as one
 ``data.TermTable``, each passage by its offsets. Over an index's
-``UnitCorpus`` it selects on the table's rows and scores only the passages
-chosen, on the float64 rows that ``UnitCorpus.exact_rows`` decodes for them.
+``UnitCorpus`` it selects on a float32 table grouped by passage length (one
+slice per block of equal-length passages) and scores only the passages
+chosen, on the float64 rows that ``UnitCorpus.exact_rows`` decodes for them,
+ties to the lower stored passage.
 
 File formats are the standard whitespace layouts, split by
 ``data.text_fields``: qrels ``qid 0 pid grade`` and run
@@ -24,7 +26,7 @@ from itertools import pairwise
 import numpy as np
 
 from . import scoring
-from .data import TermTable, atomic_write, text_fields
+from .data import TermTable, atomic_write, check_layout, text_fields
 from .errors import EmptyInputError, InvalidConfigError, ParseError
 
 # ---------------------------------------------------------------------------
@@ -72,23 +74,27 @@ def recall_at_k(run: dict, qrels: dict, k: int) -> float:
     return _judged_mean(run, qrels, k, lambda top, relevant: len(relevant.intersection(top)) / len(relevant))
 
 
-class UnitCorpus(TermTable):
-    """A ``TermTable`` whose rows are already ``normalize_rows`` output, in
-    an index's passage order (``CompressedIndex.unit_corpus``).
-
-    The rows are float64 unit rows rounded to float32 (or those float64 rows
-    themselves) and serve ``brute_force_search`` only to choose which
-    passages to score (``scoring.maxsim_top_k``). ``exact_rows(passages)``,
-    for an array of passage positions, is the one way to float64 unit rows:
-    those passages' rows, passage after passage. A passage without rows is
+class UnitCorpus:
+    """An index's passages for the oracle (``CompressedIndex.unit_corpus``):
+    ``ids`` ascending and ``offsets`` in stored order, as a ``TermTable``
+    holds them, and ``exact_rows(passages)``, for an array of stored passage
+    numbers, the one way to their float64 unit rows (``normalize_rows``
+    output), passage after passage. A passage without rows is
     EmptyInputError.
+
+    ``grouped_rows`` holds the same unit rows rounded to float32 (or those
+    float64 rows themselves) in the length walk's order
+    (``scoring.walk_rows``: by row count, stored order within each), not
+    by the offsets. It serves ``brute_force_search`` only to choose which
+    passages to score, one contiguous slice per chunk of equal-length
+    passages (``scoring.maxsim_top_k`` with no ``rows``).
     """
 
-    def __init__(self, ids, rows, offsets, exact_rows):
-        super().__init__(ids, rows, offsets)
+    def __init__(self, ids, grouped_rows, offsets, exact_rows):
+        self.ids, self.offsets = check_layout(type(self).__name__, ids, grouped_rows, offsets)
         if np.any(self.offsets[1:] == self.offsets[:-1]):
             raise EmptyInputError("a passage has no rows")
-        self.exact_rows = exact_rows
+        self.grouped_rows, self.exact_rows = grouped_rows, exact_rows
 
 
 def brute_force_search(query, corpus, k: int | None):
@@ -103,24 +109,25 @@ def brute_force_search(query, corpus, k: int | None):
     table or a mapping is scored alone with ``maxsim_score`` on its offset
     slice: this path is the independent per-passage reference. A
     ``UnitCorpus`` is already normalized and in that order, and is ranked by
-    ``scoring.maxsim_top_k`` over its table in stored order, the selection
-    re-rank uses: blocked scores choose the passages that could still make
-    the top k, and only those are scored, on the float64 rows its
-    ``exact_rows`` decodes for them, with ``scoring.maxsim_exact``, so every
-    score has ``maxsim_unit``'s bits. The cutoff follows ``scoring.rank``
+    ``scoring.maxsim_top_k`` over its grouped table, a slice per block of
+    equal-length passages, the selection re-rank uses: blocked scores choose
+    the passages that could still make the top k, and only those are
+    scored, on the float64 rows its ``exact_rows`` decodes for them, with
+    ``scoring.maxsim_exact``, so every score has ``maxsim_unit``'s bits and
+    ties still go to the lower id. The cutoff follows ``scoring.rank``
     and is checked first; the query must then pass ``scoring.check_query``
     at the corpus's width, as on both search stages, and an empty corpus
     gives ``[]``.
     """
     scoring.check_count(k, "cutoff k", none_means_all=True)
-    table = corpus if isinstance(corpus, TermTable) else TermTable.stack(corpus)
+    table = corpus if isinstance(corpus, (TermTable, UnitCorpus)) else TermTable.stack(corpus)
     if not table.ids:
         return []
-    q = scoring.check_query(query, table.rows.shape[1])
     if isinstance(table, UnitCorpus):
-        q_unit = scoring.normalize_rows(q)
-        order, scores = scoring.maxsim_top_k(q_unit, table.rows, None, table.offsets, k, table.exact_rows)
+        q_unit = scoring.normalize_rows(scoring.check_query(query, table.grouped_rows.shape[1]))
+        order, scores = scoring.maxsim_top_k(q_unit, table.grouped_rows, None, table.offsets, k, table.exact_rows)
         return [(table.ids[i], float(s)) for i, s in zip(order, scores)]
+    q = scoring.check_query(query, table.rows.shape[1])
     scores = [scoring.maxsim_score(q, table.rows[a:b]) for a, b in pairwise(table.offsets.tolist())]
     return [(table.ids[i], float(scores[i])) for i in scoring.rank(scores, k)]
 

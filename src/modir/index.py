@@ -547,20 +547,23 @@ class CompressedIndex:
         return rows
 
     def unit_corpus(self) -> UnitCorpus:
-        """The oracle's corpus: the unit-norm decompressed rows in stored
-        order, read by the passage offsets, each float64 row of
-        ``normalize_rows`` of its ``decompress_passage`` rounded to float32
-        and built a block at a time, so no corpus-sized float64 array
-        exists. The oracle only selects from that table; its
-        ``exact_rows``, the one way to float64 rows, decodes the passages
-        asked for again (``_passage_unit_rows``)."""
-        rows = self._normalized_rows(np.arange(self.embedding_count), np.float32)
+        """The oracle's corpus: the passages in stored order, and their
+        unit-norm decompressed rows grouped for the blocked selection, in the
+        length walk's order (``scoring.walk_rows``: by row count, stored
+        order within each), so each chunk of equal-length passages that the
+        selection scores is one contiguous slice. Each float64 row of
+        ``normalize_rows`` of its ``decompress_passage`` is rounded to
+        float32, built a block at a time, so no corpus-sized float64 array
+        exists. The oracle only selects from that table; its ``exact_rows``,
+        the one way to float64 rows, decodes the passages asked for again,
+        by stored passage number (``_passage_unit_rows``)."""
+        rows = self._normalized_rows(scoring.walk_rows(self.passage_offsets), np.float32)
         return UnitCorpus(self.passage_ids, rows, self.passage_offsets, self._passage_unit_rows)
 
     def _passage_unit_rows(self, passages: np.ndarray) -> np.ndarray:
         """The float64 unit rows of these internal passages, passage after
         passage: what re-rank and the oracle score exactly."""
-        return self._normalized_rows(_passage_rows(self.passage_offsets, passages)[0])
+        return self._normalized_rows(scoring.passage_rows(self.passage_offsets, passages)[0])
 
     @cached_property
     def search_state(self) -> SearchState:
@@ -595,15 +598,6 @@ class CompressedIndex:
 def _number_type(count: int):
     """The integer type for numbers 0 to ``count`` - 1: int32 below 2**31."""
     return np.int32 if count < 2**31 else np.int64
-
-
-def _passage_rows(offsets: np.ndarray, passages: np.ndarray):
-    """The row numbers of these passages under ``offsets``, passage after
-    passage in stored row order, and each passage's offsets into them."""
-    lo = offsets[passages]
-    counts = offsets[passages + 1] - lo
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    return np.repeat(lo - starts[:-1], counts) + np.arange(starts[-1]), starts
 
 
 def _fits_float32(values: np.ndarray) -> bool:
@@ -706,7 +700,7 @@ def build_index(
     k = centroid_count if centroid_count is not None else centroid_count_for(total)
     sample_rng = np.random.default_rng((seed, 0))
     n_sample = min(len(ids), _SAMPLE_PASSAGES)
-    sample_rows, _ = _passage_rows(offsets, np.sort(sample_rng.choice(len(ids), size=n_sample, replace=False)))
+    sample_rows, _ = scoring.passage_rows(offsets, np.sort(sample_rng.choice(len(ids), size=n_sample, replace=False)))
     sample = np.asarray(rows[sample_rows], dtype=np.float64)
     if not _fits_float32(sample):  # an unsampled passage before the sample's may hold one too
         for lo in range(0, total, _UNIT_BLOCK):
@@ -834,7 +828,7 @@ def exact_rerank(query, candidates, index: CompressedIndex, k: int | None = None
         raise UnknownPassageError(f"unknown passage id {ids[numbers.index(-1)]!r}")
     internal = np.sort(np.fromiter(set(numbers), dtype=np.int64))  # half np.unique's time at 1,000 ids
     state = index.search_state
-    emb_ids, offsets = _passage_rows(index.passage_offsets, internal)
+    emb_ids, offsets = scoring.passage_rows(index.passage_offsets, internal)
 
     def exact_rows(survivors):
         return index._passage_unit_rows(internal[survivors])

@@ -5,7 +5,13 @@ contextualized positions take part in scoring (query augmentation);
 passages are only truncated.  Relevance between two bags of term
 embeddings is the sum of per-query-term maximum cosines (MaxSim);
 ``maxsim_exact`` is the one kernel every reported score of many passages
-comes from, with each passage's bits from its own product.
+comes from, with each passage's bits from its own product. It, and the
+blocked selection of ``maxsim_top_k`` that chooses which passages re-rank
+and the oracle score, take the passages in one length walk: grouped by row
+count, stored order within each count, in chunks of about
+``_MAXSIM_BLOCK`` rows. The oracle's float32 table is held in that order, so
+each chunk is one contiguous slice; every score and every tie still goes by
+stored passage number, ties to the lower.
 ``check_query`` is the one rule for a valid query matrix, shared by both
 search stages, the oracle and ``modir search``, and ``check_count`` the one
 rule for a cutoff or a search knob, an integer of at least 1.
@@ -131,31 +137,68 @@ def maxsim_exact(q_unit: np.ndarray, rows: np.ndarray, offsets) -> np.ndarray:
     """``maxsim_unit`` of every passage, bit for bit.
 
     Passage i's unit rows are ``rows[offsets[i]:offsets[i + 1]]``, float64,
-    and every passage has at least one (EmptyInputError otherwise). The
-    passages are grouped by row count L and stacked, at most
-    ``_MAXSIM_BLOCK // L`` of them (one if L is larger), into one (items, L,
-    dim) gather. ``np.matmul(q_unit, P.transpose(0, 2, 1))`` makes one BLAS
-    call per item with the shape and strides of ``q_unit @ p_unit.T``
+    and every passage has at least one (EmptyInputError otherwise). Each
+    chunk of the length walk (``_length_chunks``), at most
+    ``_MAXSIM_BLOCK // L`` passages of L rows (one if L is larger), is
+    stacked into one (items, L, dim) gather. ``np.matmul(q_unit,
+    P.transpose(0, 2, 1))`` makes one BLAS call per item with the shape and
+    strides of ``q_unit @ p_unit.T``
     (``tests/test_scoring.py::TestStackedMaxSimKeepsBits``), so each passage
     keeps its own product. A maximum is exact, so the per-term maxima are
     taken over a contiguous (L, items, terms) copy, which is fast; the term
     sum runs along each passage's contiguous term row, as ``maxsim_unit``'s
     ``.sum()`` does.
     """
-    lengths = np.diff(offsets)
-    out = np.empty(lengths.size)
-    for n_rows in np.unique(lengths).tolist():
+    out = np.empty(len(offsets) - 1)
+    for items, _, n_rows in _length_chunks(offsets):
+        stack = rows[(offsets[items, None] + np.arange(n_rows)).reshape(-1)].reshape(items.size, n_rows, -1)
+        sims = np.matmul(q_unit, stack.transpose(0, 2, 1))  # items x terms x rows
+        out[items] = sims.transpose(2, 0, 1).copy().max(axis=0).sum(axis=-1)
+    return out
+
+
+def length_order(offsets) -> np.ndarray:
+    """The passages under ``offsets`` in the length walk's order: by row
+    count, stored order within each count (a stable argsort)."""
+    return np.argsort(np.diff(offsets), kind="stable")
+
+
+def walk_rows(offsets) -> np.ndarray:
+    """The row numbers under ``offsets``, passage after passage in
+    ``length_order``: the oracle's table holds its rows in this order, so
+    that each chunk the blocked selection scores is one contiguous slice."""
+    return passage_rows(offsets, length_order(offsets))[0]
+
+
+def passage_rows(offsets, passages):
+    """The row numbers of these passages under ``offsets``, passage after
+    passage in the order given, and each passage's offsets into them."""
+    lo = offsets[passages]
+    counts = offsets[passages + 1] - lo
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    return np.repeat(lo - starts[:-1], counts) + np.arange(starts[-1]), starts
+
+
+def _length_chunks(offsets):
+    """The length walk over the passages under ``offsets``: each group of
+    one row count L in ``length_order``, cut into chunks of at most
+    ``_MAXSIM_BLOCK // L`` passages (one when L is larger). Yields each
+    chunk's stored passage numbers, its first row in the walk and L. A
+    passage without rows is EmptyInputError."""
+    order = length_order(offsets)
+    counts = np.diff(offsets)[order]
+    first = lo = 0
+    while first < order.size:
+        n_rows = int(counts[first])
         if n_rows < 1:
             raise EmptyInputError("a passage has no rows")
-        group = np.flatnonzero(lengths == n_rows)
-        steps = np.arange(n_rows)
+        end = int(np.searchsorted(counts, n_rows, side="right"))
         per = max(1, _MAXSIM_BLOCK // n_rows)
-        for lo in range(0, group.size, per):
-            items = group[lo : lo + per]
-            stack = rows[(offsets[items, None] + steps).reshape(-1)].reshape(items.size, n_rows, -1)
-            sims = np.matmul(q_unit, stack.transpose(0, 2, 1))  # items x terms x rows
-            out[items] = sims.transpose(2, 0, 1).copy().max(axis=0).sum(axis=-1)
-    return out
+        for start in range(first, end, per):
+            items = order[start : min(start + per, end)]
+            yield items, lo, n_rows
+            lo += items.size * n_rows
+        first = end
 
 
 def maxsim_rounding_gap(n_terms: int, dim: int, dtype=np.float64) -> float:
@@ -203,8 +246,10 @@ def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | 
 
     Passage i's unit rows, as the selection reads them, are
     ``table[rows[offsets[i]:offsets[i + 1]]]``: ``rows`` holds positions in
-    ``table`` (None: the table's own order, as the oracle's ``UnitCorpus``
-    holds it), and every passage has at least one. ``table`` is a float32
+    ``table``, as re-rank gathers from its list-ordered table, and every
+    passage has at least one. With ``rows`` None the table holds the rows
+    grouped in the length walk's order (``walk_rows``), as the oracle's
+    ``UnitCorpus`` holds them, not by ``offsets``. ``table`` is a float32
     copy of float64 unit rows (or those rows themselves) and serves only the
     selection below: ``exact_rows(passages)`` gives those passages' float64
     unit rows, passage after passage, each in its order in ``rows``; it is
@@ -215,16 +260,19 @@ def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | 
     ``UnitCorpus`` oracle both rank this way.
 
     When k is below the passage count, whole passages are first scored in
-    blocks of about ``_MAXSIM_BLOCK`` rows (``_blocked_maxsim``). These
-    blocked scores only choose which passages to score exactly. Let gap be
-    ``maxsim_rounding_gap`` for the table's dtype, the most a blocked score
-    can differ from the passage's ``maxsim_unit`` score, and t the k-th best
-    blocked score. At least k passages score t or more blocked, so at least
-    k score t - gap or more exactly, and the k-th best exact score is at
-    least t - gap. Every passage that scores that much exactly therefore has
-    a blocked score of at least t - 2 gap. Only those passages are scored
+    blocks of equal-length passages, about ``_MAXSIM_BLOCK`` rows each
+    (``_blocked_maxsim``), and each blocked score is kept by stored passage
+    number, whatever the walk's order. These blocked scores only choose
+    which passages to score exactly. Let gap be ``maxsim_rounding_gap`` for
+    the table's dtype, the most a blocked score can differ from the
+    passage's ``maxsim_unit`` score, and t the k-th best blocked score. At
+    least k passages score t or more blocked, so at least k score t - gap or
+    more exactly, and the k-th best exact score is at least t - gap. Every
+    passage that scores that much exactly therefore has a blocked score of
+    at least t - 2 gap. Only those passages are scored
     again with ``maxsim_exact`` and ranked by ``rank``: they hold the exact
-    top k and every exact tie at the cut, in ascending passage order. A
+    top k and every exact tie at the cut, in ascending stored passage order,
+    so a tie goes to the lower passage however the walk ordered them. A
     non-finite blocked score sends every passage to ``maxsim_exact``.
     """
     check_count(k, "cutoff k", none_means_all=True)
@@ -256,21 +304,23 @@ def _passage_blocks(offsets, limit: int):
 
 
 def _blocked_maxsim(q_unit: np.ndarray, table: np.ndarray, rows, offsets) -> np.ndarray:
-    """Approximate MaxSim per passage, whole passages in blocks of at most
-    ``_MAXSIM_BLOCK`` rows (a longer passage is a block of its own): a
-    contiguous slice of ``table`` when ``rows`` is None, else a gather. Each
-    block is one (rows x terms) product ``block @ q.T`` in the table's dtype
-    (the query rounded to it), then per-term maxima by
-    ``np.maximum.reduceat`` at the passage starts, then a float64 sum along
-    each passage's term row. The summation order is free: the rounding gap
-    covers any."""
+    """Approximate MaxSim per passage, by stored passage number, in one
+    length walk (``_length_chunks``): each chunk of passages of L rows is
+    one block of at most ``max(_MAXSIM_BLOCK, L)`` rows, a contiguous slice
+    of ``table`` when ``rows`` is None (the table then holds the rows in the
+    walk's order), else a gather through ``rows``, put in walk order once.
+    Each block is one (rows x terms) product ``block @ q.T`` in the table's
+    dtype (the query rounded to it), reshaped to (passages, L, terms), then
+    per-term maxima over the L rows and a float64 sum along each passage's
+    term row. The summation order is free: the rounding gap covers any."""
     out = np.empty(len(offsets) - 1)
     q = q_unit.astype(table.dtype, copy=False)
-    for first, last in _passage_blocks(offsets, _MAXSIM_BLOCK):
-        lo, hi = offsets[first], offsets[last]
-        block = table[lo:hi] if rows is None else table[rows[lo:hi]]
-        sims = block @ q.T  # rows x terms
-        out[first:last] = np.maximum.reduceat(sims, offsets[first:last] - lo, axis=0).sum(axis=1, dtype=np.float64)
+    walk = None if rows is None else rows[walk_rows(offsets)]
+    for items, lo, n_rows in _length_chunks(offsets):
+        hi = lo + items.size * n_rows
+        block = table[lo:hi] if walk is None else table[walk[lo:hi]]
+        sims = (block @ q.T).reshape(items.size, n_rows, -1)  # passages x rows x terms
+        out[items] = sims.max(axis=1).sum(axis=1, dtype=np.float64)
     return out
 
 

@@ -30,7 +30,6 @@ from modir.index import (
     DuplicateCentroidWarning,
     ResidualCodec,
     SearchParams,
-    _passage_rows,
     approximate_candidates,
     bits_per_embedding,
     check_n_probe,
@@ -48,7 +47,7 @@ from modir.index import (
     select_centroids,
     unpack_codes,
 )
-from modir.scoring import maxsim_score, maxsim_unit, normalize_rows, rank
+from modir.scoring import maxsim_score, maxsim_unit, normalize_rows, passage_rows, rank, walk_rows
 from tests.conftest import per_embedding_attributes
 
 
@@ -715,7 +714,7 @@ KNOB_CALLS = {
     "final_k": ("final_k", lambda v, idx, q: SearchParams(n_probe=1, candidate_k=50, final_k=v)),
     "rank": ("cutoff k", lambda v, idx, q: rank([3.0, 1.0, 2.0], v)),
     "maxsim_top_k": ("cutoff k", lambda v, idx, q: scoring.maxsim_top_k(
-        normalize_rows(q), (unit := idx.unit_corpus()).rows, None, unit.offsets, v, unit.exact_rows)),
+        normalize_rows(q), (unit := idx.unit_corpus()).grouped_rows, None, unit.offsets, v, unit.exact_rows)),
     "exact_rerank": ("cutoff k", lambda v, idx, q: exact_rerank(q, ["17", "3", "41", "0"], idx, k=v)),
     "brute_force_search": ("cutoff k", lambda v, idx, q: brute_force_search(q, idx.unit_corpus(), v)),
     "mrr_at_k": ("cutoff k", lambda v, idx, q: mrr_at_k({"q": [("a", 1.0)]}, {"q": {"a": 1}}, v)),
@@ -988,8 +987,9 @@ class TestSearch:
             span = slice(state.list_offsets[cid], state.list_offsets[cid + 1])
             expect = normalize_rows(idx.decompress_embeddings(list_members[span])).astype(np.float32)
             assert table[span].tobytes() == expect.tobytes()
-        assert idx.unit_corpus().rows.tobytes() == table[state.positions].tobytes()
-        emb_ids, offsets = _passage_rows(idx.passage_offsets, np.array([5, 2]))  # as exact_rerank reads them
+        walk = walk_rows(idx.passage_offsets)
+        assert idx.unit_corpus().grouped_rows.tobytes() == table[state.positions[walk]].tobytes()
+        emb_ids, offsets = passage_rows(idx.passage_offsets, np.array([5, 2]))  # as exact_rerank reads them
         positions = state.positions[emb_ids]
         for i, internal in enumerate((5, 2)):
             rows = table[positions[offsets[i] : offsets[i + 1]]]
@@ -1052,12 +1052,15 @@ class TestSearch:
         finally:
             tracemalloc.stop()
         n, dim = idx.embedding_count, idx.dim
-        assert unit.rows.dtype == np.float32 and unit.rows.nbytes == n * dim * 4
+        assert unit.grouped_rows.dtype == np.float32 and unit.grouped_rows.nbytes == n * dim * 4
         bound = n * dim * 4 + n * 8 + 8 * 2048 * dim * 8  # the table, the int64 row ids, eight float64 blocks
         assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("k", [10, 4999, None], ids=["k10", "all-but-one", "all"])
-    def test_an_oracle_query_holds_no_float64_array_of_corpus_size(self, k):
+    def test_an_oracle_query_holds_no_float64_array_of_corpus_size(self, monkeypatch, k):
+        # The scan reads slices of the grouped table, so a gather or a copy of it fails here. Blocks of 128
+        # rows keep the exact pass's 16 decoded float64 blocks, a fixed cost, below the bound at this size.
+        monkeypatch.setattr("modir.scoring._MAXSIM_BLOCK", 128)
         idx = self.random_code_index(dim=32)
         unit = idx.unit_corpus()
         query = np.random.default_rng(4).normal(size=(32, idx.dim))
@@ -1068,8 +1071,8 @@ class TestSearch:
         finally:
             tracemalloc.stop()
         assert len(ranked) == (k or idx.passage_count)
-        float64_table = idx.embedding_count * idx.dim * 8
-        assert peak < float64_table / 2, f"peak {peak / 1e6:.2f} MB, a float64 table {float64_table / 1e6:.2f} MB"
+        float32_table = unit.grouped_rows.nbytes
+        assert peak < float32_table / 4, f"peak {peak / 1e6:.2f} MB, the float32 table {float32_table / 1e6:.2f} MB"
 
     def test_an_oracle_query_decodes_only_its_survivors_rows(self, monkeypatch):
         _, idx, query = small_index()
@@ -1113,19 +1116,21 @@ def per_passage_oracle(query, unit, k):
 
 
 def float64_unit_corpus(ids, rows, offsets):
-    """A ``UnitCorpus`` that selects on float64 unit rows and whose
-    ``exact_rows`` hands back those same rows, passage after passage."""
+    """A ``UnitCorpus`` that selects on float64 unit rows, given in stored order and grouped as
+    ``unit_corpus`` groups them, and whose ``exact_rows`` hands back those same rows, passage after passage."""
     def exact_rows(passages):
         return np.vstack([rows[offsets[i] : offsets[i + 1]] for i in passages])
 
-    return UnitCorpus(ids, rows, offsets, exact_rows)
+    return UnitCorpus(ids, rows[walk_rows(offsets)], offsets, exact_rows)
 
 
 def table_top_k(query, unit, k):
-    """``maxsim_top_k`` over a UnitCorpus's row table, its rows gathered by position in table order, and
-    the survivors scored on the corpus's ``exact_rows``."""
-    positions = np.arange(len(unit.rows))
-    order, scores = scoring.maxsim_top_k(normalize_rows(query), unit.rows, positions, unit.offsets, k, unit.exact_rows)
+    """``maxsim_top_k`` over a UnitCorpus's grouped table, each passage's rows gathered by position (the
+    path re-rank takes), and the survivors scored on the corpus's ``exact_rows``."""
+    positions = np.empty(len(unit.grouped_rows), dtype=np.int64)
+    positions[walk_rows(unit.offsets)] = np.arange(len(positions))
+    q_unit = normalize_rows(query)
+    order, scores = scoring.maxsim_top_k(q_unit, unit.grouped_rows, positions, unit.offsets, k, unit.exact_rows)
     return [(unit.ids[i], float(s)) for i, s in zip(order, scores)]
 
 
@@ -1252,6 +1257,17 @@ class TestBlockedTopK:
         assert expect[0][0] == "a"
         monkeypatch.setattr(scoring, "_blocked_maxsim", skewed)
         assert_same_ranking(exact_rerank(query, ["c", "b", "a"], idx, k=1), expect)
+
+    def test_a_tie_across_lengths_goes_to_the_lower_id(self):
+        # Standard-basis rows make every cosine exact under any BLAS order, so both passages score exactly
+        # 2.0. "a" comes after "b" in the length walk (3 rows against 2) but first in id order.
+        e1, e2 = np.eye(2)
+        unit = float64_unit_corpus(["a", "b"], np.array([e2, e1, e1, e1, e2]), np.array([0, 3, 5]))
+        query = np.array([e1, e2])
+        for k in (1, 2):
+            expect = [("a", 2.0), ("b", 2.0)][:k]
+            assert brute_force_search(query, unit, k) == expect
+            assert table_top_k(query, unit, k) == expect
 
     def test_all_zero_rows(self):
         rng = np.random.default_rng(4)

@@ -13,6 +13,8 @@ from modir.scoring import (
     MASK_ID,
     P_MARKER_ID,
     Q_MARKER_ID,
+    _blocked_maxsim,
+    _length_chunks,
     maxsim_exact,
     maxsim_rounding_gap,
     maxsim_score,
@@ -22,6 +24,7 @@ from modir.scoring import (
     prepare_passage,
     prepare_query,
     rank,
+    walk_rows,
 )
 
 T1, T2 = 10, 11  # arbitrary text token ids
@@ -266,8 +269,8 @@ class TestMaxsimTopK:
             shuffled[rows] = table
             table = shuffled
             passages = [table[rows[offsets[i] : offsets[i + 1]]] for i in range(len(passages))]
-        elif data.draw(st.booleans()):  # the table's own order, read in contiguous slices
-            rows = None
+        elif data.draw(st.booleans()):  # the table in the length walk's order, read in contiguous slices
+            table, rows = table[walk_rows(offsets)], None
         scores = np.array([maxsim_unit(q_unit, p) for p in passages])
         expect = rank(scores)[:k]
         exact_rows = lambda survivors: np.vstack([passages[i] for i in survivors])  # noqa: E731
@@ -310,6 +313,58 @@ class RowsAskedFor:
     def __getitem__(self, picked):
         self.reads.append(len(picked))
         return self.table[picked]
+
+
+class BlocksRead:
+    """A row table that keeps every block read from it."""
+
+    def __init__(self, table):
+        self.table, self.dtype, self.reads = table, table.dtype, []
+
+    def __getitem__(self, picked):
+        block = self.table[picked]
+        self.reads.append(block)
+        return block
+
+
+class TestLengthWalk:
+    """``_blocked_maxsim`` scores each chunk of the length walk as one block:
+    a slice of a table grouped in walk order (the oracle's) and a gather
+    through positions (re-rank's) must read the same blocks, so their BLAS
+    products, and the blocked scores, are the same bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(block=st.sampled_from([1, 3, 7, 1024]), seed=st.integers(0, 2**16), data=st.data())
+    def test_grouped_slices_equal_gathers_and_stay_within_the_gap(self, block, seed, data):
+        lengths = data.draw(st.lists(st.integers(1, block + 2), max_size=12))
+        terms, dim = data.draw(st.integers(1, 5)), data.draw(st.sampled_from([1, 3, 8]))
+        rng = np.random.default_rng(seed)
+        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        unit = normalize_rows(rng.normal(size=(offsets[-1], dim)))
+        unit[rng.random(offsets[-1]) < 0.2] = 0.0
+        q_unit = normalize_rows(rng.normal(size=(terms, dim)))
+        q_unit[rng.random(terms) < 0.2] = 0.0
+        stored = unit.astype(np.float32)
+        positions = np.arange(offsets[-1])
+        if data.draw(st.booleans()):  # a shuffled table read through positions, as re-rank's
+            positions = rng.permutation(offsets[-1])
+            shuffled = np.empty_like(stored)
+            shuffled[positions] = stored
+            stored = shuffled
+        grouped = BlocksRead(unit.astype(np.float32)[walk_rows(offsets)])
+        gathered = BlocksRead(stored)
+        with mock.patch("modir.scoring._MAXSIM_BLOCK", block):
+            sliced = _blocked_maxsim(q_unit, grouped, None, offsets)
+            through = _blocked_maxsim(q_unit, gathered, positions, offsets)
+            chunks = list(_length_chunks(offsets))
+        assert sliced.tobytes() == through.tobytes()
+        assert len(grouped.reads) == len(gathered.reads) == len(chunks)
+        for a, b, (items, _, n_rows) in zip(grouped.reads, gathered.reads, chunks):
+            assert a.shape == b.shape == (items.size * n_rows, dim) and a.tobytes() == b.tobytes()
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+            assert a.shape[0] <= max(block, n_rows)
+        expect = per_passage_maxsim(q_unit, unit, offsets)
+        assert np.all(np.abs(sliced - expect) <= maxsim_rounding_gap(terms, dim, np.float32))
 
 
 class TestFloat32Cosines:
