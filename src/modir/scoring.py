@@ -10,7 +10,8 @@ blocked selection of ``maxsim_top_k`` that chooses which passages re-rank
 and the oracle score, take the passages in one length walk: grouped by row
 count, stored order within each count, in chunks of about
 ``_MAXSIM_BLOCK`` rows. The oracle's float32 table is held in that order, so
-each chunk is one contiguous slice; every score and every tie still goes by
+each chunk is one contiguous slice, and the exact pass asks its decoder for
+one chunk's float64 rows at a time; every score and every tie still goes by
 stored passage number, ties to the lower.
 ``check_query`` is the one rule for a valid query matrix, shared by both
 search stages, the oracle and ``modir search``, and ``check_count`` the one
@@ -31,7 +32,7 @@ P_MARKER_ID = 2
 MASK_ID = 3
 NUM_SPECIAL = 4
 
-_MAXSIM_BLOCK = 1024  # rows gathered per MaxSim matmul or stack (maxsim_top_k, maxsim_exact): about 1 MB
+_MAXSIM_BLOCK = 1024  # rows per length-walk chunk: a blocked matmul, or a decoded float64 stack, about 1 MB
 
 
 @dataclass(frozen=True)
@@ -133,14 +134,16 @@ def maxsim_unit(q_unit: np.ndarray, p_unit: np.ndarray) -> float:
     return float((q_unit @ p_unit.T).max(axis=1).sum())
 
 
-def maxsim_exact(q_unit: np.ndarray, rows: np.ndarray, offsets) -> np.ndarray:
+def maxsim_exact(q_unit: np.ndarray, exact_rows, counts) -> np.ndarray:
     """``maxsim_unit`` of every passage, bit for bit.
 
-    Passage i's unit rows are ``rows[offsets[i]:offsets[i + 1]]``, float64,
-    and every passage has at least one (EmptyInputError otherwise). Each
-    chunk of the length walk (``_length_chunks``), at most
-    ``_MAXSIM_BLOCK // L`` passages of L rows (one if L is larger), is
-    stacked into one (items, L, dim) gather. ``np.matmul(q_unit,
+    Passage i has ``counts[i]`` rows, at least one (EmptyInputError
+    otherwise); ``exact_rows(items)``, for an array of passage numbers,
+    gives their float64 unit rows, passage after passage. It is asked once
+    per chunk of the length walk (``_length_chunks``), at most
+    ``_MAXSIM_BLOCK // L`` passages of L rows (one if L is larger), so the
+    rows it gives, reshaped, are the chunk's (items, L, dim) stack and no
+    more than one chunk of float64 rows is held. ``np.matmul(q_unit,
     P.transpose(0, 2, 1))`` makes one BLAS call per item with the shape and
     strides of ``q_unit @ p_unit.T``
     (``tests/test_scoring.py::TestStackedMaxSimKeepsBits``), so each passage
@@ -149,25 +152,27 @@ def maxsim_exact(q_unit: np.ndarray, rows: np.ndarray, offsets) -> np.ndarray:
     sum runs along each passage's contiguous term row, as ``maxsim_unit``'s
     ``.sum()`` does.
     """
-    out = np.empty(len(offsets) - 1)
-    for items, _, n_rows in _length_chunks(offsets):
-        stack = rows[(offsets[items, None] + np.arange(n_rows)).reshape(-1)].reshape(items.size, n_rows, -1)
+    out = np.empty(len(counts))
+    for items, _, n_rows in _length_chunks(counts):
+        stack = exact_rows(items).reshape(items.size, n_rows, -1)
         sims = np.matmul(q_unit, stack.transpose(0, 2, 1))  # items x terms x rows
         out[items] = sims.transpose(2, 0, 1).copy().max(axis=0).sum(axis=-1)
     return out
 
 
-def length_order(offsets) -> np.ndarray:
-    """The passages under ``offsets`` in the length walk's order: by row
-    count, stored order within each count (a stable argsort)."""
-    return np.argsort(np.diff(offsets), kind="stable")
+def length_order(counts) -> np.ndarray:
+    """The passages of these row counts, none negative, in the length walk's
+    order: by row count, stored order within each count. A stable sort has
+    one answer, so the counts are sorted as the narrowest unsigned type that
+    holds them, which numpy radix-sorts up to 16 bits."""
+    return np.argsort(counts.astype(np.min_scalar_type(counts.max(initial=0))), kind="stable")
 
 
 def walk_rows(offsets) -> np.ndarray:
     """The row numbers under ``offsets``, passage after passage in
     ``length_order``: the oracle's table holds its rows in this order, so
     that each chunk the blocked selection scores is one contiguous slice."""
-    return passage_rows(offsets, length_order(offsets))[0]
+    return passage_rows(offsets, length_order(np.diff(offsets)))[0]
 
 
 def passage_rows(offsets, passages):
@@ -179,19 +184,19 @@ def passage_rows(offsets, passages):
     return np.repeat(lo - starts[:-1], counts) + np.arange(starts[-1]), starts
 
 
-def _length_chunks(offsets):
-    """The length walk over the passages under ``offsets``: each group of
-    one row count L in ``length_order``, cut into chunks of at most
+def _length_chunks(counts):
+    """The length walk over passages of these row counts: each group of one
+    row count L in ``length_order``, cut into chunks of at most
     ``_MAXSIM_BLOCK // L`` passages (one when L is larger). Yields each
     chunk's stored passage numbers, its first row in the walk and L. A
-    passage without rows is EmptyInputError."""
-    order = length_order(offsets)
-    counts = np.diff(offsets)[order]
+    passage without rows is EmptyInputError, before any chunk."""
+    if counts.min(initial=1) < 1:
+        raise EmptyInputError("a passage has no rows")
+    order = length_order(counts)
+    counts = counts[order]
     first = lo = 0
     while first < order.size:
         n_rows = int(counts[first])
-        if n_rows < 1:
-            raise EmptyInputError("a passage has no rows")
         end = int(np.searchsorted(counts, n_rows, side="right"))
         per = max(1, _MAXSIM_BLOCK // n_rows)
         for start in range(first, end, per):
@@ -253,9 +258,10 @@ def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | 
     copy of float64 unit rows (or those rows themselves) and serves only the
     selection below: ``exact_rows(passages)`` gives those passages' float64
     unit rows, passage after passage, each in its order in ``rows``; it is
-    asked for at most 16 blocks of rows at a time, so no float64 copy of a
-    large table is made. Every score reported comes from ``maxsim_exact``
-    over those rows, so the result is bit-identical to ranking
+    asked for one chunk of the length walk at a time, equal-length passages
+    of at most ``max(_MAXSIM_BLOCK, L)`` rows, so no float64 copy of a large
+    table is made. Every score reported comes from one ``maxsim_exact``
+    over the survivors, so the result is bit-identical to ranking
     ``maxsim_unit`` of every passage, for any k. Re-rank and the
     ``UnitCorpus`` oracle both rank this way.
 
@@ -283,24 +289,9 @@ def maxsim_top_k(q_unit: np.ndarray, table: np.ndarray, rows, offsets, k: int | 
         if np.isfinite(blocked).all():
             cut = np.partition(blocked, n - k)[n - k]
             survivors = np.flatnonzero(blocked >= cut - 2.0 * maxsim_rounding_gap(*q_unit.shape, table.dtype))
-    starts = np.concatenate(([0], np.cumsum(offsets[survivors + 1] - offsets[survivors])))
-    exact = np.empty(survivors.size)
-    for first, last in _passage_blocks(starts, 16 * _MAXSIM_BLOCK):  # the survivors' float64 rows
-        part = exact_rows(survivors[first:last])
-        exact[first:last] = maxsim_exact(q_unit, part, starts[first : last + 1] - starts[first])
+    exact = maxsim_exact(q_unit, lambda items: exact_rows(survivors[items]), np.diff(offsets)[survivors])
     order = rank(exact, k)
     return survivors[order], exact[order]
-
-
-def _passage_blocks(offsets, limit: int):
-    """Consecutive (first, last) passage ranges under ``offsets``, each of
-    whole passages holding at most ``limit`` rows (a longer passage is a
-    range of its own)."""
-    n, first = len(offsets) - 1, 0
-    while first < n:
-        last = max(first + 1, int(np.searchsorted(offsets, offsets[first] + limit, side="right")) - 1)
-        yield first, last
-        first = last
 
 
 def _blocked_maxsim(q_unit: np.ndarray, table: np.ndarray, rows, offsets) -> np.ndarray:
@@ -316,7 +307,7 @@ def _blocked_maxsim(q_unit: np.ndarray, table: np.ndarray, rows, offsets) -> np.
     out = np.empty(len(offsets) - 1)
     q = q_unit.astype(table.dtype, copy=False)
     walk = None if rows is None else rows[walk_rows(offsets)]
-    for items, lo, n_rows in _length_chunks(offsets):
+    for items, lo, n_rows in _length_chunks(np.diff(offsets)):
         hi = lo + items.size * n_rows
         block = table[lo:hi] if walk is None else table[walk[lo:hi]]
         sims = (block @ q.T).reshape(items.size, n_rows, -1)  # passages x rows x terms

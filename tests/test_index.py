@@ -1056,11 +1056,13 @@ class TestSearch:
         bound = n * dim * 4 + n * 8 + 8 * 2048 * dim * 8  # the table, the int64 row ids, eight float64 blocks
         assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
+    @pytest.mark.parametrize("block", [128, None], ids=["block128", "default-block"])
     @pytest.mark.parametrize("k", [10, 4999, None], ids=["k10", "all-but-one", "all"])
-    def test_an_oracle_query_holds_no_float64_array_of_corpus_size(self, monkeypatch, k):
-        # The scan reads slices of the grouped table, so a gather or a copy of it fails here. Blocks of 128
-        # rows keep the exact pass's 16 decoded float64 blocks, a fixed cost, below the bound at this size.
-        monkeypatch.setattr("modir.scoring._MAXSIM_BLOCK", 128)
+    def test_an_oracle_query_holds_no_float64_array_of_corpus_size(self, monkeypatch, k, block):
+        # The scan reads slices of the grouped table, so a gather or a copy of it fails here, and the
+        # exact pass holds one decoded chunk of float64 rows at a time, at any block.
+        if block is not None:
+            monkeypatch.setattr("modir.scoring._MAXSIM_BLOCK", block)
         idx = self.random_code_index(dim=32)
         unit = idx.unit_corpus()
         query = np.random.default_rng(4).normal(size=(32, idx.dim))

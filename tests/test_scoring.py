@@ -15,12 +15,14 @@ from modir.scoring import (
     Q_MARKER_ID,
     _blocked_maxsim,
     _length_chunks,
+    length_order,
     maxsim_exact,
     maxsim_rounding_gap,
     maxsim_score,
     maxsim_top_k,
     maxsim_unit,
     normalize_rows,
+    passage_rows,
     prepare_passage,
     prepare_query,
     rank,
@@ -281,7 +283,7 @@ class TestMaxsimTopK:
         assert np.array_equal(order, expect)
         assert got.tobytes() == scores[expect].tobytes()
 
-    def test_survivors_are_decoded_sixteen_blocks_of_rows_at_a_time(self, monkeypatch):
+    def test_survivors_are_decoded_one_length_walk_chunk_at_a_time(self, monkeypatch):
         monkeypatch.setattr("modir.scoring._MAXSIM_BLOCK", 2)
         rng = np.random.default_rng(8)
         table = normalize_rows(rng.normal(size=(40, 3)))
@@ -295,8 +297,21 @@ class TestMaxsimTopK:
 
         order, got = maxsim_top_k(q_unit, table.astype(np.float32), None, offsets, None, exact_rows)
         scores = per_passage_maxsim(q_unit, table, offsets)
-        assert asked == [32, 8]
+        assert asked == [2] * 20
         assert np.array_equal(order, rank(scores)) and got.tobytes() == scores[order].tobytes()
+
+    def test_a_table_without_rows_must_be_in_the_length_walks_order(self):
+        # Passage 0, the only one along the query, is the longest, so it is last in the walk: read
+        # in stored order, the chunks of passages 1 and 2 would see its rows and it theirs.
+        passages = [np.array([[1.0, 0.0]] * 3), np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]] * 2)]
+        offsets = np.array([0, 3, 4, 6])
+        stored = np.vstack(passages)
+        q_unit = np.array([[1.0, 0.0]])
+        exact_rows = lambda survivors: np.vstack([passages[i] for i in survivors])  # noqa: E731
+        order, got = maxsim_top_k(q_unit, stored[walk_rows(offsets)].astype(np.float32), None, offsets, 1, exact_rows)
+        assert order.tolist() == [0] and got.tolist() == [1.0]
+        misread, _ = maxsim_top_k(q_unit, stored.astype(np.float32), None, offsets, 1, exact_rows)
+        assert misread.tolist() != [0]
 
 
 def per_passage_maxsim(q_unit, table, offsets):
@@ -304,15 +319,26 @@ def per_passage_maxsim(q_unit, table, offsets):
     return np.array([(q_unit @ table[a:b].T).max(axis=1).sum() for a, b in zip(offsets[:-1], offsets[1:])])
 
 
-class RowsAskedFor:
-    """A row table that records how many rows each read asks for."""
+class ChunkDecoder:
+    """An ``exact_rows`` over a stored-order table: the passages asked for,
+    passage after passage. It keeps every ask, and ``check_asks`` holds the
+    asks to the length walk's chunks: every passage asked for once, each ask
+    equal-length passages of at most ``max(block, L)`` rows."""
 
-    def __init__(self, table):
-        self.table, self.reads = table, []
+    def __init__(self, table, offsets):
+        self.table, self.offsets, self.asks = table, offsets, []
 
-    def __getitem__(self, picked):
-        self.reads.append(len(picked))
-        return self.table[picked]
+    def __call__(self, items):
+        self.asks.append(items)
+        return self.table[passage_rows(self.offsets, items)[0]]
+
+    def check_asks(self, block):
+        asked = np.concatenate(self.asks) if self.asks else np.array([], dtype=np.int64)
+        assert np.array_equal(np.sort(asked), np.arange(len(self.offsets) - 1))
+        for items in self.asks:
+            lengths = np.diff(self.offsets)[items]
+            assert items.size and np.all(lengths == lengths[0])
+            assert lengths.sum() <= max(block, lengths[0])
 
 
 class BlocksRead:
@@ -325,6 +351,25 @@ class BlocksRead:
         block = self.table[picked]
         self.reads.append(block)
         return block
+
+
+class TestLengthOrder:
+    """``length_order`` sorts the row counts cast to a narrow unsigned type
+    (radix sort); a stable sort has one answer, so the order must be the
+    stable argsort of the lengths, whatever the cast."""
+
+    LAYOUTS = {
+        "no-passages": [],
+        "empty-passages": [0, 2, 0, 1],
+        "uint8": [3, 1, 3, 2, 255, 1],
+        "uint16": [300, 4, 65535, 300, 4],
+        "uint32": [70000, 5, 65536, 5, 70000, 0],
+    }
+
+    @pytest.mark.parametrize("lengths", LAYOUTS.values(), ids=LAYOUTS)
+    def test_equals_a_stable_argsort_of_the_lengths(self, lengths):
+        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))  # offsets only, no rows
+        assert np.array_equal(length_order(np.diff(offsets)), np.argsort(np.diff(offsets), kind="stable"))
 
 
 class TestLengthWalk:
@@ -356,7 +401,7 @@ class TestLengthWalk:
         with mock.patch("modir.scoring._MAXSIM_BLOCK", block):
             sliced = _blocked_maxsim(q_unit, grouped, None, offsets)
             through = _blocked_maxsim(q_unit, gathered, positions, offsets)
-            chunks = list(_length_chunks(offsets))
+            chunks = list(_length_chunks(np.diff(offsets)))
         assert sliced.tobytes() == through.tobytes()
         assert len(grouped.reads) == len(gathered.reads) == len(chunks)
         for a, b, (items, _, n_rows) in zip(grouped.reads, gathered.reads, chunks):
@@ -473,12 +518,14 @@ class TestMaxsimExact:
         table = normalize_rows(rng.normal(size=(offsets[-1], 5)))
         table[::4] = 0.0
         q_unit = normalize_rows(rng.normal(size=(3, 5)))
-        recorder = RowsAskedFor(table)
-        got = maxsim_exact(q_unit, recorder, offsets)
+        decoder = ChunkDecoder(table, offsets)
+        got = maxsim_exact(q_unit, decoder, np.diff(offsets))
         assert got.tobytes() == per_passage_maxsim(q_unit, table, offsets).tobytes()
         # every row is read once, in reads of at most a block of rows or one passage
-        assert sum(recorder.reads) == offsets[-1]
-        assert all(n <= block or n in lengths for n in recorder.reads)
+        reads = [np.diff(offsets)[items].sum() for items in decoder.asks]
+        assert sum(reads) == offsets[-1]
+        assert all(n <= block or n in lengths for n in reads)
+        decoder.check_asks(block)
 
     def test_a_nan_query_row_scores_every_passage_nan(self):
         rng = np.random.default_rng(5)
@@ -486,13 +533,15 @@ class TestMaxsimExact:
         table = normalize_rows(rng.normal(size=(6, 4)))
         q_unit = normalize_rows(rng.normal(size=(3, 4)))
         q_unit[1] = np.nan
-        got = maxsim_exact(q_unit, table, offsets)
+        got = maxsim_exact(q_unit, ChunkDecoder(table, offsets), np.diff(offsets))
         assert np.isnan(got).all()
         assert got.tobytes() == per_passage_maxsim(q_unit, table, offsets).tobytes()
 
-    def test_a_passage_without_rows_is_refused(self):
+    @pytest.mark.parametrize("counts", [[2, 0], [3, -1, 2]], ids=["empty", "negative"])
+    def test_a_passage_without_rows_is_refused(self, counts):
+        # before any rows are decoded, and whatever the unsigned cast of the walk's sort makes of a negative count
         with pytest.raises(EmptyInputError, match="no rows"):
-            maxsim_exact(np.eye(2), np.eye(2), np.array([0, 2, 2]))
+            maxsim_exact(np.eye(2), mock.Mock(side_effect=AssertionError("rows decoded")), np.array(counts))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -514,6 +563,8 @@ class TestMaxsimExact:
             table = pool[rng.integers(0, 4, size=offsets[-1])]
         q_unit = normalize_rows(rng.normal(size=(terms, dim)))
         q_unit[rng.random(terms) < 0.2] = data.draw(st.sampled_from([0.0, np.nan]))
+        decoder = ChunkDecoder(table, offsets)
         with mock.patch("modir.scoring._MAXSIM_BLOCK", block):
-            got = maxsim_exact(q_unit, table, offsets)
+            got = maxsim_exact(q_unit, decoder, np.diff(offsets))
         assert got.tobytes() == per_passage_maxsim(q_unit, table, offsets).tobytes()
+        decoder.check_asks(block)
